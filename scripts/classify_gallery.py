@@ -71,7 +71,7 @@ def main() -> int:
                     "{" + ",".join(sorted(a)) + "}"
                     for a in sorted(wit.arcs, key=sorted)
                 )
-                print(f"  incomplete theta: {arcs}  (missing {wit.completing})")
+                print(f"  incomplete theta: {arcs}  (missing {wit.completing_str()})")
         print()
     return 0
 

@@ -18,6 +18,7 @@ import sys
 import time
 
 from theta3.construct import catalog_matroid, is_projective
+from theta3.gf2 import bits_to_str
 from theta3.theta import theta3_closure
 
 DEFAULT_KEYS = ("MSTAR_K33", "F7STAR", "MSTAR_K5")
@@ -38,7 +39,7 @@ def trace_one(key: str) -> None:
         print(f"round {i}: {len(rnd.added_vectors)} vectors added")
         for v, wit in zip(rnd.added_vectors, rnd.witnesses):
             arcs = " ".join(_describe_arc(a) for a in sorted(wit.arcs, key=sorted))
-            print(f"  + {v}   completes theta {arcs}")
+            print(f"  + {bits_to_str(v, final.dim)}   completes theta {arcs}")
     shape = (
         f"the full rank-{final.rank} projective geometry"
         if is_projective(final)

@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 
 __all__ = ["Budget", "BudgetExceededError"]
 
+# tick() consults the clock only once per this many nodes.
+CHECK_EVERY = 4096
+
 
 class BudgetExceededError(Exception):
     """Raised when a bounded search runs out of nodes or seconds."""
@@ -29,12 +32,11 @@ class Budget:
     """Mutable node/time budget shared across one logical computation.
 
     max_nodes / max_seconds of None mean unlimited.  tick() is cheap:
-    the clock is only consulted every `check_every` nodes.
+    the clock is only consulted every CHECK_EVERY nodes.
     """
 
     max_nodes: int | None = None
     max_seconds: float | None = None
-    check_every: int = 4096
     nodes: int = field(default=0, init=False)
     _started: float = field(default_factory=time.monotonic, init=False)
 
@@ -49,7 +51,7 @@ class Budget:
                 nodes=self.nodes,
                 seconds=self.elapsed(),
             )
-        if self.max_seconds is not None and self.nodes % self.check_every < count:
+        if self.max_seconds is not None and self.nodes % CHECK_EVERY < count:
             elapsed = self.elapsed()
             if elapsed > self.max_seconds:
                 raise BudgetExceededError(

@@ -6,7 +6,8 @@ verdict), build (evaluate a recipe term), crossval (agreement sweep of
 the classifier against the direct decision procedure), catalog (named
 matroids).  Every command prints one JSON report to stdout and exits
 0 for success/true verdicts, 1 for false verdicts, 2 for errors, 3 when
-a --max-subsets/--max-seconds budget ran out before an answer.
+a --max-subsets/--max-seconds budget ran out before an answer, and 4
+for an internal error (the traceback goes to stderr).
 
 Input resolution: an input argument is tried as a catalog key first
 (F7, MK(5), PG(3), ...), then as a file path.  Files hold `dim d` on
@@ -23,9 +24,10 @@ import os
 import random
 import sys
 import time
+import traceback
 
 from theta3.budget import Budget, BudgetExceededError
-from theta3.gf2 import MAX_DIM, DimensionError, bits_from_str
+from theta3.gf2 import MAX_DIM, DimensionError, bits_from_str, bits_to_str
 from theta3.matroid import (
     BinaryMatroid,
     UnknownLabelError,
@@ -151,7 +153,7 @@ def _trace_json(trace: ClosureTrace) -> dict:
         "final_size": trace.final.size,
         "rounds": [
             {
-                "added": [str(v) for v in r.added_vectors],
+                "added": [bits_to_str(v, trace.final.dim) for v in r.added_vectors],
                 "witnesses": [_theta_json(t) for t in r.witnesses],
             }
             for r in trace.rounds
@@ -327,14 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="S",
         help="abort with exit 3 after S seconds of search",
     )
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        metavar="K",
-        help="thread count (default from THETA3_THREADS; this build "
-        "computes single-threaded and only validates the value)",
-    )
     p = argparse.ArgumentParser(
         prog="theta3", description="binary matroid theta-closure toolkit"
     )
@@ -411,18 +405,6 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     code = 2
     try:
-        threads = args.threads
-        if threads is None:
-            env = os.environ.get("THETA3_THREADS", "1")
-            if not env.isdigit() or int(env) < 1:
-                raise ValueError(f"THETA3_THREADS must be a positive integer, got {env!r}")
-            threads = int(env)
-        if threads < 1:
-            raise ValueError("--threads must be >= 1")
-        if threads > 1:
-            report.setdefault("notes", []).append(
-                f"{threads} threads requested; this build computes single-threaded"
-            )
         if args.max_subsets is not None and args.max_subsets < 1:
             raise ValueError("--max-subsets must be >= 1")
         if args.max_seconds is not None and args.max_seconds <= 0:
@@ -437,6 +419,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, OSError, DimensionError, UnknownLabelError) as exc:
         report["error"] = str(exc)
         code = 2
+    except Exception as exc:
+        report["error"] = f"internal error: {type(exc).__name__}: {exc}"
+        traceback.print_exc(file=sys.stderr)
+        code = 4
     report["timings"]["total_s"] = round(time.perf_counter() - started, 6)
     print(json.dumps(report, indent=2))
     return code

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from theta3.budget import Budget, BudgetExceededError
-from theta3.gf2 import Echelon
+from theta3.gf2 import Echelon, bits
 from theta3.matroid import (
     BinaryMatroid,
     connected_components,
@@ -35,6 +35,7 @@ from theta3.matroid import (
     is_connected,
     restrict,
     simplify,
+    union_find_roots,
 )
 from theta3.construct import (
     circuit_matroid,
@@ -129,12 +130,8 @@ def _split_vector(V: BinaryMatroid, X: frozenset[str], Y: frozenset[str]) -> int
         res, orig = ech.tracked_residue(c)
         if res == 0:
             w = 0
-            k = 0
-            while orig:
-                if orig & 1:
-                    w ^= xb[k]
-                orig >>= 1
-                k += 1
+            for k in bits(orig):
+                w ^= xb[k]
             return w
         ech.insert(c)
     raise ValueError("not an exact 2-separation")
@@ -241,21 +238,12 @@ def _check_tree(T: MatroidLabelledTree) -> None:
         raise ValueError("tree invariant violated: kinds/vertices length mismatch")
     if len(T.edges) != n - 1:
         raise ValueError("tree invariant violated: edge count is not n-1")
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     where: dict[str, list[int]] = {}
     for i, V in enumerate(T.vertices):
         if n > 1 and V.size < 3:
             raise ValueError(f"tree invariant violated: vertex {i} has < 3 elements")
         for lab in V.labels:
             where.setdefault(lab, []).append(i)
-    edge_set = set()
     for a, b, lab in T.edges:
         if not (0 <= a < n and 0 <= b < n) or a == b:
             raise ValueError(f"tree invariant violated: bad edge ({a}, {b})")
@@ -264,11 +252,6 @@ def _check_tree(T: MatroidLabelledTree) -> None:
                 f"tree invariant violated: edge label {lab!r} is not shared by "
                 f"exactly its two endpoints"
             )
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            raise ValueError("tree invariant violated: edges contain a cycle")
-        parent[ra] = rb
-        edge_set.add((a, b))
     for lab, vs in where.items():
         if len(vs) > 2:
             raise ValueError(f"tree invariant violated: label {lab!r} in {len(vs)} vertices")
@@ -276,7 +259,8 @@ def _check_tree(T: MatroidLabelledTree) -> None:
             raise ValueError(
                 f"tree invariant violated: label {lab!r} shared without an edge"
             )
-    if n > 1 and len({find(i) for i in range(n)}) != 1:
+    # n - 1 edges: connected is the same as acyclic, so this is a tree
+    if len(set(union_find_roots(n, ((a, b) for a, b, _ in T.edges)))) != 1:
         raise ValueError("tree invariant violated: tree is not connected")
 
 

@@ -1,4 +1,4 @@
-"""Bit-packed GF(2) vectors, matrices, and elimination.
+"""Bit-packed GF(2) columns and elimination.
 
 A column over rows 1..d is stored as a plain int: bit i-1 holds row i.
 The string form reads row 1 first, so "110000" is the integer 3
@@ -18,22 +18,17 @@ or above its own pivot, so earlier clearings survive).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "MAX_DIM",
     "DimensionError",
     "InvalidBasisError",
-    "GF2Vector",
-    "GF2Matrix",
     "Echelon",
+    "bits",
     "bits_from_str",
     "bits_to_str",
     "rank_bits",
-    "rank",
-    "in_span",
-    "standard_form",
     "dual_representation",
 ]
 
@@ -48,67 +43,27 @@ class InvalidBasisError(ValueError):
     """Chosen basis columns are dependent or fail to span."""
 
 
+def bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def bits_from_str(s: str) -> int:
     """Parse "0110..." (row 1 first) into the int encoding."""
-    bits = 0
+    out = 0
     for i, ch in enumerate(s):
         if ch == "1":
-            bits |= 1 << i
+            out |= 1 << i
         elif ch != "0":
             raise ValueError(f"bad bit character {ch!r} in {s!r}")
-    return bits
+    return out
 
 
-def bits_to_str(bits: int, dim: int) -> str:
-    return "".join("1" if bits >> i & 1 else "0" for i in range(dim))
-
-
-@dataclass(frozen=True)
-class GF2Vector:
-    bits: int
-    dim: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.dim <= MAX_DIM:
-            raise DimensionError(f"dimension {self.dim} outside 0..{MAX_DIM}")
-        if self.bits < 0 or self.bits >> self.dim:
-            raise DimensionError(f"bits {self.bits:#x} do not fit dimension {self.dim}")
-
-    @classmethod
-    def from_str(cls, s: str) -> "GF2Vector":
-        return cls(bits_from_str(s), len(s))
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def __xor__(self, other: "GF2Vector") -> "GF2Vector":
-        if self.dim != other.dim:
-            raise DimensionError(f"dimensions differ: {self.dim} vs {other.dim}")
-        return GF2Vector(self.bits ^ other.bits, self.dim)
-
-    def __str__(self) -> str:
-        return bits_to_str(self.bits, self.dim)
-
-
-@dataclass(frozen=True)
-class GF2Matrix:
-    columns: tuple[GF2Vector, ...]
-
-    def __post_init__(self) -> None:
-        dims = {c.dim for c in self.columns}
-        if len(dims) > 1:
-            raise DimensionError(f"mixed column dimensions {sorted(dims)}")
-
-    @classmethod
-    def from_strs(cls, cols: Iterable[str]) -> "GF2Matrix":
-        return cls(tuple(GF2Vector.from_str(s) for s in cols))
-
-    @property
-    def dim(self) -> int:
-        return self.columns[0].dim if self.columns else 0
-
-    def __len__(self) -> int:
-        return len(self.columns)
+def bits_to_str(mask: int, dim: int) -> str:
+    return "".join("1" if mask >> i & 1 else "0" for i in range(dim))
 
 
 class Echelon:
@@ -183,29 +138,6 @@ def rank_bits(cols: Iterable[int]) -> int:
     return ech.rank
 
 
-def _check_same_dim(cols: Sequence[GF2Vector]) -> None:
-    dims = {c.dim for c in cols}
-    if len(dims) > 1:
-        raise DimensionError(f"mixed column dimensions {sorted(dims)}")
-
-
-def rank(cols: Sequence[GF2Vector]) -> int:
-    """Dimension of the span of cols; 0 for the empty list."""
-    _check_same_dim(cols)
-    return rank_bits(c.bits for c in cols)
-
-
-def in_span(v: GF2Vector, cols: Sequence[GF2Vector]) -> bool:
-    """True iff v is a GF(2) combination of cols (the zero vector always is)."""
-    _check_same_dim(cols)
-    if cols and cols[0].dim != v.dim:
-        raise DimensionError(f"dimensions differ: {v.dim} vs {cols[0].dim}")
-    ech = Echelon()
-    for c in cols:
-        ech.insert(c.bits)
-    return ech.residue(v.bits) == 0
-
-
 def _coordinates(cols: Sequence[int], basis_idx: Sequence[int]) -> list[int]:
     """Coordinates of every column relative to the chosen basis columns.
 
@@ -226,22 +158,8 @@ def _coordinates(cols: Sequence[int], basis_idx: Sequence[int]) -> list[int]:
     return coords
 
 
-def standard_form(m: GF2Matrix, basis_idx: Sequence[int]) -> GF2Matrix:
-    """Rewrite m so the columns at basis_idx become the standard units.
-
-    The output lives in dimension len(basis_idx) (= the rank); every
-    column is its coordinate vector over the chosen basis, so dependent
-    subsets are exactly preserved.
-    """
-    if len(set(basis_idx)) != len(basis_idx):
-        raise InvalidBasisError("repeated basis index")
-    k = len(basis_idx)
-    coords = _coordinates([c.bits for c in m.columns], basis_idx)
-    return GF2Matrix(tuple(GF2Vector(c, k) for c in coords))
-
-
-def dual_representation(m: GF2Matrix) -> GF2Matrix:
-    """Columns representing the dual matroid, in order.
+def dual_representation(cols: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """Columns representing the dual matroid, in order, and their dimension.
 
     Internally picks the greedy basis B (first independent columns),
     rewrites as [I | D] up to column order, and returns [D^T | I] spread
@@ -249,20 +167,18 @@ def dual_representation(m: GF2Matrix) -> GF2Matrix:
     each non-basis element becomes a unit vector.  Loops (zero columns)
     have an all-zero row, so they turn into coloops of the dual.
     """
-    cols = [c.bits for c in m.columns]
     n = len(cols)
     ech = Echelon()
     basis_idx = [i for i, c in enumerate(cols) if ech.insert(c)]
-    r = len(basis_idx)
-    dual_dim = n - r
+    dual_dim = n - len(basis_idx)
     if dual_dim > MAX_DIM:
         raise DimensionError(f"dual dimension {dual_dim} exceeds MAX_DIM = {MAX_DIM}")
     coords = _coordinates(cols, basis_idx)
-    nonbasis_idx = [i for i in range(n) if i not in set(basis_idx)]
+    in_basis = set(basis_idx)
+    nonbasis_idx = [i for i in range(n) if i not in in_basis]
     out = [0] * n
     for t, j in enumerate(nonbasis_idx):
         out[j] = 1 << t
-        for k in range(r):
-            if coords[j] >> k & 1:
-                out[basis_idx[k]] |= 1 << t
-    return GF2Matrix(tuple(GF2Vector(c, dual_dim) for c in out))
+        for k in bits(coords[j]):
+            out[basis_idx[k]] |= 1 << t
+    return tuple(out), dual_dim

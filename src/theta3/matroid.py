@@ -25,8 +25,7 @@ from theta3.gf2 import (
     MAX_DIM,
     DimensionError,
     Echelon,
-    GF2Matrix,
-    GF2Vector,
+    bits,
     bits_to_str,
     dual_representation,
     rank_bits,
@@ -84,14 +83,6 @@ class BinaryMatroid:
     def size(self) -> int:
         return len(self.labels)
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.dim
-
-    @property
-    def elements(self) -> tuple[tuple[str, GF2Vector], ...]:
-        return tuple((lab, GF2Vector(c, self.dim)) for lab, c in zip(self.labels, self.cols))
-
     @cached_property
     def _index(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
@@ -117,9 +108,6 @@ class BinaryMatroid:
             return self.cols[self._index[label]]
         except KeyError:
             raise UnknownLabelError(label) from None
-
-    def cols_of(self, labels: Iterable[str]) -> list[int]:
-        return [self.col_of(lab) for lab in labels]
 
     def col_str(self, label: str) -> str:
         return bits_to_str(self.col_of(label), self.dim)
@@ -186,8 +174,7 @@ def circuits(M: BinaryMatroid, max_size: int | None = None) -> list[frozenset[st
             res, orig = ech.tracked_residue(cols[i], 1 << i)
             if res == 0:
                 if orig == smask | (1 << i):
-                    members = [labels[j] for j in range(n) if orig >> j & 1]
-                    out.append(frozenset(members))
+                    out.append(frozenset(labels[j] for j in bits(orig)))
             elif ssize + 1 < cap:
                 piv = ech.insert(cols[i], 1 << i)
                 grow(i + 1, smask | (1 << i), ssize + 1)
@@ -235,12 +222,9 @@ def contract(M: BinaryMatroid, S: Iterable[str]) -> BinaryMatroid:
     new_dim = len(keep_bits)
 
     def squeeze(v: int) -> int:
-        v = ech.full_residue(v)
         out = 0
-        while v:
-            low = v & -v
-            out |= 1 << new_pos[low.bit_length() - 1]
-            v ^= low
+        for b in bits(ech.full_residue(v)):
+            out |= 1 << new_pos[b]
         return out
 
     keep = [i for i in range(M.size) if i not in drop]
@@ -265,9 +249,8 @@ def simplify(M: BinaryMatroid) -> BinaryMatroid:
 
 
 def dual(M: BinaryMatroid) -> BinaryMatroid:
-    mat = GF2Matrix(tuple(GF2Vector(c, M.dim) for c in M.cols))
-    out = dual_representation(mat)
-    return BinaryMatroid(M.labels, tuple(v.bits for v in out.columns), M.size - M.rank)
+    cols, dual_dim = dual_representation(M.cols)
+    return BinaryMatroid(M.labels, cols, dual_dim)
 
 
 def direct_sum(M: BinaryMatroid, N: BinaryMatroid) -> BinaryMatroid:
@@ -313,13 +296,8 @@ def local_connectivity(M: BinaryMatroid, X: Iterable[str], Y: Iterable[str]) -> 
     return rank_of(M, X) + rank_of(M, Y) - rank_of(M, X | Y)
 
 
-def connected_components(M: BinaryMatroid) -> list[frozenset[str]]:
-    """Circuit-connectivity classes; loops and coloops end up as singletons.
-
-    Fundamental circuits of one greedy basis already generate the whole
-    partition, so a single pass plus union-find does it.
-    """
-    n = M.size
+def union_find_roots(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Union-find over 0..n-1: merge every pair, return each item's root."""
     parent = list(range(n))
 
     def find(a: int) -> int:
@@ -328,24 +306,33 @@ def connected_components(M: BinaryMatroid) -> list[frozenset[str]]:
             a = parent[a]
         return a
 
-    def union(a: int, b: int) -> None:
+    for a, b in pairs:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[rb] = ra
+    return [find(i) for i in range(n)]
 
-    ech = Echelon()
-    for i, c in enumerate(M.cols):
-        res, orig = ech.tracked_residue(c)
-        if res:
-            ech.insert(c, 1 << i)
-        else:
-            while orig:
-                low = orig & -orig
-                union(i, low.bit_length() - 1)
-                orig ^= low
+
+def connected_components(M: BinaryMatroid) -> list[frozenset[str]]:
+    """Circuit-connectivity classes; loops and coloops end up as singletons.
+
+    Fundamental circuits of one greedy basis already generate the whole
+    partition, so a single pass plus union-find does it.
+    """
+
+    def fundamental_pairs() -> Iterator[tuple[int, int]]:
+        ech = Echelon()
+        for i, c in enumerate(M.cols):
+            res, orig = ech.tracked_residue(c)
+            if res:
+                ech.insert(c, 1 << i)
+            else:
+                for j in bits(orig):
+                    yield i, j
+
     groups: dict[int, list[str]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(M.labels[i])
+    for lab, root in zip(M.labels, union_find_roots(M.size, fundamental_pairs())):
+        groups.setdefault(root, []).append(lab)
     return [frozenset(groups[root]) for root in sorted(groups)]
 
 

@@ -33,7 +33,7 @@ from itertools import combinations
 from typing import Iterator
 
 from theta3.budget import Budget
-from theta3.gf2 import Echelon, GF2Vector, bits_to_str, rank_bits
+from theta3.gf2 import Echelon, bits, bits_to_str, rank_bits
 from theta3.matroid import BinaryMatroid, circuits, simplify
 
 __all__ = [
@@ -64,21 +64,22 @@ class ThetaGraph:
     """Three arcs plus their common column-sum, the completing vector."""
 
     arcs: tuple[frozenset[str], frozenset[str], frozenset[str]]
-    completing: GF2Vector
+    completing: int
+    dim: int
 
     @property
     def elements(self) -> frozenset[str]:
         return self.arcs[0] | self.arcs[1] | self.arcs[2]
 
     def completing_str(self) -> str:
-        return str(self.completing)
+        return bits_to_str(self.completing, self.dim)
 
 
 @dataclass(frozen=True)
 class ClosureRound:
     """One round: vector i was added because witness theta i lacked it."""
 
-    added_vectors: tuple[GF2Vector, ...]
+    added_vectors: tuple[int, ...]
     witnesses: tuple[ThetaGraph, ...]
 
 
@@ -95,16 +96,11 @@ def _arc_key(arc: frozenset[str]) -> tuple[int, list[str]]:
 
 def _make_theta(arcs: list[frozenset[str]], w: int, dim: int) -> ThetaGraph:
     a1, a2, a3 = sorted(arcs, key=_arc_key)
-    return ThetaGraph((a1, a2, a3), GF2Vector(w, dim))
+    return ThetaGraph((a1, a2, a3), w, dim)
 
 
 def _labels_of_mask(M: BinaryMatroid, mask: int) -> frozenset[str]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(M.labels[low.bit_length() - 1])
-        mask ^= low
-    return frozenset(out)
+    return frozenset(M.labels[j] for j in bits(mask))
 
 
 def _theta_scan(M: BinaryMatroid, budget: Budget | None = None) -> Iterator[ThetaGraph]:
@@ -135,20 +131,14 @@ def _theta_scan(M: BinaryMatroid, budget: Budget | None = None) -> Iterator[Thet
     base_ech: list[dict[int, int]] = []
     for m in masks:
         ech = Echelon()
-        mm = m
-        while mm:
-            low = mm & -mm
-            ech.insert(cols[low.bit_length() - 1])
-            mm ^= low
+        for j in bits(m):
+            ech.insert(cols[j])
         base_ech.append(ech.pivots)
 
     buckets: list[list[int]] = [[] for _ in range(n)]
     for ci, m in enumerate(masks):
-        mm = m
-        while mm:
-            low = mm & -mm
-            buckets[low.bit_length() - 1].append(ci)
-            mm ^= low
+        for j in bits(m):
+            buckets[j].append(ci)
 
     seen: set[tuple[int, int, int]] = set()
     for e in range(n):
@@ -196,16 +186,10 @@ def _theta_scan(M: BinaryMatroid, budget: Budget | None = None) -> Iterator[Thet
                     continue
                 seen.add(key)
                 w = 0
-                aa = a3
-                while aa:
-                    low = aa & -aa
-                    w ^= cols[low.bit_length() - 1]
-                    aa ^= low
-                yield _make_theta(
-                    [_labels_of_mask(M, a1), _labels_of_mask(M, a2), _labels_of_mask(M, a3)],
-                    w,
-                    M.dim,
-                )
+                for j in bits(a3):
+                    w ^= cols[j]
+                ci, cj = circs[bucket[ii]], circs[bucket[jj]]
+                yield _make_theta([ci - cj, cj - ci, ci & cj], w, M.dim)
 
 
 def theta_graphs(M: BinaryMatroid, budget: Budget | None = None) -> list[ThetaGraph]:
@@ -226,7 +210,7 @@ def is_complete(M: BinaryMatroid, T: ThetaGraph) -> tuple[bool, str | None]:
     for arc in T.arcs:
         if len(arc) == 1:
             return True, next(iter(arc))
-    w = T.completing.bits
+    w = T.completing
     hits = sorted(lab for lab, c in zip(M.labels, M.cols) if c == w)
     if hits:
         return True, hits[0]
@@ -346,26 +330,17 @@ def _theta_from_arcs(
     if k < 3:
         return None
     cols = M.cols
-
-    def mask_cols(mask: int) -> list[int]:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(cols[low.bit_length() - 1])
-            mask ^= low
-        return out
-
+    arc_cols = [[cols[j] for j in bits(m)] for m, _ in arcs]
     compat: list[list[int]] = [[] for _ in range(k)]
     for i in range(k):
         mi, si = arcs[i]
-        ci = mask_cols(mi)
         for j in range(i + 1, k):
             mj, sj = arcs[j]
             if mi & mj:
                 continue
             if budget is not None:
                 budget.tick()
-            if rank_bits(ci + mask_cols(mj)) == si + sj - 1:
+            if rank_bits(arc_cols[i] + arc_cols[j]) == si + sj - 1:
                 compat[i].append(j)
     for i in range(k):
         row = compat[i]
@@ -379,8 +354,7 @@ def _theta_from_arcs(
                 mi, si = arcs[i]
                 mj, sj = arcs[j]
                 ml, sl = arcs[l]
-                union = mi | mj | ml
-                if rank_bits(mask_cols(union)) == si + sj + sl - 2:
+                if rank_bits(arc_cols[i] + arc_cols[j] + arc_cols[l]) == si + sj + sl - 2:
                     labs = [
                         _labels_of_mask(M, mi),
                         _labels_of_mask(M, mj),
@@ -476,7 +450,7 @@ def _incomplete_vectors(
         for T in _theta_scan(M, budget):
             ok, _ = is_complete(M, T)
             if not ok:
-                seen.setdefault(T.completing.bits, T)
+                seen.setdefault(T.completing, T)
         return sorted(seen.items())
     rep = _first_label_per_col(M)
     present = sorted(c for c in rep if c)
@@ -529,7 +503,7 @@ def theta3_closure(
             while lab in cur.label_set:
                 lab += "'"
             cur = cur.extend(lab, v)
-            added.append(GF2Vector(v, cur.dim))
+            added.append(v)
             wits.append(T)
         rounds.append(ClosureRound(tuple(added), tuple(wits)))
     return cur, ClosureTrace(initial=start, final=cur, rounds=tuple(rounds))

@@ -99,7 +99,7 @@ def test_criterion_02_mstar_k5_closure_reaches_the_rank6_geometry():
     t0 = time.perf_counter()
     final, trace = theta3_closure(m)
     dt = time.perf_counter() - t0
-    light = {v.bits for v in trace.rounds[0].added_vectors if v.weight() <= 2}
+    light = {v for v in trace.rounds[0].added_vectors if v.bit_count() <= 2}
     ok = (
         light == ROUND1_WEIGHT2
         and final.size == 63
@@ -234,7 +234,7 @@ def test_criterion_06_theta_detection_and_completeness_match_the_oracles():
     thetas_seen = 0
     for name, m in pool:
         impl = theta_graphs(m)
-        impl_set = {(frozenset(t.arcs), t.completing.bits) for t in impl}
+        impl_set = {(frozenset(t.arcs), t.completing) for t in impl}
         if impl_set != oracles.oracle_theta_graphs(m):
             problems.append(f"{name}: theta families differ")
             continue

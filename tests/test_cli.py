@@ -6,12 +6,15 @@ console script for real.
 """
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import theta3
 from theta3 import cli
 from theta3.construct import catalog_matroid
 from theta3.gf2 import bits_from_str
@@ -230,7 +233,7 @@ def test_decompose_rejects_disconnected_file(capsys, tmp_path):
     assert "['a']" in rep["error"] and "['b']" in rep["error"]
 
 
-# -- budgets, threads, argparse plumbing ------------------------------------
+# -- budgets, internal errors, argparse plumbing ----------------------------
 
 
 # MSTAR_K5 is no good for these: its refutation lands within a handful
@@ -262,26 +265,19 @@ def test_budget_validation(capsys):
     assert "--max-seconds" in rep["error"]
 
 
-def test_threads_flag_notes_single_threaded_build(capsys):
-    code, rep = run_cli(capsys, "check", "PG(2)", "--threads", "4")
-    assert code == 0
-    assert any("single-threaded" in n for n in rep["notes"])
+def test_unexpected_exception_exits_four(capsys, monkeypatch):
+    def boom(args, budget, report):
+        raise RuntimeError("classification mismatch: injected")
 
-    code, rep = run_cli(capsys, "check", "PG(2)", "--threads", "0")
-    assert code == 2
-    assert "--threads" in rep["error"]
-
-
-def test_threads_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("THETA3_THREADS", "3")
-    code, rep = run_cli(capsys, "check", "PG(2)")
-    assert code == 0
-    assert any(n.startswith("3 threads") for n in rep["notes"])
-
-    monkeypatch.setenv("THETA3_THREADS", "zero")
-    code, rep = run_cli(capsys, "check", "PG(2)")
-    assert code == 2
-    assert "THETA3_THREADS" in rep["error"]
+    monkeypatch.setitem(cli._COMMANDS, "check", boom)
+    code = cli.main(["check", "PG(2)"])
+    captured = capsys.readouterr()
+    rep = json.loads(captured.out)
+    assert code == 4
+    assert rep["error"] == "internal error: RuntimeError: classification mismatch: injected"
+    assert rep["verdict"] is None
+    assert "timings" in rep
+    assert "Traceback" in captured.err
 
 
 def test_help_and_usage_errors(capsys):
@@ -305,8 +301,18 @@ def test_console_script_subprocess():
         argv = [sys.executable, "-m", "theta3.cli"]
     else:
         argv = [exe]
+    # the child imports the same theta3 package this suite imported
+    src = str(Path(theta3.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
     proc = subprocess.run(
-        argv + ["closure", "F7STAR"], capture_output=True, text=True, timeout=120
+        argv + ["closure", "F7STAR"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
     )
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)

@@ -176,6 +176,15 @@ def test_check_tree_flags_broken_invariants():
     )
     with pytest.raises(ValueError):
         _check_tree(dangling)
+    # n - 1 edges, every edge label shared by exactly its two endpoints,
+    # but the edges close a triangle and vertex 3 is left isolated
+    tri = [("x", "z", "a"), ("x", "y", "b"), ("y", "z", "c"), ("d", "e", "f")]
+    verts = tuple(BinaryMatroid(labs, (1, 2, 3), 2) for labs in tri)
+    cyclic = MatroidLabelledTree(
+        verts, ("Circuit",) * 4, ((0, 1, "x"), (1, 2, "y"), (0, 2, "z"))
+    )
+    with pytest.raises(ValueError, match="not connected"):
+        _check_tree(cyclic)
 
 
 def test_budget_aborts_decomposition():

@@ -10,15 +10,13 @@ from theta3.gf2 import (
     MAX_DIM,
     DimensionError,
     Echelon,
-    GF2Matrix,
-    GF2Vector,
     InvalidBasisError,
+    _coordinates,
+    bits,
     bits_from_str,
     bits_to_str,
     dual_representation,
-    in_span,
     rank_bits,
-    standard_form,
 )
 
 from oracles import span_of
@@ -45,22 +43,23 @@ def test_bits_from_str_rejects_junk():
 
 
 def test_vector_str_matches_convention():
-    v = GF2Vector(3, 6)
-    assert str(v) == "110000"
-    assert v.weight() == 2
+    assert bits_to_str(3, 6) == "110000"
+    assert bits_to_str(0, 0) == ""
+
+
+def test_bits_walks_set_positions_lowest_first():
+    assert list(bits(0)) == []
+    assert list(bits(0b101001)) == [0, 3, 5]
+    for mask in range(256):
+        assert sum(1 << j for j in bits(mask)) == mask
 
 
 def test_vector_dim_guard():
-    with pytest.raises(ValueError):
-        GF2Vector(4, 2)
+    # MAX_DIM + 1 loops have a dual of dimension MAX_DIM + 1
     with pytest.raises(DimensionError):
-        GF2Vector(1, MAX_DIM + 1)
-
-
-def test_vector_xor_requires_same_dim():
-    assert (GF2Vector(3, 4) ^ GF2Vector(5, 4)).bits == 6
-    with pytest.raises(ValueError):
-        GF2Vector(1, 3) ^ GF2Vector(1, 4)
+        dual_representation([0] * (MAX_DIM + 1))
+    cols, dim = dual_representation([0] * MAX_DIM)
+    assert dim == MAX_DIM
 
 
 # -- echelon ---------------------------------------------------------------
@@ -117,41 +116,25 @@ def test_full_residue_is_canonical_under_insertion_order():
         assert image == reference
 
 
-def test_in_span_agrees_with_oracle():
-    cols = [GF2Vector(c, 4) for c in (3, 5, 9)]
-    span = span_of(c.bits for c in cols)
-    for probe in range(16):
-        assert in_span(GF2Vector(probe, 4), cols) == (probe in span)
+# -- change of basis, duality ----------------------------------------------
 
 
-# -- matrices, change of basis, duality ------------------------------------
-
-
-def test_matrix_from_strs_and_dim():
-    m = GF2Matrix.from_strs(["110", "011", "001"])
-    assert m.dim == 3
-    assert len(m) == 3
-    assert m.columns[0].bits == 3
-
-
-def test_matrix_rejects_mixed_dims():
-    with pytest.raises(ValueError):
-        GF2Matrix((GF2Vector(1, 2), GF2Vector(1, 3)))
-
-
-def test_standard_form_rewrites_in_basis_coordinates():
+def test_coordinates_rewrite_in_basis_coordinates():
     # basis {e1+e2, e2+e3, e3}: expressing e1 needs all three
-    m = GF2Matrix.from_strs(["110", "011", "001", "100"])
-    out = standard_form(m, [0, 1, 2])
-    assert [c.bits for c in out.columns[:3]] == [1, 2, 4]
-    assert out.columns[3].bits == 0b111
+    cols = [bits_from_str(s) for s in ("110", "011", "001", "100")]
+    out = _coordinates(cols, [0, 1, 2])
+    assert out[:3] == [1, 2, 4]
+    assert out[3] == 0b111
 
 
-def test_standard_form_rejects_dependent_basis():
+def test_coordinates_reject_dependent_basis():
     # {e1+e2, e1+e3, e2+e3} sums to zero, so it spans only a plane
-    m = GF2Matrix.from_strs(["110", "101", "011"])
+    cols = [bits_from_str(s) for s in ("110", "101", "011")]
     with pytest.raises(InvalidBasisError):
-        standard_form(m, [0, 1, 2])
+        _coordinates(cols, [0, 1, 2])
+    # a basis that misses part of the column space is rejected too
+    with pytest.raises(InvalidBasisError):
+        _coordinates(cols + [bits_from_str("100")], [0, 1])
 
 
 def test_dual_representation_is_orthogonal_complement():
@@ -161,14 +144,14 @@ def test_dual_representation_is_orthogonal_complement():
         n = rng.randint(1, 8)
         cols = [rng.randrange(1 << dim) for _ in range(n)]
         r = rank_bits(cols)
-        m = GF2Matrix(tuple(GF2Vector(c, dim) for c in cols))
-        d = dual_representation(m)
+        d, d_dim = dual_representation(cols)
         assert len(d) == n
-        assert d.dim == n - r
-        assert rank_bits(c.bits for c in d.columns) == n - r
+        assert d_dim == n - r
+        assert all(c >> d_dim == 0 for c in d)
+        assert rank_bits(d) == n - r
         # every dual row is orthogonal to every primal row
         primal_rows = _rows(cols, dim, n)
-        dual_rows = _rows([c.bits for c in d.columns], d.dim, n)
+        dual_rows = _rows(list(d), d_dim, n)
         for pr in primal_rows:
             for dr in dual_rows:
                 assert bin(pr & dr).count("1") % 2 == 0

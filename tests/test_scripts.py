@@ -1,0 +1,33 @@
+"""Smoke tests of the example scripts under scripts/.
+
+Each script is loaded in-process with runpy (without running its
+`__main__` block) and its main() is called; a few known lines of the
+printed output are asserted.
+"""
+
+from __future__ import annotations
+
+import runpy
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name: str) -> dict:
+    return runpy.run_path(str(SCRIPTS / name), run_name="script_under_test")
+
+
+def test_worked_closures_prints_the_traces(capsys):
+    assert _load("worked_closures.py")["main"]([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "=== MSTAR_K33: 9 elements, rank 4 ===" in lines
+    assert "  + 0110   completes theta {2,4} {3,7} {6,8}" in lines
+    assert sum(line.startswith("fixed point: ") for line in lines) == 3
+
+
+def test_classify_gallery_prints_recipes_and_refutations(capsys):
+    assert _load("classify_gallery.py")["main"]() == 0
+    out = capsys.readouterr().out
+    assert "dual of the seven-point plane: NOT IN CLASS" in out
+    assert "(missing 1100)" in out
+    assert "IN CLASS" in out.replace("NOT IN CLASS", "")

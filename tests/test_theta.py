@@ -31,7 +31,7 @@ from corpus import SMALL_CORPUS
 
 
 def _impl_theta_set(m):
-    return {(frozenset(t.arcs), t.completing.bits) for t in theta_graphs(m)}
+    return {(frozenset(t.arcs), t.completing) for t in theta_graphs(m)}
 
 
 # -- detection vs the definitional oracle -----------------------------------
@@ -57,7 +57,7 @@ def test_completing_vector_is_every_arc_sum():
                 w = 0
                 for lab in arc:
                     w ^= m.col_of(lab)
-                assert w == t.completing.bits, name
+                assert w == t.completing, name
 
 
 def test_k23_has_one_theta_with_pair_arcs():
@@ -105,7 +105,7 @@ def test_find_theta_completed_by_rejects_corank_three_pairs():
 def test_find_theta_completed_by_locates_the_k23_witness():
     m = cycle_matroid(complete_bipartite_edges(2, 3))
     ts = theta_graphs(m)
-    w = ts[0].completing.bits
+    w = ts[0].completing
     hit = find_theta_completed_by(m, w)
     assert hit is not None
     assert frozenset(hit.arcs) == frozenset(ts[0].arcs)
@@ -174,7 +174,7 @@ def test_closure_matches_oracle_fixed_point_and_rounds():
         final, trace = theta3_closure(m)
         ofinal, orounds = oracles.oracle_closure(m)
         assert final.colset == ofinal.colset, name
-        got_rounds = [sorted(v.bits for v in r.added_vectors) for r in trace.rounds]
+        got_rounds = [sorted(r.added_vectors) for r in trace.rounds]
         assert got_rounds == orounds, name
 
 
@@ -188,8 +188,8 @@ def test_closure_trace_bookkeeping():
     for r in trace.rounds:
         assert len(r.added_vectors) == len(r.witnesses)
         for v, t in zip(r.added_vectors, r.witnesses):
-            assert v.bits == t.completing.bits
-            assert v.bits in final.colset
+            assert v == t.completing
+            assert v in final.colset
 
 
 def test_closure_is_idempotent():
@@ -229,7 +229,7 @@ def test_closure_label_collisions_get_ticks():
     from theta3.gf2 import bits_to_str
 
     m = cycle_matroid(complete_bipartite_edges(2, 3))
-    w = theta_graphs(m)[0].completing.bits
+    w = theta_graphs(m)[0].completing
     taken = f"v{bits_to_str(w, m.dim)}"
     clashed = m.relabel({m.labels[0]: taken})
     final, _ = theta3_closure(clashed)
