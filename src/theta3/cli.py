@@ -226,7 +226,7 @@ def _cmd_decompose(args, budget, report) -> int:
             "fewer than 4 elements: by convention there is no 2-separation "
             "and the tree is a single vertex"
         )
-    tree = canonical_tree_decomposition(M, order=args.order, budget=budget)
+    tree = canonical_tree_decomposition(M, budget=budget)
     report["tree"] = _tree_json(tree)
     verdict = classify_theta3(M, budget=budget)
     report["verdict"] = "InClass" if verdict.in_class else "NotInClass"
@@ -358,7 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     c.add_argument("input", help="catalog key or file path")
     c.add_argument("--graph", action="store_true", help="input file is an edge list")
-    c.add_argument("--order", choices=("default", "reverse"), default="default")
 
     c = sub.add_parser("build", parents=[common], help="evaluate a recipe term")
     c.add_argument("term", nargs="+", help="e.g. 'P(MK(4), C(3); base=1-2)'")
@@ -407,7 +406,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.max_subsets is not None and args.max_subsets < 1:
             raise ValueError("--max-subsets must be >= 1")
-        if args.max_seconds is not None and args.max_seconds <= 0:
+        # `not > 0` also rejects NaN, which no elapsed time ever exceeds
+        if args.max_seconds is not None and not args.max_seconds > 0:
             raise ValueError("--max-seconds must be positive")
         budget = None
         if args.max_subsets is not None or args.max_seconds is not None:

@@ -252,10 +252,11 @@ def _check_tree(T: MatroidLabelledTree) -> None:
                 f"tree invariant violated: edge label {lab!r} is not shared by "
                 f"exactly its two endpoints"
             )
+    markers = T.marker_labels
     for lab, vs in where.items():
         if len(vs) > 2:
             raise ValueError(f"tree invariant violated: label {lab!r} in {len(vs)} vertices")
-        if len(vs) == 2 and lab not in {l for _, _, l in T.edges}:
+        if len(vs) == 2 and lab not in markers:
             raise ValueError(
                 f"tree invariant violated: label {lab!r} shared without an edge"
             )
@@ -381,6 +382,11 @@ def evaluate_term(t: Term) -> BinaryMatroid:
 
 _TOKEN = re.compile(r"[(),;=]|[^\s(),;=]+")
 
+# Deepest P/D nesting parse_recipe accepts.  Leaves carry fixed
+# constructor labels, so a term that builds nests only a few levels;
+# the cap turns absurd depths into a parse error, not a RecursionError.
+MAX_RECIPE_DEPTH = 64
+
 
 def parse_recipe(text: str) -> Term:
     """Parse term text like P(MK(4), C(3); base=1-2).
@@ -404,7 +410,9 @@ def parse_recipe(text: str) -> Term:
     def peek() -> str | None:
         return toks[pos] if pos < len(toks) else None
 
-    def term() -> Term:
+    def term(depth: int) -> Term:
+        if depth > MAX_RECIPE_DEPTH:
+            raise ValueError(f"recipe nests deeper than {MAX_RECIPE_DEPTH} levels")
         head = take()
         if head in ("C", "MK", "PG"):
             take("(")
@@ -415,9 +423,9 @@ def parse_recipe(text: str) -> Term:
             return Leaf(head, int(num))
         if head == "P":
             take("(")
-            left = term()
+            left = term(depth + 1)
             take(",")
-            right = term()
+            right = term(depth + 1)
             take(";")
             if take() != "base":
                 raise ValueError("P needs a base= clause")
@@ -431,17 +439,17 @@ def parse_recipe(text: str) -> Term:
             return PNode(left, right, bl, br)
         if head == "D":
             take("(")
-            parts = [term()]
+            parts = [term(depth + 1)]
             while peek() == ",":
                 take(",")
-                parts.append(term())
+                parts.append(term(depth + 1))
             take(")")
             if len(parts) < 2:
                 raise ValueError("D needs at least two parts")
             return DNode(tuple(parts))
         raise ValueError(f"unknown recipe head {head!r}")
 
-    out = term()
+    out = term(0)
     if pos != len(toks):
         raise ValueError(f"trailing recipe tokens: {toks[pos:]}")
     return out

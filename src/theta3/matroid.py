@@ -345,10 +345,13 @@ def exact_two_separations(
 ) -> Iterator[tuple[frozenset[str], frozenset[str]]]:
     """Yield every partition (X, Y), |X|,|Y| >= 2, r(X)+r(Y) = r(M)+1.
 
-    Backtracking over element assignments; both side ranks are kept
-    incrementally and the branch is cut as soon as their sum passes
-    r(M)+1, since ranks never decrease.  Element 0 is pinned to X to
-    break the X/Y symmetry.  Pairs come out with the smaller side first.
+    Depth-first backtracking over element assignments, X before Y at
+    every element; both side ranks are kept incrementally and the branch
+    is cut as soon as their sum passes r(M)+1, since ranks never
+    decrease.  Element 0 is pinned to X to break the X/Y symmetry.  Pairs
+    come out with the smaller side first.  The DFS keeps an explicit
+    stack, so its depth is not bounded by the interpreter's recursion
+    limit; the budget ticks once per node.
     """
     n = M.size
     if n < 4:
@@ -356,43 +359,45 @@ def exact_two_separations(
     target = M.rank + 1
     cols = M.cols
     labels = M.labels
-    echx, echy = Echelon(), Echelon()
-    xs: list[int] = [0]
-    ys: list[int] = []
-    echx.insert(cols[0])
-
-    def assign(i: int) -> Iterator[tuple[frozenset[str], frozenset[str]]]:
-        if budget is not None:
-            budget.tick()
-        if i == n:
-            if len(xs) >= 2 and len(ys) >= 2 and echx.rank + echy.rank == target:
-                X = frozenset(labels[j] for j in xs)
-                Y = frozenset(labels[j] for j in ys)
-                if (len(X), sorted(X)) <= (len(Y), sorted(Y)):
-                    yield X, Y
-                else:
-                    yield Y, X
-            return
-        rem = n - i - 1
-        c = cols[i]
-        if len(ys) + rem >= 2:
-            piv = echx.insert(c)
-            if echx.rank + echy.rank <= target:
-                xs.append(i)
-                yield from assign(i + 1)
-                xs.pop()
+    echs = (Echelon(), Echelon())
+    sides: tuple[list[int], list[int]] = ([0], [])
+    echs[0].insert(cols[0])
+    # Entries (step, i, side, piv): visit the node that places element i
+    # (its X branch follows at once), place element i on the Y side once
+    # the X branch is done, or take element i off a side, undoing piv.
+    VISIT, PLACE_Y, UNDO = 0, 1, 2
+    stack = [(VISIT, 1, 0, 0)]
+    push, pop = stack.append, stack.pop
+    while stack:
+        step, i, s, piv = pop()
+        if step == UNDO:
+            sides[s].pop()
             if piv:
-                echx.remove(piv)
-        if len(xs) + rem >= 2:
-            piv = echy.insert(c)
-            if echx.rank + echy.rank <= target:
-                ys.append(i)
-                yield from assign(i + 1)
-                ys.pop()
-            if piv:
-                echy.remove(piv)
-
-    yield from assign(1)
+                echs[s].remove(piv)
+            continue
+        if step == VISIT:
+            if budget is not None:
+                budget.tick()
+            if i == n:
+                xs, ys = sides
+                if len(xs) >= 2 and len(ys) >= 2 and echs[0].rank + echs[1].rank == target:
+                    X = frozenset(labels[j] for j in xs)
+                    Y = frozenset(labels[j] for j in ys)
+                    if (len(X), sorted(X)) <= (len(Y), sorted(Y)):
+                        yield X, Y
+                    else:
+                        yield Y, X
+                continue
+            push((PLACE_Y, i, 1, 0))
+        if len(sides[1 - s]) + n - i - 1 >= 2:
+            ech = echs[s]
+            piv = ech.insert(cols[i])
+            if echs[0].rank + echs[1].rank <= target:
+                sides[s].append(i)
+                push((UNDO, i, s, piv))
+                push((VISIT, i + 1, 0, 0))
+            elif piv:
+                ech.remove(piv)
 
 
 def is_3connected(M: BinaryMatroid, budget: Budget | None = None) -> bool:

@@ -10,29 +10,31 @@ C1 n C2 nonempty, the union always has corank >= 2, and corank exactly
 2 forces (C1-C2, C2-C1, C1 n C2) to be the arcs of a theta.  Conversely
 every theta arises this way from each of the three circuit pairs inside
 it, with the same arc partition, so deduplication by the arc triple
-recovers each theta exactly once.
+recovers each theta exactly once.  The search layer passes thetas as
+int masks and builds label sets only for what it returns.
 
 Completeness reduces to a vector lookup: an element e completes T iff
 some arc is the singleton {e}, or col(e) equals the completing vector
 (such an e can never sit on a longer arc, because arcs are independent).
-So a theta with all arcs of size >= 2 is incomplete precisely when its
-completing vector is absent from the columns.  The closure loop leans
-on the contrapositive: to find incomplete thetas it searches per missing
-span vector v for three disjoint independent sets that each sum to v
-and jointly have corank 2.  The corank condition is not optional: in
-M(K4) the three disjoint pairs {e1, e2+e3}, {e2, e1+e3}, {e3, e1+e2}
-all sum to e1+e2+e3 and all pairwise unions are circuits, yet the six
-columns have corank 3 and form no theta (adding the vector would
-wrongly turn M(K4) into F7).
+A singleton arc's column is itself the completing vector, so T is
+complete exactly when its completing vector is a column.  The closure
+loop leans on the contrapositive: to find incomplete thetas it searches
+per missing span vector v for three disjoint independent sets that each
+sum to v and jointly have corank 2.  The corank condition is not
+optional: in M(K4) the three disjoint pairs {e1, e2+e3}, {e2, e1+e3},
+{e3, e1+e2} all sum to e1+e2+e3 and all pairwise unions are circuits,
+yet the six columns have corank 3 and form no theta (adding the vector
+would wrongly turn M(K4) into F7).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator
+from itertools import combinations, islice
+from typing import Iterable, Iterator
 
 from theta3.budget import Budget
+from theta3.construct import cycle_matroid, is_projective
 from theta3.gf2 import Echelon, bits, bits_to_str, rank_bits
 from theta3.matroid import BinaryMatroid, circuits, simplify
 
@@ -94,24 +96,26 @@ def _arc_key(arc: frozenset[str]) -> tuple[int, list[str]]:
     return (len(arc), sorted(arc))
 
 
-def _make_theta(arcs: list[frozenset[str]], w: int, dim: int) -> ThetaGraph:
+def _theta(M: BinaryMatroid, arc_masks: Iterable[int], w: int) -> ThetaGraph:
+    """The ThetaGraph of M with these arcs (element masks) and completing vector."""
+    labels = M.labels
+    arcs = [frozenset(labels[j] for j in bits(m)) for m in arc_masks]
     a1, a2, a3 = sorted(arcs, key=_arc_key)
-    return ThetaGraph((a1, a2, a3), w, dim)
+    return ThetaGraph((a1, a2, a3), w, M.dim)
 
 
-def _labels_of_mask(M: BinaryMatroid, mask: int) -> frozenset[str]:
-    return frozenset(M.labels[j] for j in bits(mask))
+def _theta_scan(
+    M: BinaryMatroid, budget: Budget | None = None
+) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (arc, arc, arc, completing vector) for every theta of M.
 
-
-def _theta_scan(M: BinaryMatroid, budget: Budget | None = None) -> Iterator[ThetaGraph]:
-    """Yield every theta restriction of M exactly once.
-
-    Circuit pairs are scanned per shared element, a pair being handled
-    only at its smallest shared element so it is tested once.  The
-    corank test is incremental: columns of C2 - C1 reduce against the
-    echelon of C1; corank(C1 u C2) - 1 equals the number of columns
-    that reduce to zero, so we want exactly one zero and can abort on
-    the second.
+    Arcs are element masks.  A theta comes out once per circuit pair
+    inside it, so up to three times.  Circuit pairs are scanned per
+    shared element, a pair being handled only at its smallest shared
+    element so it is tested once.  The corank test is incremental:
+    columns of C2 - C1 reduce against the echelon of C1; the corank of
+    C1 u C2, minus 1, equals the number of columns that reduce to zero,
+    so we want exactly one zero and can abort on the second.
     """
     circs = circuits(M)
     if len(circs) < 2:
@@ -140,7 +144,6 @@ def _theta_scan(M: BinaryMatroid, budget: Budget | None = None) -> Iterator[Thet
         for j in bits(m):
             buckets[j].append(ci)
 
-    seen: set[tuple[int, int, int]] = set()
     for e in range(n):
         bucket = buckets[e]
         ebit = 1 << e
@@ -180,23 +183,28 @@ def _theta_scan(M: BinaryMatroid, budget: Budget | None = None) -> Iterator[Thet
                             break
                 if zeros != 1:
                     continue
-                a1, a2, a3 = mi & ~mj, mj & ~mi, inter
-                key = tuple(sorted((a1, a2, a3)))
-                if key in seen:
-                    continue
-                seen.add(key)
                 w = 0
-                for j in bits(a3):
+                for j in bits(inter):
                     w ^= cols[j]
-                ci, cj = circs[bucket[ii]], circs[bucket[jj]]
-                yield _make_theta([ci - cj, cj - ci, ci & cj], w, M.dim)
+                yield mi & ~mj, mj & ~mi, inter, w
 
 
 def theta_graphs(M: BinaryMatroid, budget: Budget | None = None) -> list[ThetaGraph]:
     """All theta restrictions of M, each arc triple exactly once."""
-    out = list(_theta_scan(M, budget))
+    by_arcs: dict[tuple[int, ...], int] = {}
+    for *arcs, w in _theta_scan(M, budget):
+        by_arcs.setdefault(tuple(sorted(arcs)), w)
+    out = [_theta(M, arcs, w) for arcs, w in by_arcs.items()]
     out.sort(key=lambda t: [_arc_key(a) for a in t.arcs])
     return out
+
+
+def _incomplete(
+    M: BinaryMatroid, budget: Budget | None
+) -> Iterator[tuple[int, int, int, int]]:
+    """Scan records of the incomplete thetas: no column is the completing vector."""
+    colset = M.colset
+    return (rec for rec in _theta_scan(M, budget) if rec[3] not in colset)
 
 
 def is_complete(M: BinaryMatroid, T: ThetaGraph) -> tuple[bool, str | None]:
@@ -217,58 +225,44 @@ def is_complete(M: BinaryMatroid, T: ThetaGraph) -> tuple[bool, str | None]:
     return False, None
 
 
-def _span_vectors(cols: tuple[int, ...]) -> list[int]:
-    """Every vector in the GF(2) span of cols (including 0), ascending."""
+def _missing_vectors(M: BinaryMatroid) -> list[int]:
+    """Nonzero span vectors of M that no column carries, ascending."""
     ech = Echelon()
-    for c in cols:
+    for c in M.cols:
         ech.insert(c)
-    vecs = [0]
+    span = [0]
     for b in ech.pivots.values():
-        vecs += [v ^ b for v in vecs]
-    vecs.sort()
-    return vecs
+        span += [v ^ b for v in span]
+    colset = M.colset
+    return sorted(v for v in span if v and v not in colset)
 
 
-def _first_label_per_col(M: BinaryMatroid) -> dict[int, str]:
-    rep: dict[int, str] = {}
-    for lab, c in zip(M.labels, M.cols):
-        rep.setdefault(c, lab)
-    return rep
-
-
-def _pair_route(
+def _pair_route_hits(
     M: BinaryMatroid,
-    v: int,
-    present: list[int],
-    rep: dict[int, str],
+    targets: list[int],
     max_combos: int | None,
     budget: Budget | None,
-) -> ThetaGraph | None:
-    """Search for a theta with three 2-element arcs completed by v.
+) -> Iterator[tuple[int, ThetaGraph]]:
+    """Per target v, in order: a theta with three 2-element arcs completed by v.
 
     Pairs {a, a^v} of present columns are disjoint across distinct
     pairs and any two of them union to a 4-circuit, so three pairs form
-    a theta exactly when {a, b, c, v} has rank 4.
+    a theta exactly when {a, b, c, v} has rank 4.  Each target tries at
+    most max_combos triples (None: all of them).
     """
-    pset = set(present)
-    pairs = [a for a in present if a < a ^ v and a ^ v in pset]
-    if len(pairs) < 3:
-        return None
-    count = 0
-    for a, b, c in combinations(pairs, 3):
-        count += 1
-        if max_combos is not None and count > max_combos:
-            return None
-        if budget is not None:
-            budget.tick()
-        if rank_bits((a, b, c, v)) == 4:
-            arcs = [
-                frozenset((rep[a], rep[a ^ v])),
-                frozenset((rep[b], rep[b ^ v])),
-                frozenset((rep[c], rep[c ^ v])),
-            ]
-            return _make_theta(arcs, v, M.dim)
-    return None
+    first: dict[int, int] = {}
+    for j, c in enumerate(M.cols):
+        first.setdefault(c, j)
+    present = sorted(c for c in first if c)
+    for v in targets:
+        pairs = [a for a in present if a < a ^ v and a ^ v in first]
+        for a, b, c in islice(combinations(pairs, 3), max_combos):
+            if budget is not None:
+                budget.tick()
+            if rank_bits((a, b, c, v)) == 4:
+                arcs = [1 << first[x] | 1 << first[x ^ v] for x in (a, b, c)]
+                yield v, _theta(M, arcs, v)
+                break
 
 
 def _arcs_by_target(
@@ -355,12 +349,7 @@ def _theta_from_arcs(
                 mj, sj = arcs[j]
                 ml, sl = arcs[l]
                 if rank_bits(arc_cols[i] + arc_cols[j] + arc_cols[l]) == si + sj + sl - 2:
-                    labs = [
-                        _labels_of_mask(M, mi),
-                        _labels_of_mask(M, mj),
-                        _labels_of_mask(M, ml),
-                    ]
-                    return _make_theta(labs, v, M.dim)
+                    return _theta(M, (mi, mj, ml), v)
     return None
 
 
@@ -374,36 +363,10 @@ def find_theta_completed_by(
     repeats no column value), so the search runs on the simplification.
     """
     S = M if M.is_simple else simplify(M)
-    rep = _first_label_per_col(S)
-    present = sorted(c for c in rep if c)
-    hit = _pair_route(S, v, present, rep, None, budget)
-    if hit is not None:
+    for _, hit in _pair_route_hits(S, [v], None, budget):
         return hit
     arcs = _arcs_by_target(S, [v], budget)[v]
     return _theta_from_arcs(S, v, arcs, budget)
-
-
-def _is_full_projective(M: BinaryMatroid) -> bool:
-    """Simple, and the columns are every nonzero vector of their span."""
-    return M.size > 0 and M.is_simple and len(M.colset) == (1 << M.rank) - 1
-
-
-def _fast_incomplete_witness(
-    M: BinaryMatroid, budget: Budget | None
-) -> ThetaGraph | None:
-    """Capped pair-route sweep over missing span vectors; sound, not complete."""
-    if M.rank > _PREPASS_MAX_RANK:
-        return None
-    rep = _first_label_per_col(M)
-    present = sorted(c for c in rep if c)
-    pset = M.colset
-    for v in _span_vectors(M.cols):
-        if v == 0 or v in pset:
-            continue
-        hit = _pair_route(M, v, present, rep, _PREPASS_COMBOS_PER_VECTOR, budget)
-        if hit is not None:
-            return hit
-    return None
 
 
 def is_theta3_closed(
@@ -416,19 +379,21 @@ def is_theta3_closed(
 
     With use_shortcut enabled, a simple matroid whose columns exhaust
     every nonzero vector of their span is accepted immediately (a full
-    projective restriction has no room for an incomplete theta).  A
-    capped per-missing-vector pre-pass catches most negatives quickly;
+    projective restriction has no room for an incomplete theta).  Up to
+    rank _PREPASS_MAX_RANK, a capped pair-route sweep over the missing
+    span vectors catches most negatives quickly (sound, not complete);
     the full circuit-pair scan then settles the rest exactly.
     """
-    if use_shortcut and _is_full_projective(M):
+    if use_shortcut and is_projective(M):
         return True, None
-    witness = _fast_incomplete_witness(M, budget)
-    if witness is not None:
-        return False, witness
-    for T in _theta_scan(M, budget):
-        ok, _ = is_complete(M, T)
-        if not ok:
-            return False, T
+    if M.rank <= _PREPASS_MAX_RANK:
+        prepass = _pair_route_hits(
+            M, _missing_vectors(M), _PREPASS_COMBOS_PER_VECTOR, budget
+        )
+        for _, hit in prepass:
+            return False, hit
+    for *arcs, w in _incomplete(M, budget):
+        return False, _theta(M, arcs, w)
     return True, None
 
 
@@ -443,24 +408,16 @@ def _incomplete_vectors(
     (additions never invalidate earlier ones), and once it comes up
     empty the uncapped general search has the final word.
     """
-    if _is_full_projective(M):
+    if is_projective(M):
         return []
     if M.size <= FULL_ENUM_LIMIT:
-        seen: dict[int, ThetaGraph] = {}
-        for T in _theta_scan(M, budget):
-            ok, _ = is_complete(M, T)
-            if not ok:
-                seen.setdefault(T.completing, T)
-        return sorted(seen.items())
-    rep = _first_label_per_col(M)
-    present = sorted(c for c in rep if c)
-    pset = M.colset
-    missing = [v for v in _span_vectors(M.cols) if v and v not in pset]
-    out: list[tuple[int, ThetaGraph]] = []
-    for v in missing:
-        hit = _pair_route(M, v, present, rep, _PREPASS_COMBOS_PER_VECTOR, budget)
-        if hit is not None:
-            out.append((v, hit))
+        found: dict[int, ThetaGraph] = {}
+        for *arcs, w in _incomplete(M, budget):
+            if w not in found:
+                found[w] = _theta(M, arcs, w)
+        return sorted(found.items())
+    missing = _missing_vectors(M)
+    out = list(_pair_route_hits(M, missing, _PREPASS_COMBOS_PER_VECTOR, budget))
     if out:
         return out
     arcs_all = _arcs_by_target(M, missing, budget)
@@ -511,7 +468,5 @@ def theta3_closure(
 
 def graph_is_theta3_closed(edges: list[tuple[str, str, str]]) -> bool:
     """Cycle-matroid delegation: build incidence columns and decide there."""
-    from theta3.construct import cycle_matroid
-
     closed, _ = is_theta3_closed(cycle_matroid(edges))
     return closed

@@ -125,6 +125,13 @@ def test_build_parse_error_exits_two(capsys):
     assert "error" in rep and rep["verdict"] is None
 
 
+def test_build_deeply_nested_term_exits_two(capsys):
+    term = "D(" * 2000 + "C(3)" + ", C(3))" * 2000
+    code, rep = run_cli(capsys, "build", term)
+    assert code == 2
+    assert "nests deeper" in rep["error"]
+
+
 def test_build_label_clash_exits_two(capsys):
     # the text grammar carries no relabel maps, so two C(3) leaves
     # instantiate with the same constructor labels and cannot glue
@@ -265,6 +272,26 @@ def test_budget_validation(capsys):
     assert "--max-seconds" in rep["error"]
 
 
+def test_budget_validation_rejects_nan_seconds(capsys):
+    # NaN compares false against everything, so it would switch the
+    # time limit off; infinity is a legitimate "no limit"
+    code, rep = run_cli(capsys, "check", "F7STAR", "--max-seconds", "nan")
+    assert code == 2
+    assert "--max-seconds" in rep["error"]
+
+    code, rep = run_cli(capsys, "check", "F7STAR", "--max-seconds", "inf")
+    assert code == 1
+    assert rep["verdict"] is False
+
+
+def test_decompose_long_separation_search_hits_the_budget(capsys):
+    # the 2-separation backtrack is one level per element; on 1023
+    # elements it must run out of nodes, not out of stack
+    code, rep = run_cli(capsys, "decompose", "PG(10)", "--max-subsets", "100000")
+    assert code == 3
+    assert rep["error"] == "budget exceeded: node budget exhausted (100001 > 100000)"
+
+
 def test_unexpected_exception_exits_four(capsys, monkeypatch):
     def boom(args, budget, report):
         raise RuntimeError("classification mismatch: injected")
@@ -287,6 +314,13 @@ def test_help_and_usage_errors(capsys):
 
     assert cli.main([]) == 2
     assert cli.main(["no-such-command"]) == 2
+    capsys.readouterr()
+
+
+def test_decompose_has_no_order_flag(capsys):
+    assert cli.main(["decompose", "--help"]) == 0
+    assert "--order" not in capsys.readouterr().out
+    assert cli.main(["decompose", "MK(4)", "--order", "reverse"]) == 2
     capsys.readouterr()
 
 
@@ -317,3 +351,19 @@ def test_console_script_subprocess():
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["verdict"] == "final = PG(4 over GF(2)), 15 elements"
+
+
+# -- golden reports ------------------------------------------------------------
+
+GOLDEN = Path(__file__).with_name("golden_reports.json")
+
+
+def test_reports_match_golden_file(capsys):
+    # Each entry holds an argv, its exit code and its report minus
+    # `timings`.  THETA(3,3,3) has 3-element arcs, so the pair-route
+    # prepass misses it and the circuit-pair scan answers; the MSTAR_K5
+    # closure takes the pair-route branch on its 25- and 52-element rounds.
+    for entry in json.loads(GOLDEN.read_text()):
+        code, rep = run_cli(capsys, *entry["argv"])
+        rep.pop("timings")
+        assert (code, rep) == (entry["exit"], entry["report"]), entry["argv"]

@@ -17,6 +17,7 @@ from theta3.construct import (
     projective_geometry,
 )
 from theta3.decompose import (
+    MAX_RECIPE_DEPTH,
     BuildRecipe,
     DNode,
     Leaf,
@@ -222,6 +223,16 @@ def test_parse_recipe_rejects_garbage():
     for bad in ("", "C(3", "Q(3)", "P(C(3))", "C(x)", "P(C(3), C(3) base=e1)"):
         with pytest.raises(ValueError):
             parse_recipe(bad)
+
+
+def test_parse_recipe_caps_nesting_depth():
+    def nested(depth):
+        return "D(" * depth + "C(3)" + ", C(3))" * depth
+
+    assert isinstance(parse_recipe(nested(MAX_RECIPE_DEPTH)), DNode)
+    for depth in (MAX_RECIPE_DEPTH + 1, 2000):
+        with pytest.raises(ValueError, match="nests deeper"):
+            parse_recipe(nested(depth))
 
 
 def test_evaluate_term_leaves():

@@ -84,6 +84,14 @@ def test_is_complete_matches_oracle_on_corpus():
                 assert lab is None
 
 
+def test_complete_exactly_when_completing_vector_is_a_column():
+    # the identity behind the scan's completeness filter: a singleton
+    # arc's column is itself the completing vector
+    for name, m in SMALL_CORPUS:
+        for t in theta_graphs(m):
+            assert is_complete(m, t)[0] == (t.completing in m.colset), (name, t)
+
+
 def test_singleton_arc_completes_its_own_theta():
     m = cycle_matroid(theta_edges(1, 2, 2))
     ts = theta_graphs(m)
