@@ -32,7 +32,8 @@ class Budget:
     """Mutable node/time budget shared across one logical computation.
 
     max_nodes / max_seconds of None mean unlimited.  tick() is cheap:
-    the clock is only consulted every CHECK_EVERY nodes.
+    the clock is only consulted every CHECK_EVERY nodes.  Searches that
+    do not count nodes call check_time() alone.
     """
 
     max_nodes: int | None = None
@@ -43,6 +44,18 @@ class Budget:
     def elapsed(self) -> float:
         return time.monotonic() - self._started
 
+    def check_time(self) -> None:
+        """Raise if the time limit has passed; counts no node."""
+        if self.max_seconds is None:
+            return
+        elapsed = self.elapsed()
+        if elapsed > self.max_seconds:
+            raise BudgetExceededError(
+                f"time budget exhausted ({elapsed:.2f}s > {self.max_seconds}s)",
+                nodes=self.nodes,
+                seconds=elapsed,
+            )
+
     def tick(self, count: int = 1) -> None:
         self.nodes += count
         if self.max_nodes is not None and self.nodes > self.max_nodes:
@@ -52,10 +65,4 @@ class Budget:
                 seconds=self.elapsed(),
             )
         if self.max_seconds is not None and self.nodes % CHECK_EVERY < count:
-            elapsed = self.elapsed()
-            if elapsed > self.max_seconds:
-                raise BudgetExceededError(
-                    f"time budget exhausted ({elapsed:.2f}s > {self.max_seconds}s)",
-                    nodes=self.nodes,
-                    seconds=elapsed,
-                )
+            self.check_time()

@@ -262,7 +262,7 @@ def _crossval_instance(sub: BinaryMatroid, budget) -> dict | None:
         }
     if verdict.in_class:
         rebuilt = verdict.recipe.evaluate()
-        if set(circuits(rebuilt)) != set(circuits(sub)):
+        if set(circuits(rebuilt, budget)) != set(circuits(sub, budget)):
             return {
                 "labels": sorted(sub.labels),
                 "issue": "recipe does not reproduce the circuit family",
@@ -374,6 +374,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_PARSER = _build_parser()
+
 _COMMANDS = {
     "check": _cmd_check,
     "closure": _cmd_closure,
@@ -386,9 +388,8 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
 

@@ -24,7 +24,7 @@ import re
 from math import isqrt
 
 from theta3.budget import Budget
-from theta3.gf2 import MAX_DIM, DimensionError, Echelon, _coordinates
+from theta3.gf2 import MAX_DIM, DimensionError, Echelon, greedy_coordinates
 from theta3.matroid import (
     BinaryMatroid,
     contract,
@@ -107,17 +107,25 @@ def projective_geometry(r: int) -> BinaryMatroid:
 
 
 def cycle_matroid(edges: list[tuple[str, str, str]]) -> BinaryMatroid:
-    """Vertex-edge incidence columns over GF(2); graph loops become loops."""
+    """Vertex-edge incidence columns over GF(2); graph loops become loops.
+
+    A graph with more than MAX_DIM vertices is rewritten over a spanning
+    forest (the greedy basis of its edges), so any graph of rank <= MAX_DIM
+    fits.
+    """
     for e in edges:
         if len(e) != 3:
             raise ValueError(f"edge must be (u, v, label), got {e!r}")
     verts = sorted({u for u, _, _ in edges} | {v for _, v, _ in edges})
-    if len(verts) > MAX_DIM:
-        raise DimensionError(f"{len(verts)} vertices exceed MAX_DIM = {MAX_DIM}")
     pos = {v: i for i, v in enumerate(verts)}
     labels = tuple(lab for _, _, lab in edges)
     cols = tuple((1 << pos[u]) ^ (1 << pos[v]) for u, v, _ in edges)
-    return BinaryMatroid(labels, cols, len(verts))
+    if len(verts) <= MAX_DIM:
+        return BinaryMatroid(labels, cols, len(verts))
+    coords, forest = greedy_coordinates(cols)
+    if len(forest) > MAX_DIM:
+        raise DimensionError(f"graph of rank {len(forest)} exceeds MAX_DIM = {MAX_DIM}")
+    return BinaryMatroid(labels, tuple(coords), len(forest))
 
 
 # -- graph edge lists used by the catalog and the test samplers ----------
@@ -177,19 +185,6 @@ K5_LABELED_EDGES: list[tuple[str, str, str]] = [
 # -- composition ---------------------------------------------------------
 
 
-def _basepoint_first(M: BinaryMatroid, p: str) -> tuple[list[int], int]:
-    """Rank-dimension coordinates of M's columns with col(p) mapped to e1."""
-    ppos = M._index[p]
-    cols = list(M.cols)
-    ech = Echelon()
-    ech.insert(cols[ppos])
-    basis_idx = [ppos]
-    for i, c in enumerate(cols):
-        if i != ppos and ech.insert(c):
-            basis_idx.append(i)
-    return _coordinates(cols, basis_idx), len(basis_idx)
-
-
 def parallel_connection(M: BinaryMatroid, N: BinaryMatroid, pM: str, pN: str) -> BinaryMatroid:
     """Glue M and N across one shared point; the point keeps label pM.
 
@@ -206,9 +201,11 @@ def parallel_connection(M: BinaryMatroid, N: BinaryMatroid, pM: str, pN: str) ->
         return direct_sum(M, contract(N, [pN]))
     if cN == 0:
         return direct_sum(contract(M, [pM]), N.relabel({pN: pM}))
-    am, rm = _basepoint_first(M, pM)
-    an, rn = _basepoint_first(N, pN)
-    dim = rm + rn - 1
+    # Rank coordinates with each basepoint column mapped to e1.
+    am, bm = greedy_coordinates(M.cols, [M._index[pM]])
+    an, bn = greedy_coordinates(N.cols, [N._index[pN]])
+    rm = len(bm)
+    dim = rm + len(bn) - 1
     if dim > MAX_DIM:
         raise DimensionError(f"parallel connection needs dimension {dim} > {MAX_DIM}")
     labels = M.labels + tuple(lab for lab in N.labels if lab != pN)
@@ -265,9 +262,7 @@ def projective_mapping(M: BinaryMatroid) -> dict[str, str] | None:
     """Map p<k> labels onto M, if projective; any basis change is an automorphism."""
     if not is_projective(M):
         return None
-    ech = Echelon()
-    basis_idx = [i for i, c in enumerate(M.cols) if ech.insert(c)]
-    coords = _coordinates(list(M.cols), basis_idx)
+    coords, _ = greedy_coordinates(M.cols)
     return {f"p{c}": M.labels[i] for i, c in enumerate(coords)}
 
 
@@ -326,7 +321,7 @@ def complete_graph_mapping(
     basis = _triangle_basis(M, budget)
     if basis is None:
         return None
-    coords = _coordinates(list(M.cols), basis)
+    coords, _ = greedy_coordinates(M.cols, basis)
     mapping: dict[str, str] = {}
     for i, c in enumerate(coords):
         w = c.bit_count()

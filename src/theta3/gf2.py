@@ -10,25 +10,23 @@ Elimination uses the lowest set bit of a vector as its pivot.  The
 Echelon class keeps the basis *lazily* reduced: stored vectors are never
 rewritten when a later pivot arrives.  Lazy reduction is enough for rank
 and span membership, and it makes insert/remove perfectly undoable,
-which the separation search relies on.  Contraction needs residues with
-every pivot bit cleared; full_residue does that with a single sweep over
-the pivots in increasing order (each pivot vector only touches bits at
-or above its own pivot, so earlier clearings survive).
+which the separation search relies on.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "MAX_DIM",
     "DimensionError",
-    "InvalidBasisError",
     "Echelon",
     "bits",
     "bits_from_str",
     "bits_to_str",
     "rank_bits",
+    "greedy_coordinates",
     "dual_representation",
 ]
 
@@ -37,10 +35,6 @@ MAX_DIM = 16
 
 class DimensionError(ValueError):
     """Dimension mismatch, or a dimension beyond MAX_DIM."""
-
-
-class InvalidBasisError(ValueError):
-    """Chosen basis columns are dependent or fail to span."""
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -121,15 +115,6 @@ class Echelon:
         del self.pivots[pivot_bit]
         del self.origins[pivot_bit]
 
-    def full_residue(self, v: int) -> int:
-        # Increasing pivot order: a pivot vector only toggles bits >= its
-        # pivot, so each cleared pivot bit stays cleared for the rest of
-        # the sweep.  The result has no pivot bit set at all.
-        for low in sorted(self.pivots):
-            if v & low:
-                v ^= self.pivots[low]
-        return v
-
 
 def rank_bits(cols: Iterable[int]) -> int:
     ech = Echelon()
@@ -138,24 +123,21 @@ def rank_bits(cols: Iterable[int]) -> int:
     return ech.rank
 
 
-def _coordinates(cols: Sequence[int], basis_idx: Sequence[int]) -> list[int]:
-    """Coordinates of every column relative to the chosen basis columns.
+def greedy_coordinates(
+    cols: Sequence[int], first: Iterable[int] = ()
+) -> tuple[list[int], list[int]]:
+    """Coordinates of every column over a greedy basis: (coords, basis).
 
-    Raises InvalidBasisError if the chosen columns are dependent or some
-    column falls outside their span.  Coordinate k of the result is the
-    coefficient of basis column basis_idx[k].
+    The columns at the indices in first are offered first, then every
+    column in order; each one independent of those taken so far joins
+    basis.  Coordinate k of a column is the coefficient of cols[basis[k]].
     """
     ech = Echelon()
-    for pos, idx in enumerate(basis_idx):
-        if not ech.insert(cols[idx], 1 << pos):
-            raise InvalidBasisError(f"basis column {idx} depends on earlier basis columns")
-    coords = []
-    for c in cols:
-        res, orig = ech.tracked_residue(c)
-        if res:
-            raise InvalidBasisError("basis does not span the column space")
-        coords.append(orig)
-    return coords
+    basis: list[int] = []
+    for i in chain(first, range(len(cols))):
+        if ech.insert(cols[i], 1 << len(basis)):
+            basis.append(i)
+    return [ech.tracked_residue(c)[1] for c in cols], basis
 
 
 def dual_representation(cols: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -168,12 +150,10 @@ def dual_representation(cols: Sequence[int]) -> tuple[tuple[int, ...], int]:
     have an all-zero row, so they turn into coloops of the dual.
     """
     n = len(cols)
-    ech = Echelon()
-    basis_idx = [i for i, c in enumerate(cols) if ech.insert(c)]
+    coords, basis_idx = greedy_coordinates(cols)
     dual_dim = n - len(basis_idx)
     if dual_dim > MAX_DIM:
         raise DimensionError(f"dual dimension {dual_dim} exceeds MAX_DIM = {MAX_DIM}")
-    coords = _coordinates(cols, basis_idx)
     in_basis = set(basis_idx)
     nonbasis_idx = [i for i in range(n) if i not in in_basis]
     out = [0] * n

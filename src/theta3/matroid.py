@@ -28,6 +28,7 @@ from theta3.gf2 import (
     bits,
     bits_to_str,
     dual_representation,
+    greedy_coordinates,
     rank_bits,
 )
 
@@ -158,16 +159,19 @@ def closure_flat(M: BinaryMatroid, S: Iterable[str]) -> frozenset[str]:
     return frozenset(lab for lab, c in zip(M.labels, M.cols) if ech.residue(c) == 0)
 
 
-def circuits(M: BinaryMatroid, max_size: int | None = None) -> list[frozenset[str]]:
-    """All circuits of size <= max_size (default rank+1, which is all of them)."""
-    if max_size is not None and max_size < 1:
-        raise ValueError("max_size must be positive")
-    cap = M.rank + 1 if max_size is None else min(max_size, M.rank + 1)
+def circuits(M: BinaryMatroid, budget: Budget | None = None) -> list[frozenset[str]]:
+    """All circuits, shortest first, then by sorted labels.
+
+    A budget's clock is read per emitted circuit and before each descent
+    from a set of fewer than 3 elements; no search node is counted.
+    """
+    cap = M.rank + 1
     n = M.size
     cols = M.cols
     labels = M.labels
     out: list[frozenset[str]] = []
     ech = Echelon()
+    check_time = budget.check_time if budget is not None else None
 
     def grow(start: int, smask: int, ssize: int) -> None:
         for i in range(start, n):
@@ -175,7 +179,11 @@ def circuits(M: BinaryMatroid, max_size: int | None = None) -> list[frozenset[st
             if res == 0:
                 if orig == smask | (1 << i):
                     out.append(frozenset(labels[j] for j in bits(orig)))
+                    if check_time is not None:
+                        check_time()
             elif ssize + 1 < cap:
+                if ssize < 3 and check_time is not None:
+                    check_time()
                 piv = ech.insert(cols[i], 1 << i)
                 grow(i + 1, smask | (1 << i), ssize + 1)
                 ech.remove(piv)
@@ -204,34 +212,21 @@ def restrict(M: BinaryMatroid, S: Iterable[str]) -> BinaryMatroid:
 
 
 def contract(M: BinaryMatroid, S: Iterable[str]) -> BinaryMatroid:
-    """Contract S: quotient the span of S out of the ambient space.
+    """Contract S: quotient the span of S out of the column space.
 
-    A basis of S is echelonized, every remaining column is fully reduced
-    against it, and the pivot rows (now identically zero) are dropped.
-    Contracting a loop therefore just deletes it.
+    The columns are rewritten over a greedy basis that starts inside S,
+    and the leading r(S) coordinates, which span S, are dropped.  The
+    result is in rank coordinates, of dimension r(M) - r(S), whatever
+    the dimension of M.  Contracting a loop therefore just deletes it.
     """
     drop = set(M._positions(S))
-    ech = Echelon()
-    for i in sorted(drop):
-        ech.insert(M.cols[i])
-    pivot_mask = 0
-    for b in ech.pivots:
-        pivot_mask |= b
-    keep_bits = [b for b in range(M.dim) if not pivot_mask >> b & 1]
-    new_pos = {b: p for p, b in enumerate(keep_bits)}
-    new_dim = len(keep_bits)
-
-    def squeeze(v: int) -> int:
-        out = 0
-        for b in bits(ech.full_residue(v)):
-            out |= 1 << new_pos[b]
-        return out
-
+    coords, basis = greedy_coordinates(M.cols, sorted(drop))
+    k = len(drop.intersection(basis))
     keep = [i for i in range(M.size) if i not in drop]
     return BinaryMatroid(
         tuple(M.labels[i] for i in keep),
-        tuple(squeeze(M.cols[i]) for i in keep),
-        new_dim,
+        tuple(coords[i] >> k for i in keep),
+        len(basis) - k,
     )
 
 
@@ -274,18 +269,8 @@ def direct_sum(M: BinaryMatroid, N: BinaryMatroid) -> BinaryMatroid:
 
 def _compact(M: BinaryMatroid) -> BinaryMatroid:
     """Re-coordinatize over a greedy basis so ambient dim equals rank."""
-    ech = Echelon()
-    pos = 0
-    coords = []
-    for c in M.cols:
-        res, orig = ech.tracked_residue(c)
-        if res:
-            ech.insert(c, 1 << pos)
-            coords.append(1 << pos)
-            pos += 1
-        else:
-            coords.append(orig)
-    return BinaryMatroid(M.labels, tuple(coords), pos)
+    coords, basis = greedy_coordinates(M.cols)
+    return BinaryMatroid(M.labels, tuple(coords), len(basis))
 
 
 # -- connectivity --------------------------------------------------------
@@ -317,21 +302,13 @@ def connected_components(M: BinaryMatroid) -> list[frozenset[str]]:
     """Circuit-connectivity classes; loops and coloops end up as singletons.
 
     Fundamental circuits of one greedy basis already generate the whole
-    partition, so a single pass plus union-find does it.
+    partition: each element is joined to the basis elements its
+    coordinates use (a basis element only to itself).
     """
-
-    def fundamental_pairs() -> Iterator[tuple[int, int]]:
-        ech = Echelon()
-        for i, c in enumerate(M.cols):
-            res, orig = ech.tracked_residue(c)
-            if res:
-                ech.insert(c, 1 << i)
-            else:
-                for j in bits(orig):
-                    yield i, j
-
+    coords, basis = greedy_coordinates(M.cols)
+    pairs = ((i, basis[k]) for i, c in enumerate(coords) for k in bits(c))
     groups: dict[int, list[str]] = {}
-    for lab, root in zip(M.labels, union_find_roots(M.size, fundamental_pairs())):
+    for lab, root in zip(M.labels, union_find_roots(M.size, pairs)):
         groups.setdefault(root, []).append(lab)
     return [frozenset(groups[root]) for root in sorted(groups)]
 

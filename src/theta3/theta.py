@@ -117,7 +117,7 @@ def _theta_scan(
     C1 u C2, minus 1, equals the number of columns that reduce to zero,
     so we want exactly one zero and can abort on the second.
     """
-    circs = circuits(M)
+    circs = circuits(M, budget)
     if len(circs) < 2:
         return
     n = M.size

@@ -196,6 +196,21 @@ def test_graph_file_input(capsys, tmp_path):
     assert rep["input"]["size"] == 3 and rep["input"]["rank"] == 2
 
 
+def test_graph_input_is_limited_by_rank_not_vertices(capsys, tmp_path):
+    path_edges = [f"x{i} x{i+1} t{i}" for i in range(16)]
+    path = tmp_path / "chorded_path.graph"
+    path.write_text("\n".join(path_edges + ["x2 x8 chord"]) + "\n")
+    code, rep = run_cli(capsys, "check", str(path), "--graph")
+    assert code == 0
+    assert rep["input"] == {"argument": str(path), "size": 17, "rank": 16}
+
+    path = tmp_path / "long_path.graph"
+    path.write_text("\n".join(path_edges + ["x16 x17 t16"]) + "\n")
+    code, rep = run_cli(capsys, "check", str(path), "--graph")
+    assert code == 2
+    assert "rank 17" in rep["error"] and "MAX_DIM" in rep["error"]
+
+
 def test_parse_error_reports_line_number(capsys, tmp_path):
     path = tmp_path / "bad.matroid"
     path.write_text("dim 3\na 101\nb 10\n")
@@ -260,6 +275,18 @@ def test_budget_seconds_exit_three(capsys):
     code, rep = run_cli(capsys, "check", "MK(7)", "--max-seconds", "1e-9")
     assert code == 3
     assert "budget exceeded" in rep["error"]
+
+
+def test_circuit_enumeration_honours_max_seconds(capsys):
+    # both instances spend their time listing circuits, which tick no node
+    code, rep = run_cli(capsys, "check", "MK(9)", "--max-seconds", "0.2")
+    assert code == 3
+    assert "time budget exhausted" in rep["error"]
+    assert rep["timings"]["total_s"] < 2
+
+    code, rep = run_cli(capsys, "check", "PG(12)", "--no-shortcut", "--max-seconds", "1")
+    assert code == 3
+    assert "time budget exhausted" in rep["error"]
 
 
 def test_budget_validation(capsys):

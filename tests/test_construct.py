@@ -113,6 +113,16 @@ def test_cycle_matroid_rejects_malformed_edges_and_big_graphs():
         cycle_matroid(too_big)
 
 
+def test_cycle_matroid_is_limited_by_rank_not_vertices():
+    # 17 vertices, rank 16: a path with a chord closing a 7-cycle
+    edges = [(f"x{i}", f"x{i+1}", f"t{i}") for i in range(16)]
+    m = cycle_matroid(edges + [("x2", "x8", "chord")])
+    assert (m.size, m.rank, m.dim) == (17, 16, 16)
+    # corank 1 means exactly one circuit, so the capped oracle sees them all
+    assert circuits(m) == oracles.oracle_circuits(m, max_size=7)
+    assert circuits(m) == [frozenset(["chord"] + [f"t{i}" for i in range(2, 8)])]
+
+
 def test_cycle_matroid_graph_loop_is_matroid_loop():
     m = cycle_matroid([("a", "a", "self"), ("a", "b", "ab")])
     assert m.loops() == frozenset(["self"])

@@ -10,12 +10,11 @@ from theta3.gf2 import (
     MAX_DIM,
     DimensionError,
     Echelon,
-    InvalidBasisError,
-    _coordinates,
     bits,
     bits_from_str,
     bits_to_str,
     dual_representation,
+    greedy_coordinates,
     rank_bits,
 )
 
@@ -100,41 +99,20 @@ def test_echelon_tracked_residue_returns_witness_origin():
     assert orig == 3  # both inserted vectors participate
 
 
-def test_full_residue_is_canonical_under_insertion_order():
-    rng = random.Random(5)
-    cols = [rng.randrange(1 << 6) for _ in range(6)]
-    reference = None
-    for _ in range(10):
-        rng.shuffle(cols)
-        ech = Echelon()
-        for c in cols:
-            ech.insert(c)
-        image = tuple(ech.full_residue(v) for v in range(64))
-        if reference is None:
-            reference = image
-        # the canonical residue depends only on the span, not the order
-        assert image == reference
-
-
 # -- change of basis, duality ----------------------------------------------
 
 
 def test_coordinates_rewrite_in_basis_coordinates():
     # basis {e1+e2, e2+e3, e3}: expressing e1 needs all three
     cols = [bits_from_str(s) for s in ("110", "011", "001", "100")]
-    out = _coordinates(cols, [0, 1, 2])
+    out, basis = greedy_coordinates(cols)
+    assert basis == [0, 1, 2]
     assert out[:3] == [1, 2, 4]
     assert out[3] == 0b111
-
-
-def test_coordinates_reject_dependent_basis():
-    # {e1+e2, e1+e3, e2+e3} sums to zero, so it spans only a plane
-    cols = [bits_from_str(s) for s in ("110", "101", "011")]
-    with pytest.raises(InvalidBasisError):
-        _coordinates(cols, [0, 1, 2])
-    # a basis that misses part of the column space is rejected too
-    with pytest.raises(InvalidBasisError):
-        _coordinates(cols + [bits_from_str("100")], [0, 1])
+    # offering e1 first puts it at coordinate 0; e3 = e1 + (e1+e2) + (e2+e3)
+    out, basis = greedy_coordinates(cols, [3])
+    assert basis == [3, 0, 1]
+    assert out == [2, 4, 0b111, 1]
 
 
 def test_dual_representation_is_orthogonal_complement():

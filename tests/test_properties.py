@@ -7,7 +7,7 @@ repeated columns, and dims above the actual rank all show up.
 from hypothesis import given, settings, strategies as st
 
 from theta3.decompose import DNode, Leaf, PNode, classify_theta3, parse_recipe, serialize_term
-from theta3.gf2 import Echelon, rank_bits
+from theta3.gf2 import Echelon, bits, greedy_coordinates, rank_bits
 from theta3.construct import projective_geometry
 from theta3.matroid import (
     BinaryMatroid,
@@ -60,6 +60,23 @@ def test_echelon_remove_undoes_inserts_in_lifo_order(cols, data):
             ech.remove(pivot)
     assert ech.rank == rank_bits(cols[:keep])
     assert all(ech.residue(c) == 0 for c in cols[:keep])
+
+
+@given(st.lists(st.integers(0, 255), max_size=12), st.data())
+def test_greedy_coordinates_express_every_column_over_the_basis(cols, data):
+    indices = st.integers(0, len(cols) - 1)
+    first = data.draw(st.lists(indices, max_size=4)) if cols else []
+    coords, basis = greedy_coordinates(cols, first)
+    assert len(basis) == rank_bits(cols)
+    # the columns offered first span the leading coordinates
+    assert set(basis[: rank_bits(cols[i] for i in first)]) <= set(first)
+    for k, b in enumerate(basis):
+        assert coords[b] == 1 << k
+    for c, x in zip(cols, coords):
+        total = 0
+        for k in bits(x):
+            total ^= cols[basis[k]]
+        assert total == c
 
 
 @given(matroids(), st.data())
