@@ -32,8 +32,9 @@ class Budget:
     """Mutable node/time budget shared across one logical computation.
 
     max_nodes / max_seconds of None mean unlimited.  tick() is cheap:
-    the clock is only consulted every CHECK_EVERY nodes.  Searches that
-    do not count nodes call check_time() alone.
+    the clock is only consulted every CHECK_EVERY nodes, and a tick of
+    that many nodes or more always consults it.  check_time() reads the
+    clock without counting a node.
     """
 
     max_nodes: int | None = None

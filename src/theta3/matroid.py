@@ -5,13 +5,14 @@ string labels.  Duplicate columns (parallel elements) and zero columns
 (loops) are allowed everywhere.  All operations are pure functions; the
 dataclass is frozen and hashable, so matroids can sit in sets and dicts.
 
-Circuit enumeration is a backtracking search over independent sets in
-label order, with one twist: the echelon basis tracks which inserted
-columns each reduction consumed, so when a new column lands in the span
-of the current independent set we know the unique subset it depends on.
-The set S together with the new element e is emitted exactly when that
-subset is all of S, which makes every circuit appear exactly once (at
-S = C minus its largest element).
+Circuits are enumerated from the cycle space.  Over a greedy basis
+each non-basis element e has a fundamental circuit (e plus the basis
+elements its coordinates use), and every cycle (a set whose columns sum
+to zero) is the XOR of the fundamental circuits of its non-basis
+elements, so each cycle comes from exactly one set of them.  A circuit
+has at most r+1 elements, so only sets of at most r+1 non-basis
+elements are walked; a cycle is a circuit exactly when its columns have
+nullity 1.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-from theta3.budget import Budget
+from theta3.budget import CHECK_EVERY, Budget
 from theta3.gf2 import (
     MAX_DIM,
     DimensionError,
@@ -162,33 +163,71 @@ def closure_flat(M: BinaryMatroid, S: Iterable[str]) -> frozenset[str]:
 def circuits(M: BinaryMatroid, budget: Budget | None = None) -> list[frozenset[str]]:
     """All circuits, shortest first, then by sorted labels.
 
-    A budget's clock is read per emitted circuit and before each descent
-    from a set of fewer than 3 elements; no search node is counted.
+    The running XOR over a set T of non-basis elements is one int: its
+    basis part in coordinate bits 0..r-1, element t of T at bit r+t.
+    The basis elements of a cycle are independent, so its nullity is
+    that of the T coordinates with the cycle's own basis coordinates
+    masked out, tested incrementally (one zero residue wanted, abort on
+    the second).  The budget ticks once per XOR tried, charged in
+    batches as each set is expanded, and its clock is also read per
+    emitted circuit.
     """
-    cap = M.rank + 1
-    n = M.size
-    cols = M.cols
+    r = M.rank
+    cap = r + 1
+    coords, basis = greedy_coordinates(M.cols)
+    in_basis = set(basis)
+    nonbasis = [e for e in range(M.size) if e not in in_basis]
+    m = len(nonbasis)
+    tcoords = [coords[e] for e in nonbasis]
+    vecs = [c | 1 << (r + t) for t, c in enumerate(tcoords)]
+    pending = 0
+    found: list[int] = []
+    # Entries (first t to add, XOR so far, |T| so far).
+    stack = [(0, 0, 0)]
+    push, pop = stack.append, stack.pop
+    while stack:
+        start, x, size = pop()
+        if budget is not None:
+            pending += m - start
+            if pending >= CHECK_EVERY:
+                budget.tick(pending)
+                pending = 0
+        size += 1
+        deeper = size < cap
+        for t in range(start, m):
+            y = x ^ vecs[t]
+            if deeper and t + 1 < m:
+                push((t + 1, y, size))
+            if y.bit_count() > cap:
+                continue
+            keep = ~y
+            ech: dict[int, int] = {}
+            zeros = 0
+            rest = y >> r
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = tcoords[low.bit_length() - 1] & keep
+                while v:
+                    vlow = v & -v
+                    if vlow not in ech:
+                        break
+                    v ^= ech[vlow]
+                if v:
+                    ech[v & -v] = v
+                else:
+                    zeros += 1
+                    if zeros == 2:
+                        break
+            if zeros == 1:
+                found.append(y)
+                if budget is not None:
+                    budget.check_time()
+    if pending:
+        budget.tick(pending)
     labels = M.labels
-    out: list[frozenset[str]] = []
-    ech = Echelon()
-    check_time = budget.check_time if budget is not None else None
-
-    def grow(start: int, smask: int, ssize: int) -> None:
-        for i in range(start, n):
-            res, orig = ech.tracked_residue(cols[i], 1 << i)
-            if res == 0:
-                if orig == smask | (1 << i):
-                    out.append(frozenset(labels[j] for j in bits(orig)))
-                    if check_time is not None:
-                        check_time()
-            elif ssize + 1 < cap:
-                if ssize < 3 and check_time is not None:
-                    check_time()
-                piv = ech.insert(cols[i], 1 << i)
-                grow(i + 1, smask | (1 << i), ssize + 1)
-                ech.remove(piv)
-
-    grow(0, 0, 0)
+    elements = basis + nonbasis  # bit i of a cycle stands for elements[i]
+    out = [frozenset(labels[elements[i]] for i in bits(y)) for y in found]
     out.sort(key=lambda c: (len(c), sorted(c)))
     return out
 

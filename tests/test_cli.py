@@ -289,6 +289,17 @@ def test_circuit_enumeration_honours_max_seconds(capsys):
     assert "time budget exhausted" in rep["error"]
 
 
+def test_circuit_enumeration_counts_against_max_subsets(capsys):
+    # one node per cycle tried, so a node cap now stops circuit listing
+    code, rep = run_cli(capsys, "check", "PG(12)", "--no-shortcut", "--max-subsets", "100000")
+    assert code == 3
+    assert "node budget exhausted" in rep["error"]
+
+    code, rep = run_cli(capsys, "check", "MK(9)", "--max-subsets", "1000000")
+    assert code == 3
+    assert "node budget exhausted" in rep["error"]
+
+
 def test_budget_validation(capsys):
     code, rep = run_cli(capsys, "check", "PG(2)", "--max-subsets", "0")
     assert code == 2

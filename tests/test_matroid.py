@@ -7,9 +7,12 @@ oracles; the container-level tests pin validation and label plumbing.
 from __future__ import annotations
 
 import random
+from collections import Counter
+from math import comb, factorial
 
 import pytest
 
+from theta3.construct import complete_graph_matroid
 from theta3.gf2 import DimensionError
 from theta3.matroid import (
     BinaryMatroid,
@@ -94,6 +97,19 @@ def test_rank_matches_oracle_on_corpus():
 def test_circuits_match_oracle_on_corpus():
     for name, m in SMALL_CORPUS:
         assert circuits(m) == oracles.oracle_circuits(m), name
+
+
+def test_complete_graph_circuits_are_its_cycles_in_closed_form():
+    # K_n has C(n, k) (k-1)!/2 cycles of length k; each circuit of M(K_n)
+    # is one of them, so every vertex it touches has degree 2
+    for n in range(3, 9):
+        counts = Counter()
+        for c in circuits(complete_graph_matroid(n)):
+            counts[len(c)] += 1
+            degree = Counter(v for edge in c for v in edge.split("-"))
+            assert set(degree.values()) == {2}, (n, sorted(c))
+        want = {k: comb(n, k) * factorial(k - 1) // 2 for k in range(3, n + 1)}
+        assert counts == want, n
 
 
 def test_closure_flat_is_the_span_filter():

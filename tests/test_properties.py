@@ -4,7 +4,7 @@ The generators favor degenerate inputs on purpose: zero columns,
 repeated columns, and dims above the actual rank all show up.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from theta3.decompose import DNode, Leaf, PNode, classify_theta3, parse_recipe, serialize_term
 from theta3.gf2 import Echelon, bits, greedy_coordinates, rank_bits
@@ -94,6 +94,14 @@ def test_contract_and_delete_commute(m, data):
     assert x.labels == y.labels
     assert x.rank == y.rank
     assert set(circuits(x)) == set(circuits(y))
+
+
+@given(matroids(max_dim=5, max_cols=10))
+@example(BinaryMatroid((), (), 3))  # empty
+@example(BinaryMatroid(("a", "b", "c"), (0, 0, 0), 2))  # all loops, rank 0
+@example(BinaryMatroid(("a", "b", "c"), (1, 2, 4), 3))  # free: no circuits
+def test_circuits_match_the_oracle(m):
+    assert circuits(m) == oracles.oracle_circuits(m)
 
 
 @settings(max_examples=50)
