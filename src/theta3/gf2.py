@@ -16,7 +16,7 @@ which the separation search relies on.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "MAX_DIM",
@@ -26,6 +26,7 @@ __all__ = [
     "bits_from_str",
     "bits_to_str",
     "rank_bits",
+    "zero_residues",
     "greedy_coordinates",
     "dual_representation",
 ]
@@ -121,6 +122,40 @@ def rank_bits(cols: Iterable[int]) -> int:
     for c in cols:
         ech.insert(c)
     return ech.rank
+
+
+def zero_residues(
+    vecs: Sequence[int], rest: int, base: Mapping[int, int], keep: int = -1
+) -> int:
+    """How many of the vectors vecs[i] & keep, i over the set bits of
+    rest in increasing order, are spanned by base and the vectors before
+    them; counting stops at 2.
+
+    base is read-only, in the lazy pivot form of Echelon.pivots.  The
+    vectors have nullity 1 modulo span(base) exactly when this returns 1,
+    so nullity-1 tests abort on the second zero.
+    """
+    local: dict[int, int] = {}
+    zeros = 0
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = vecs[low.bit_length() - 1] & keep
+        while v:
+            vlow = v & -v
+            if vlow in base:
+                v ^= base[vlow]
+            elif vlow in local:
+                v ^= local[vlow]
+            else:
+                break
+        if v:
+            local[v & -v] = v
+        else:
+            zeros += 1
+            if zeros == 2:
+                break
+    return zeros
 
 
 def greedy_coordinates(

@@ -9,10 +9,11 @@ Circuits are enumerated from the cycle space.  Over a greedy basis
 each non-basis element e has a fundamental circuit (e plus the basis
 elements its coordinates use), and every cycle (a set whose columns sum
 to zero) is the XOR of the fundamental circuits of its non-basis
-elements, so each cycle comes from exactly one set of them.  A circuit
-has at most r+1 elements, so only sets of at most r+1 non-basis
-elements are walked; a cycle is a circuit exactly when its columns have
-nullity 1.
+elements, so each cycle comes from exactly one set of them.  A cycle
+whose non-basis part holds a circuit contains that circuit, so only
+independent sets of non-basis elements are expanded, and a loop or a
+pair of parallel copies never widens the walk.  A cycle is a circuit
+exactly when its columns have nullity 1.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from theta3.gf2 import (
     dual_representation,
     greedy_coordinates,
     rank_bits,
+    zero_residues,
 )
 
 __all__ = [
@@ -163,63 +165,55 @@ def closure_flat(M: BinaryMatroid, S: Iterable[str]) -> frozenset[str]:
 def circuits(M: BinaryMatroid, budget: Budget | None = None) -> list[frozenset[str]]:
     """All circuits, shortest first, then by sorted labels.
 
-    The running XOR over a set T of non-basis elements is one int: its
-    basis part in coordinate bits 0..r-1, element t of T at bit r+t.
-    The basis elements of a cycle are independent, so its nullity is
-    that of the T coordinates with the cycle's own basis coordinates
-    masked out, tested incrementally (one zero residue wanted, abort on
-    the second).  The budget ticks once per XOR tried, charged in
-    batches as each set is expanded, and its clock is also read per
-    emitted circuit.
+    Loops are the singleton circuits and lie in no other, so they are
+    listed directly and left out of the walk.  The running XOR over a
+    set T of non-basis elements is one int: its basis part in
+    coordinate bits 0..r-1, element t of T at bit r+t.  Only
+    independent T are expanded: if T holds a circuit D, the cycle of
+    any larger set contains D and so is not a circuit.  The cycle of T
+    is a circuit exactly when T's coordinates, with the cycle's own
+    basis coordinates masked out, have nullity 1.  The budget ticks
+    once per XOR tried, charged in batches as each set is expanded,
+    and its clock is also read per emitted circuit.
     """
     r = M.rank
     cap = r + 1
+    basis_part = (1 << r) - 1
     coords, basis = greedy_coordinates(M.cols)
     in_basis = set(basis)
-    nonbasis = [e for e in range(M.size) if e not in in_basis]
+    loops = [e for e, c in enumerate(M.cols) if not c]
+    nonbasis = [e for e, c in enumerate(M.cols) if c and e not in in_basis]
     m = len(nonbasis)
     tcoords = [coords[e] for e in nonbasis]
     vecs = [c | 1 << (r + t) for t, c in enumerate(tcoords)]
+    no_pivots: dict[int, int] = {}
     pending = 0
     found: list[int] = []
-    # Entries (first t to add, XOR so far, |T| so far).
-    stack = [(0, 0, 0)]
+    # Entries (first t to add, XOR so far, echelon of T's coordinates as
+    # (pivot bit, row) pairs in insertion order, each row reduced by
+    # the ones before it).
+    stack: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(0, 0, ())]
     push, pop = stack.append, stack.pop
     while stack:
-        start, x, size = pop()
+        start, x, rows = pop()
         if budget is not None:
             pending += m - start
             if pending >= CHECK_EVERY:
                 budget.tick(pending)
                 pending = 0
-        size += 1
-        deeper = size < cap
         for t in range(start, m):
             y = x ^ vecs[t]
-            if deeper and t + 1 < m:
-                push((t + 1, y, size))
-            if y.bit_count() > cap:
+            v = tcoords[t]
+            for low, row in rows:
+                if v & low:
+                    v ^= row
+            if v:
+                if t + 1 < m:
+                    push((t + 1, y, rows + ((v & -v, v),)))
+            elif y & basis_part:
+                # T + t holds a circuit, and its cycle is larger still.
                 continue
-            keep = ~y
-            ech: dict[int, int] = {}
-            zeros = 0
-            rest = y >> r
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                v = tcoords[low.bit_length() - 1] & keep
-                while v:
-                    vlow = v & -v
-                    if vlow not in ech:
-                        break
-                    v ^= ech[vlow]
-                if v:
-                    ech[v & -v] = v
-                else:
-                    zeros += 1
-                    if zeros == 2:
-                        break
-            if zeros == 1:
+            if y.bit_count() <= cap and zero_residues(tcoords, y >> r, no_pivots, ~y) == 1:
                 found.append(y)
                 if budget is not None:
                     budget.check_time()
@@ -227,7 +221,8 @@ def circuits(M: BinaryMatroid, budget: Budget | None = None) -> list[frozenset[s
         budget.tick(pending)
     labels = M.labels
     elements = basis + nonbasis  # bit i of a cycle stands for elements[i]
-    out = [frozenset(labels[elements[i]] for i in bits(y)) for y in found]
+    out = [frozenset([labels[e]]) for e in loops]
+    out += [frozenset(labels[elements[i]] for i in bits(y)) for y in found]
     out.sort(key=lambda c: (len(c), sorted(c)))
     return out
 

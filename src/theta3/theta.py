@@ -35,7 +35,7 @@ from typing import Iterable, Iterator
 
 from theta3.budget import Budget
 from theta3.construct import cycle_matroid, is_projective
-from theta3.gf2 import Echelon, bits, bits_to_str, rank_bits
+from theta3.gf2 import Echelon, bits, bits_to_str, rank_bits, zero_residues
 from theta3.matroid import BinaryMatroid, circuits, simplify
 
 __all__ = [
@@ -160,28 +160,7 @@ def _theta_scan(
                     continue
                 if budget is not None:
                     budget.tick()
-                rest = mj & ~mi
-                local: dict[int, int] = {}
-                zeros = 0
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    v = cols[low.bit_length() - 1]
-                    while v:
-                        vlow = v & -v
-                        if vlow in base:
-                            v ^= base[vlow]
-                        elif vlow in local:
-                            v ^= local[vlow]
-                        else:
-                            break
-                    if v:
-                        local[v & -v] = v
-                    else:
-                        zeros += 1
-                        if zeros == 2:
-                            break
-                if zeros != 1:
+                if zero_residues(cols, mj & ~mi, base) != 1:
                     continue
                 w = 0
                 for j in bits(inter):

@@ -278,7 +278,7 @@ def test_budget_seconds_exit_three(capsys):
 
 
 def test_circuit_enumeration_honours_max_seconds(capsys):
-    # both instances spend their time listing circuits, which tick no node
+    # both instances spend their time listing circuits
     code, rep = run_cli(capsys, "check", "MK(9)", "--max-seconds", "0.2")
     assert code == 3
     assert "time budget exhausted" in rep["error"]

@@ -12,6 +12,7 @@ from math import comb, factorial
 
 import pytest
 
+from theta3.budget import Budget
 from theta3.construct import complete_graph_matroid
 from theta3.gf2 import DimensionError
 from theta3.matroid import (
@@ -110,6 +111,30 @@ def test_complete_graph_circuits_are_its_cycles_in_closed_form():
             assert set(degree.values()) == {2}, (n, sorted(c))
         want = {k: comb(n, k) * factorial(k - 1) // 2 for k in range(3, n + 1)}
         assert counts == want, n
+
+
+def _free_with_loops_and_copies(r: int, loops: int, copies: int) -> BinaryMatroid:
+    cols = [1 << i for i in range(r)] + [0] * loops + [1 << i for i in range(r)] * copies
+    return BinaryMatroid(tuple(f"e{i:02d}" for i in range(len(cols))), tuple(cols), r)
+
+
+def test_loops_and_parallel_copies_are_never_expanded():
+    # a loop, or a pair of parallel copies, lies in no larger circuit,
+    # so the walk expands no set holding one
+    m = _free_with_loops_and_copies(4, 4, 2)
+    assert circuits(m) == oracles.oracle_circuits(m)
+
+    # rank 8, 25 loops, two copies of each basis element: 49 circuits in
+    # about 13k nodes; expanding dependent sets of copies takes about
+    # 51k, and walking every set of at most 9 of the 41 non-basis
+    # elements some 5e8
+    m = _free_with_loops_and_copies(8, 25, 2)
+    want = [frozenset([f"e{i:02d}"]) for i in range(8, 33)]
+    for i in range(8):
+        a, b, c = f"e{i:02d}", f"e{i + 33:02d}", f"e{i + 41:02d}"
+        want += [frozenset([a, b]), frozenset([a, c]), frozenset([b, c])]
+    want.sort(key=lambda c: (len(c), sorted(c)))
+    assert circuits(m, Budget(max_nodes=20_000)) == want
 
 
 def test_closure_flat_is_the_span_filter():
