@@ -228,7 +228,7 @@ def _cmd_decompose(args, budget, report) -> int:
         )
     tree = canonical_tree_decomposition(M, budget=budget)
     report["tree"] = _tree_json(tree)
-    verdict = classify_theta3(M, budget=budget)
+    verdict = classify_theta3(M, budget=budget, tree=tree)
     report["verdict"] = "InClass" if verdict.in_class else "NotInClass"
     report["recipe"] = _recipe_json(verdict.recipe) if verdict.recipe else None
     report["witness"] = _witness_json(verdict.witness, M)

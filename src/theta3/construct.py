@@ -23,8 +23,7 @@ from __future__ import annotations
 import re
 from math import isqrt
 
-from theta3.budget import Budget
-from theta3.gf2 import MAX_DIM, DimensionError, Echelon, greedy_coordinates
+from theta3.gf2 import MAX_DIM, DimensionError, greedy_coordinates
 from theta3.matroid import (
     BinaryMatroid,
     contract,
@@ -266,51 +265,18 @@ def projective_mapping(M: BinaryMatroid) -> dict[str, str] | None:
     return {f"p{c}": M.labels[i] for i, c in enumerate(coords)}
 
 
-def _triangle_basis(M: BinaryMatroid, budget: Budget | None) -> list[int] | None:
-    """First independent basis whose members pairwise sum to present columns.
-
-    In a genuine M(K_n) such a set is necessarily an edge star (pairwise
-    adjacent edge sets are stars or triangles, and triangles are
-    dependent), so the first hit is the one to standardize against.
-    """
-    colset = M.colset
-    cols = M.cols
-    n = M.size
-    r = M.rank
-    ech = Echelon()
-    chosen: list[int] = []
-
-    def grow(start: int) -> bool:
-        if budget is not None:
-            budget.tick()
-        if len(chosen) == r:
-            return True
-        for i in range(start, n):
-            c = cols[i]
-            if any(c ^ cols[j] not in colset for j in chosen):
-                continue
-            piv = ech.insert(c)
-            if not piv:
-                continue
-            chosen.append(i)
-            if grow(i + 1):
-                return True
-            chosen.pop()
-            ech.remove(piv)
-        return False
-
-    return chosen if grow(0) else None
-
-
-def complete_graph_mapping(
-    M: BinaryMatroid, budget: Budget | None = None
-) -> dict[str, str] | None:
+def complete_graph_mapping(M: BinaryMatroid) -> dict[str, str] | None:
     """Constructor-label to M-label isomorphism, if M is some M(K_n).
 
-    Count and rank filters first; then a star basis is searched and the
-    matrix standardized over it.  If all columns come out with weight
-    <= 2 they are C(n,2) distinct such vectors, which is all of them,
-    and that forces M(K_n) exactly.
+    Count and rank filters first.  Then the basis is built directly: e is
+    the first element, f the first element whose sum with e is a column,
+    and every g other than e, f and e + f whose sums with e and with f are
+    both columns joins them.  Two edges of K_n sum to an edge exactly when
+    they share a vertex, so in M(K_n) with n >= 3 this is the edge star at
+    the vertex e and f share, a basis.  The matrix is standardized over
+    it.  If all columns come out with weight <= 2 they are C(n,2) distinct
+    such vectors, which is all of them, and that forces M(K_n) exactly
+    whatever basis was used, so a non-member can only return None.
     """
     if not M.is_simple and M.size > 0:
         return None
@@ -318,10 +284,17 @@ def complete_graph_mapping(
     n = (1 + isqrt(1 + 8 * s)) // 2
     if n * (n - 1) // 2 != s or M.rank != n - 1:
         return None
-    basis = _triangle_basis(M, budget)
-    if basis is None:
-        return None
-    coords, _ = greedy_coordinates(M.cols, basis)
+    cols, colset = M.cols, M.colset
+    star = [0] if s else []
+    f = next((i for i in range(1, s) if cols[0] ^ cols[i] in colset), None)
+    if f is not None:
+        ef = cols[0] ^ cols[f]
+        star += [f] + [
+            g
+            for g in range(f + 1, s)
+            if cols[g] != ef and cols[g] ^ cols[0] in colset and cols[g] ^ cols[f] in colset
+        ]
+    coords, _ = greedy_coordinates(cols, star)
     mapping: dict[str, str] = {}
     for i, c in enumerate(coords):
         w = c.bit_count()
@@ -338,10 +311,8 @@ def complete_graph_mapping(
     return mapping
 
 
-def is_complete_graph(
-    M: BinaryMatroid, budget: Budget | None = None
-) -> tuple[bool, int | None]:
-    mapping = complete_graph_mapping(M, budget)
+def is_complete_graph(M: BinaryMatroid) -> tuple[bool, int | None]:
+    mapping = complete_graph_mapping(M)
     if mapping is None:
         return False, None
     n = (1 + isqrt(1 + 8 * M.size)) // 2

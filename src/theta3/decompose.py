@@ -53,7 +53,6 @@ from theta3.theta import ThetaGraph, is_theta3_closed
 
 __all__ = [
     "MatroidLabelledTree",
-    "two_separations",
     "canonical_tree_decomposition",
     "recompose",
     "trees_equivalent",
@@ -67,15 +66,6 @@ __all__ = [
     "Verdict",
     "classify_theta3",
 ]
-
-
-def two_separations(
-    M: BinaryMatroid, budget: Budget | None = None
-) -> list[tuple[frozenset[str], frozenset[str]]]:
-    """All exact 2-separations, smaller side first, in canonical order."""
-    seps = list(exact_two_separations(M, budget))
-    seps.sort(key=lambda p: (len(p[0]), sorted(p[0]), sorted(p[1])))
-    return seps
 
 
 # -- the tree -------------------------------------------------------------
@@ -138,16 +128,14 @@ def _split_vector(V: BinaryMatroid, X: frozenset[str], Y: frozenset[str]) -> int
 
 
 def canonical_tree_decomposition(
-    M: BinaryMatroid, *, order: str = "default", budget: Budget | None = None
+    M: BinaryMatroid, *, budget: Budget | None = None
 ) -> MatroidLabelledTree:
     """Split along exact 2-separations, then merge same-kind neighbors.
 
-    order chooses which separation each split takes ("default": first
-    found, "reverse": last in canonical order) so tests can confirm the
-    result is the same tree up to marker relabeling either way.
+    Each split takes the first exact 2-separation the search finds.  The
+    canonical tree does not depend on that choice (Cunningham and
+    Edmonds), so one build serves every reader of it.
     """
-    if order not in ("default", "reverse"):
-        raise ValueError(f"order must be 'default' or 'reverse', not {order!r}")
     if M.size < 1:
         raise ValueError("decomposition needs at least one element")
     if not is_connected(M):
@@ -176,11 +164,7 @@ def canonical_tree_decomposition(
         if kind != "ThreeConnected":
             kinds[v] = kind
             continue
-        if order == "default":
-            sep = next(exact_two_separations(V, budget), None)
-        else:
-            seps = two_separations(V, budget)
-            sep = seps[-1] if seps else None
+        sep = next(exact_two_separations(V, budget), None)
         if sep is None:
             kinds[v] = "ThreeConnected"
             continue
@@ -494,15 +478,13 @@ class Verdict:
     witness: ThetaGraph | str | None = None
 
 
-def _leaf_for_block(
-    V: BinaryMatroid, final: dict[str, str], budget: Budget | None
-) -> Leaf | None:
+def _leaf_for_block(V: BinaryMatroid, final: dict[str, str]) -> Leaf | None:
     """Recognize a tree block and wire its relabel map, or None."""
     mapping = circuit_mapping(V)
     if mapping is not None:
         kind, param = "C", V.size
     else:
-        mapping = complete_graph_mapping(V, budget)
+        mapping = complete_graph_mapping(V)
         if mapping is not None:
             kind, param = "MK", (1 + isqrt(1 + 8 * V.size)) // 2
         else:
@@ -521,13 +503,17 @@ def _leaf_for_block(
 
 
 def _component_term(
-    C: BinaryMatroid, budget: Budget | None
+    C: BinaryMatroid, budget: Budget | None, tree: MatroidLabelledTree | None
 ) -> tuple[Term | None, str | None]:
-    """Build the component's term, or return a structural objection."""
-    whole = _leaf_for_block(C, {lab: lab for lab in C.labels}, budget)
+    """Build the component's term, or return a structural objection.
+
+    tree, when given, is the canonical tree of C, so it is not rebuilt.
+    """
+    whole = _leaf_for_block(C, {lab: lab for lab in C.labels})
     if whole is not None:
         return whole, None
-    tree = canonical_tree_decomposition(C, budget=budget)
+    if tree is None:
+        tree = canonical_tree_decomposition(C, budget=budget)
     markers = tree.marker_labels
     real = [sorted(set(V.labels) - markers) for V in tree.vertices]
 
@@ -564,7 +550,7 @@ def _component_term(
         final = {lab: lab for lab in real[i]}
         for j, lab in adj[i]:
             final[lab] = base[j]
-        leaf = _leaf_for_block(V, final, budget)
+        leaf = _leaf_for_block(V, final)
         if leaf is None:
             return None, (
                 f"3-connected block on {real[i]} is neither a complete-graph "
@@ -591,12 +577,20 @@ def _component_term(
     return block_term(root, None), None
 
 
-def classify_theta3(M: BinaryMatroid, budget: Budget | None = None) -> Verdict:
+def classify_theta3(
+    M: BinaryMatroid,
+    budget: Budget | None = None,
+    *,
+    tree: MatroidLabelledTree | None = None,
+) -> Verdict:
     """Decide membership in the composable class and synthesize a recipe.
 
     InClass verdicts carry a BuildRecipe whose evaluate() reproduces M
     exactly.  NotInClass verdicts carry an incomplete theta subgraph
     when the budget allows the search, else the structural objection.
+    tree is an already built canonical_tree_decomposition(M); it is used
+    only when M is simple and connected, the one case where the tree of
+    M's single component is the tree of M.
     """
     loops = tuple(sorted(M.loops()))
     parallel: list[tuple[str, str]] = []
@@ -610,7 +604,7 @@ def classify_theta3(M: BinaryMatroid, budget: Budget | None = None) -> Verdict:
     terms = []
     for comp in sorted(connected_components(S), key=sorted):
         sub = restrict(S, comp)
-        term, objection = _component_term(sub, budget)
+        term, objection = _component_term(sub, budget, tree if sub == M else None)
         if term is None:
             try:
                 closed, wit = is_theta3_closed(sub, budget=budget)

@@ -26,6 +26,11 @@ from theta3.construct import (
 from theta3.matroid import BinaryMatroid, is_connected
 
 
+def reversed_elements(m: BinaryMatroid) -> BinaryMatroid:
+    """The same matroid with its elements listed last to first."""
+    return BinaryMatroid(m.labels[::-1], m.cols[::-1], m.dim)
+
+
 def _relabel_prefix(m: BinaryMatroid, prefix: str, keep: frozenset[str] = frozenset()):
     return m.relabel({lab: prefix + lab for lab in m.labels if lab not in keep})
 

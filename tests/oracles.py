@@ -270,3 +270,32 @@ def oracle_two_separations(M: BinaryMatroid) -> set[frozenset[frozenset[str]]]:
         if oracle_rank(M, X) + oracle_rank(M, Y) == r + 1:
             out.add(frozenset((X, Y)))
     return out
+
+
+def oracle_is_complete_graph(M: BinaryMatroid) -> bool:
+    """Some basis gives every column coordinates of weight <= 2.
+
+    Over a vertex star, M(K_n) is the C(n,2) distinct vectors of weight
+    1 or 2 in dimension n - 1, so M is some M(K_n) exactly when it is
+    simple with C(r+1, 2) elements and a basis B has every column in B
+    or equal to a sum of two members of B.  Those r + C(r, 2) vectors
+    are then all columns, so a partial basis with a pair sum outside the
+    column set is abandoned; every other r-subset is tried.
+    """
+    cols = list(M.cols)
+    present = set(cols)
+    r = oracle_rank(M)
+    if 0 in present or len(present) != len(cols) or len(cols) != r * (r + 1) // 2:
+        return False
+
+    def grow(chosen: list[int], start: int) -> bool:
+        if len(chosen) == r:
+            low = set(chosen) | {a ^ b for a, b in combinations(chosen, 2)}
+            return len(span_of(chosen)) == 1 << r and present <= low
+        return any(
+            grow(chosen + [c], i + 1)
+            for i, c in enumerate(cols[start:], start)
+            if all(c ^ b in present for b in chosen)
+        )
+
+    return grow([], 0)

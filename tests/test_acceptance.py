@@ -41,6 +41,7 @@ from theta3.matroid import (
     closure_flat,
     contract,
     delete,
+    exact_two_separations,
     is_3connected,
     restrict,
     simplify,
@@ -54,7 +55,7 @@ from theta3.theta import (
 )
 
 import oracles
-from corpus import CONNECTED_CORPUS, SMALL_CORPUS
+from corpus import CONNECTED_CORPUS, SMALL_CORPUS, reversed_elements
 
 
 # conftest's pytest_terminal_summary replays these at the end of the
@@ -411,6 +412,7 @@ def test_criterion_07_hereditary_and_composition_properties_hold():
 
 def test_criterion_08_decomposition_recomposes_and_is_well_formed():
     problems = []
+    split_differently = 0
     for name, m in CONNECTED_CORPUS:
         assert m.size <= 14, name
         tree = canonical_tree_decomposition(m)
@@ -438,10 +440,22 @@ def test_criterion_08_decomposition_recomposes_and_is_well_formed():
             ka, kb = tree.kinds[a], tree.kinds[b]
             if ka == kb and ka in ("Circuit", "Cocircuit"):
                 problems.append(f"{name}: adjacent same-kind vertices")
-        if not trees_equivalent(tree, canonical_tree_decomposition(m, order="reverse")):
-            problems.append(f"{name}: search orders disagree")
+        r = reversed_elements(m)
+        if not trees_equivalent(tree, canonical_tree_decomposition(r)):
+            problems.append(f"{name}: reversed element order changes the tree")
+        if frozenset(next(exact_two_separations(m), ())) != frozenset(
+            next(exact_two_separations(r), ())
+        ):
+            split_differently += 1
+    if not split_differently:
+        problems.append("reversal never changes the first 2-separation")
     ok = not problems
-    _report(8, ok, f"{len(CONNECTED_CORPUS)} connected matroids decomposed")
+    _report(
+        8,
+        ok,
+        f"{len(CONNECTED_CORPUS)} connected matroids decomposed, "
+        f"{split_differently} split differently when reversed",
+    )
     assert not problems, problems
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import theta3
-from theta3 import cli
+from theta3 import cli, decompose
 from theta3.construct import catalog_matroid
 from theta3.gf2 import bits_from_str
 
@@ -362,6 +362,24 @@ def test_decompose_has_no_order_flag(capsys):
     capsys.readouterr()
 
 
+def test_decompose_builds_one_tree(capsys, monkeypatch):
+    built = []
+    real = decompose.canonical_tree_decomposition
+
+    def counting(*args, **kwargs):
+        built.append(args[0].size)
+        return real(*args, **kwargs)
+
+    for module in (decompose, cli):
+        monkeypatch.setattr(module, "canonical_tree_decomposition", counting)
+    # simple and connected, but not one block: the classifier needs a tree
+    for key in ("THETA(1,2,2)", "M_K24"):
+        built.clear()
+        _, rep = run_cli(capsys, "decompose", key)
+        assert len(rep["tree"]["vertices"]) > 1, key
+        assert built == [rep["input"]["size"]], key
+
+
 def test_run_wrapper(capsys):
     assert cli.run("check", ["PG(2)"]) == 0
     capsys.readouterr()
@@ -396,12 +414,18 @@ def test_console_script_subprocess():
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 
 
-def test_reports_match_golden_file(capsys):
+def test_reports_match_golden_file(capsys, tmp_path, monkeypatch):
     # Each entry holds an argv, its exit code and its report minus
     # `timings`.  THETA(3,3,3) has 3-element arcs, so the pair-route
     # prepass misses it and the circuit-pair scan answers; the MSTAR_K5
     # closure takes the pair-route branch on its 25- and 52-element rounds.
+    # An entry with `input_file` reads that text from the file its argv
+    # names: p_c3_c3_doubled.txt is non-simple, so the classifier builds
+    # the tree of its simplification rather than reusing the report's.
+    monkeypatch.chdir(tmp_path)
     for entry in json.loads(GOLDEN.read_text()):
+        if "input_file" in entry:
+            Path(entry["argv"][1]).write_text(entry["input_file"], encoding="utf-8")
         code, rep = run_cli(capsys, *entry["argv"])
         rep.pop("timings")
         assert (code, rep) == (entry["exit"], entry["report"]), entry["argv"]

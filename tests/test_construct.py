@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from theta3.gf2 import DimensionError
+from theta3.gf2 import DimensionError, rank_bits
 from theta3.matroid import (
     BinaryMatroid,
     circuits,
@@ -321,6 +321,61 @@ def test_complete_graph_mapping_negatives():
         3,
     )
     assert complete_graph_mapping(five_of_k4) is None
+
+
+def _scrambled(rng: random.Random, m: BinaryMatroid) -> BinaryMatroid:
+    """m under a random change of basis, with its columns and labels shuffled."""
+    while True:
+        images = [rng.randrange(1, 1 << m.dim) for _ in range(m.dim)]
+        if rank_bits(images) == m.dim:
+            break
+    cols = []
+    for c in m.cols:
+        v = 0
+        for k in range(m.dim):
+            if c >> k & 1:
+                v ^= images[k]
+        cols.append(v)
+    labels = list(m.labels)
+    rng.shuffle(labels)
+    order = list(range(m.size))
+    rng.shuffle(order)
+    return BinaryMatroid(
+        tuple(labels[i] for i in order), tuple(cols[i] for i in order), m.dim
+    )
+
+
+def test_complete_graph_mapping_matches_the_oracle():
+    rng = random.Random(6)
+    cases = []
+    for n in (4, 5, 6):
+        points = list(range(1, 1 << (n - 1)))
+        while len(cases) < 30 * (n - 3):
+            cols = rng.sample(points, n * (n - 1) // 2)
+            if rank_bits(cols) == n - 1:
+                labels = tuple(f"p{c}" for c in cols)
+                cases.append(BinaryMatroid(labels, tuple(cols), n - 1))
+    for n in range(3, 9):
+        for _ in range(3):
+            image = _scrambled(rng, complete_graph_matroid(n))
+            cases.append(image)
+            # one column moved off M(K_n) while the rank stays n - 1
+            spare = [v for v in range(1, 1 << (n - 1)) if v not in image.colset]
+            if not spare:
+                continue
+            cols = list(image.cols)
+            cols[rng.randrange(len(cols))] = rng.choice(spare)
+            if rank_bits(cols) == n - 1:
+                cases.append(BinaryMatroid(image.labels, tuple(cols), n - 1))
+    members = 0
+    for m in cases:
+        mapping = complete_graph_mapping(m)
+        assert (mapping is not None) == oracles.oracle_is_complete_graph(m), m
+        if mapping is not None:
+            members += 1
+            rebuilt = complete_graph_matroid(m.rank + 1).relabel(mapping)
+            assert set(circuits(rebuilt)) == set(circuits(m)), m
+    assert 18 < members < len(cases)
 
 
 def test_is_complete_graph_reports_order():
