@@ -21,7 +21,7 @@ from theta3.construct import (
     theta_edges,
 )
 from theta3.decompose import classify_theta3
-from theta3.matroid import BinaryMatroid, circuits, direct_sum
+from theta3.matroid import BinaryMatroid, direct_sum, same_matroid
 
 
 def _gallery() -> list[tuple[str, BinaryMatroid]]:
@@ -51,7 +51,7 @@ def main() -> int:
         if verdict.in_class:
             rebuilt = verdict.recipe.evaluate()
             assert sorted(rebuilt.labels) == sorted(m.labels)
-            assert set(circuits(rebuilt)) == set(circuits(m))
+            assert same_matroid(rebuilt, m)
             notes = []
             if verdict.recipe.parallel:
                 pairs = ", ".join(f"{e}~{r}" for e, r in verdict.recipe.parallel)

@@ -31,10 +31,10 @@ from theta3.gf2 import MAX_DIM, DimensionError, bits_from_str, bits_to_str
 from theta3.matroid import (
     BinaryMatroid,
     UnknownLabelError,
-    circuits,
     connected_components,
     is_connected,
     restrict,
+    same_matroid,
 )
 from theta3.construct import (
     catalog_listing,
@@ -260,13 +260,11 @@ def _crossval_instance(sub: BinaryMatroid, budget) -> dict | None:
             "classified_in_class": verdict.in_class,
             "issue": "verdict disagreement",
         }
-    if verdict.in_class:
-        rebuilt = verdict.recipe.evaluate()
-        if set(circuits(rebuilt, budget)) != set(circuits(sub, budget)):
-            return {
-                "labels": sorted(sub.labels),
-                "issue": "recipe does not reproduce the circuit family",
-            }
+    if verdict.in_class and not same_matroid(sub, verdict.recipe.evaluate()):
+        return {
+            "labels": sorted(sub.labels),
+            "issue": "recipe does not reproduce the circuit family",
+        }
     return None
 
 

@@ -38,6 +38,7 @@ from theta3.gf2 import (
 __all__ = [
     "BinaryMatroid",
     "UnknownLabelError",
+    "same_matroid",
     "rank_of",
     "closure_flat",
     "circuits",
@@ -78,8 +79,8 @@ class BinaryMatroid:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, int]], dim: int) -> "BinaryMatroid":
-        labels, cols = zip(*pairs) if pairs else ((), ())
-        return cls(tuple(labels), tuple(cols), dim)
+        labels, cols = tuple(zip(*pairs)) or ((), ())
+        return cls(labels, cols, dim)
 
     # -- basic views ---------------------------------------------------
 
@@ -150,6 +151,20 @@ class BinaryMatroid:
 # -- rank, closure, circuits -------------------------------------------
 
 
+def same_matroid(M: BinaryMatroid, N: BinaryMatroid) -> bool:
+    """Whether M and N are the same matroid on the same labels.
+
+    A binary matroid is uniquely representable, and coordinates over the
+    greedy basis of one label order are its fundamental circuits, so
+    they decide equality whatever the two ambient spaces are.
+    """
+    if M.label_set != N.label_set:
+        return False
+    return greedy_coordinates(M.cols) == greedy_coordinates(
+        [N.col_of(lab) for lab in M.labels]
+    )
+
+
 def rank_of(M: BinaryMatroid, S: Iterable[str]) -> int:
     return rank_bits(M.cols[i] for i in M._positions(S))
 
@@ -163,7 +178,12 @@ def closure_flat(M: BinaryMatroid, S: Iterable[str]) -> frozenset[str]:
 
 
 def circuits(M: BinaryMatroid, budget: Budget | None = None) -> list[frozenset[str]]:
-    """All circuits, shortest first, then by sorted labels.
+    """All circuits, shortest first, then by sorted labels."""
+    return [frozenset(M.labels[j] for j in bits(c)) for c in _circuit_masks(M, budget)]
+
+
+def _circuit_masks(M: BinaryMatroid, budget: Budget | None = None) -> list[int]:
+    """All circuits as element-index masks, in the order of `circuits`.
 
     Loops are the singleton circuits and lie in no other, so they are
     listed directly and left out of the walk.  The running XOR over a
@@ -219,11 +239,14 @@ def circuits(M: BinaryMatroid, budget: Budget | None = None) -> list[frozenset[s
                     budget.check_time()
     if pending:
         budget.tick(pending)
-    labels = M.labels
+    # The k-th largest label, from k = 0, weighs 2^k: of two circuits of one
+    # size, the one whose first differing sorted label is smaller weighs more.
+    by_label = sorted(range(M.size), key=M.labels.__getitem__, reverse=True)
+    weight = {e: 1 << k for k, e in enumerate(by_label)}
     elements = basis + nonbasis  # bit i of a cycle stands for elements[i]
-    out = [frozenset([labels[e]]) for e in loops]
-    out += [frozenset(labels[elements[i]] for i in bits(y)) for y in found]
-    out.sort(key=lambda c: (len(c), sorted(c)))
+    out = [1 << e for e in loops]
+    out += [sum(1 << elements[i] for i in bits(y)) for y in found]
+    out.sort(key=lambda c: (c.bit_count(), -sum(weight[e] for e in bits(c))))
     return out
 
 

@@ -36,7 +36,7 @@ from typing import Iterable, Iterator
 from theta3.budget import Budget
 from theta3.construct import cycle_matroid, is_projective
 from theta3.gf2 import Echelon, bits, bits_to_str, rank_bits, zero_residues
-from theta3.matroid import BinaryMatroid, circuits, simplify
+from theta3.matroid import BinaryMatroid, _circuit_masks, simplify
 
 __all__ = [
     "ThetaGraph",
@@ -117,20 +117,12 @@ def _theta_scan(
     C1 u C2, minus 1, equals the number of columns that reduce to zero,
     so we want exactly one zero and can abort on the second.
     """
-    circs = circuits(M, budget)
-    if len(circs) < 2:
+    masks = _circuit_masks(M, budget)
+    if len(masks) < 2:
         return
     n = M.size
     cols = M.cols
-    index = M._index
     rank_cap = M.rank + 2  # |C1 u C2| can't exceed this at corank 2
-
-    masks = []
-    for c in circs:
-        m = 0
-        for lab in c:
-            m |= 1 << index[lab]
-        masks.append(m)
 
     base_ech: list[dict[int, int]] = []
     for m in masks:

@@ -170,6 +170,34 @@ def test_crossval_seeded_runs_repeat(capsys):
     assert rep1["checked"] == 8 + 6
 
 
+@pytest.mark.parametrize(
+    "recipe",
+    [
+        decompose.BuildRecipe(None, loops=("p1", "p2", "p3")),  # same labels, not a triangle
+        decompose.BuildRecipe(decompose.Leaf("C", 3)),  # a triangle on e1, e2, e3
+    ],
+)
+def test_crossval_flags_a_recipe_that_does_not_rebuild(capsys, monkeypatch, recipe):
+    real = cli.classify_theta3
+
+    def classify(M, budget=None):
+        if M.size == 3:  # the whole triangle PG(2)
+            return decompose.Verdict(True, recipe)
+        return real(M, budget=budget)
+
+    monkeypatch.setattr(cli, "classify_theta3", classify)
+    code, rep = run_cli(capsys, "crossval", "--exhaustive-rank", "2", "--samples", "0")
+    assert code == 1
+    assert rep["checked"] == 8
+    assert rep["mismatches"] == [
+        {
+            "labels": ["p1", "p2", "p3"],
+            "issue": "recipe does not reproduce the circuit family",
+            "kind": "exhaustive",
+        }
+    ]
+
+
 # -- file and graph input ---------------------------------------------------
 
 

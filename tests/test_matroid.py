@@ -65,6 +65,12 @@ def test_constructor_rejects_dim_beyond_max():
         BinaryMatroid(("a",), (1,), 17)
 
 
+def test_from_pairs_accepts_any_iterable():
+    assert BinaryMatroid.from_pairs(iter([]), 3) == BinaryMatroid((), (), 3)
+    pairs = iter([("a", 1), ("b", 3)])
+    assert BinaryMatroid.from_pairs(pairs, 2) == BinaryMatroid(("a", "b"), (1, 3), 2)
+
+
 def test_col_of_unknown_label():
     m = BinaryMatroid.from_pairs([("a", 1)], 1)
     with pytest.raises(UnknownLabelError):

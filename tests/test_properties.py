@@ -4,7 +4,10 @@ The generators favor degenerate inputs on purpose: zero columns,
 repeated columns, and dims above the actual rank all show up.
 """
 
-from hypothesis import example, given, settings, strategies as st
+from functools import reduce
+from operator import xor
+
+from hypothesis import assume, example, given, settings, strategies as st
 
 from theta3.decompose import DNode, Leaf, PNode, classify_theta3, parse_recipe, serialize_term
 from theta3.gf2 import Echelon, bits, greedy_coordinates, rank_bits
@@ -17,6 +20,7 @@ from theta3.matroid import (
     dual,
     exact_two_separations,
     restrict,
+    same_matroid,
     simplify,
 )
 from theta3.theta import is_theta3_closed, theta3_closure
@@ -100,8 +104,38 @@ def test_contract_and_delete_commute(m, data):
 @example(BinaryMatroid((), (), 3))  # empty
 @example(BinaryMatroid(("a", "b", "c"), (0, 0, 0), 2))  # all loops, rank 0
 @example(BinaryMatroid(("a", "b", "c"), (1, 2, 4), 3))  # free: no circuits
+@example(BinaryMatroid(("z", "y", "x", "w", "v"), (1, 2, 3, 4, 7), 3))  # labels out of order
 def test_circuits_match_the_oracle(m):
     assert circuits(m) == oracles.oracle_circuits(m)
+
+
+def test_same_matroid_agrees_with_circuit_families():
+    outcomes = set()
+
+    @settings(max_examples=150)
+    @given(matroids(max_dim=4, max_cols=7), st.data())
+    def agree(m, data):
+        # N: M under an injective linear map into dimension >= M's, its
+        # labels in a shuffled order, and sometimes one column replaced.
+        dim = data.draw(st.integers(m.dim, 6))
+        images = data.draw(
+            st.lists(st.integers(1, (1 << dim) - 1), min_size=m.dim, max_size=m.dim)
+        )
+        assume(rank_bits(images) == m.dim)
+        cols = [reduce(xor, (images[k] for k in bits(c)), 0) for c in m.cols]
+        if data.draw(st.booleans()):
+            i = data.draw(st.integers(0, m.size - 1))
+            cols[i] = data.draw(st.integers(0, (1 << dim) - 1))
+        order = data.draw(st.permutations(range(m.size)))
+        n = BinaryMatroid(
+            tuple(m.labels[i] for i in order), tuple(cols[i] for i in order), dim
+        )
+        same = set(oracles.oracle_circuits(m)) == set(oracles.oracle_circuits(n))
+        assert same_matroid(m, n) == same_matroid(n, m) == same
+        outcomes.add(same)
+
+    agree()
+    assert outcomes == {True, False}
 
 
 @settings(max_examples=50)
