@@ -248,7 +248,7 @@ def _cmd_build(args, budget, report) -> int:
 
 def _crossval_instance(sub: BinaryMatroid, budget) -> dict | None:
     """One agreement check; a dict describes the mismatch, None is agreement."""
-    closed = is_theta3_closed(sub, budget=budget)[0]
+    closed = is_theta3_closed(sub, use_shortcut=False, budget=budget)[0]
     try:
         verdict = classify_theta3(sub, budget=budget)
     except RuntimeError as exc:

@@ -9,9 +9,11 @@ Detection works through circuit pairs.  If C1 != C2 are circuits with
 C1 n C2 nonempty, the union always has corank >= 2, and corank exactly
 2 forces (C1-C2, C2-C1, C1 n C2) to be the arcs of a theta.  Conversely
 every theta arises this way from each of the three circuit pairs inside
-it, with the same arc partition, so deduplication by the arc triple
-recovers each theta exactly once.  The search layer passes thetas as
-int masks and builds label sets only for what it returns.
+it, and exactly one of those pairs shares the theta's smallest element,
+which is then the smallest element of both circuits.  Pairing only
+circuits with the same smallest element therefore finds each theta
+from one circuit pair, once.  The search layer passes thetas as int
+masks and builds label sets only for what it returns.
 
 Completeness reduces to a vector lookup: an element e completes T iff
 some arc is the singleton {e}, or col(e) equals the completing vector
@@ -107,53 +109,44 @@ def _theta(M: BinaryMatroid, arc_masks: Iterable[int], w: int) -> ThetaGraph:
 def _theta_scan(
     M: BinaryMatroid, budget: Budget | None = None
 ) -> Iterator[tuple[int, int, int, int]]:
-    """Yield (arc, arc, arc, completing vector) for every theta of M.
+    """Yield (arc, arc, arc, completing vector) for every theta of M, once each.
 
-    Arcs are element masks.  A theta comes out once per circuit pair
-    inside it, so up to three times.  Circuit pairs are scanned per
-    shared element, a pair being handled only at its smallest shared
-    element so it is tested once.  The corank test is incremental:
+    Arcs are element masks.  Circuits are bucketed by their smallest
+    element and only pairs within a bucket are tested, which finds each
+    theta from one circuit pair (see the module docstring).  Buckets
+    are visited in element order and keep circuit order.  A pair whose
+    symmetric difference is not a circuit is skipped: in a theta it is
+    the third circuit, the union of the two arcs outside C1 n C2.  The
+    pairs left are one per set of three circuits, each the symmetric
+    difference of the other two, so the number of corank tests does
+    not depend on the element order.  The corank test is incremental:
     columns of C2 - C1 reduce against the echelon of C1; the corank of
     C1 u C2, minus 1, equals the number of columns that reduce to zero,
     so we want exactly one zero and can abort on the second.
     """
-    masks = _circuit_masks(M, budget)
-    if len(masks) < 2:
-        return
-    n = M.size
     cols = M.cols
     rank_cap = M.rank + 2  # |C1 u C2| can't exceed this at corank 2
-
-    base_ech: list[dict[int, int]] = []
+    masks = _circuit_masks(M, budget)
+    circuits = set(masks)
+    buckets: list[list[int]] = [[] for _ in range(M.size)]
     for m in masks:
-        ech = Echelon()
-        for j in bits(m):
-            ech.insert(cols[j])
-        base_ech.append(ech.pivots)
+        buckets[(m & -m).bit_length() - 1].append(m)
 
-    buckets: list[list[int]] = [[] for _ in range(n)]
-    for ci, m in enumerate(masks):
-        for j in bits(m):
-            buckets[j].append(ci)
-
-    for e in range(n):
-        bucket = buckets[e]
-        ebit = 1 << e
-        for ii in range(len(bucket)):
-            mi = masks[bucket[ii]]
-            base = base_ech[bucket[ii]]
-            for jj in range(ii + 1, len(bucket)):
-                mj = masks[bucket[jj]]
-                inter = mi & mj
-                if inter & -inter != ebit:
-                    continue
-                union = mi | mj
-                if union.bit_count() > rank_cap:
+    for bucket in buckets:
+        for ii, mi in enumerate(bucket):
+            ech = Echelon()
+            for j in bits(mi):
+                ech.insert(cols[j])
+            for mj in bucket[ii + 1 :]:
+                if (mi | mj).bit_count() > rank_cap:
                     continue
                 if budget is not None:
                     budget.tick()
-                if zero_residues(cols, mj & ~mi, base) != 1:
+                if mi ^ mj not in circuits:
                     continue
+                if zero_residues(cols, mj & ~mi, ech.pivots) != 1:
+                    continue
+                inter = mi & mj
                 w = 0
                 for j in bits(inter):
                     w ^= cols[j]
@@ -161,11 +154,8 @@ def _theta_scan(
 
 
 def theta_graphs(M: BinaryMatroid, budget: Budget | None = None) -> list[ThetaGraph]:
-    """All theta restrictions of M, each arc triple exactly once."""
-    by_arcs: dict[tuple[int, ...], int] = {}
-    for *arcs, w in _theta_scan(M, budget):
-        by_arcs.setdefault(tuple(sorted(arcs)), w)
-    out = [_theta(M, arcs, w) for arcs, w in by_arcs.items()]
+    """All theta restrictions of M, sorted by their arcs."""
+    out = [_theta(M, arcs, w) for *arcs, w in _theta_scan(M, budget)]
     out.sort(key=lambda t: [_arc_key(a) for a in t.arcs])
     return out
 
@@ -239,7 +229,8 @@ def _pair_route_hits(
 def _arcs_by_target(
     M: BinaryMatroid, targets: list[int], budget: Budget | None
 ) -> dict[int, list[tuple[int, int]]]:
-    """For each target v, all independent sets summing to v, as (mask, size).
+    """For each target v, the independent sets summing to v that fit in a
+    theta as an arc, as (mask, size).
 
     One DFS over independent sets serves every target at once.  At a
     node S with running sum s, the element that would finish a v-sum
@@ -248,14 +239,17 @@ def _arcs_by_target(
     the same target again (the two extra elements would have to be
     equal), and an arc never contains a smaller arc for the same target
     (the difference would be a dependency inside an independent set),
-    so everything emitted is a genuine candidate arc.
+    so everything emitted is a genuine candidate arc.  A theta has
+    r(T) + 2 <= r + 2 elements, and only a target that is a column can
+    be a singleton arc, so arcs have at most r - 2 elements, or r - 1
+    when some target is a column.
 
     M must be simple: column values identify elements.
     """
     n = M.size
     cols = M.cols
     colpos = {c: i for i, c in enumerate(cols)}
-    r = M.rank
+    longest = M.rank - 1 if any(v in colpos for v in targets) else M.rank - 2
     found: dict[int, set[tuple[int, int]]] = {v: set() for v in targets}
     ech = Echelon()
 
@@ -270,7 +264,7 @@ def _arcs_by_target(
         if budget is not None:
             budget.tick()
         visit(smask, ssize, s)
-        if ssize + 1 >= r:
+        if ssize + 2 > longest:
             return
         for i in range(start, n):
             piv = ech.insert(cols[i])

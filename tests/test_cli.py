@@ -170,6 +170,23 @@ def test_crossval_seeded_runs_repeat(capsys):
     assert rep1["checked"] == 8 + 6
 
 
+def test_crossval_compares_with_the_direct_scan(capsys, monkeypatch):
+    # The projective shortcut is the classifier's PG leaf in another
+    # form, so the side crossval checks against must not take it.
+    shortcuts = []
+    real = cli.is_theta3_closed
+
+    def closed(M, **kwargs):
+        shortcuts.append(kwargs.get("use_shortcut", True))
+        return real(M, **kwargs)
+
+    monkeypatch.setattr(cli, "is_theta3_closed", closed)
+    code, rep = run_cli(capsys, "crossval", "--exhaustive-rank", "3", "--samples", "4")
+    assert code == 0
+    assert len(shortcuts) == rep["checked"] == 128 + 4
+    assert not any(shortcuts)
+
+
 @pytest.mark.parametrize(
     "recipe",
     [

@@ -6,11 +6,12 @@ repeated columns, and dims above the actual rank all show up.
 
 from functools import reduce
 from operator import xor
+from unittest import mock
 
 from hypothesis import assume, example, given, settings, strategies as st
 
 from theta3.decompose import DNode, Leaf, PNode, classify_theta3, parse_recipe, serialize_term
-from theta3.gf2 import Echelon, bits, greedy_coordinates, rank_bits
+from theta3.gf2 import Echelon, bits, greedy_coordinates, rank_bits, zero_residues
 from theta3.construct import projective_geometry
 from theta3.matroid import (
     BinaryMatroid,
@@ -23,7 +24,14 @@ from theta3.matroid import (
     same_matroid,
     simplify,
 )
-from theta3.theta import is_theta3_closed, theta3_closure
+from theta3.theta import (
+    _arcs_by_target,
+    _missing_vectors,
+    _theta_from_arcs,
+    _theta_scan,
+    is_theta3_closed,
+    theta3_closure,
+)
 
 import oracles
 
@@ -143,6 +151,63 @@ def test_same_matroid_agrees_with_circuit_families():
 def test_exact_two_separations_match_the_oracle(m):
     got = {frozenset(pair) for pair in exact_two_separations(m)}
     assert got == oracles.oracle_two_separations(m)
+
+
+@st.composite
+def simple_matroids(draw, min_rank=4, max_dim=6, max_cols=11):
+    dim = draw(st.integers(min_rank, max_dim))
+    cols = draw(
+        st.lists(
+            st.integers(1, (1 << dim) - 1),
+            min_size=min_rank,
+            max_size=max_cols,
+            unique=True,
+        ).filter(lambda cs: rank_bits(cs) >= min_rank)
+    )
+    return BinaryMatroid(tuple(f"g{i}" for i in range(len(cols))), tuple(cols), dim)
+
+
+@settings(max_examples=150)
+@given(matroids(max_dim=4, max_cols=9))
+@example(BinaryMatroid(tuple("abcdefgh"), (0, 1, 1, 2, 3, 4, 5, 6), 3))  # loop, copies
+def test_theta_scan_yields_each_theta_once(m):
+    labels = m.labels
+    got = [
+        (frozenset(frozenset(labels[j] for j in bits(a)) for a in arcs), w)
+        for *arcs, w in _theta_scan(m)
+    ]
+    assert len(got) == len(set(got))
+    assert set(got) == oracles.oracle_theta_graphs(m)
+
+
+@settings(max_examples=100)
+@given(matroids(max_dim=4, max_cols=9), st.data())
+def test_theta_scan_rank_tests_do_not_depend_on_element_order(m, data):
+    order = data.draw(st.permutations(range(m.size)))
+    shuffled = BinaryMatroid(
+        tuple(m.labels[i] for i in order), tuple(m.cols[i] for i in order), m.dim
+    )
+    counts = []
+    for mm in (m, shuffled):
+        with mock.patch("theta3.theta.zero_residues", wraps=zero_residues) as rank_test:
+            found = sum(1 for _ in _theta_scan(mm))
+        counts.append((rank_test.call_count, found))
+    assert counts[0] == counts[1]
+
+
+@settings(max_examples=40)
+@given(simple_matroids())
+def test_arc_search_finds_a_theta_for_every_completing_vector(m):
+    # A missing vector v completes a theta exactly when v is that theta's
+    # completing vector, and the theta is then incomplete.  A column
+    # target also admits a singleton arc, which lengthens the others.
+    completing = {w for _, _, w in oracles.oracle_theta_subsets(m)}
+    for v in _missing_vectors(m) + sorted(m.colset):
+        hit = _theta_from_arcs(m, v, _arcs_by_target(m, [v], None)[v], None)
+        assert (hit is not None) == (v in completing), v
+        if hit is not None:
+            assert hit.completing == v
+            oracles.oracle_validate_theta(m, hit.arcs)
 
 
 @settings(max_examples=40)

@@ -16,6 +16,7 @@ from theta3.construct import (
     projective_geometry,
     theta_edges,
 )
+from theta3.gf2 import bits_from_str
 from theta3.matroid import BinaryMatroid, simplify
 from theta3.theta import (
     find_theta_completed_by,
@@ -184,6 +185,20 @@ def test_closure_matches_oracle_fixed_point_and_rounds():
         assert final.colset == ofinal.colset, name
         got_rounds = [sorted(r.added_vectors) for r in trace.rounds]
         assert got_rounds == orounds, name
+
+
+def test_closure_arc_search_stays_within_a_node_budget():
+    # The last round certifies the fixed point through the arc search,
+    # which must not grow sets past the longest arc a theta can have.
+    cols = "110101 000011 111110 111000 010100 100001 101000 011011 111100 001100"
+    m = BinaryMatroid(
+        tuple(f"q{i}" for i in range(10)),
+        tuple(bits_from_str(c) for c in cols.split()),
+        6,
+    )
+    final, trace = theta3_closure(m, budget=Budget(max_nodes=50_000))
+    assert final.size == 19 and trace.rounds
+    assert is_theta3_closed(final, use_shortcut=False)[0]
 
 
 def test_closure_trace_bookkeeping():
