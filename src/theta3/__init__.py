@@ -9,7 +9,9 @@ The package answers four questions about a binary matroid M:
   3-connected pieces? (`decompose.canonical_tree_decomposition`)
 * does M belong to the class generated by circuits, cycle matroids of
   complete graphs and binary projective geometries under direct sums and
-  parallel connections, and if so by which recipe? (`decompose.classify_theta3`)
+  parallel connections, and if so by which recipe? (`decompose.classify_theta3`
+  reads it off the decomposition tree; `construct.certificate` finds one
+  by cut points, which is what proves `check`'s large closed verdicts)
 
 Matroids are always given by a binary representation: one integer per
 element, bit i encoding row i+1 of the column.  See `theta3.matroid`.

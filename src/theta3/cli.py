@@ -3,11 +3,12 @@
 Six subcommands: check (theta-closedness verdict with witness), closure
 (fixed point plus per-round trace), decompose (canonical tree plus class
 verdict), build (evaluate a recipe term), crossval (agreement sweep of
-the classifier against the direct decision procedure), catalog (named
-matroids).  Every command prints one JSON report to stdout and exits
-0 for success/true verdicts, 1 for false verdicts, 2 for errors, 3 when
-a --max-subsets/--max-seconds budget ran out before an answer, and 4
-for an internal error (the traceback goes to stderr).
+the classifier and the recipe certificate against the direct decision
+procedure), catalog (named matroids).  Every command prints one JSON
+report to stdout and exits 0 for success/true verdicts, 1 for false
+verdicts, 2 for errors, 3 when a --max-subsets/--max-seconds budget ran
+out before an answer, and 4 for an internal error (the traceback goes
+to stderr).
 
 Input resolution: an input argument is tried as a catalog key first
 (F7, MK(5), PG(3), ...), then as a file path.  Files hold `dim d` on
@@ -37,11 +38,16 @@ from theta3.matroid import (
     same_matroid,
 )
 from theta3.construct import (
+    BuildRecipe,
     catalog_listing,
     catalog_matroid,
+    certificate,
     cycle_matroid,
+    evaluate_term,
     is_projective,
+    parse_recipe,
     projective_geometry,
+    serialize_term,
 )
 from theta3.theta import (
     ClosureTrace,
@@ -52,12 +58,8 @@ from theta3.theta import (
 )
 from theta3.decompose import (
     MatroidLabelledTree,
-    BuildRecipe,
     canonical_tree_decomposition,
     classify_theta3,
-    evaluate_term,
-    parse_recipe,
-    serialize_term,
 )
 
 __all__ = ["parse_matroid", "parse_graph", "run", "main"]
@@ -265,6 +267,14 @@ def _crossval_instance(sub: BinaryMatroid, budget) -> dict | None:
             "labels": sorted(sub.labels),
             "issue": "recipe does not reproduce the circuit family",
         }
+    certified = certificate(sub, budget) is not None
+    if certified != closed:
+        return {
+            "labels": sorted(sub.labels),
+            "closed": closed,
+            "certified": certified,
+            "issue": "certificate disagreement",
+        }
     return None
 
 
@@ -338,7 +348,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument(
         "--no-shortcut",
         action="store_true",
-        help="disable the full-projective shortcut (forces direct enumeration)",
+        help="disables the projective shortcut and the recipe certificate "
+        "(forces direct enumeration)",
     )
 
     c = sub.add_parser("closure", parents=[common], help="compute the closure")

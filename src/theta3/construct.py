@@ -1,4 +1,5 @@
-"""Constructors, composition (parallel connection, 2-sum), recognizers.
+"""Constructors, composition (parallel connection, 2-sum), recognizers,
+build recipes and the recipe certificate.
 
 The building blocks here are the three block families the rest of the
 package keeps meeting: circuits U_{n-1,n}, cycle matroids of complete
@@ -16,20 +17,32 @@ convention for that degenerate case is a direct sum with the basepoint
 contracted on the other side.  Coloop basepoints need no special case:
 after the change of basis the rest of that side avoids row 1 entirely,
 so the construction degenerates to the right direct sum by itself.
+
+A build recipe is a term over the three block families with direct
+sums (D) and parallel connections (P), plus the loops and parallel
+copies to add back.  certificate() finds one for a theta-closed matroid
+by splitting at cut points, and returns it only once it has checked
+that the recipe rebuilds the matroid.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from math import isqrt
 
+from theta3.budget import Budget
 from theta3.gf2 import MAX_DIM, DimensionError, greedy_coordinates
 from theta3.matroid import (
     BinaryMatroid,
+    connected_components,
     contract,
     delete,
     direct_sum,
     dual,
+    restrict,
+    same_matroid,
+    simplify,
 )
 
 __all__ = [
@@ -46,6 +59,16 @@ __all__ = [
     "circuit_mapping",
     "complete_graph_mapping",
     "projective_mapping",
+    "Leaf",
+    "PNode",
+    "DNode",
+    "BuildRecipe",
+    "serialize_term",
+    "parse_recipe",
+    "evaluate_term",
+    "loops_and_copies",
+    "block_leaf",
+    "certificate",
     "catalog_matroid",
     "catalog_listing",
     "complete_graph_edges",
@@ -317,6 +340,298 @@ def is_complete_graph(M: BinaryMatroid) -> tuple[bool, int | None]:
         return False, None
     n = (1 + isqrt(1 + 8 * M.size)) // 2
     return True, n
+
+
+# -- build recipes --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Leaf:
+    """One block: kind "C" (circuit), "MK", or "PG" with its size parameter.
+
+    relabel maps the constructor's labels onto the final ones; identity
+    entries are omitted.
+    """
+
+    kind: str
+    param: int
+    relabel: tuple[tuple[str, str], ...] = ()
+
+
+@dataclass(frozen=True)
+class PNode:
+    left: "Leaf | PNode | DNode"
+    right: "Leaf | PNode | DNode"
+    base_left: str
+    base_right: str
+
+
+@dataclass(frozen=True)
+class DNode:
+    parts: tuple["Leaf | PNode | DNode", ...]
+
+
+Term = Leaf | PNode | DNode
+
+
+def serialize_term(t: Term) -> str:
+    if isinstance(t, Leaf):
+        return f"{t.kind}({t.param})"
+    if isinstance(t, PNode):
+        base = (
+            t.base_left
+            if t.base_left == t.base_right
+            else f"{t.base_left},{t.base_right}"
+        )
+        return f"P({serialize_term(t.left)}, {serialize_term(t.right)}; base={base})"
+    return "D(" + ", ".join(serialize_term(p) for p in t.parts) + ")"
+
+
+def evaluate_term(t: Term) -> BinaryMatroid:
+    if isinstance(t, Leaf):
+        maker = {
+            "C": circuit_matroid,
+            "MK": complete_graph_matroid,
+            "PG": projective_geometry,
+        }.get(t.kind)
+        if maker is None:
+            raise ValueError(f"unknown leaf kind {t.kind!r}")
+        m = maker(t.param)
+        return m.relabel(dict(t.relabel)) if t.relabel else m
+    if isinstance(t, PNode):
+        return parallel_connection(
+            evaluate_term(t.left), evaluate_term(t.right), t.base_left, t.base_right
+        )
+    out = evaluate_term(t.parts[0])
+    for p in t.parts[1:]:
+        out = direct_sum(out, evaluate_term(p))
+    return out
+
+
+_TOKEN = re.compile(r"[(),;=]|[^\s(),;=]+")
+
+# Deepest P/D nesting parse_recipe accepts.  Leaves carry fixed
+# constructor labels, so a term that builds nests only a few levels;
+# the cap turns absurd depths into a parse error, not a RecursionError.
+MAX_RECIPE_DEPTH = 64
+
+
+def parse_recipe(text: str) -> Term:
+    """Parse term text like P(MK(4), C(3); base=1-2).
+
+    The grammar carries no relabel maps, so a parsed term builds with
+    the constructors' own labels.
+    """
+    toks = _TOKEN.findall(text)
+    pos = 0
+
+    def take(expected: str | None = None) -> str:
+        nonlocal pos
+        if pos >= len(toks):
+            raise ValueError("unexpected end of recipe")
+        t = toks[pos]
+        pos += 1
+        if expected is not None and t != expected:
+            raise ValueError(f"expected {expected!r}, got {t!r}")
+        return t
+
+    def peek() -> str | None:
+        return toks[pos] if pos < len(toks) else None
+
+    def term(depth: int) -> Term:
+        if depth > MAX_RECIPE_DEPTH:
+            raise ValueError(f"recipe nests deeper than {MAX_RECIPE_DEPTH} levels")
+        head = take()
+        if head in ("C", "MK", "PG"):
+            take("(")
+            num = take()
+            if not num.isdigit():
+                raise ValueError(f"{head} needs an integer parameter, got {num!r}")
+            take(")")
+            return Leaf(head, int(num))
+        if head == "P":
+            take("(")
+            left = term(depth + 1)
+            take(",")
+            right = term(depth + 1)
+            take(";")
+            if take() != "base":
+                raise ValueError("P needs a base= clause")
+            take("=")
+            bl = take()
+            br = bl
+            if peek() == ",":
+                take(",")
+                br = take()
+            take(")")
+            return PNode(left, right, bl, br)
+        if head == "D":
+            take("(")
+            parts = [term(depth + 1)]
+            while peek() == ",":
+                take(",")
+                parts.append(term(depth + 1))
+            take(")")
+            if len(parts) < 2:
+                raise ValueError("D needs at least two parts")
+            return DNode(tuple(parts))
+        raise ValueError(f"unknown recipe head {head!r}")
+
+    out = term(0)
+    if pos != len(toks):
+        raise ValueError(f"trailing recipe tokens: {toks[pos:]}")
+    return out
+
+
+@dataclass(frozen=True)
+class BuildRecipe:
+    """Term tree plus loop and parallel annotations.
+
+    evaluate() reproduces the classified matroid exactly, circuits and
+    labels included.  serialize() prints only the term shape; the label
+    maps live on the Leaf objects.
+    """
+
+    term: Term | None
+    loops: tuple[str, ...] = ()
+    parallel: tuple[tuple[str, str], ...] = ()
+
+    def serialize(self) -> str:
+        return serialize_term(self.term) if self.term is not None else "EMPTY"
+
+    def evaluate(self) -> BinaryMatroid:
+        m = (
+            evaluate_term(self.term)
+            if self.term is not None
+            else BinaryMatroid((), (), 0)
+        )
+        for extra, rep in self.parallel:
+            m = m.extend(extra, m.col_of(rep))
+        for lab in self.loops:
+            m = m.extend(lab, 0)
+        return m
+
+
+def loops_and_copies(
+    M: BinaryMatroid,
+) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
+    """M's loops, and each parallel copy paired with its class's smallest
+    label: the annotations that rebuild M from its simplification."""
+    loops = tuple(sorted(M.loops()))
+    copies: list[tuple[str, str]] = []
+    for cls in M.parallel_classes():
+        if len(cls) > 1:
+            rep = min(cls)
+            copies.extend((other, rep) for other in sorted(cls - {rep}))
+    return loops, tuple(copies)
+
+
+def block_leaf(V: BinaryMatroid, final: dict[str, str]) -> Leaf | None:
+    """V as a circuit, M(K_n) or PG block whose labels end up as final[...], or None."""
+    mapping = circuit_mapping(V)
+    if mapping is not None:
+        kind, param = "C", V.size
+    else:
+        mapping = complete_graph_mapping(V)
+        if mapping is not None:
+            kind, param = "MK", (1 + isqrt(1 + 8 * V.size)) // 2
+        else:
+            mapping = projective_mapping(V)
+            if mapping is None:
+                return None
+            kind, param = "PG", V.rank
+    relabel = tuple(
+        sorted(
+            (cons, final[orig])
+            for cons, orig in mapping.items()
+            if cons != final[orig]
+        )
+    )
+    return Leaf(kind, param, relabel)
+
+
+# -- recipe certificate ---------------------------------------------------
+
+
+def certificate(M: BinaryMatroid, budget: Budget | None = None) -> BuildRecipe | None:
+    """A recipe that rebuilds M from circuit, M(K_n) and PG blocks, or None.
+
+    A binary matroid is theta-closed exactly when such a recipe exists,
+    so a returned recipe proves M closed.  It is returned only after it
+    has been evaluated and found to be M (same_matroid), so the proof
+    never rests on the search below being right.  None proves nothing.
+
+    Each connected component S of the simplification is a block, or is
+    cut at the first element p whose contraction disconnects it.  With
+    S/p split into K_1..K_t, the spans of the pieces S|(K_i u p) meet
+    only in <p>, so S is their parallel connection at p.  If S is
+    closed, so is every piece: a theta inside one piece is completed by
+    a column of that piece's span, and the only element of another
+    piece there is p.  So any cut point serves, and a piece that is not
+    certified ends the search.  Each p tried costs one pass over the
+    coordinates of S (one greedy coordinatization serves every p) and
+    one budget node.
+    """
+    loops, copies = loops_and_copies(M)
+    S = simplify(M)
+    terms = []
+    for comp in sorted(connected_components(S), key=sorted):
+        term = _cut_point_term(restrict(S, comp), budget)
+        if term is None:
+            return None
+        terms.append(term)
+    if not terms:
+        whole = None
+    else:
+        whole = terms[0] if len(terms) == 1 else DNode(tuple(terms))
+    recipe = BuildRecipe(whole, loops, copies)
+    return recipe if same_matroid(M, recipe.evaluate()) else None
+
+
+def _cut_point_term(S: BinaryMatroid, budget: Budget | None) -> Term | None:
+    """The term of a simple connected S, split at cut points; None if none fits."""
+    leaf = block_leaf(S, {lab: lab for lab in S.labels})
+    if leaf is not None:
+        return leaf
+    coords, _ = greedy_coordinates(S.cols)
+    for p, cp in enumerate(coords):
+        if budget is not None:
+            budget.tick()
+        # Swap p into the basis for its lowest coordinate and drop that
+        # coordinate: what is left are the coordinates of S/p.
+        low = cp & -cp
+        quotient = [c ^ cp if c & low else c for c in coords]
+        classes = _coordinate_classes(quotient)
+        if len(classes) < 2:
+            continue
+        base = S.labels[p]
+        term: Term | None = None
+        for cls in classes:
+            labels = [lab for lab, c in zip(S.labels, quotient) if c & cls]
+            part = _cut_point_term(restrict(S, labels + [base]), budget)
+            if part is None:
+                return None
+            term = part if term is None else PNode(term, part, base, base)
+        return term
+    return None
+
+
+def _coordinate_classes(vectors: list[int]) -> list[int]:
+    """Coordinate masks of the connected components, given coordinates
+    over a basis: two coordinates are joined when one vector uses both."""
+    classes: list[int] = []
+    for v in vectors:
+        if not v:
+            continue
+        rest = []
+        for m in classes:
+            if m & v:
+                v |= m
+            else:
+                rest.append(m)
+        rest.append(v)
+        classes = rest
+    return classes
 
 
 # -- named catalog -------------------------------------------------------

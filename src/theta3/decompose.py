@@ -21,16 +21,13 @@ produced as the concrete witness whenever the search budget allows.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from math import isqrt
 
 from theta3.budget import Budget, BudgetExceededError
 from theta3.gf2 import Echelon, bits
 from theta3.matroid import (
     BinaryMatroid,
     connected_components,
-    direct_sum,
     exact_two_separations,
     is_connected,
     restrict,
@@ -38,15 +35,15 @@ from theta3.matroid import (
     union_find_roots,
 )
 from theta3.construct import (
-    circuit_matroid,
-    circuit_mapping,
-    complete_graph_mapping,
-    complete_graph_matroid,
+    BuildRecipe,
+    DNode,
+    Leaf,
+    PNode,
+    Term,
+    block_leaf,
     is_circuit,
     is_cocircuit,
-    parallel_connection,
-    projective_geometry,
-    projective_mapping,
+    loops_and_copies,
     two_sum,
 )
 from theta3.theta import ThetaGraph, is_theta3_closed
@@ -56,13 +53,6 @@ __all__ = [
     "canonical_tree_decomposition",
     "recompose",
     "trees_equivalent",
-    "Leaf",
-    "PNode",
-    "DNode",
-    "BuildRecipe",
-    "serialize_term",
-    "parse_recipe",
-    "evaluate_term",
     "Verdict",
     "classify_theta3",
 ]
@@ -298,176 +288,6 @@ def trees_equivalent(T1: MatroidLabelledTree, T2: MatroidLabelledTree) -> bool:
     return sorted(colors[:n1]) == sorted(colors[n1:])
 
 
-# -- build recipes --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Leaf:
-    """One block: kind "C" (circuit), "MK", or "PG" with its size parameter.
-
-    relabel maps the constructor's labels onto the final ones; identity
-    entries are omitted.
-    """
-
-    kind: str
-    param: int
-    relabel: tuple[tuple[str, str], ...] = ()
-
-
-@dataclass(frozen=True)
-class PNode:
-    left: "Leaf | PNode | DNode"
-    right: "Leaf | PNode | DNode"
-    base_left: str
-    base_right: str
-
-
-@dataclass(frozen=True)
-class DNode:
-    parts: tuple["Leaf | PNode | DNode", ...]
-
-
-Term = Leaf | PNode | DNode
-
-
-def serialize_term(t: Term) -> str:
-    if isinstance(t, Leaf):
-        return f"{t.kind}({t.param})"
-    if isinstance(t, PNode):
-        base = (
-            t.base_left
-            if t.base_left == t.base_right
-            else f"{t.base_left},{t.base_right}"
-        )
-        return f"P({serialize_term(t.left)}, {serialize_term(t.right)}; base={base})"
-    return "D(" + ", ".join(serialize_term(p) for p in t.parts) + ")"
-
-
-def evaluate_term(t: Term) -> BinaryMatroid:
-    if isinstance(t, Leaf):
-        maker = {
-            "C": circuit_matroid,
-            "MK": complete_graph_matroid,
-            "PG": projective_geometry,
-        }.get(t.kind)
-        if maker is None:
-            raise ValueError(f"unknown leaf kind {t.kind!r}")
-        m = maker(t.param)
-        return m.relabel(dict(t.relabel)) if t.relabel else m
-    if isinstance(t, PNode):
-        return parallel_connection(
-            evaluate_term(t.left), evaluate_term(t.right), t.base_left, t.base_right
-        )
-    out = evaluate_term(t.parts[0])
-    for p in t.parts[1:]:
-        out = direct_sum(out, evaluate_term(p))
-    return out
-
-
-_TOKEN = re.compile(r"[(),;=]|[^\s(),;=]+")
-
-# Deepest P/D nesting parse_recipe accepts.  Leaves carry fixed
-# constructor labels, so a term that builds nests only a few levels;
-# the cap turns absurd depths into a parse error, not a RecursionError.
-MAX_RECIPE_DEPTH = 64
-
-
-def parse_recipe(text: str) -> Term:
-    """Parse term text like P(MK(4), C(3); base=1-2).
-
-    The grammar carries no relabel maps, so a parsed term builds with
-    the constructors' own labels.
-    """
-    toks = _TOKEN.findall(text)
-    pos = 0
-
-    def take(expected: str | None = None) -> str:
-        nonlocal pos
-        if pos >= len(toks):
-            raise ValueError("unexpected end of recipe")
-        t = toks[pos]
-        pos += 1
-        if expected is not None and t != expected:
-            raise ValueError(f"expected {expected!r}, got {t!r}")
-        return t
-
-    def peek() -> str | None:
-        return toks[pos] if pos < len(toks) else None
-
-    def term(depth: int) -> Term:
-        if depth > MAX_RECIPE_DEPTH:
-            raise ValueError(f"recipe nests deeper than {MAX_RECIPE_DEPTH} levels")
-        head = take()
-        if head in ("C", "MK", "PG"):
-            take("(")
-            num = take()
-            if not num.isdigit():
-                raise ValueError(f"{head} needs an integer parameter, got {num!r}")
-            take(")")
-            return Leaf(head, int(num))
-        if head == "P":
-            take("(")
-            left = term(depth + 1)
-            take(",")
-            right = term(depth + 1)
-            take(";")
-            if take() != "base":
-                raise ValueError("P needs a base= clause")
-            take("=")
-            bl = take()
-            br = bl
-            if peek() == ",":
-                take(",")
-                br = take()
-            take(")")
-            return PNode(left, right, bl, br)
-        if head == "D":
-            take("(")
-            parts = [term(depth + 1)]
-            while peek() == ",":
-                take(",")
-                parts.append(term(depth + 1))
-            take(")")
-            if len(parts) < 2:
-                raise ValueError("D needs at least two parts")
-            return DNode(tuple(parts))
-        raise ValueError(f"unknown recipe head {head!r}")
-
-    out = term(0)
-    if pos != len(toks):
-        raise ValueError(f"trailing recipe tokens: {toks[pos:]}")
-    return out
-
-
-@dataclass(frozen=True)
-class BuildRecipe:
-    """Term tree plus loop and parallel annotations.
-
-    evaluate() reproduces the classified matroid exactly, circuits and
-    labels included.  serialize() prints only the term shape; the label
-    maps live on the Leaf objects.
-    """
-
-    term: Term | None
-    loops: tuple[str, ...] = ()
-    parallel: tuple[tuple[str, str], ...] = ()
-
-    def serialize(self) -> str:
-        return serialize_term(self.term) if self.term is not None else "EMPTY"
-
-    def evaluate(self) -> BinaryMatroid:
-        m = (
-            evaluate_term(self.term)
-            if self.term is not None
-            else BinaryMatroid((), (), 0)
-        )
-        for extra, rep in self.parallel:
-            m = m.extend(extra, m.col_of(rep))
-        for lab in self.loops:
-            m = m.extend(lab, 0)
-        return m
-
-
 # -- classification -------------------------------------------------------
 
 
@@ -478,30 +298,6 @@ class Verdict:
     witness: ThetaGraph | str | None = None
 
 
-def _leaf_for_block(V: BinaryMatroid, final: dict[str, str]) -> Leaf | None:
-    """Recognize a tree block and wire its relabel map, or None."""
-    mapping = circuit_mapping(V)
-    if mapping is not None:
-        kind, param = "C", V.size
-    else:
-        mapping = complete_graph_mapping(V)
-        if mapping is not None:
-            kind, param = "MK", (1 + isqrt(1 + 8 * V.size)) // 2
-        else:
-            mapping = projective_mapping(V)
-            if mapping is None:
-                return None
-            kind, param = "PG", V.rank
-    relabel = tuple(
-        sorted(
-            (cons, final[orig])
-            for cons, orig in mapping.items()
-            if cons != final[orig]
-        )
-    )
-    return Leaf(kind, param, relabel)
-
-
 def _component_term(
     C: BinaryMatroid, budget: Budget | None, tree: MatroidLabelledTree | None
 ) -> tuple[Term | None, str | None]:
@@ -509,7 +305,7 @@ def _component_term(
 
     tree, when given, is the canonical tree of C, so it is not rebuilt.
     """
-    whole = _leaf_for_block(C, {lab: lab for lab in C.labels})
+    whole = block_leaf(C, {lab: lab for lab in C.labels})
     if whole is not None:
         return whole, None
     if tree is None:
@@ -550,7 +346,7 @@ def _component_term(
         final = {lab: lab for lab in real[i]}
         for j, lab in adj[i]:
             final[lab] = base[j]
-        leaf = _leaf_for_block(V, final)
+        leaf = block_leaf(V, final)
         if leaf is None:
             return None, (
                 f"3-connected block on {real[i]} is neither a complete-graph "
@@ -592,22 +388,17 @@ def classify_theta3(
     only when M is simple and connected, the one case where the tree of
     M's single component is the tree of M.
     """
-    loops = tuple(sorted(M.loops()))
-    parallel: list[tuple[str, str]] = []
-    for cls in M.parallel_classes():
-        if len(cls) > 1:
-            rep = min(cls)
-            parallel.extend((other, rep) for other in sorted(cls - {rep}))
+    loops, copies = loops_and_copies(M)
     S = simplify(M)
     if S.size == 0:
-        return Verdict(True, BuildRecipe(None, loops, tuple(parallel)))
+        return Verdict(True, BuildRecipe(None, loops, copies))
     terms = []
     for comp in sorted(connected_components(S), key=sorted):
         sub = restrict(S, comp)
         term, objection = _component_term(sub, budget, tree if sub == M else None)
         if term is None:
             try:
-                closed, wit = is_theta3_closed(sub, budget=budget)
+                closed, wit = is_theta3_closed(sub, use_shortcut=False, budget=budget)
             except BudgetExceededError:
                 return Verdict(False, None, objection)
             if closed:
@@ -618,4 +409,4 @@ def classify_theta3(
             return Verdict(False, None, wit)
         terms.append(term)
     term = terms[0] if len(terms) == 1 else DNode(tuple(terms))
-    return Verdict(True, BuildRecipe(term, loops, tuple(parallel)))
+    return Verdict(True, BuildRecipe(term, loops, copies))

@@ -27,6 +27,13 @@ optional: in M(K4) the three disjoint pairs {e1, e2+e3}, {e2, e1+e3},
 {e3, e1+e2} all sum to e1+e2+e3 and all pairwise unions are circuits,
 yet the six columns have corank 3 and form no theta (adding the vector
 would wrongly turn M(K4) into F7).
+
+Closedness also has a proof that lists no theta.  By the paper's
+theorem a binary matroid is theta-closed exactly when it is built from
+circuits, M(K_n) and PG blocks by direct sums and parallel connections,
+so a recipe that rebuilds M (construct.certificate) proves M closed.
+is_theta3_closed and the closure try it above FULL_ENUM_LIMIT; when it
+finds none, the exact searches decide.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from itertools import combinations, islice
 from typing import Iterable, Iterator
 
 from theta3.budget import Budget
-from theta3.construct import cycle_matroid, is_projective
+from theta3.construct import certificate, cycle_matroid, is_projective
 from theta3.gf2 import Echelon, bits, bits_to_str, rank_bits, zero_residues
 from theta3.matroid import BinaryMatroid, _circuit_masks, simplify
 
@@ -54,7 +61,10 @@ __all__ = [
 ]
 
 # Above this many elements, closure rounds switch from full theta
-# enumeration to the per-missing-vector targeted search.
+# enumeration to the pair route, the recipe certificate and the
+# per-missing-vector targeted search, and check (with its shortcuts on)
+# tries the certificate before the circuit-pair scan.  At or below it
+# the scan is cheap, and cheaper than the certificate on small inputs.
 FULL_ENUM_LIMIT = 18
 
 # Caps for the heuristic fast paths; the exact searches behind them have
@@ -200,7 +210,7 @@ def _missing_vectors(M: BinaryMatroid) -> list[int]:
 
 def _pair_route_hits(
     M: BinaryMatroid,
-    targets: list[int],
+    targets: list[int] | None,
     max_combos: int | None,
     budget: Budget | None,
 ) -> Iterator[tuple[int, ThetaGraph]]:
@@ -208,16 +218,30 @@ def _pair_route_hits(
 
     Pairs {a, a^v} of present columns are disjoint across distinct
     pairs and any two of them union to a 4-circuit, so three pairs form
-    a theta exactly when {a, b, c, v} has rank 4.  Each target tries at
-    most max_combos triples (None: all of them).
+    a theta exactly when {a, b, c, v} has rank 4.  targets None stands
+    for every missing span vector, ascending; only those that are the
+    sum of two columns can yield, and their pair lists come from one
+    pass over the pairs of present columns.  When fewer vectors are
+    missing than half the columns, a pass over each missing vector's
+    possible pairs is cheaper, so that is taken instead.  Each target
+    tries at most max_combos triples (None: all of them).
     """
     first: dict[int, int] = {}
     for j, c in enumerate(M.cols):
         first.setdefault(c, j)
     present = sorted(c for c in first if c)
+    if targets is None and 3 * ((1 << M.rank) - 1 - len(present)) < len(present):
+        targets = _missing_vectors(M)
+    if targets is None:
+        pairs: dict[int, list[int]] = {}
+        for i, a in enumerate(present):
+            for v in set(map(a.__xor__, present[i + 1 :])) - first.keys():
+                pairs.setdefault(v, []).append(a)
+        targets = sorted(pairs)
+    else:
+        pairs = {v: [a for a in present if a < a ^ v and a ^ v in first] for v in targets}
     for v in targets:
-        pairs = [a for a in present if a < a ^ v and a ^ v in first]
-        for a, b, c in islice(combinations(pairs, 3), max_combos):
+        for a, b, c in islice(combinations(pairs[v], 3), max_combos):
             if budget is not None:
                 budget.tick()
             if rank_bits((a, b, c, v)) == 4:
@@ -346,17 +370,20 @@ def is_theta3_closed(
     every nonzero vector of their span is accepted immediately (a full
     projective restriction has no room for an incomplete theta).  Up to
     rank _PREPASS_MAX_RANK, a capped pair-route sweep over the missing
-    span vectors catches most negatives quickly (sound, not complete);
-    the full circuit-pair scan then settles the rest exactly.
+    pair sums catches most negatives quickly (sound, not complete).
+    With use_shortcut enabled and more than FULL_ENUM_LIMIT elements, a
+    recipe certificate then proves a member of the class closed (the
+    paper's theorem), in polynomial time.  The full circuit-pair scan
+    settles the rest exactly.
     """
     if use_shortcut and is_projective(M):
         return True, None
     if M.rank <= _PREPASS_MAX_RANK:
-        prepass = _pair_route_hits(
-            M, _missing_vectors(M), _PREPASS_COMBOS_PER_VECTOR, budget
-        )
+        prepass = _pair_route_hits(M, None, _PREPASS_COMBOS_PER_VECTOR, budget)
         for _, hit in prepass:
             return False, hit
+    if use_shortcut and M.size > FULL_ENUM_LIMIT and certificate(M, budget) is not None:
+        return True, None
     for *arcs, w in _incomplete(M, budget):
         return False, _theta(M, arcs, w)
     return True, None
@@ -370,8 +397,9 @@ def _incomplete_vectors(
     Exact when it reports nothing, which is what certifies a fixed
     point.  On matroids past FULL_ENUM_LIMIT the capped pair route may
     return a partial answer; later rounds pick up whatever it skipped
-    (additions never invalidate earlier ones), and once it comes up
-    empty the uncapped general search has the final word.
+    (additions never invalidate earlier ones).  Once it comes up empty,
+    a recipe certificate proves the fixed point if M is in the class,
+    and otherwise the uncapped general search has the final word.
     """
     if is_projective(M):
         return []
@@ -381,10 +409,10 @@ def _incomplete_vectors(
             if w not in found:
                 found[w] = _theta(M, arcs, w)
         return sorted(found.items())
-    missing = _missing_vectors(M)
-    out = list(_pair_route_hits(M, missing, _PREPASS_COMBOS_PER_VECTOR, budget))
-    if out:
+    out = list(_pair_route_hits(M, None, _PREPASS_COMBOS_PER_VECTOR, budget))
+    if out or certificate(M, budget) is not None:
         return out
+    missing = _missing_vectors(M)
     arcs_all = _arcs_by_target(M, missing, budget)
     for v in missing:
         hit = _theta_from_arcs(M, v, arcs_all[v], budget)

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import theta3
-from theta3 import cli, decompose
+from theta3 import cli, construct, decompose
 from theta3.construct import catalog_matroid
 from theta3.gf2 import bits_from_str
 
@@ -187,11 +187,22 @@ def test_crossval_compares_with_the_direct_scan(capsys, monkeypatch):
     assert not any(shortcuts)
 
 
+def test_crossval_flags_a_missing_certificate(capsys, monkeypatch):
+    # every subset of the rank-2 geometry is closed, so a certificate
+    # search that finds nothing disagrees with the scan on all 8
+    monkeypatch.setattr(cli, "certificate", lambda M, budget=None: None)
+    code, rep = run_cli(capsys, "crossval", "--exhaustive-rank", "2", "--samples", "0")
+    assert code == 1
+    assert rep["checked"] == 8
+    assert [m["issue"] for m in rep["mismatches"]] == ["certificate disagreement"] * 8
+    assert all(m["closed"] and not m["certified"] for m in rep["mismatches"])
+
+
 @pytest.mark.parametrize(
     "recipe",
     [
-        decompose.BuildRecipe(None, loops=("p1", "p2", "p3")),  # same labels, not a triangle
-        decompose.BuildRecipe(decompose.Leaf("C", 3)),  # a triangle on e1, e2, e3
+        construct.BuildRecipe(None, loops=("p1", "p2", "p3")),  # same labels, not a triangle
+        construct.BuildRecipe(construct.Leaf("C", 3)),  # a triangle on e1, e2, e3
     ],
 )
 def test_crossval_flags_a_recipe_that_does_not_rebuild(capsys, monkeypatch, recipe):
@@ -305,7 +316,9 @@ def test_decompose_rejects_disconnected_file(capsys, tmp_path):
 
 # MSTAR_K5 is no good for these: its refutation lands within a handful
 # of search nodes, so small budgets are simply not exceeded.  A closed
-# matroid forces the full scan, which costs thousands of nodes.
+# matroid forces the full scan, which costs thousands of nodes, once
+# --no-shortcut turns off the recipe certificate that would prove it
+# closed in a few dozen.
 
 
 def test_budget_nodes_exit_three(capsys):
@@ -317,14 +330,14 @@ def test_budget_nodes_exit_three(capsys):
 def test_budget_seconds_exit_three(capsys):
     # the clock is only consulted every few thousand nodes, so the
     # instance must be large enough to reach a checkpoint
-    code, rep = run_cli(capsys, "check", "MK(7)", "--max-seconds", "1e-9")
+    code, rep = run_cli(capsys, "check", "MK(7)", "--no-shortcut", "--max-seconds", "1e-9")
     assert code == 3
     assert "budget exceeded" in rep["error"]
 
 
 def test_circuit_enumeration_honours_max_seconds(capsys):
     # both instances spend their time listing circuits
-    code, rep = run_cli(capsys, "check", "MK(9)", "--max-seconds", "0.2")
+    code, rep = run_cli(capsys, "check", "MK(9)", "--no-shortcut", "--max-seconds", "0.2")
     assert code == 3
     assert "time budget exhausted" in rep["error"]
     assert rep["timings"]["total_s"] < 2
@@ -340,9 +353,17 @@ def test_circuit_enumeration_counts_against_max_subsets(capsys):
     assert code == 3
     assert "node budget exhausted" in rep["error"]
 
-    code, rep = run_cli(capsys, "check", "MK(9)", "--max-subsets", "1000000")
+    code, rep = run_cli(capsys, "check", "MK(9)", "--no-shortcut", "--max-subsets", "1000000")
     assert code == 3
     assert "node budget exhausted" in rep["error"]
+
+
+@pytest.mark.parametrize("key", ["MK(9)", "MK(12)"])
+def test_check_certifies_large_complete_graphs_within_a_node_budget(capsys, key):
+    # the recipe certificate proves M(K_n) closed without listing circuits
+    code, rep = run_cli(capsys, "check", key, "--max-subsets", "1000000")
+    assert code == 0
+    assert rep["verdict"] is True and rep["witness"] is None
 
 
 def test_budget_validation(capsys):

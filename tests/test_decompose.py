@@ -6,31 +6,31 @@ import pytest
 
 from theta3.budget import Budget, BudgetExceededError
 from theta3.construct import (
+    MAX_RECIPE_DEPTH,
+    BuildRecipe,
+    DNode,
+    Leaf,
+    PNode,
     catalog_matroid,
     circuit_matroid,
     complete_bipartite_edges,
     complete_graph_matroid,
     cycle_matroid,
+    evaluate_term,
     is_circuit,
     is_cocircuit,
     parallel_connection,
+    parse_recipe,
     projective_geometry,
+    serialize_term,
 )
 from theta3.decompose import (
-    MAX_RECIPE_DEPTH,
-    BuildRecipe,
-    DNode,
-    Leaf,
     MatroidLabelledTree,
-    PNode,
     Verdict,
     _check_tree,
     canonical_tree_decomposition,
     classify_theta3,
-    evaluate_term,
-    parse_recipe,
     recompose,
-    serialize_term,
     trees_equivalent,
 )
 from theta3.matroid import (

@@ -10,12 +10,26 @@ from unittest import mock
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from theta3.decompose import DNode, Leaf, PNode, classify_theta3, parse_recipe, serialize_term
+from theta3.decompose import classify_theta3
 from theta3.gf2 import Echelon, bits, greedy_coordinates, rank_bits, zero_residues
-from theta3.construct import projective_geometry
+from theta3.construct import (
+    DNode,
+    Leaf,
+    PNode,
+    certificate,
+    circuit_matroid,
+    complete_bipartite_edges,
+    complete_graph_matroid,
+    cycle_matroid,
+    parallel_connection,
+    parse_recipe,
+    projective_geometry,
+    serialize_term,
+)
 from theta3.matroid import (
     BinaryMatroid,
     circuits,
+    connected_components,
     contract,
     delete,
     dual,
@@ -27,6 +41,7 @@ from theta3.matroid import (
 from theta3.theta import (
     _arcs_by_target,
     _missing_vectors,
+    _pair_route_hits,
     _theta_from_arcs,
     _theta_scan,
     is_theta3_closed,
@@ -264,3 +279,92 @@ def test_classify_matches_direct_decision_on_plane_subsets(mask):
         rebuilt = verdict.recipe.evaluate()
         assert sorted(rebuilt.labels) == sorted(sub.labels)
         assert set(circuits(rebuilt)) == set(circuits(sub))
+
+
+@settings(max_examples=150)
+@given(matroids(max_dim=5, max_cols=12), st.sampled_from([None, 1, 3]))
+@example(BinaryMatroid(tuple("abcdefgh"), (0, 1, 1, 2, 3, 4, 5, 6), 3), None)  # loop, copies
+@example(BinaryMatroid(tuple(f"p{k}" for k in range(2, 16)), tuple(range(2, 16)), 4), None)
+@example(BinaryMatroid(tuple("abcdef"), (1, 2, 4, 8, 16, 3), 5), None)  # few pair sums
+@example(BinaryMatroid(tuple("abcdefg"), (3, 13, 6, 23, 18, 28, 25), 5), None)  # 7 yields
+def test_pair_route_matches_the_per_target_reference(m, cap):
+    # One yield per target that has a rank-4 triple, in ascending target
+    # order, whether the pairs come from the pass over column pairs or,
+    # with few missing vectors, from each missing vector in turn.
+    got = [(v, frozenset(t.arcs)) for v, t in _pair_route_hits(m, None, cap, None)]
+    assert got == oracles.oracle_pair_route_hits(m, max_combos=cap)
+
+
+@settings(max_examples=60)
+@given(matroids(max_dim=4, max_cols=10), st.lists(st.integers(0, 15), max_size=4))
+def test_pair_route_with_explicit_targets_matches_the_reference(m, targets):
+    targets = [v for v in targets if not v >> m.dim]
+    got = [(v, frozenset(t.arcs)) for v, t in _pair_route_hits(m, targets, None, None)]
+    assert got == oracles.oracle_pair_route_hits(m, targets)
+
+
+def test_certificate_exactly_when_the_oracle_says_closed():
+    outcomes = set()
+
+    @settings(max_examples=200)
+    @given(matroids(max_dim=4, max_cols=9))
+    @example(BinaryMatroid(tuple("abcdefgh"), (0, 1, 1, 2, 3, 4, 5, 6), 3))  # loop, copies
+    @example(BinaryMatroid(tuple("abcdefg"), (0, 1, 2, 3, 3, 4, 5), 3))  # two triangles
+    @example(cycle_matroid(complete_bipartite_edges(2, 3)))  # an incomplete theta
+    def agree(m):
+        recipe = certificate(m)
+        closed = oracles.oracle_closed(m)[0]
+        assert (recipe is not None) == closed
+        if recipe is not None:
+            rebuilt = recipe.evaluate()
+            assert sorted(rebuilt.labels) == sorted(m.labels)
+            assert set(oracles.oracle_circuits(rebuilt)) == set(oracles.oracle_circuits(m))
+            outcomes.add("P(" in recipe.serialize())
+        else:
+            outcomes.add(None)
+
+    agree()
+    # members glued at a point, members without a gluing, and non-members
+    assert outcomes == {True, False, None}
+
+
+_BLOCKS = (
+    circuit_matroid(3),
+    circuit_matroid(4),
+    complete_graph_matroid(4),
+    projective_geometry(3),
+)
+
+
+@st.composite
+def glued_blocks(draw):
+    """Two or three blocks, each glued at a random point of what came before."""
+    out = None
+    for i in range(draw(st.integers(2, 3))):
+        block = draw(st.sampled_from(_BLOCKS))
+        block = block.relabel({lab: f"b{i}{lab}" for lab in block.labels})
+        if out is None:
+            out = block
+        else:
+            p = draw(st.sampled_from(out.labels))
+            q = draw(st.sampled_from(block.labels))
+            out = parallel_connection(out, block, p, q)
+    return out
+
+
+@settings(max_examples=40)
+@given(glued_blocks())
+def test_every_piece_at_a_cut_point_of_a_closed_matroid_is_closed(m):
+    # The lemma behind the certificate: with S/p split into K_1..K_t,
+    # each S|(K_i u p) is closed.  Glued blocks are closed, and their
+    # glue points are cut points, so the test is never vacuous.
+    assert is_theta3_closed(m, use_shortcut=False)[0]
+    cuts = 0
+    for p in m.labels:
+        pieces = connected_components(contract(m, [p]))
+        if len(pieces) < 2:
+            continue
+        cuts += 1
+        for K in pieces:
+            assert is_theta3_closed(restrict(m, K | {p}), use_shortcut=False)[0]
+    assert cuts >= 1

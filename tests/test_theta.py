@@ -201,6 +201,25 @@ def test_closure_arc_search_stays_within_a_node_budget():
     assert is_theta3_closed(final, use_shortcut=False)[0]
 
 
+@pytest.mark.parametrize(
+    "cols",
+    [
+        [3, 15, 11, 62, 36, 54, 16, 56, 29, 22, 28],
+        [41, 58, 61, 22, 48, 16, 35, 62, 40, 38, 46, 44, 5],
+    ],
+    ids=["PG6pick11", "PG6pick13"],
+)
+def test_closure_certifies_its_fixed_point_within_a_node_budget(cols):
+    # Point sets of PG(5, 2) whose closure has 21 elements: above
+    # FULL_ENUM_LIMIT, where the last round proves the fixed point.  The
+    # arc search alone took more than 50k nodes on both; the recipe
+    # certificate needs a few hundred.
+    m = BinaryMatroid(tuple(f"q{i}" for i in range(len(cols))), tuple(cols), 6)
+    final, trace = theta3_closure(m, budget=Budget(max_nodes=50_000))
+    assert final.size == 21 and trace.rounds
+    assert is_theta3_closed(final, use_shortcut=False)[0]
+
+
 def test_closure_trace_bookkeeping():
     m = dict(SMALL_CORPUS)["K23"]
     final, trace = theta3_closure(m)
