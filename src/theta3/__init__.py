@@ -10,8 +10,8 @@ The package answers four questions about a binary matroid M:
 * does M belong to the class generated by circuits, cycle matroids of
   complete graphs and binary projective geometries under direct sums and
   parallel connections, and if so by which recipe? (`decompose.classify_theta3`
-  reads it off the decomposition tree; `construct.certificate` finds one
-  by cut points, which is what proves `check`'s large closed verdicts)
+  answers from `construct.certificate`, which finds the recipe by cut
+  points and also proves `check`'s large closed verdicts)
 
 Matroids are always given by a binary representation: one integer per
 element, bit i encoding row i+1 of the column.  See `theta3.matroid`.

@@ -22,7 +22,8 @@ A build recipe is a term over the three block families with direct
 sums (D) and parallel connections (P), plus the loops and parallel
 copies to add back.  certificate() finds one for a theta-closed matroid
 by splitting at cut points, and returns it only once it has checked
-that the recipe rebuilds the matroid.
+that the recipe rebuilds the matroid; for any other matroid it returns
+the piece it could not cut.
 """
 
 from __future__ import annotations
@@ -526,8 +527,8 @@ def loops_and_copies(
     return loops, tuple(copies)
 
 
-def block_leaf(V: BinaryMatroid, final: dict[str, str]) -> Leaf | None:
-    """V as a circuit, M(K_n) or PG block whose labels end up as final[...], or None."""
+def block_leaf(V: BinaryMatroid) -> Leaf | None:
+    """V as a circuit, M(K_n) or PG block on V's own labels, or None."""
     mapping = circuit_mapping(V)
     if mapping is not None:
         kind, param = "C", V.size
@@ -540,26 +541,23 @@ def block_leaf(V: BinaryMatroid, final: dict[str, str]) -> Leaf | None:
             if mapping is None:
                 return None
             kind, param = "PG", V.rank
-    relabel = tuple(
-        sorted(
-            (cons, final[orig])
-            for cons, orig in mapping.items()
-            if cons != final[orig]
-        )
-    )
+    relabel = tuple(sorted((c, lab) for c, lab in mapping.items() if c != lab))
     return Leaf(kind, param, relabel)
 
 
 # -- recipe certificate ---------------------------------------------------
 
 
-def certificate(M: BinaryMatroid, budget: Budget | None = None) -> BuildRecipe | None:
-    """A recipe that rebuilds M from circuit, M(K_n) and PG blocks, or None.
+def certificate(
+    M: BinaryMatroid, budget: Budget | None = None
+) -> BuildRecipe | BinaryMatroid:
+    """A recipe that rebuilds M from circuit, M(K_n) and PG blocks, or a
+    piece of M that is not in the class.
 
     A binary matroid is theta-closed exactly when such a recipe exists,
     so a returned recipe proves M closed.  It is returned only after it
     has been evaluated and found to be M (same_matroid), so the proof
-    never rests on the search below being right.  None proves nothing.
+    never rests on the search below being right.
 
     Each connected component S of the simplification is a block, or is
     cut at the first element p whose contraction disconnects it.  With
@@ -567,30 +565,37 @@ def certificate(M: BinaryMatroid, budget: Budget | None = None) -> BuildRecipe |
     only in <p>, so S is their parallel connection at p.  If S is
     closed, so is every piece: a theta inside one piece is completed by
     a column of that piece's span, and the only element of another
-    piece there is p.  So any cut point serves, and a piece that is not
-    certified ends the search.  Each p tried costs one pass over the
-    coordinates of S (one greedy coordinatization serves every p) and
-    one budget node.
+    piece there is p.  So any cut point serves.  Each p tried costs one
+    pass over the coordinates of S (one greedy coordinatization serves
+    every p) and one budget node.
+
+    The first simple connected piece that is neither a block nor cut at
+    a point is returned instead of a recipe.  It is a restriction of M
+    in M's own coordinates and lies outside the class, so by the
+    theorem it holds an incomplete theta, and by the argument above
+    that theta is incomplete in M too.  A recipe that does not rebuild
+    M returns M itself, so the caller still searches all of M.
     """
     loops, copies = loops_and_copies(M)
     S = simplify(M)
     terms = []
     for comp in sorted(connected_components(S), key=sorted):
         term = _cut_point_term(restrict(S, comp), budget)
-        if term is None:
-            return None
+        if isinstance(term, BinaryMatroid):
+            return term
         terms.append(term)
     if not terms:
         whole = None
     else:
         whole = terms[0] if len(terms) == 1 else DNode(tuple(terms))
     recipe = BuildRecipe(whole, loops, copies)
-    return recipe if same_matroid(M, recipe.evaluate()) else None
+    return recipe if same_matroid(M, recipe.evaluate()) else M
 
 
-def _cut_point_term(S: BinaryMatroid, budget: Budget | None) -> Term | None:
-    """The term of a simple connected S, split at cut points; None if none fits."""
-    leaf = block_leaf(S, {lab: lab for lab in S.labels})
+def _cut_point_term(S: BinaryMatroid, budget: Budget | None) -> Term | BinaryMatroid:
+    """The term of a simple connected S, split at cut points, or the
+    first piece that is neither a block nor cut at a point."""
+    leaf = block_leaf(S)
     if leaf is not None:
         return leaf
     coords, _ = greedy_coordinates(S.cols)
@@ -609,11 +614,11 @@ def _cut_point_term(S: BinaryMatroid, budget: Budget | None) -> Term | None:
         for cls in classes:
             labels = [lab for lab, c in zip(S.labels, quotient) if c & cls]
             part = _cut_point_term(restrict(S, labels + [base]), budget)
-            if part is None:
-                return None
+            if isinstance(part, BinaryMatroid):
+                return part
             term = part if term is None else PNode(term, part, base, base)
         return term
-    return None
+    return S
 
 
 def _coordinate_classes(vectors: list[int]) -> list[int]:

@@ -7,16 +7,15 @@ one of those three kinds and then merging adjacent circuit pairs and
 adjacent cocircuit pairs yields the canonical tree, which is unique up
 to relabeling of the markers.
 
-classify_theta3 reads membership in the class generated by circuits,
+classify_theta3 decides membership in the class generated by circuits,
 complete-graph cycle matroids, and binary projective geometries under
-direct sums and parallel connections straight off that tree: cocircuit
-vertices are the gluing hubs and must retain exactly one real element
-(the shared point), every 3-connected vertex must be a complete-graph
-or projective block, and every tree edge must join a block to a hub.
-A tree that satisfies all three conditions folds back into a nested
-parallel-connection recipe; a tree that violates one certifies the
-matroid sits outside the class, and an incomplete theta subgraph is
-produced as the concrete witness whenever the search budget allows.
+direct sums and parallel connections without building that tree.  Its
+verdict and recipe come from construct.certificate, which cuts each
+component at cut points and returns a recipe only once it rebuilds the
+matroid.  A matroid outside the class gets an incomplete theta as the
+concrete witness whenever the search budget allows; the search runs
+only on the piece the certificate could not cut, since that piece's
+incomplete thetas are the matroid's own.
 """
 
 from __future__ import annotations
@@ -27,23 +26,16 @@ from theta3.budget import Budget, BudgetExceededError
 from theta3.gf2 import Echelon, bits
 from theta3.matroid import (
     BinaryMatroid,
-    connected_components,
     exact_two_separations,
     is_connected,
     restrict,
-    simplify,
     union_find_roots,
 )
 from theta3.construct import (
     BuildRecipe,
-    DNode,
-    Leaf,
-    PNode,
-    Term,
-    block_leaf,
+    certificate,
     is_circuit,
     is_cocircuit,
-    loops_and_copies,
     two_sum,
 )
 from theta3.theta import ThetaGraph, is_theta3_closed
@@ -298,115 +290,27 @@ class Verdict:
     witness: ThetaGraph | str | None = None
 
 
-def _component_term(
-    C: BinaryMatroid, budget: Budget | None, tree: MatroidLabelledTree | None
-) -> tuple[Term | None, str | None]:
-    """Build the component's term, or return a structural objection.
-
-    tree, when given, is the canonical tree of C, so it is not rebuilt.
-    """
-    whole = block_leaf(C, {lab: lab for lab in C.labels})
-    if whole is not None:
-        return whole, None
-    if tree is None:
-        tree = canonical_tree_decomposition(C, budget=budget)
-    markers = tree.marker_labels
-    real = [sorted(set(V.labels) - markers) for V in tree.vertices]
-
-    for a, b, _ in tree.edges:
-        hubs = (tree.kinds[a] == "Cocircuit") + (tree.kinds[b] == "Cocircuit")
-        if hubs == 0:
-            return None, (
-                f"blocks on {real[a]} and {real[b]} meet in a 2-sum "
-                f"with no retained shared point"
-            )
-        if hubs == 2:
-            return None, "two gluing hubs meet edge to edge"
-
-    base: dict[int, str] = {}
-    for i, V in enumerate(tree.vertices):
-        if tree.kinds[i] != "Cocircuit":
-            continue
-        if len(real[i]) != 1 or V.size != tree.degree(i) + 1:
-            return None, (
-                f"gluing hub on {sorted(V.labels)} retains {len(real[i])} "
-                f"shared points instead of one"
-            )
-        base[i] = real[i][0]
-
-    adj: dict[int, list[tuple[int, str]]] = {i: [] for i in range(len(tree.vertices))}
-    for a, b, lab in tree.edges:
-        adj[a].append((b, lab))
-        adj[b].append((a, lab))
-
-    leaves: dict[int, Leaf] = {}
-    for i, V in enumerate(tree.vertices):
-        if tree.kinds[i] == "Cocircuit":
-            continue
-        final = {lab: lab for lab in real[i]}
-        for j, lab in adj[i]:
-            final[lab] = base[j]
-        leaf = block_leaf(V, final)
-        if leaf is None:
-            return None, (
-                f"3-connected block on {real[i]} is neither a complete-graph "
-                f"nor a projective block"
-            )
-        leaves[i] = leaf
-
-    blocks = sorted(leaves)
-    if not blocks:
-        return None, "decomposition tree has gluing hubs only"
-    root = min(blocks, key=lambda i: (real[i], sorted(tree.vertices[i].labels)))
-
-    def block_term(b: int, parent_hub: int | None) -> Term:
-        t: Term = leaves[b]
-        for h, _ in sorted(adj[b]):
-            if h == parent_hub:
-                continue
-            p = base[h]
-            for c, _ in sorted(adj[h]):
-                if c != b:
-                    t = PNode(t, block_term(c, h), p, p)
-        return t
-
-    return block_term(root, None), None
-
-
-def classify_theta3(
-    M: BinaryMatroid,
-    budget: Budget | None = None,
-    *,
-    tree: MatroidLabelledTree | None = None,
-) -> Verdict:
+def classify_theta3(M: BinaryMatroid, budget: Budget | None = None) -> Verdict:
     """Decide membership in the composable class and synthesize a recipe.
 
-    InClass verdicts carry a BuildRecipe whose evaluate() reproduces M
-    exactly.  NotInClass verdicts carry an incomplete theta subgraph
-    when the budget allows the search, else the structural objection.
-    tree is an already built canonical_tree_decomposition(M); it is used
-    only when M is simple and connected, the one case where the tree of
-    M's single component is the tree of M.
+    InClass verdicts carry the certificate's BuildRecipe, whose
+    evaluate() reproduces M exactly.  NotInClass verdicts carry an
+    incomplete theta of the piece the certificate could not cut when
+    the budget allows the search, else a note naming that piece.
     """
-    loops, copies = loops_and_copies(M)
-    S = simplify(M)
-    if S.size == 0:
-        return Verdict(True, BuildRecipe(None, loops, copies))
-    terms = []
-    for comp in sorted(connected_components(S), key=sorted):
-        sub = restrict(S, comp)
-        term, objection = _component_term(sub, budget, tree if sub == M else None)
-        if term is None:
-            try:
-                closed, wit = is_theta3_closed(sub, use_shortcut=False, budget=budget)
-            except BudgetExceededError:
-                return Verdict(False, None, objection)
-            if closed:
-                raise RuntimeError(
-                    f"classification mismatch: {objection}, yet no incomplete "
-                    f"theta exists in the component on {sorted(comp)}"
-                )
-            return Verdict(False, None, wit)
-        terms.append(term)
-    term = terms[0] if len(terms) == 1 else DNode(tuple(terms))
-    return Verdict(True, BuildRecipe(term, loops, copies))
+    found = certificate(M, budget)
+    if isinstance(found, BuildRecipe):
+        return Verdict(True, found)
+    piece = sorted(found.labels)
+    try:
+        closed, wit = is_theta3_closed(found, use_shortcut=False, budget=budget)
+    except BudgetExceededError:
+        return Verdict(
+            False, None, f"the piece on {piece} is neither a block nor cut at a point"
+        )
+    if closed:
+        raise RuntimeError(
+            f"classification mismatch: the piece on {piece} is neither a block "
+            f"nor cut at a point, yet no incomplete theta exists in it"
+        )
+    return Verdict(False, None, wit)

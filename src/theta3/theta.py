@@ -32,8 +32,10 @@ Closedness also has a proof that lists no theta.  By the paper's
 theorem a binary matroid is theta-closed exactly when it is built from
 circuits, M(K_n) and PG blocks by direct sums and parallel connections,
 so a recipe that rebuilds M (construct.certificate) proves M closed.
-is_theta3_closed and the closure try it above FULL_ENUM_LIMIT; when it
-finds none, the exact searches decide.
+is_theta3_closed and the closure try it above FULL_ENUM_LIMIT.  When
+it finds none, it names a piece of M outside the class, where
+is_theta3_closed scans for the witness; the closure's exact searches
+still run on all of M.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from itertools import combinations, islice
 from typing import Iterable, Iterator
 
 from theta3.budget import Budget
-from theta3.construct import certificate, cycle_matroid, is_projective
+from theta3.construct import BuildRecipe, certificate, cycle_matroid, is_projective
 from theta3.gf2 import Echelon, bits, bits_to_str, rank_bits, zero_residues
 from theta3.matroid import BinaryMatroid, _circuit_masks, simplify
 
@@ -373,8 +375,9 @@ def is_theta3_closed(
     pair sums catches most negatives quickly (sound, not complete).
     With use_shortcut enabled and more than FULL_ENUM_LIMIT elements, a
     recipe certificate then proves a member of the class closed (the
-    paper's theorem), in polynomial time.  The full circuit-pair scan
-    settles the rest exactly.
+    paper's theorem), in polynomial time; for a non-member it names the
+    piece that holds an incomplete theta, and only that piece is
+    scanned.  The full circuit-pair scan settles the rest exactly.
     """
     if use_shortcut and is_projective(M):
         return True, None
@@ -382,8 +385,12 @@ def is_theta3_closed(
         prepass = _pair_route_hits(M, None, _PREPASS_COMBOS_PER_VECTOR, budget)
         for _, hit in prepass:
             return False, hit
-    if use_shortcut and M.size > FULL_ENUM_LIMIT and certificate(M, budget) is not None:
-        return True, None
+    if use_shortcut and M.size > FULL_ENUM_LIMIT:
+        found = certificate(M, budget)
+        if isinstance(found, BuildRecipe):
+            return True, None
+        # a piece outside the class: its incomplete thetas are M's
+        M = found
     for *arcs, w in _incomplete(M, budget):
         return False, _theta(M, arcs, w)
     return True, None
@@ -410,7 +417,7 @@ def _incomplete_vectors(
                 found[w] = _theta(M, arcs, w)
         return sorted(found.items())
     out = list(_pair_route_hits(M, None, _PREPASS_COMBOS_PER_VECTOR, budget))
-    if out or certificate(M, budget) is not None:
+    if out or isinstance(certificate(M, budget), BuildRecipe):
         return out
     missing = _missing_vectors(M)
     arcs_all = _arcs_by_target(M, missing, budget)

@@ -204,7 +204,9 @@ def oracle_validate_theta(
     T = frozenset().union(*arcs)
     assert sum(len(a) for a in arcs) == len(T), "arcs must not overlap"
     assert oracle_rank(M, T) == len(T) - 2, "theta ground sets have corank 2"
-    sub = [c for c in oracle_circuits(M, max_size=len(T)) if c <= T]
+    # the circuits of M inside T are the circuits of M restricted to T
+    labs = tuple(lab for lab in M.labels if lab in T)
+    sub = oracle_circuits(BinaryMatroid(labs, tuple(_cols_for(M, labs)), M.dim))
     assert _pairs_covered(T, sub), "theta restrictions are connected"
     assert set(_series_classes(T, sub)) == set(arcs), "arcs are series classes"
 

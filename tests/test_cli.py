@@ -5,6 +5,8 @@ report; one subprocess test at the bottom exercises the installed
 console script for real.
 """
 
+import errno
+import io
 import json
 import os
 import shutil
@@ -189,13 +191,15 @@ def test_crossval_compares_with_the_direct_scan(capsys, monkeypatch):
 
 def test_crossval_flags_a_missing_certificate(capsys, monkeypatch):
     # every subset of the rank-2 geometry is closed, so a certificate
-    # search that finds nothing disagrees with the scan on all 8
-    monkeypatch.setattr(cli, "certificate", lambda M, budget=None: None)
+    # that hands back the whole input as the piece outside the class
+    # sends the classifier into a witness search that finds nothing
+    monkeypatch.setattr(decompose, "certificate", lambda M, budget=None: M)
     code, rep = run_cli(capsys, "crossval", "--exhaustive-rank", "2", "--samples", "0")
     assert code == 1
     assert rep["checked"] == 8
-    assert [m["issue"] for m in rep["mismatches"]] == ["certificate disagreement"] * 8
-    assert all(m["closed"] and not m["certified"] for m in rep["mismatches"])
+    issues = [m["issue"] for m in rep["mismatches"]]
+    assert len(issues) == 8
+    assert all(i.startswith("classification mismatch: the piece on") for i in issues)
 
 
 @pytest.mark.parametrize(
@@ -428,7 +432,7 @@ def test_decompose_has_no_order_flag(capsys):
     capsys.readouterr()
 
 
-def test_decompose_builds_one_tree(capsys, monkeypatch):
+def test_decompose_builds_one_tree(capsys, monkeypatch, tmp_path):
     built = []
     real = decompose.canonical_tree_decomposition
 
@@ -438,12 +442,36 @@ def test_decompose_builds_one_tree(capsys, monkeypatch):
 
     for module in (decompose, cli):
         monkeypatch.setattr(module, "canonical_tree_decomposition", counting)
-    # simple and connected, but not one block: the classifier needs a tree
-    for key in ("THETA(1,2,2)", "M_K24"):
+    # the golden non-simple input: the report's tree is the only tree,
+    # since the classifier reads its verdict off the certificate
+    doubled = next(e for e in json.loads(GOLDEN.read_text()) if "input_file" in e)
+    path = tmp_path / "p_c3_c3_doubled.txt"
+    path.write_text(doubled["input_file"], encoding="utf-8")
+    for argument in ("THETA(1,2,2)", "M_K24", str(path)):
         built.clear()
-        _, rep = run_cli(capsys, "decompose", key)
-        assert len(rep["tree"]["vertices"]) > 1, key
-        assert built == [rep["input"]["size"]], key
+        _, rep = run_cli(capsys, "decompose", argument)
+        assert len(rep["tree"]["vertices"]) > 1, argument
+        assert built == [rep["input"]["size"]], argument
+
+
+def test_closed_reader_keeps_the_exit_code(capsys, monkeypatch, tmp_path):
+    # `theta3 check F7STAR | head -c0`: the reader is gone before the
+    # report is written, so the write fails with EPIPE
+    class ClosedPipe(io.TextIOBase):
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "w") as sink:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(sink.fileno()))
+        assert cli.main(["check", "F7STAR"]) == 1
+        assert cli.main(["catalog"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_run_wrapper(capsys):
@@ -486,8 +514,8 @@ def test_reports_match_golden_file(capsys, tmp_path, monkeypatch):
     # prepass misses it and the circuit-pair scan answers; the MSTAR_K5
     # closure takes the pair-route branch on its 25- and 52-element rounds.
     # An entry with `input_file` reads that text from the file its argv
-    # names: p_c3_c3_doubled.txt is non-simple, so the classifier builds
-    # the tree of its simplification rather than reusing the report's.
+    # names: p_c3_c3_doubled.txt is non-simple, so its recipe adds a
+    # parallel copy back (`recipe.parallel`) after the term is built.
     monkeypatch.chdir(tmp_path)
     for entry in json.loads(GOLDEN.read_text()):
         if "input_file" in entry:

@@ -11,6 +11,8 @@ from theta3.construct import (
     DNode,
     Leaf,
     PNode,
+    Term,
+    block_leaf,
     catalog_matroid,
     circuit_matroid,
     complete_bipartite_edges,
@@ -19,6 +21,7 @@ from theta3.construct import (
     evaluate_term,
     is_circuit,
     is_cocircuit,
+    loops_and_copies,
     parallel_connection,
     parse_recipe,
     projective_geometry,
@@ -36,9 +39,13 @@ from theta3.decompose import (
 from theta3.matroid import (
     BinaryMatroid,
     circuits,
+    connected_components,
     direct_sum,
     exact_two_separations,
     is_3connected,
+    restrict,
+    same_matroid,
+    simplify,
 )
 from theta3.theta import ThetaGraph, is_theta3_closed
 
@@ -339,6 +346,110 @@ def test_classify_budget_propagates():
         classify_theta3(catalog_matroid("MSTAR_K5"), budget=Budget(max_nodes=2))
 
 
+def test_classify_names_the_piece_when_the_search_runs_out():
+    # the certificate tries each of the 8 elements as a cut point, one
+    # node each, and leaves no node for the witness search
+    m = BY_NAME["M_K24"]
+    v = classify_theta3(m, budget=Budget(max_nodes=8))
+    assert not v.in_class and v.recipe is None
+    assert v.witness == (
+        f"the piece on {sorted(m.labels)} is neither a block nor cut at a point"
+    )
+
+
 def test_verdict_dataclass_shape():
     v = Verdict(True, BuildRecipe(Leaf("C", 3)))
     assert v.witness is None and v.recipe.term == Leaf("C", 3)
+
+
+# -- the recipe read off the tree --------------------------------------------------
+
+
+def _tree_term(C: BinaryMatroid) -> Term | None:
+    """The term of a simple connected C read off its canonical tree, or
+    None when the tree breaks the shape of the class.
+
+    Cocircuit vertices are the gluing hubs and must keep exactly one
+    real element (the shared point), every other vertex must be a
+    circuit, complete-graph or projective block, and every tree edge
+    must join a block to a hub.  Such a tree folds back into nested
+    parallel connections.
+    """
+    whole = block_leaf(C)
+    if whole is not None:
+        return whole
+    tree = canonical_tree_decomposition(C)
+    markers = tree.marker_labels
+    real = [sorted(set(V.labels) - markers) for V in tree.vertices]
+    for a, b, _ in tree.edges:
+        if (tree.kinds[a] == "Cocircuit") + (tree.kinds[b] == "Cocircuit") != 1:
+            return None
+    adj: dict[int, list[tuple[int, str]]] = {i: [] for i in range(len(real))}
+    for a, b, lab in tree.edges:
+        adj[a].append((b, lab))
+        adj[b].append((a, lab))
+    base: dict[int, str] = {}
+    for i, V in enumerate(tree.vertices):
+        if tree.kinds[i] == "Cocircuit":
+            if len(real[i]) != 1 or V.size != tree.degree(i) + 1:
+                return None
+            base[i] = real[i][0]
+    leaves: dict[int, Leaf] = {}
+    for i, V in enumerate(tree.vertices):
+        if tree.kinds[i] == "Cocircuit":
+            continue
+        # each marker takes the label of its hub's shared point
+        leaf = block_leaf(V.relabel({lab: base[j] for j, lab in adj[i]}))
+        if leaf is None:
+            return None
+        leaves[i] = leaf
+    if not leaves:
+        return None
+
+    def block_term(b: int, parent_hub: int | None) -> Term:
+        t: Term = leaves[b]
+        for h, _ in sorted(adj[b]):
+            if h != parent_hub:
+                for c, _ in sorted(adj[h]):
+                    if c != b:
+                        t = PNode(t, block_term(c, h), base[h], base[h])
+        return t
+
+    root = min(leaves, key=lambda i: (real[i], sorted(tree.vertices[i].labels)))
+    return block_term(root, None)
+
+
+def tree_recipe(M: BinaryMatroid) -> BuildRecipe | None:
+    """M's recipe read off the canonical trees of its simple components,
+    or None when M is not in the class.  An independent check of
+    classify_theta3, which takes its recipe from construct.certificate."""
+    loops, copies = loops_and_copies(M)
+    S = simplify(M)
+    terms = []
+    for comp in sorted(connected_components(S), key=sorted):
+        term = _tree_term(restrict(S, comp))
+        if term is None:
+            return None
+        terms.append(term)
+    if not terms:
+        whole = None
+    else:
+        whole = terms[0] if len(terms) == 1 else DNode(tuple(terms))
+    return BuildRecipe(whole, loops, copies)
+
+
+def test_tree_reader_agrees_with_the_classifier():
+    pg3 = projective_geometry(3)
+    planes = []
+    for mask in range(1 << 7):
+        keep = [lab for i, lab in enumerate(pg3.labels) if mask >> i & 1]
+        planes.append((f"plane {mask}", restrict(pg3, keep)))
+    inputs = SMALL_CORPUS + CONNECTED_CORPUS + planes
+    in_class = 0
+    for name, m in inputs:
+        read = tree_recipe(m)
+        assert (read is not None) == classify_theta3(m).in_class, name
+        if read is not None:
+            in_class += 1
+            assert same_matroid(m, read.evaluate()), name
+    assert 0 < in_class < len(inputs)

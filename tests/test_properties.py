@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from theta3.decompose import classify_theta3
 from theta3.gf2 import Echelon, bits, greedy_coordinates, rank_bits, zero_residues
 from theta3.construct import (
+    BuildRecipe,
     DNode,
     Leaf,
     PNode,
@@ -312,15 +313,21 @@ def test_certificate_exactly_when_the_oracle_says_closed():
     @example(BinaryMatroid(tuple("abcdefg"), (0, 1, 2, 3, 3, 4, 5), 3))  # two triangles
     @example(cycle_matroid(complete_bipartite_edges(2, 3)))  # an incomplete theta
     def agree(m):
-        recipe = certificate(m)
+        found = certificate(m)
         closed = oracles.oracle_closed(m)[0]
-        assert (recipe is not None) == closed
-        if recipe is not None:
-            rebuilt = recipe.evaluate()
+        assert isinstance(found, BuildRecipe) == closed
+        if closed:
+            rebuilt = found.evaluate()
             assert sorted(rebuilt.labels) == sorted(m.labels)
             assert set(oracles.oracle_circuits(rebuilt)) == set(oracles.oracle_circuits(m))
-            outcomes.add("P(" in recipe.serialize())
+            outcomes.add("P(" in found.serialize())
         else:
+            # a restriction of m outside the class, whose incomplete
+            # theta is incomplete in m too
+            assert all(found.col_of(lab) == m.col_of(lab) for lab in found.labels)
+            piece_closed, arcs = oracles.oracle_closed(found)
+            assert not piece_closed
+            assert not oracles.oracle_is_complete(m, arcs)[0]
             outcomes.add(None)
 
     agree()

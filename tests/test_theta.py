@@ -13,6 +13,7 @@ from theta3.construct import (
     complete_graph_matroid,
     cycle_edges,
     cycle_matroid,
+    parallel_connection,
     projective_geometry,
     theta_edges,
 )
@@ -218,6 +219,22 @@ def test_closure_certifies_its_fixed_point_within_a_node_budget(cols):
     final, trace = theta3_closure(m, budget=Budget(max_nodes=50_000))
     assert final.size == 21 and trace.rounds
     assert is_theta3_closed(final, use_shortcut=False)[0]
+
+
+def test_check_searches_only_the_piece_outside_the_class():
+    # A wheel with 8 spokes glued to M(K7) at one element: 36 elements,
+    # rank 13, above the prepass.  The certificate cuts off the M(K7)
+    # block and hands back the wheel; scanning all of M took 1.62M nodes.
+    rim = [(f"v{i}", f"v{i % 8 + 1}", f"r{i}") for i in range(1, 9)]
+    spokes = [("hub", f"v{i}", f"s{i}") for i in range(1, 9)]
+    m = parallel_connection(
+        cycle_matroid(rim + spokes), complete_graph_matroid(7), "s1", "1-2"
+    )
+    assert (m.size, m.rank) == (36, 13)
+    closed, wit = is_theta3_closed(m, budget=Budget(max_nodes=50_000))
+    assert not closed
+    oracles.oracle_validate_theta(m, wit.arcs)
+    assert not oracles.oracle_is_complete(m, wit.arcs)[0]
 
 
 def test_closure_trace_bookkeeping():
