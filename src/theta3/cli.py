@@ -350,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--strategy",
         choices=("batch", "one_at_a_time"),
         default="batch",
-        help="add all found vectors per round, or only the smallest",
+        help="add all vectors found in a round, or only the smallest of them",
     )
 
     c = sub.add_parser(

@@ -60,6 +60,12 @@ class UnknownLabelError(KeyError):
     """A label that does not belong to the matroid's ground set."""
 
 
+def _check_cols(labels: Iterable[str], cols: Iterable[int], dim: int) -> None:
+    for lab, c in zip(labels, cols):
+        if c < 0 or c >> dim:
+            raise DimensionError(f"column {lab!r} = {c:#x} does not fit dimension {dim}")
+
+
 @dataclass(frozen=True)
 class BinaryMatroid:
     labels: tuple[str, ...]
@@ -73,14 +79,28 @@ class BinaryMatroid:
             raise ValueError("labels must be pairwise distinct")
         if not 0 <= self.dim <= MAX_DIM:
             raise DimensionError(f"ambient dimension {self.dim} outside 0..{MAX_DIM}")
-        for lab, c in zip(self.labels, self.cols):
-            if c < 0 or c >> self.dim:
-                raise DimensionError(f"column {lab!r} = {c:#x} does not fit dimension {self.dim}")
+        _check_cols(self.labels, self.cols, self.dim)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, int]], dim: int) -> "BinaryMatroid":
         labels, cols = tuple(zip(*pairs)) or ((), ())
         return cls(labels, cols, dim)
+
+    @classmethod
+    def _derived(
+        cls, labels: tuple[str, ...], cols: tuple[int, ...], dim: int
+    ) -> "BinaryMatroid":
+        """A matroid the caller has already validated, built unchecked.
+
+        For results of operations on a valid matroid that keep its
+        dimension and take a subfamily of its elements, or add one
+        element checked on its own.
+        """
+        M = object.__new__(cls)
+        object.__setattr__(M, "labels", labels)
+        object.__setattr__(M, "cols", cols)
+        object.__setattr__(M, "dim", dim)
+        return M
 
     # -- basic views ---------------------------------------------------
 
@@ -136,7 +156,8 @@ class BinaryMatroid:
     def extend(self, label: str, col: int) -> "BinaryMatroid":
         if label in self._index:
             raise ValueError(f"label {label!r} already present")
-        return BinaryMatroid(self.labels + (label,), self.cols + (col,), self.dim)
+        _check_cols((label,), (col,), self.dim)
+        return BinaryMatroid._derived(self.labels + (label,), self.cols + (col,), self.dim)
 
     def _positions(self, labels: Iterable[str]) -> list[int]:
         idx = self._index
@@ -253,19 +274,20 @@ def _circuit_masks(M: BinaryMatroid, budget: Budget | None = None) -> list[int]:
 # -- minors, duality, sums ----------------------------------------------
 
 
-def delete(M: BinaryMatroid, S: Iterable[str]) -> BinaryMatroid:
-    drop = set(M._positions(S))
-    keep = [i for i in range(M.size) if i not in drop]
-    return BinaryMatroid(
+def _sub(M: BinaryMatroid, keep: list[int]) -> BinaryMatroid:
+    """M restricted to the elements at these positions, kept in this order."""
+    return BinaryMatroid._derived(
         tuple(M.labels[i] for i in keep), tuple(M.cols[i] for i in keep), M.dim
     )
+
+
+def delete(M: BinaryMatroid, S: Iterable[str]) -> BinaryMatroid:
+    drop = set(M._positions(S))
+    return _sub(M, [i for i in range(M.size) if i not in drop])
 
 
 def restrict(M: BinaryMatroid, S: Iterable[str]) -> BinaryMatroid:
-    keep = sorted(M._positions(S))
-    return BinaryMatroid(
-        tuple(M.labels[i] for i in keep), tuple(M.cols[i] for i in keep), M.dim
-    )
+    return _sub(M, sorted(set(M._positions(S))))
 
 
 def contract(M: BinaryMatroid, S: Iterable[str]) -> BinaryMatroid:
@@ -294,10 +316,7 @@ def simplify(M: BinaryMatroid) -> BinaryMatroid:
         if c and (c not in reps or lab < reps[c]):
             reps[c] = lab
     chosen = set(reps.values())
-    keep = [i for i, lab in enumerate(M.labels) if lab in chosen]
-    return BinaryMatroid(
-        tuple(M.labels[i] for i in keep), tuple(M.cols[i] for i in keep), M.dim
-    )
+    return _sub(M, [i for i, lab in enumerate(M.labels) if lab in chosen])
 
 
 def dual(M: BinaryMatroid) -> BinaryMatroid:

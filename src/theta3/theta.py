@@ -32,15 +32,17 @@ Closedness also has a proof that lists no theta.  By the paper's
 theorem a binary matroid is theta-closed exactly when it is built from
 circuits, M(K_n) and PG blocks by direct sums and parallel connections,
 so a recipe that rebuilds M (construct.certificate) proves M closed.
-is_theta3_closed and the closure try it above FULL_ENUM_LIMIT.  When
-it finds none, it names a piece of M outside the class, where
-is_theta3_closed scans for the witness; the closure's exact searches
-still run on all of M.
+is_theta3_closed tries it above FULL_ENUM_LIMIT; when it finds none, it
+names a piece of M outside the class, where is_theta3_closed scans for
+the witness.  Every closure round tries it at any size, after the
+capped pair route comes up empty, and the round's exact search (still
+on all of M) runs only when there is no recipe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, islice
 from typing import Iterable, Iterator
 
@@ -62,11 +64,12 @@ __all__ = [
     "FULL_ENUM_LIMIT",
 ]
 
-# Above this many elements, closure rounds switch from full theta
-# enumeration to the pair route, the recipe certificate and the
-# per-missing-vector targeted search, and check (with its shortcuts on)
-# tries the certificate before the circuit-pair scan.  At or below it
-# the scan is cheap, and cheaper than the certificate on small inputs.
+# Above this many elements, check (with its shortcuts on) tries the
+# recipe certificate before the circuit-pair scan, and a closure round
+# that the pair route and the certificate leave open searches per
+# missing vector instead of scanning every theta.  At or below it the
+# scan is cheap, and for check cheaper than the certificate on small
+# inputs.
 FULL_ENUM_LIMIT = 18
 
 # Caps for the heuristic fast paths; the exact searches behind them have
@@ -309,16 +312,21 @@ def _theta_from_arcs(
 
     Two disjoint v-sum sets are compatible when their union has corank 1
     (it is then automatically a circuit).  A compatible triple with
-    total corank 2 is a theta with the three sets as arcs.
+    total corank 2 is a theta with the three sets as arcs.  A set's
+    compatibility row is tested when the triple search first needs it,
+    so a search that finds a theta early skips the rows after it.
     """
     k = len(arcs)
     if k < 3:
         return None
     cols = M.cols
     arc_cols = [[cols[j] for j in bits(m)] for m, _ in arcs]
-    compat: list[list[int]] = [[] for _ in range(k)]
-    for i in range(k):
+
+    @cache
+    def compat(i: int) -> list[int]:
+        """The later sets compatible with set i, ascending."""
         mi, si = arcs[i]
+        row = []
         for j in range(i + 1, k):
             mj, sj = arcs[j]
             if mi & mj:
@@ -326,11 +334,13 @@ def _theta_from_arcs(
             if budget is not None:
                 budget.tick()
             if rank_bits(arc_cols[i] + arc_cols[j]) == si + sj - 1:
-                compat[i].append(j)
+                row.append(j)
+        return row
+
     for i in range(k):
-        row = compat[i]
+        row = compat(i)
         for a, j in enumerate(row):
-            in_j = set(compat[j])
+            in_j = set(compat(j))
             for l in row[a + 1 :]:
                 if l not in in_j:
                     continue
@@ -402,23 +412,25 @@ def _incomplete_vectors(
     """Missing span vectors that complete some theta of M, ascending.
 
     Exact when it reports nothing, which is what certifies a fixed
-    point.  On matroids past FULL_ENUM_LIMIT the capped pair route may
+    point.  At every size the capped pair route goes first and may
     return a partial answer; later rounds pick up whatever it skipped
     (additions never invalidate earlier ones).  Once it comes up empty,
     a recipe certificate proves the fixed point if M is in the class,
-    and otherwise the uncapped general search has the final word.
+    and otherwise an exact search has the final word: the circuit-pair
+    scan up to FULL_ENUM_LIMIT elements, the per-vector arc search
+    above it.
     """
     if is_projective(M):
         return []
+    out = list(_pair_route_hits(M, None, _PREPASS_COMBOS_PER_VECTOR, budget))
+    if out or isinstance(certificate(M, budget), BuildRecipe):
+        return out
     if M.size <= FULL_ENUM_LIMIT:
         found: dict[int, ThetaGraph] = {}
         for *arcs, w in _incomplete(M, budget):
             if w not in found:
                 found[w] = _theta(M, arcs, w)
         return sorted(found.items())
-    out = list(_pair_route_hits(M, None, _PREPASS_COMBOS_PER_VECTOR, budget))
-    if out or isinstance(certificate(M, budget), BuildRecipe):
-        return out
     missing = _missing_vectors(M)
     arcs_all = _arcs_by_target(M, missing, budget)
     for v in missing:
@@ -438,9 +450,9 @@ def theta3_closure(
 
     The input is simplified first; added elements get labels "v" plus
     the bit pattern (row 1 first).  strategy "batch" adds every vector
-    found in a round, "one_at_a_time" adds only the smallest; both end
-    at the same fixed point, which the test suite asserts rather than
-    assumes.
+    found in a round, "one_at_a_time" adds only the smallest found this
+    round; both end at the same fixed point, which the test suite
+    asserts rather than assumes.
     """
     if strategy not in ("batch", "one_at_a_time"):
         raise ValueError(f"unknown strategy {strategy!r}")

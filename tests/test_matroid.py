@@ -85,6 +85,27 @@ def test_extend_rejects_existing_label():
     assert grown.size == 2 and grown.col_of("b") == 2
 
 
+def test_extend_rejects_a_column_too_wide_for_the_dimension():
+    m = BinaryMatroid.from_pairs([("a", 1)], 2)
+    with pytest.raises(DimensionError):
+        m.extend("b", 4)
+    with pytest.raises(DimensionError):
+        m.extend("b", -1)
+
+
+def test_derived_matroids_equal_checked_ones():
+    # extend, restrict, delete and simplify skip the constructor's
+    # checks on what they take over from a valid matroid
+    m = BinaryMatroid.from_pairs([("a", 1), ("b", 0), ("c", 3), ("d", 1)], 2)
+    grown = m.extend("e", 2)
+    assert grown == BinaryMatroid(m.labels + ("e",), m.cols + (2,), 2)
+    assert hash(grown) == hash(BinaryMatroid(grown.labels, grown.cols, 2))
+    assert restrict(m, ["d", "a", "a"]) == BinaryMatroid(("a", "d"), (1, 1), 2)
+    assert delete(m, ["b"]) == BinaryMatroid(("a", "c", "d"), (1, 3, 1), 2)
+    assert simplify(m) == BinaryMatroid(("a", "c"), (1, 3), 2)
+    assert grown.rank == 2 and grown.label_set == {"a", "b", "c", "d", "e"}
+
+
 def test_relabel_requires_bijection():
     m = BinaryMatroid.from_pairs([("a", 1), ("b", 2)], 2)
     with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from theta3.construct import (
 )
 from theta3.gf2 import bits_from_str
 from theta3.matroid import BinaryMatroid, simplify
+from theta3 import theta
 from theta3.theta import (
     find_theta_completed_by,
     graph_is_theta3_closed,
@@ -219,6 +220,32 @@ def test_closure_certifies_its_fixed_point_within_a_node_budget(cols):
     final, trace = theta3_closure(m, budget=Budget(max_nodes=50_000))
     assert final.size == 21 and trace.rounds
     assert is_theta3_closed(final, use_shortcut=False)[0]
+
+
+def test_small_closure_rounds_take_the_pair_route_first():
+    # 18 points of PG(4, 2), rank 5: at FULL_ENUM_LIMIT, where the
+    # circuit-pair scan took 13107 nodes.  The capped pair route finds
+    # every missing point in one round, and the fixed point PG(4, 2) is
+    # projective.
+    cols = [10, 1, 14, 13, 12, 24, 18, 28, 21, 22, 6, 8, 5, 11, 19, 31, 27, 23]
+    m = BinaryMatroid(tuple(f"q{i}" for i in range(len(cols))), tuple(cols), 5)
+    final, trace = theta3_closure(m, budget=Budget(max_nodes=1_000))
+    assert final.size == 31 and trace.rounds
+    assert final.colset == set(range(1, 32))
+
+
+def test_small_closure_fixed_point_comes_from_the_certificate(monkeypatch):
+    # M(K_2,3) plus its one missing vector is in the class, so no round
+    # of its closure needs the circuit-pair scan.
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the circuit-pair scan ran")
+
+    monkeypatch.setattr(theta, "_theta_scan", no_scan)
+    m = dict(SMALL_CORPUS)["K23"]
+    final, trace = theta3_closure(m)
+    ofinal, _ = oracles.oracle_closure(m)
+    assert final.colset == ofinal.colset
+    assert len(trace.rounds) == 1
 
 
 def test_check_searches_only_the_piece_outside_the_class():
