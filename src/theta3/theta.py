@@ -314,13 +314,17 @@ def _theta_from_arcs(
     (it is then automatically a circuit).  A compatible triple with
     total corank 2 is a theta with the three sets as arcs.  A set's
     compatibility row is tested when the triple search first needs it,
-    so a search that finds a theta early skips the rows after it.
+    so a search that finds a theta early skips the rows after it.  A
+    theta has at most r + 2 elements, so two sets whose sizes leave
+    less than the smallest set's size for a third are never tested;
+    arcs must be sorted by size, as _arcs_by_target returns them.
     """
     k = len(arcs)
     if k < 3:
         return None
     cols = M.cols
     arc_cols = [[cols[j] for j in bits(m)] for m, _ in arcs]
+    pair_cap = M.rank + 2 - arcs[0][1]
 
     @cache
     def compat(i: int) -> list[int]:
@@ -329,6 +333,8 @@ def _theta_from_arcs(
         row = []
         for j in range(i + 1, k):
             mj, sj = arcs[j]
+            if si + sj > pair_cap:
+                break
             if mi & mj:
                 continue
             if budget is not None:

@@ -26,6 +26,7 @@ from theta3.construct import (
     parse_recipe,
     projective_geometry,
     serialize_term,
+    theta_edges,
 )
 from theta3.matroid import (
     BinaryMatroid,
@@ -237,12 +238,16 @@ def test_closure_is_idempotent(m):
 
 @settings(max_examples=25, deadline=None)
 @given(simple_matroids(min_rank=4, max_dim=4, max_cols=8))
+@example(cycle_matroid(theta_edges(2, 2, 3)))
+@example(cycle_matroid(theta_edges(3, 3, 3)))
 def test_closure_reaches_the_oracle_fixed_point(m):
     # A round may stop at a partial pair-route answer, and a recipe
     # certificate may declare the fixed point, so the final is checked
     # against the brute-force closure.  Rank-4 sets of 4-8 points: on
     # matroids(max_dim=4, max_cols=7) the closure grew 1 input in 200,
-    # here about a third of them.
+    # here about a third of them.  In rank 4 every theta has 2-element
+    # arcs, so the pair route finds them all; the theta graphs with a
+    # longer arc need the circuit-pair scan.
     final, _ = theta3_closure(m)
     ofinal, _ = oracles.oracle_closure(m)
     assert final.colset == ofinal.colset
