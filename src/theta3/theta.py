@@ -19,14 +19,17 @@ Completeness reduces to a vector lookup: an element e completes T iff
 some arc is the singleton {e}, or col(e) equals the completing vector
 (such an e can never sit on a longer arc, because arcs are independent).
 A singleton arc's column is itself the completing vector, so T is
-complete exactly when its completing vector is a column.  The closure
-loop leans on the contrapositive: to find incomplete thetas it searches
-per missing span vector v for three disjoint independent sets that each
-sum to v and jointly have corank 2.  The corank condition is not
-optional: in M(K4) the three disjoint pairs {e1, e2+e3}, {e2, e1+e3},
-{e3, e1+e2} all sum to e1+e2+e3 and all pairwise unions are circuits,
-yet the six columns have corank 3 and form no theta (adding the vector
-would wrongly turn M(K4) into F7).
+complete exactly when its completing vector is a column.  The scan
+for incomplete thetas does this lookup before the corank test of a
+circuit pair, so a pair whose vector is a column costs no rank test,
+and on a closed matroid only pairs that form no theta reach one.
+Above FULL_ENUM_LIMIT the closure loop leans on the contrapositive
+instead: it searches per missing span vector v for three disjoint
+independent sets that each sum to v and jointly have corank 2.  The
+corank condition is not optional: in M(K4) the three disjoint pairs
+{e1, e2+e3}, {e2, e1+e3}, {e3, e1+e2} all sum to e1+e2+e3 and all
+pairwise unions are circuits, yet the six columns have corank 3 and
+form no theta (adding the vector would wrongly turn M(K4) into F7).
 
 Closedness also has a proof that lists no theta.  By the paper's
 theorem a binary matroid is theta-closed exactly when it is built from
@@ -44,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, islice
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from theta3.budget import Budget
 from theta3.construct import BuildRecipe, certificate, cycle_matroid, is_projective
@@ -122,9 +125,10 @@ def _theta(M: BinaryMatroid, arc_masks: Iterable[int], w: int) -> ThetaGraph:
 
 
 def _theta_scan(
-    M: BinaryMatroid, budget: Budget | None = None
+    M: BinaryMatroid, budget: Budget | None = None, skip: Collection[int] = ()
 ) -> Iterator[tuple[int, int, int, int]]:
-    """Yield (arc, arc, arc, completing vector) for every theta of M, once each.
+    """Yield (arc, arc, arc, completing vector) for every theta of M whose
+    completing vector is not in skip, once each.
 
     Arcs are element masks.  Circuits are bucketed by their smallest
     element and only pairs within a bucket are tested, which finds each
@@ -134,10 +138,14 @@ def _theta_scan(
     the third circuit, the union of the two arcs outside C1 n C2.  The
     pairs left are one per set of three circuits, each the symmetric
     difference of the other two, so the number of corank tests does
-    not depend on the element order.  The corank test is incremental:
-    columns of C2 - C1 reduce against the echelon of C1; the corank of
-    C1 u C2, minus 1, equals the number of columns that reduce to zero,
-    so we want exactly one zero and can abort on the second.
+    not depend on the element order.  The completing vector, the sum of
+    C1 n C2, is looked up in skip before the corank test, so a caller
+    that passes M's columns pays corank tests only for pairs that could
+    be an incomplete theta.  The corank test is incremental: columns of
+    C2 - C1 reduce against the echelon of C1, built on the first pair
+    of its row that gets this far; the corank of C1 u C2, minus 1,
+    equals the number of columns that reduce to zero, so we want
+    exactly one zero and can abort on the second.
     """
     cols = M.cols
     rank_cap = M.rank + 2  # |C1 u C2| can't exceed this at corank 2
@@ -149,9 +157,7 @@ def _theta_scan(
 
     for bucket in buckets:
         for ii, mi in enumerate(bucket):
-            ech = Echelon()
-            for j in bits(mi):
-                ech.insert(cols[j])
+            pivots = None
             for mj in bucket[ii + 1 :]:
                 if (mi | mj).bit_count() > rank_cap:
                     continue
@@ -159,12 +165,21 @@ def _theta_scan(
                     budget.tick()
                 if mi ^ mj not in circuits:
                     continue
-                if zero_residues(cols, mj & ~mi, ech.pivots) != 1:
-                    continue
-                inter = mi & mj
+                inter = rest = mi & mj
                 w = 0
-                for j in bits(inter):
-                    w ^= cols[j]
+                while rest:
+                    low = rest & -rest
+                    w ^= cols[low.bit_length() - 1]
+                    rest ^= low
+                if w in skip:
+                    continue
+                if pivots is None:
+                    ech = Echelon()
+                    for j in bits(mi):
+                        ech.insert(cols[j])
+                    pivots = ech.pivots
+                if zero_residues(cols, mj & ~mi, pivots) != 1:
+                    continue
                 yield mi & ~mj, mj & ~mi, inter, w
 
 
@@ -179,8 +194,7 @@ def _incomplete(
     M: BinaryMatroid, budget: Budget | None
 ) -> Iterator[tuple[int, int, int, int]]:
     """Scan records of the incomplete thetas: no column is the completing vector."""
-    colset = M.colset
-    return (rec for rec in _theta_scan(M, budget) if rec[3] not in colset)
+    return _theta_scan(M, budget, M.colset)
 
 
 def is_complete(M: BinaryMatroid, T: ThetaGraph) -> tuple[bool, str | None]:

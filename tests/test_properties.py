@@ -42,6 +42,7 @@ from theta3.matroid import (
 )
 from theta3.theta import (
     _arcs_by_target,
+    _incomplete,
     _missing_vectors,
     _pair_route_hits,
     _theta_from_arcs,
@@ -184,32 +185,52 @@ def simple_matroids(draw, min_rank=4, max_dim=6, max_cols=11):
     return BinaryMatroid(tuple(f"g{i}" for i in range(len(cols))), tuple(cols), dim)
 
 
+def _scan_form(m, records):
+    return [
+        (frozenset(frozenset(m.labels[j] for j in bits(a)) for a in arcs), w)
+        for *arcs, w in records
+    ]
+
+
 @settings(max_examples=150)
 @given(matroids(max_dim=4, max_cols=9))
 @example(BinaryMatroid(tuple("abcdefgh"), (0, 1, 1, 2, 3, 4, 5, 6), 3))  # loop, copies
 def test_theta_scan_yields_each_theta_once(m):
-    labels = m.labels
-    got = [
-        (frozenset(frozenset(labels[j] for j in bits(a)) for a in arcs), w)
-        for *arcs, w in _theta_scan(m)
-    ]
+    got = _scan_form(m, _theta_scan(m))
     assert len(got) == len(set(got))
     assert set(got) == oracles.oracle_theta_graphs(m)
+
+
+@settings(max_examples=150)
+@given(matroids(max_dim=4, max_cols=9))
+@example(BinaryMatroid(tuple("abcdefgh"), (0, 1, 1, 2, 3, 4, 5, 6), 3))  # loop, copies
+@example(cycle_matroid(complete_bipartite_edges(2, 3)))  # one theta, incomplete
+@example(BinaryMatroid(tuple("abcdefg"), (1, 2, 3, 4, 5, 8, 14), 4))  # 5 of 6 complete
+def test_incomplete_scan_yields_each_incomplete_theta_once(m):
+    # The scan skips a pair whose completing vector is a column before
+    # its rank test; what is left must be exactly the incomplete thetas.
+    got = _scan_form(m, _incomplete(m, None))
+    assert len(got) == len(set(got))
+    want = {(arcs, w) for arcs, w in oracles.oracle_theta_graphs(m) if w not in m.colset}
+    assert set(got) == want
 
 
 @settings(max_examples=100)
 @given(matroids(max_dim=4, max_cols=9), st.data())
 def test_theta_scan_rank_tests_do_not_depend_on_element_order(m, data):
+    # The completing vector a pair is looked up by does not depend on
+    # the element order either, so neither does the incomplete scan's.
     order = data.draw(st.permutations(range(m.size)))
     shuffled = BinaryMatroid(
         tuple(m.labels[i] for i in order), tuple(m.cols[i] for i in order), m.dim
     )
     counts = []
     for mm in (m, shuffled):
-        with mock.patch("theta3.theta.zero_residues", wraps=zero_residues) as rank_test:
-            found = sum(1 for _ in _theta_scan(mm))
-        counts.append((rank_test.call_count, found))
-    assert counts[0] == counts[1]
+        for scan in (_theta_scan(mm), _incomplete(mm, None)):
+            with mock.patch("theta3.theta.zero_residues", wraps=zero_residues) as rank_test:
+                found = sum(1 for _ in scan)
+            counts.append((rank_test.call_count, found))
+    assert counts[:2] == counts[2:]
 
 
 @settings(max_examples=40)

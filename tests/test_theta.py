@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from theta3.budget import Budget, BudgetExceededError
@@ -17,7 +19,7 @@ from theta3.construct import (
     projective_geometry,
     theta_edges,
 )
-from theta3.gf2 import bits_from_str
+from theta3.gf2 import zero_residues
 from theta3.matroid import BinaryMatroid, simplify
 from theta3 import theta
 from theta3.theta import (
@@ -157,6 +159,25 @@ def test_shortcut_and_direct_agree_on_projective_geometries():
         assert is_theta3_closed(pg, use_shortcut=False)[0]
 
 
+def _rank_tests_and_nodes(m):
+    budget = Budget()
+    with mock.patch.object(theta, "zero_residues", wraps=zero_residues) as rank_test:
+        closed, _ = is_theta3_closed(m, use_shortcut=False, budget=budget)
+    assert closed
+    return rank_test.call_count, budget.nodes
+
+
+def test_closed_scan_rank_tests_only_thetas_that_could_be_incomplete():
+    # Every theta of PG(4, 2) is complete, so the scan looks up each
+    # completing vector among the columns and never needs a rank test.
+    # M(K7) needed 19355 rank tests when every circuit pair was
+    # rank-tested first.  The node count, one per pair tested, stays.
+    assert _rank_tests_and_nodes(projective_geometry(4)) == (0, 3327)
+    tests, nodes = _rank_tests_and_nodes(catalog_matroid("MK(7)"))
+    assert tests <= 5075
+    assert nodes == 30009
+
+
 def test_budget_stops_the_scan():
     with pytest.raises(BudgetExceededError):
         theta_graphs(catalog_matroid("MSTAR_K5"), Budget(max_nodes=5))
@@ -190,17 +211,17 @@ def test_closure_matches_oracle_fixed_point_and_rounds():
 
 
 def test_closure_arc_search_stays_within_a_node_budget():
-    # The last round certifies the fixed point through the arc search,
-    # which must not grow sets past the longest arc a theta can have.
-    cols = "110101 000011 111110 111000 010100 100001 101000 011011 111100 001100"
-    m = BinaryMatroid(
-        tuple(f"q{i}" for i in range(10)),
-        tuple(bits_from_str(c) for c in cols.split()),
-        6,
-    )
-    final, trace = theta3_closure(m, budget=Budget(max_nodes=50_000))
-    assert final.size == 19 and trace.rounds
-    assert is_theta3_closed(final, use_shortcut=False)[0]
+    # 14 points of PG(6, 2).  The closure's 21-element round is
+    # 3-connected: the pair route finds nothing there and the certificate
+    # fails, so the arc search runs.  It must not grow sets past the
+    # longest arc a theta can have (the whole closure takes 14920 nodes).
+    cols = [81, 7, 58, 37, 56, 10, 104, 47, 21, 68, 85, 74, 95, 46]
+    m = BinaryMatroid(tuple(f"q{i}" for i in range(len(cols))), tuple(cols), 7)
+    with mock.patch.object(theta, "_arcs_by_target", wraps=theta._arcs_by_target) as search:
+        final, trace = theta3_closure(m, budget=Budget(max_nodes=50_000))
+    assert search.call_count == 1
+    assert final.size == 65 and trace.rounds
+    assert is_theta3_closed(final)[0]
 
 
 @pytest.mark.parametrize(
