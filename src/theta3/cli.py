@@ -426,7 +426,7 @@ def main(argv: list[str] | None = None) -> int:
         code = 4
     report["timings"]["total_s"] = round(time.perf_counter() - started, 6)
     try:
-        print(json.dumps(report, indent=2))
+        print(json.dumps(report, separators=(",", ":")))
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader has gone away.  Python flushes stdout again at exit,

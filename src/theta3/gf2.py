@@ -58,7 +58,8 @@ def bits_from_str(s: str) -> int:
 
 
 def bits_to_str(mask: int, dim: int) -> str:
-    return "".join("1" if mask >> i & 1 else "0" for i in range(dim))
+    """The string form of a mask below 2**dim, row 1 first."""
+    return format(mask, f"0{dim}b")[::-1] if dim else ""
 
 
 class Echelon:

@@ -93,8 +93,8 @@ class BinaryMatroid:
         """A matroid the caller has already validated, built unchecked.
 
         For results of operations on a valid matroid that keep its
-        dimension and take a subfamily of its elements, or add one
-        element checked on its own.
+        dimension and take a subfamily of its elements, add one element
+        checked on its own, or add vectors of its span under new labels.
         """
         M = object.__new__(cls)
         object.__setattr__(M, "labels", labels)

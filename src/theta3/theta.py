@@ -38,15 +38,15 @@ so a recipe that rebuilds M (construct.certificate) proves M closed.
 is_theta3_closed tries it above FULL_ENUM_LIMIT; when it finds none, it
 names a piece of M outside the class, where is_theta3_closed scans for
 the witness.  Every closure round tries it at any size, after the
-capped pair route comes up empty, and the round's exact search (still
-on all of M) runs only when there is no recipe.
+pair route (exact for thetas whose three arcs have two elements each)
+comes up empty, and the round's exact search (still on all of M) runs
+only when there is no recipe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, islice
 from typing import Collection, Iterable, Iterator
 
 from theta3.budget import Budget
@@ -75,10 +75,9 @@ __all__ = [
 # inputs.
 FULL_ENUM_LIMIT = 18
 
-# Caps for the heuristic fast paths; the exact searches behind them have
-# no caps, only the caller's Budget.
+# Rank cap for the pair-route prepass in is_theta3_closed; the exact
+# searches behind it have no caps, only the caller's Budget.
 _PREPASS_MAX_RANK = 12
-_PREPASS_COMBOS_PER_VECTOR = 2000
 
 
 @dataclass(frozen=True)
@@ -228,10 +227,7 @@ def _missing_vectors(M: BinaryMatroid) -> list[int]:
 
 
 def _pair_route_hits(
-    M: BinaryMatroid,
-    targets: list[int] | None,
-    max_combos: int | None,
-    budget: Budget | None,
+    M: BinaryMatroid, targets: list[int] | None, budget: Budget | None
 ) -> Iterator[tuple[int, ThetaGraph]]:
     """Per target v, in order: a theta with three 2-element arcs completed by v.
 
@@ -242,8 +238,16 @@ def _pair_route_hits(
     sum of two columns can yield, and their pair lists come from one
     pass over the pairs of present columns.  When fewer vectors are
     missing than half the columns, a pass over each missing vector's
-    possible pairs is cheaper, so that is taken instead.  Each target
-    tries at most max_combos triples (None: all of them).
+    possible pairs is cheaper, so that is taken instead.
+
+    The rank test needs no elimination.  Each pair is named by its
+    smaller column, the one without v's highest bit, so a^b is a name
+    too.  For names a, b of distinct pairs, a, b and v are independent,
+    and the only pair in span(a, b, v) other than a's and b's is the
+    one named a^b; so {a, b, c, v} has rank 4 exactly when c != a^b.
+    The first triple in combination order is therefore (p0, p1, p2), or
+    (p0, p1, p3) when p2 is the sum pair, and with only three pairs and
+    p2 the sum pair v completes no such theta.
     """
     first: dict[int, int] = {}
     for j, c in enumerate(M.cols):
@@ -260,13 +264,20 @@ def _pair_route_hits(
     else:
         pairs = {v: [a for a in present if a < a ^ v and a ^ v in first] for v in targets}
     for v in targets:
-        for a, b, c in islice(combinations(pairs[v], 3), max_combos):
+        reps = pairs[v]
+        if len(reps) < 3:
+            continue
+        a, b, c = reps[:3]
+        if budget is not None:
+            budget.tick()
+        if c == a ^ b:
+            if len(reps) == 3:
+                continue
             if budget is not None:
                 budget.tick()
-            if rank_bits((a, b, c, v)) == 4:
-                arcs = [1 << first[x] | 1 << first[x ^ v] for x in (a, b, c)]
-                yield v, _theta(M, arcs, v)
-                break
+            c = reps[3]
+        arcs = [1 << first[x] | 1 << first[x ^ v] for x in (a, b, c)]
+        yield v, _theta(M, arcs, v)
 
 
 def _arcs_by_target(
@@ -384,7 +395,7 @@ def find_theta_completed_by(
     repeats no column value), so the search runs on the simplification.
     """
     S = M if M.is_simple else simplify(M)
-    for _, hit in _pair_route_hits(S, [v], None, budget):
+    for _, hit in _pair_route_hits(S, [v], budget):
         return hit
     arcs = _arcs_by_target(S, [v], budget)[v]
     return _theta_from_arcs(S, v, arcs, budget)
@@ -401,8 +412,9 @@ def is_theta3_closed(
     With use_shortcut enabled, a simple matroid whose columns exhaust
     every nonzero vector of their span is accepted immediately (a full
     projective restriction has no room for an incomplete theta).  Up to
-    rank _PREPASS_MAX_RANK, a capped pair-route sweep over the missing
-    pair sums catches most negatives quickly (sound, not complete).
+    rank _PREPASS_MAX_RANK, a pair-route sweep over the missing pair
+    sums catches most negatives quickly: it finds every incomplete
+    theta whose three arcs have two elements each, and none other.
     With use_shortcut enabled and more than FULL_ENUM_LIMIT elements, a
     recipe certificate then proves a member of the class closed (the
     paper's theorem), in polynomial time; for a non-member it names the
@@ -412,7 +424,7 @@ def is_theta3_closed(
     if use_shortcut and is_projective(M):
         return True, None
     if M.rank <= _PREPASS_MAX_RANK:
-        prepass = _pair_route_hits(M, None, _PREPASS_COMBOS_PER_VECTOR, budget)
+        prepass = _pair_route_hits(M, None, budget)
         for _, hit in prepass:
             return False, hit
     if use_shortcut and M.size > FULL_ENUM_LIMIT:
@@ -432,17 +444,18 @@ def _incomplete_vectors(
     """Missing span vectors that complete some theta of M, ascending.
 
     Exact when it reports nothing, which is what certifies a fixed
-    point.  At every size the capped pair route goes first and may
-    return a partial answer; later rounds pick up whatever it skipped
-    (additions never invalidate earlier ones).  Once it comes up empty,
-    a recipe certificate proves the fixed point if M is in the class,
-    and otherwise an exact search has the final word: the circuit-pair
-    scan up to FULL_ENUM_LIMIT elements, the per-vector arc search
-    above it.
+    point.  At every size the pair route goes first.  It is exact for
+    thetas whose three arcs have two elements each and blind to the
+    rest, so its answer may be partial; later rounds pick up whatever
+    it missed (additions never invalidate earlier ones).  Once it comes
+    up empty, a recipe certificate proves the fixed point if M is in
+    the class, and otherwise an exact search has the final word: the
+    circuit-pair scan up to FULL_ENUM_LIMIT elements, the per-vector arc
+    search above it.
     """
     if is_projective(M):
         return []
-    out = list(_pair_route_hits(M, None, _PREPASS_COMBOS_PER_VECTOR, budget))
+    out = list(_pair_route_hits(M, None, budget))
     if out or isinstance(certificate(M, budget), BuildRecipe):
         return out
     if M.size <= FULL_ENUM_LIMIT:
@@ -485,16 +498,18 @@ def theta3_closure(
             break
         if strategy == "one_at_a_time":
             found = found[:1]
-        added = []
-        wits = []
-        for v, T in found:
+        added, wits = zip(*found)
+        taken = set(cur.labels)
+        new_labels = []
+        for v in added:
             lab = f"v{bits_to_str(v, cur.dim)}"
-            while lab in cur.label_set:
+            while lab in taken:
                 lab += "'"
-            cur = cur.extend(lab, v)
-            added.append(v)
-            wits.append(T)
-        rounds.append(ClosureRound(tuple(added), tuple(wits)))
+            taken.add(lab)
+            new_labels.append(lab)
+        # one matroid per round; the added vectors lie in cur's span
+        cur = BinaryMatroid._derived(cur.labels + tuple(new_labels), cur.cols + added, cur.dim)
+        rounds.append(ClosureRound(added, wits))
     return cur, ClosureTrace(initial=start, final=cur, rounds=tuple(rounds))
 
 

@@ -304,16 +304,15 @@ def oracle_is_complete_graph(M: BinaryMatroid) -> bool:
 
 
 def oracle_pair_route_hits(
-    M: BinaryMatroid, targets: list[int] | None = None, max_combos: int | None = None
+    M: BinaryMatroid, targets: list[int] | None = None
 ) -> list[tuple[int, frozenset[frozenset[str]]]]:
     """Reference for the pair-route prepass, one target at a time.
 
     Targets default to the nonzero span vectors that no column carries,
     ascending.  Per target v, in order: the pairs {a, a + v} of distinct
-    present columns with a < a + v, ascending in a; the first of at most
-    max_combos triples of them, in combination order, whose columns
-    together with v have rank 4 gives the arcs (each column named by
-    its first label).
+    present columns with a < a + v, ascending in a; the first triple of
+    them, in combination order, whose columns together with v have
+    rank 4 gives the arcs (each column named by its first label).
     """
     first: dict[int, str] = {}
     for lab, c in zip(M.labels, M.cols):
@@ -324,9 +323,7 @@ def oracle_pair_route_hits(
     out = []
     for v in targets:
         pairs = [a for a in present if a < a ^ v and a ^ v in first]
-        for k, triple in enumerate(combinations(pairs, 3)):
-            if max_combos is not None and k == max_combos:
-                break
+        for triple in combinations(pairs, 3):
             if len(span_of((*triple, v))) == 16:
                 arcs = frozenset(frozenset((first[a], first[a ^ v])) for a in triple)
                 out.append((v, arcs))

@@ -44,6 +44,23 @@ def test_report_skeleton_and_exit_zero_on_closed(capsys):
     assert rep["timings"]["total_s"] >= 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "MSTAR_K5"],
+        ["closure", "MSTAR_K33"],
+        ["decompose", "MK(4)"],
+        ["build", "P(C(3), C(3); base=e3)"],
+        ["catalog"],
+    ],
+)
+def test_report_is_one_json_line(capsys, argv):
+    cli.main(argv)
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1, argv
+    assert isinstance(json.loads(out), dict)
+
+
 def test_check_exit_one_with_validated_witness(capsys):
     code, rep = run_cli(capsys, "check", "THETA(2,2,2)")
     assert code == 1

@@ -11,7 +11,15 @@ from unittest import mock
 from hypothesis import assume, example, given, settings, strategies as st
 
 from theta3.decompose import classify_theta3
-from theta3.gf2 import Echelon, bits, greedy_coordinates, rank_bits, zero_residues
+from theta3.gf2 import (
+    MAX_DIM,
+    Echelon,
+    bits,
+    bits_to_str,
+    greedy_coordinates,
+    rank_bits,
+    zero_residues,
+)
 from theta3.construct import (
     BuildRecipe,
     DNode,
@@ -307,6 +315,20 @@ def test_recipe_grammar_round_trips(t):
     assert parse_recipe(serialize_term(t)) == t
 
 
+@given(
+    st.integers(0, MAX_DIM).flatmap(
+        lambda d: st.tuples(st.just(d), st.integers(0, (1 << d) - 1))
+    )
+)
+@example((0, 0))
+@example((16, 1 << 15))  # row 16 alone: fifteen leading zero rows
+@example((16, (1 << 16) - 1))
+@example((6, 0b100100))  # rows 3 and 6
+def test_bits_to_str_matches_the_per_bit_definition(case):
+    dim, mask = case
+    assert bits_to_str(mask, dim) == "".join("1" if mask >> i & 1 else "0" for i in range(dim))
+
+
 @settings(max_examples=40)
 @given(st.integers(0, 127))
 def test_classify_matches_direct_decision_on_plane_subsets(mask):
@@ -322,24 +344,30 @@ def test_classify_matches_direct_decision_on_plane_subsets(mask):
 
 
 @settings(max_examples=150)
-@given(matroids(max_dim=5, max_cols=12), st.sampled_from([None, 1, 3]))
-@example(BinaryMatroid(tuple("abcdefgh"), (0, 1, 1, 2, 3, 4, 5, 6), 3), None)  # loop, copies
-@example(BinaryMatroid(tuple(f"p{k}" for k in range(2, 16)), tuple(range(2, 16)), 4), None)
-@example(BinaryMatroid(tuple("abcdef"), (1, 2, 4, 8, 16, 3), 5), None)  # few pair sums
-@example(BinaryMatroid(tuple("abcdefg"), (3, 13, 6, 23, 18, 28, 25), 5), None)  # 7 yields
-def test_pair_route_matches_the_per_target_reference(m, cap):
+@given(matroids(max_dim=5, max_cols=12))
+@example(BinaryMatroid(tuple("abcdefgh"), (0, 1, 1, 2, 3, 4, 5, 6), 3))  # loop, copies
+@example(BinaryMatroid(tuple(f"p{k}" for k in range(2, 16)), tuple(range(2, 16)), 4))
+@example(BinaryMatroid(tuple("abcdef"), (1, 2, 4, 8, 16, 3), 5))  # few pair sums
+@example(BinaryMatroid(tuple("abcdefg"), (3, 13, 6, 23, 18, 28, 25), 5))  # 7 yields
+# Target 8 only: its pairs {1,9}, {2,10}, {3,11} are dependent, and
+# there is no fourth pair, so no yield.
+@example(BinaryMatroid(tuple("abcdef"), (1, 2, 3, 9, 10, 11), 4))
+# With {4,12} added, target 8 skips the sum pair {3,11}: arcs {1,9},
+# {2,10}, {4,12}.
+@example(BinaryMatroid(tuple("abcdefgh"), (1, 2, 3, 9, 10, 11, 4, 12), 4))
+def test_pair_route_matches_the_per_target_reference(m):
     # One yield per target that has a rank-4 triple, in ascending target
     # order, whether the pairs come from the pass over column pairs or,
     # with few missing vectors, from each missing vector in turn.
-    got = [(v, frozenset(t.arcs)) for v, t in _pair_route_hits(m, None, cap, None)]
-    assert got == oracles.oracle_pair_route_hits(m, max_combos=cap)
+    got = [(v, frozenset(t.arcs)) for v, t in _pair_route_hits(m, None, None)]
+    assert got == oracles.oracle_pair_route_hits(m)
 
 
 @settings(max_examples=60)
 @given(matroids(max_dim=4, max_cols=10), st.lists(st.integers(0, 15), max_size=4))
 def test_pair_route_with_explicit_targets_matches_the_reference(m, targets):
     targets = [v for v in targets if not v >> m.dim]
-    got = [(v, frozenset(t.arcs)) for v, t in _pair_route_hits(m, targets, None, None)]
+    got = [(v, frozenset(t.arcs)) for v, t in _pair_route_hits(m, targets, None)]
     assert got == oracles.oracle_pair_route_hits(m, targets)
 
 

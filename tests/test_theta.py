@@ -245,8 +245,8 @@ def test_closure_certifies_its_fixed_point_within_a_node_budget(cols):
 
 def test_small_closure_rounds_take_the_pair_route_first():
     # 18 points of PG(4, 2), rank 5: at FULL_ENUM_LIMIT, where the
-    # circuit-pair scan took 13107 nodes.  The capped pair route finds
-    # every missing point in one round, and the fixed point PG(4, 2) is
+    # circuit-pair scan took 13107 nodes.  The pair route finds every
+    # missing point in one round, and the fixed point PG(4, 2) is
     # projective.
     cols = [10, 1, 14, 13, 12, 24, 18, 28, 21, 22, 6, 8, 5, 11, 19, 31, 27, 23]
     m = BinaryMatroid(tuple(f"q{i}" for i in range(len(cols))), tuple(cols), 5)
