@@ -23,13 +23,6 @@ complete exactly when its completing vector is a column.  The scan
 for incomplete thetas does this lookup before the corank test of a
 circuit pair, so a pair whose vector is a column costs no rank test,
 and on a closed matroid only pairs that form no theta reach one.
-Above FULL_ENUM_LIMIT the closure loop leans on the contrapositive
-instead: it searches per missing span vector v for three disjoint
-independent sets that each sum to v and jointly have corank 2.  The
-corank condition is not optional: in M(K4) the three disjoint pairs
-{e1, e2+e3}, {e2, e1+e3}, {e3, e1+e2} all sum to e1+e2+e3 and all
-pairwise unions are circuits, yet the six columns have corank 3 and
-form no theta (adding the vector would wrongly turn M(K4) into F7).
 
 Closedness also has a proof that lists no theta.  By the paper's
 theorem a binary matroid is theta-closed exactly when it is built from
@@ -37,21 +30,20 @@ circuits, M(K_n) and PG blocks by direct sums and parallel connections,
 so a recipe that rebuilds M (construct.certificate) proves M closed.
 is_theta3_closed tries it above FULL_ENUM_LIMIT; when it finds none, it
 names a piece of M outside the class, where is_theta3_closed scans for
-the witness.  Every closure round tries it at any size, after the
+the witness.  Every closure round does the same at any size, after the
 pair route (exact for thetas whose three arcs have two elements each)
-comes up empty, and the round's exact search (still on all of M) runs
-only when there is no recipe.
+comes up empty: the recipe proves the fixed point, and otherwise the
+scan of the piece finds the round's vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Collection, Iterable, Iterator
 
 from theta3.budget import Budget
 from theta3.construct import BuildRecipe, certificate, cycle_matroid, is_projective
-from theta3.gf2 import Echelon, bits, bits_to_str, rank_bits, zero_residues
+from theta3.gf2 import Echelon, bits, bits_to_str, zero_residues
 from theta3.matroid import BinaryMatroid, _circuit_masks, simplify
 
 __all__ = [
@@ -62,17 +54,14 @@ __all__ = [
     "is_complete",
     "is_theta3_closed",
     "theta3_closure",
-    "find_theta_completed_by",
     "graph_is_theta3_closed",
     "FULL_ENUM_LIMIT",
 ]
 
 # Above this many elements, check (with its shortcuts on) tries the
-# recipe certificate before the circuit-pair scan, and a closure round
-# that the pair route and the certificate leave open searches per
-# missing vector instead of scanning every theta.  At or below it the
-# scan is cheap, and for check cheaper than the certificate on small
-# inputs.
+# recipe certificate before the circuit-pair scan.  At or below it the
+# scan is cheaper than the certificate.  Closure rounds try the
+# certificate at every size.
 FULL_ENUM_LIMIT = 18
 
 # Rank cap for the pair-route prepass in is_theta3_closed; the exact
@@ -237,8 +226,8 @@ def _pair_route_hits(
     for every missing span vector, ascending; only those that are the
     sum of two columns can yield, and their pair lists come from one
     pass over the pairs of present columns.  When fewer vectors are
-    missing than half the columns, a pass over each missing vector's
-    possible pairs is cheaper, so that is taken instead.
+    missing than a third of the columns, a pass over each missing
+    vector's possible pairs is cheaper, so that is taken instead.
 
     The rank test needs no elimination.  Each pair is named by its
     smaller column, the one without v's highest bit, so a^b is a name
@@ -278,127 +267,6 @@ def _pair_route_hits(
             c = reps[3]
         arcs = [1 << first[x] | 1 << first[x ^ v] for x in (a, b, c)]
         yield v, _theta(M, arcs, v)
-
-
-def _arcs_by_target(
-    M: BinaryMatroid, targets: list[int], budget: Budget | None
-) -> dict[int, list[tuple[int, int]]]:
-    """For each target v, the independent sets summing to v that fit in a
-    theta as an arc, as (mask, size).
-
-    One DFS over independent sets serves every target at once.  At a
-    node S with running sum s, the element that would finish a v-sum
-    set is determined: it must carry column v ^ s, lie outside S, and
-    stay independent.  Supersets of a finished set can never finish for
-    the same target again (the two extra elements would have to be
-    equal), and an arc never contains a smaller arc for the same target
-    (the difference would be a dependency inside an independent set),
-    so everything emitted is a genuine candidate arc.  A theta has
-    r(T) + 2 <= r + 2 elements, and only a target that is a column can
-    be a singleton arc, so arcs have at most r - 2 elements, or r - 1
-    when some target is a column.
-
-    M must be simple: column values identify elements.
-    """
-    n = M.size
-    cols = M.cols
-    colpos = {c: i for i, c in enumerate(cols)}
-    longest = M.rank - 1 if any(v in colpos for v in targets) else M.rank - 2
-    found: dict[int, set[tuple[int, int]]] = {v: set() for v in targets}
-    ech = Echelon()
-
-    def visit(smask: int, ssize: int, s: int) -> None:
-        for v in targets:
-            t = v ^ s
-            j = colpos.get(t)
-            if j is not None and not smask >> j & 1 and ech.residue(t):
-                found[v].add((smask | (1 << j), ssize + 1))
-
-    def grow(start: int, smask: int, ssize: int, s: int) -> None:
-        if budget is not None:
-            budget.tick()
-        visit(smask, ssize, s)
-        if ssize + 2 > longest:
-            return
-        for i in range(start, n):
-            piv = ech.insert(cols[i])
-            if piv:
-                grow(i + 1, smask | (1 << i), ssize + 1, s ^ cols[i])
-                ech.remove(piv)
-
-    grow(0, 0, 0, 0)
-    return {v: sorted(found[v], key=lambda p: (p[1], p[0])) for v in targets}
-
-
-def _theta_from_arcs(
-    M: BinaryMatroid, v: int, arcs: list[tuple[int, int]], budget: Budget | None
-) -> ThetaGraph | None:
-    """Pick three pairwise-compatible v-sum sets forming a theta, if any.
-
-    Two disjoint v-sum sets are compatible when their union has corank 1
-    (it is then automatically a circuit).  A compatible triple with
-    total corank 2 is a theta with the three sets as arcs.  A set's
-    compatibility row is tested when the triple search first needs it,
-    so a search that finds a theta early skips the rows after it.  A
-    theta has at most r + 2 elements, so two sets whose sizes leave
-    less than the smallest set's size for a third are never tested;
-    arcs must be sorted by size, as _arcs_by_target returns them.
-    """
-    k = len(arcs)
-    if k < 3:
-        return None
-    cols = M.cols
-    arc_cols = [[cols[j] for j in bits(m)] for m, _ in arcs]
-    pair_cap = M.rank + 2 - arcs[0][1]
-
-    @cache
-    def compat(i: int) -> list[int]:
-        """The later sets compatible with set i, ascending."""
-        mi, si = arcs[i]
-        row = []
-        for j in range(i + 1, k):
-            mj, sj = arcs[j]
-            if si + sj > pair_cap:
-                break
-            if mi & mj:
-                continue
-            if budget is not None:
-                budget.tick()
-            if rank_bits(arc_cols[i] + arc_cols[j]) == si + sj - 1:
-                row.append(j)
-        return row
-
-    for i in range(k):
-        row = compat(i)
-        for a, j in enumerate(row):
-            in_j = set(compat(j))
-            for l in row[a + 1 :]:
-                if l not in in_j:
-                    continue
-                if budget is not None:
-                    budget.tick()
-                mi, si = arcs[i]
-                mj, sj = arcs[j]
-                ml, sl = arcs[l]
-                if rank_bits(arc_cols[i] + arc_cols[j] + arc_cols[l]) == si + sj + sl - 2:
-                    return _theta(M, (mi, mj, ml), v)
-    return None
-
-
-def find_theta_completed_by(
-    M: BinaryMatroid, v: int, budget: Budget | None = None
-) -> ThetaGraph | None:
-    """Exact search for a theta of M whose completing vector is v.
-
-    Tries the cheap all-pairs route first, then the general search over
-    independent v-sum sets.  Parallel copies never matter here (an arc
-    repeats no column value), so the search runs on the simplification.
-    """
-    S = M if M.is_simple else simplify(M)
-    for _, hit in _pair_route_hits(S, [v], budget):
-        return hit
-    arcs = _arcs_by_target(S, [v], budget)[v]
-    return _theta_from_arcs(S, v, arcs, budget)
 
 
 def is_theta3_closed(
@@ -449,28 +317,26 @@ def _incomplete_vectors(
     rest, so its answer may be partial; later rounds pick up whatever
     it missed (additions never invalidate earlier ones).  Once it comes
     up empty, a recipe certificate proves the fixed point if M is in
-    the class, and otherwise an exact search has the final word: the
-    circuit-pair scan up to FULL_ENUM_LIMIT elements, the per-vector arc
-    search above it.
+    the class.  Otherwise the certificate names a piece of M outside
+    the class, whose incomplete thetas are M's own, and the circuit-pair
+    scan of that piece has the final word.  It reports only the piece's
+    vectors, and never nothing: by the paper's theorem the piece holds
+    an incomplete theta.
     """
     if is_projective(M):
         return []
     out = list(_pair_route_hits(M, None, budget))
-    if out or isinstance(certificate(M, budget), BuildRecipe):
+    if out:
         return out
-    if M.size <= FULL_ENUM_LIMIT:
-        found: dict[int, ThetaGraph] = {}
-        for *arcs, w in _incomplete(M, budget):
-            if w not in found:
-                found[w] = _theta(M, arcs, w)
-        return sorted(found.items())
-    missing = _missing_vectors(M)
-    arcs_all = _arcs_by_target(M, missing, budget)
-    for v in missing:
-        hit = _theta_from_arcs(M, v, arcs_all[v], budget)
-        if hit is not None:
-            out.append((v, hit))
-    return out
+    piece = certificate(M, budget)
+    if isinstance(piece, BuildRecipe):
+        return []
+    # a piece outside the class: its incomplete thetas are M's
+    found: dict[int, ThetaGraph] = {}
+    for *arcs, w in _incomplete(piece, budget):
+        if w not in found:
+            found[w] = _theta(piece, arcs, w)
+    return sorted(found.items())
 
 
 def theta3_closure(

@@ -49,11 +49,8 @@ from theta3.matroid import (
     simplify,
 )
 from theta3.theta import (
-    _arcs_by_target,
     _incomplete,
-    _missing_vectors,
     _pair_route_hits,
-    _theta_from_arcs,
     _theta_scan,
     is_theta3_closed,
     theta3_closure,
@@ -239,21 +236,6 @@ def test_theta_scan_rank_tests_do_not_depend_on_element_order(m, data):
                 found = sum(1 for _ in scan)
             counts.append((rank_test.call_count, found))
     assert counts[:2] == counts[2:]
-
-
-@settings(max_examples=40)
-@given(simple_matroids())
-def test_arc_search_finds_a_theta_for_every_completing_vector(m):
-    # A missing vector v completes a theta exactly when v is that theta's
-    # completing vector, and the theta is then incomplete.  A column
-    # target also admits a singleton arc, which lengthens the others.
-    completing = {w for _, _, w in oracles.oracle_theta_subsets(m)}
-    for v in _missing_vectors(m) + sorted(m.colset):
-        hit = _theta_from_arcs(m, v, _arcs_by_target(m, [v], None)[v], None)
-        assert (hit is not None) == (v in completing), v
-        if hit is not None:
-            assert hit.completing == v
-            oracles.oracle_validate_theta(m, hit.arcs)
 
 
 @settings(max_examples=40)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 from unittest import mock
 
 import pytest
 
+import theta3
 from theta3.budget import Budget, BudgetExceededError
 from theta3.construct import (
     catalog_matroid,
@@ -23,7 +26,6 @@ from theta3.gf2 import zero_residues
 from theta3.matroid import BinaryMatroid, simplify
 from theta3 import theta
 from theta3.theta import (
-    find_theta_completed_by,
     graph_is_theta3_closed,
     is_complete,
     is_theta3_closed,
@@ -105,38 +107,6 @@ def test_singleton_arc_completes_its_own_theta():
     assert ok and lab == "A1"
 
 
-# -- targeted search ---------------------------------------------------------
-
-
-def test_find_theta_completed_by_rejects_corank_three_pairs():
-    # In M(K_4) the three circuit pairs whose union sums to 0b111 all
-    # have corank 3; none of them is a theta, so nothing is found.
-    m = complete_graph_matroid(4)
-    assert find_theta_completed_by(m, 0b111) is None
-
-
-def test_find_theta_completed_by_locates_the_k23_witness():
-    m = cycle_matroid(complete_bipartite_edges(2, 3))
-    ts = theta_graphs(m)
-    w = ts[0].completing
-    hit = find_theta_completed_by(m, w)
-    assert hit is not None
-    assert frozenset(hit.arcs) == frozenset(ts[0].arcs)
-    # the only theta of M(K_2,3) completes to w, so other targets miss
-    assert find_theta_completed_by(m, m.cols[0]) is None
-
-
-def test_find_theta_completed_by_on_deleted_projective_point():
-    # the 7-point case is no good here: deleting a point from it leaves
-    # the complete-graph matroid on 4 vertices, which is closed
-    pg = projective_geometry(4)
-    m = BinaryMatroid(pg.labels[1:], pg.cols[1:], pg.dim)
-    hit = find_theta_completed_by(m, pg.cols[0])
-    assert hit is not None
-    oracles.oracle_validate_theta(m, hit.arcs)
-    assert not oracles.oracle_is_complete(m, hit.arcs)[0]
-
-
 # -- the closed decision ------------------------------------------------------
 
 
@@ -213,13 +183,14 @@ def test_closure_matches_oracle_fixed_point_and_rounds():
 def test_closure_arc_search_stays_within_a_node_budget():
     # 14 points of PG(6, 2).  The closure's 21-element round is
     # 3-connected: the pair route finds nothing there and the certificate
-    # fails, so the arc search runs.  It must not grow sets past the
-    # longest arc a theta can have (the whole closure takes 14920 nodes).
+    # fails with all of M as its piece, so that round scans all of M.  It
+    # is the only round that reaches the scan (the whole closure takes
+    # 28682 nodes).
     cols = [81, 7, 58, 37, 56, 10, 104, 47, 21, 68, 85, 74, 95, 46]
     m = BinaryMatroid(tuple(f"q{i}" for i in range(len(cols))), tuple(cols), 7)
-    with mock.patch.object(theta, "_arcs_by_target", wraps=theta._arcs_by_target) as search:
+    with mock.patch.object(theta, "_incomplete", wraps=theta._incomplete) as scan:
         final, trace = theta3_closure(m, budget=Budget(max_nodes=50_000))
-    assert search.call_count == 1
+    assert [c.args[0].size for c in scan.call_args_list] == [21]
     assert final.size == 65 and trace.rounds
     assert is_theta3_closed(final)[0]
 
@@ -233,10 +204,10 @@ def test_closure_arc_search_stays_within_a_node_budget():
     ids=["PG6pick11", "PG6pick13"],
 )
 def test_closure_certifies_its_fixed_point_within_a_node_budget(cols):
-    # Point sets of PG(5, 2) whose closure has 21 elements: above
-    # FULL_ENUM_LIMIT, where the last round proves the fixed point.  The
-    # arc search alone took more than 50k nodes on both; the recipe
-    # certificate needs a few hundred.
+    # Point sets of PG(5, 2) whose closure has 21 elements, where the
+    # last round proves the fixed point.  The circuit-pair scan of that
+    # round takes about 34k nodes on both; the whole closure, with the
+    # recipe certificate, takes under 150.
     m = BinaryMatroid(tuple(f"q{i}" for i in range(len(cols))), tuple(cols), 6)
     final, trace = theta3_closure(m, budget=Budget(max_nodes=50_000))
     assert final.size == 21 and trace.rounds
@@ -283,6 +254,40 @@ def test_check_searches_only_the_piece_outside_the_class():
     assert not closed
     oracles.oracle_validate_theta(m, wit.arcs)
     assert not oracles.oracle_is_complete(m, wit.arcs)[0]
+
+
+def test_closure_round_scans_only_the_piece_outside_the_class():
+    # THETA(2,2,3) glued to M(K4) at one element: 12 elements, rank 7.
+    # The pair route finds nothing and the certificate cuts off the M(K4)
+    # block, so the round scans the 7-element theta, not all of M.
+    m = parallel_connection(
+        cycle_matroid(theta_edges(2, 2, 3)), complete_graph_matroid(4), "C1", "1-2"
+    )
+    assert (m.size, m.rank) == (12, 7)
+    with mock.patch.object(theta, "_incomplete", wraps=theta._incomplete) as scan:
+        final, trace = theta3_closure(m)
+    assert [c.args[0].size for c in scan.call_args_list] == [7]
+    ofinal, orounds = oracles.oracle_closure(m)
+    assert final.colset == ofinal.colset
+    assert [sorted(r.added_vectors) for r in trace.rounds] == orounds
+
+
+def test_closure_of_a_glued_wheel_stays_within_a_node_budget():
+    # The 6-spoke wheel glued to M(K5) at one element: 21 elements, rank
+    # 9.  Scanning only the wheel closes it in a few hundred nodes;
+    # scanning all of M took more than 130k.
+    rim = [(f"v{i}", f"v{i % 6 + 1}", f"r{i}") for i in range(1, 7)]
+    spokes = [("hub", f"v{i}", f"s{i}") for i in range(1, 7)]
+    m = parallel_connection(
+        cycle_matroid(rim + spokes), complete_graph_matroid(5), "s1", "1-2"
+    )
+    final, trace = theta3_closure(m, budget=Budget(max_nodes=5_000))
+    assert trace.rounds
+    for r in trace.rounds:
+        for t in r.witnesses:
+            oracles.oracle_validate_theta(m, t.arcs)
+            assert not oracles.oracle_is_complete(m, t.arcs)[0]
+    assert is_theta3_closed(final)[0]
 
 
 def test_closure_trace_bookkeeping():
@@ -356,3 +361,19 @@ def test_graph_closed_for_cycles_and_completes():
 def test_graph_not_closed_for_k23_and_bare_thetas():
     assert not graph_is_theta3_closed(complete_bipartite_edges(2, 3))
     assert not graph_is_theta3_closed(theta_edges(2, 2, 2))
+
+
+# -- the package surface -------------------------------------------------------
+
+
+def test_every_exported_name_exists():
+    # A function deleted from a module but left in its __all__ would only
+    # fail at a star import; nothing else reads __all__.
+    modules = [theta3] + [
+        importlib.import_module(f"theta3.{info.name}")
+        for info in pkgutil.iter_modules(theta3.__path__)
+    ]
+    assert len(modules) > 5
+    for mod in modules:
+        for name in mod.__all__:
+            assert hasattr(mod, name), (mod.__name__, name)
