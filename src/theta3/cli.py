@@ -15,7 +15,9 @@ Input resolution: an input argument is tried as a catalog key first
 (F7, MK(5), PG(3), ...), then as a file path.  Files hold `dim d` on
 the first line followed by `LABEL bits` element lines, `#` starting a
 comment; with --graph the file is `u v label` edge lines instead and
-the cycle matroid of that graph is used.
+the cycle matroid of that graph is used.  check --graph decides by one
+flow per vertex pair on the graph itself, unless --no-shortcut asks
+for the circuit-pair scan.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from theta3.construct import (
 from theta3.theta import (
     ClosureTrace,
     ThetaGraph,
+    _graph_theta,
     is_complete,
     is_theta3_closed,
     theta3_closure,
@@ -111,10 +114,14 @@ def parse_graph(text: str) -> list[tuple[str, str, str]]:
     return edges
 
 
+def _load_edges(argument: str) -> list[tuple[str, str, str]]:
+    with open(argument, encoding="utf-8") as fh:
+        return parse_graph(fh.read())
+
+
 def _load_matroid(argument: str, as_graph: bool) -> BinaryMatroid:
     if as_graph:
-        with open(argument, encoding="utf-8") as fh:
-            return cycle_matroid(parse_graph(fh.read()))
+        return cycle_matroid(_load_edges(argument))
     try:
         return catalog_matroid(argument)
     except KeyError:
@@ -192,11 +199,19 @@ def _witness_json(wit, M: BinaryMatroid | None) -> object:
 
 
 def _cmd_check(args, budget, report) -> int:
-    M = _load_matroid(args.input, args.graph)
+    if args.graph:
+        edges = _load_edges(args.input)
+        M = cycle_matroid(edges)
+    else:
+        M = _load_matroid(args.input, False)
     report["input"] = {"argument": args.input, "size": M.size, "rank": M.rank}
-    closed, wit = is_theta3_closed(
-        M, use_shortcut=not args.no_shortcut, budget=budget
-    )
+    if args.graph and not args.no_shortcut:
+        wit = _graph_theta(M, edges, budget)
+        closed = wit is None
+    else:
+        closed, wit = is_theta3_closed(
+            M, use_shortcut=not args.no_shortcut, budget=budget
+        )
     report["verdict"] = closed
     report["witness"] = _witness_json(wit, M)
     return 0 if closed else 1
@@ -339,8 +354,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument(
         "--no-shortcut",
         action="store_true",
-        help="disables the projective shortcut and the recipe certificate "
-        "(forces direct enumeration)",
+        help="disables the projective shortcut, the recipe certificate and, "
+        "with --graph, the flow test (the circuit-pair scan decides)",
     )
 
     c = sub.add_parser("closure", parents=[common], help="compute the closure")

@@ -34,6 +34,16 @@ the witness.  Every closure round does the same at any size, after the
 pair route (exact for thetas whose three arcs have two elements each)
 comes up empty: the recipe proves the fixed point, and otherwise the
 scan of the piece finds the round's vectors.
+
+A cycle matroid needs no scan.  There a theta is three internally
+disjoint x-y paths, and its completing vector x+y is a column exactly
+when xy is an edge, so the graph is closed exactly when no two
+non-adjacent vertices are joined by three such paths (the graph theorem
+of Jamison and Mulder that the paper extends).  By Menger's theorem one
+unit-capacity flow per pair, stopped at 3, decides that in polynomial
+time; only vertices with at least three distinct neighbours need
+pairing.  Loops play no part, and a parallel edge only makes its ends
+adjacent.  graph_is_theta3_closed and check --graph decide this way.
 """
 
 from __future__ import annotations
@@ -379,7 +389,109 @@ def theta3_closure(
     return cur, ClosureTrace(initial=start, final=cur, rounds=tuple(rounds))
 
 
+def _graph_theta(
+    M: BinaryMatroid, edges: list[tuple[str, str, str]], budget: Budget | None = None
+) -> ThetaGraph | None:
+    """An incomplete theta of M = cycle_matroid(edges), or None if M is closed.
+
+    Decided by flows (see the module docstring).  Vertices are numbered
+    in the order in which they first appear in the edge list, and pairs
+    are tried in that order.  Each vertex v is split into an in-node 2v
+    and an out-node 2v + 1 joined by an arc of capacity 1, and every edge
+    uv gives the arcs u_out -> v_in and v_out -> u_in.  A BFS for an
+    augmenting path from x_out to y_in ticks the budget once; the third
+    path found ends the search.  The witness's arcs are the three paths,
+    each step taken by the first edge in input order between its ends.
+    """
+    index: dict[str, int] = {}
+    first: dict[tuple[int, int], int] = {}
+    for j, (u, v, _) in enumerate(edges):
+        a = index.setdefault(u, len(index))
+        b = index.setdefault(v, len(index))
+        if a != b:
+            first.setdefault((a, b), j)
+            first.setdefault((b, a), j)
+    n = len(index)
+    arcs = [(2 * v, 2 * v + 1) for v in range(n)]
+    arcs += [(2 * a + 1, 2 * b) for a, b in first]
+    adj: list[list[int]] = [[] for _ in range(2 * n)]
+    degree = [0] * n
+    for a, b in arcs:
+        adj[a].append(b)
+        adj[b].append(a)
+    for a, _ in first:
+        degree[a] += 1
+    hubs = [v for v in range(n) if degree[v] >= 3]
+    for i, x in enumerate(hubs):
+        for y in hubs[i + 1 :]:
+            if (x, y) in first:
+                continue
+            source = 2 * x + 1
+            res = _three_paths(arcs, adj, source, 2 * y, budget)
+            if res is None:
+                continue
+            # follow each unit of flow from x to y
+            flow = [arc for arc in arcs if arc not in res]
+            nxt = dict(flow)
+            masks = []
+            for b in [b for a, b in flow if a == source]:
+                prev, mask = x, 0
+                while True:
+                    v = b // 2
+                    mask |= 1 << first[prev, v]
+                    if v == y:
+                        break
+                    prev, b = v, nxt[nxt[b]]
+                masks.append(mask)
+            w = 0
+            for j in bits(masks[0]):
+                w ^= M.cols[j]
+            return _theta(M, masks, w)
+    return None
+
+
+def _three_paths(
+    arcs: list[tuple[int, int]],
+    adj: list[list[int]],
+    source: int,
+    sink: int,
+    budget: Budget | None,
+) -> set[tuple[int, int]] | None:
+    """The residual arcs of a 3-unit flow from source to sink, or None.
+
+    Every arc has capacity 1.  Each BFS for an augmenting path ticks the
+    budget once.
+    """
+    res = set(arcs)
+    for _ in range(3):
+        if budget is not None:
+            budget.tick()
+        parent = {source: source}
+        queue = [source]
+        for a in queue:
+            for b in adj[a]:
+                if b not in parent and (a, b) in res:
+                    parent[b] = a
+                    queue.append(b)
+            if sink in parent:
+                break
+        else:
+            return None
+        b = sink
+        while b != source:
+            a = parent[b]
+            res.remove((a, b))
+            res.add((b, a))
+            b = a
+    return res
+
+
 def graph_is_theta3_closed(edges: list[tuple[str, str, str]]) -> bool:
-    """Cycle-matroid delegation: build incidence columns and decide there."""
-    closed, _ = is_theta3_closed(cycle_matroid(edges))
-    return closed
+    """Whether the cycle matroid of the graph is theta-closed, decided by flows.
+
+    Two non-adjacent vertices joined by three internally disjoint paths
+    are what an incomplete theta is in a graph; one flow per such pair
+    looks for them.  Raises as cycle_matroid does on a graph of rank
+    above MAX_DIM.
+    """
+    return _graph_theta(cycle_matroid(edges), edges) is None

@@ -329,3 +329,49 @@ def oracle_pair_route_hits(
                 out.append((v, arcs))
                 break
     return out
+
+
+def oracle_graph_theta(
+    edges: list[tuple[str, str, str]],
+) -> tuple[frozenset[str], frozenset[str], frozenset[str]] | None:
+    """Three x-y paths, pairwise internally disjoint, for some x, y not adjacent.
+
+    A graph's cycle matroid is theta-closed exactly when no such paths
+    exist (Jamison and Mulder's condition), so None means closed.  Every
+    simple x-y path is listed by depth-first search and every triple of
+    them is tried.  Loops are ignored; each step of a path is labelled
+    by the first edge in input order between its two ends.  Returns the
+    paths' label sets.
+    """
+    label: dict[frozenset[str], str] = {}
+    for u, v, lab in edges:
+        if u != v:
+            label.setdefault(frozenset((u, v)), lab)
+    verts = sorted({u for u, _, _ in edges} | {v for _, v, _ in edges})
+    nbrs = {x: sorted(y for y in verts if frozenset((x, y)) in label) for x in verts}
+
+    def paths(x: str, y: str) -> list[list[str]]:
+        found, stack = [], [[x]]
+        while stack:
+            path = stack.pop()
+            for z in nbrs[path[-1]]:
+                if z == y:
+                    found.append(path + [y])
+                elif z not in path:
+                    stack.append(path + [z])
+        return found
+
+    for x, y in combinations(verts, 2):
+        if frozenset((x, y)) in label:
+            continue
+        for triple in combinations(paths(x, y), 3):
+            inner = [set(p[1:-1]) for p in triple]
+            if all(not (a & b) for a, b in combinations(inner, 2)):
+                return tuple(
+                    frozenset(label[frozenset(s)] for s in zip(p, p[1:])) for p in triple
+                )
+    return None
+
+
+def oracle_graph_closed(edges: list[tuple[str, str, str]]) -> bool:
+    return oracle_graph_theta(edges) is None

@@ -546,15 +546,21 @@ def test_criterion_10_graph_compositions_stay_closed():
     t0 = time.perf_counter()
     rng = random.Random(1020)
     failures = []
+    scan_failures = []
     widest = 0
     for i in range(100):
         edges = _compose_random_graph(rng)
         widest = max(widest, len(edges))
+        # the flows, and the matroid route on the cycle matroid
         if not graph_is_theta3_closed(edges):
             failures.append(i)
-    k23_closed = graph_is_theta3_closed(complete_bipartite_edges(2, 3))
+        if not is_theta3_closed(cycle_matroid(edges))[0]:
+            scan_failures.append(i)
+    k23 = complete_bipartite_edges(2, 3)
+    k23_closed = graph_is_theta3_closed(k23)
+    k23_scan_closed = is_theta3_closed(cycle_matroid(k23))[0]
     dt = time.perf_counter() - t0
-    ok = not failures and not k23_closed
+    ok = not failures and not k23_closed and not scan_failures and not k23_scan_closed
     _report(
         10,
         ok,
@@ -562,3 +568,5 @@ def test_criterion_10_graph_compositions_stay_closed():
     )
     assert not failures, failures
     assert not k23_closed
+    assert not scan_failures, scan_failures
+    assert not k23_scan_closed

@@ -21,7 +21,7 @@ from theta3 import cli, construct, decompose
 from theta3.construct import catalog_matroid
 from theta3.gf2 import bits_from_str
 
-from oracles import oracle_is_complete, oracle_theta_graphs
+from oracles import oracle_is_circuit, oracle_is_complete, oracle_rank, oracle_theta_graphs
 
 REPORT_KEYS = {"command", "input", "verdict", "witness", "trace", "recipe", "timings"}
 
@@ -286,6 +286,68 @@ def test_graph_input_is_limited_by_rank_not_vertices(capsys, tmp_path):
     code, rep = run_cli(capsys, "check", str(path), "--graph")
     assert code == 2
     assert "rank 17" in rep["error"] and "MAX_DIM" in rep["error"]
+
+
+def write_graph(path, edges):
+    path.write_text("".join(f"{u} {v} {lab}\n" for u, v, lab in edges))
+    return str(path)
+
+
+def test_graph_check_witness_in_forest_coordinates(capsys, tmp_path):
+    # W16 has 17 vertices, so its columns are over a spanning forest.  The
+    # circuit-pair scan needs 65648 nodes.  The flows need 3: the first
+    # non-adjacent pair of vertices with three neighbours, in edge-list
+    # order, is r0 and r2, and the three paths between them are forced.
+    edges = [("h", f"r{i}", f"s{i}") for i in range(16)]
+    edges += [(f"r{i}", f"r{(i + 1) % 16}", f"t{i}") for i in range(16)]
+    path = write_graph(tmp_path / "W16.graph", edges)
+    code, rep = run_cli(capsys, "check", path, "--graph", "--max-subsets", "2000")
+    assert code == 1 and rep["verdict"] is False
+    assert rep["input"] == {"argument": path, "size": 32, "rank": 16}
+    m = construct.cycle_matroid(edges)
+    wit = rep["witness"]
+    arcs = [frozenset(a) for a in wit["arcs"]]
+    assert arcs == [{"s0", "s2"}, {"t0", "t1"}, {f"t{i}" for i in range(2, 16)}]
+    w = 0
+    for lab in arcs[0]:
+        w ^= m.col_of(lab)
+    assert bits_from_str(wit["completing_vector"]) == w
+    assert w not in m.colset
+    assert wit["complete"] is False and wit["completed_by"] is None
+    # oracle_validate_theta would list all 2^18 subsets; the definition
+    # by circuits is cheaper: the union of any two arcs is a circuit
+    for a, b in [(0, 1), (0, 2), (1, 2)]:
+        assert oracle_is_circuit(m, arcs[a] | arcs[b])
+    assert oracle_rank(m, arcs[0] | arcs[1] | arcs[2]) == 18 - 2
+    code, _ = run_cli(capsys, "check", path, "--graph", "--max-subsets", "3")
+    assert code == 1
+    code, _ = run_cli(
+        capsys, "check", path, "--graph", "--no-shortcut", "--max-subsets", "2000"
+    )
+    assert code == 3
+
+
+def test_graph_check_flows_honour_the_node_budget(capsys, tmp_path):
+    path = write_graph(tmp_path / "k23.graph", construct.complete_bipartite_edges(2, 3))
+    code, rep = run_cli(capsys, "check", path, "--graph", "--max-subsets", "1")
+    assert code == 3
+    assert rep["error"].startswith("budget exceeded")
+
+
+def test_graph_check_routes_agree_on_k23(capsys, tmp_path):
+    edges = construct.complete_bipartite_edges(2, 3)
+    path = write_graph(tmp_path / "k23.graph", edges)
+    code, flows = run_cli(capsys, "check", path, "--graph")
+    assert code == 1
+    code, scan = run_cli(capsys, "check", path, "--graph", "--no-shortcut")
+    assert code == 1
+    assert flows["verdict"] is scan["verdict"] is False
+    assert flows["input"] == scan["input"]
+    m = construct.cycle_matroid(edges)
+    for rep in (flows, scan):
+        arcs = frozenset(map(frozenset, rep["witness"]["arcs"]))
+        w = bits_from_str(rep["witness"]["completing_vector"])
+        assert (arcs, w) in oracle_theta_graphs(m)
 
 
 def test_parse_error_reports_line_number(capsys, tmp_path):

@@ -49,6 +49,7 @@ from theta3.matroid import (
     simplify,
 )
 from theta3.theta import (
+    _graph_theta,
     _incomplete,
     _pair_route_hits,
     _theta_scan,
@@ -236,6 +237,40 @@ def test_theta_scan_rank_tests_do_not_depend_on_element_order(m, data):
                 found = sum(1 for _ in scan)
             counts.append((rank_test.call_count, found))
     assert counts[:2] == counts[2:]
+
+
+@st.composite
+def multigraphs(draw, max_vertices=7):
+    """Edge lists on v0.. in random order: a simple graph plus up to four
+    loops or parallel edges.  About a quarter are not closed."""
+    n = draw(st.integers(1, max_vertices))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    kept = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    ends = [p for p, k in zip(pairs, kept) if k]
+    ends += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
+    ends = draw(st.permutations(ends))
+    return [(f"v{a}", f"v{b}", f"e{k}") for k, (a, b) in enumerate(ends)]
+
+
+@settings(max_examples=200)
+@given(multigraphs())
+@example(complete_bipartite_edges(2, 3))
+@example(theta_edges(2, 2, 2) + [("x", "x", "loop"), ("a1", "x", "twin")])
+@example(theta_edges(2, 2, 2) + [("y", "x", "chord"), ("x", "y", "twin")])
+def test_graph_flows_agree_with_the_oracle_and_the_scan(edges):
+    # Loops never matter and a parallel edge only makes its ends
+    # adjacent; the flows, the path-listing oracle and the circuit-pair
+    # scan must agree on that.
+    m = cycle_matroid(edges)
+    wit = _graph_theta(m, edges)
+    closed = wit is None
+    assert oracles.oracle_graph_closed(edges) == closed
+    assert is_theta3_closed(m, use_shortcut=False)[0] == closed
+    if not closed:
+        oracles.oracle_validate_theta(m, wit.arcs)
+        assert not oracles.oracle_is_complete(m, wit.arcs)[0]
+        assert wit.completing not in m.colset
+        oracles.oracle_validate_theta(m, oracles.oracle_graph_theta(edges))
 
 
 @settings(max_examples=40)
