@@ -33,8 +33,9 @@ class Budget:
 
     max_nodes / max_seconds of None mean unlimited.  tick() is cheap:
     the clock is only consulted every CHECK_EVERY nodes, and a tick of
-    that many nodes or more always consults it.  check_time() reads the
-    clock without counting a node.
+    that many nodes or more always consults it.  A hot loop may count
+    nodes itself and tick once per batch_limit() of them.  check_time()
+    reads the clock without counting a node.
     """
 
     max_nodes: int | None = None
@@ -56,6 +57,18 @@ class Budget:
                 nodes=self.nodes,
                 seconds=elapsed,
             )
+
+    def batch_limit(self) -> int:
+        """How many nodes a caller may count itself before it must tick.
+
+        CHECK_EVERY, so that batched ticks read the clock as often as
+        single ones; or, when the node cap is nearer, one more than the
+        nodes left under it, so the batch that crosses the cap raises on
+        the same node, with the same count, as ticking one by one.
+        """
+        if self.max_nodes is None:
+            return CHECK_EVERY
+        return min(CHECK_EVERY, self.max_nodes - self.nodes + 1)
 
     def tick(self, count: int = 1) -> None:
         self.nodes += count

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-from theta3.budget import CHECK_EVERY, Budget
+from theta3.budget import Budget
 from theta3.gf2 import (
     MAX_DIM,
     DimensionError,
@@ -207,41 +207,67 @@ def _circuit_masks(M: BinaryMatroid, budget: Budget | None = None) -> list[int]:
     """All circuits as element-index masks, in the order of `circuits`.
 
     Loops are the singleton circuits and lie in no other, so they are
-    listed directly and left out of the walk.  The running XOR over a
-    set T of non-basis elements is one int: its basis part in
-    coordinate bits 0..r-1, element t of T at bit r+t.  Only
-    independent T are expanded: if T holds a circuit D, the cycle of
-    any larger set contains D and so is not a circuit.  The cycle of T
-    is a circuit exactly when T's coordinates, with the cycle's own
-    basis coordinates masked out, have nullity 1.  The budget ticks
-    once per XOR tried, charged in batches as each set is expanded,
-    and its clock is also read per emitted circuit.
+    listed directly and left out of the walk.  A set T of non-basis
+    elements carries three running XORs of its fundamental circuits:
+    in coordinates (the basis part in bits 0..r-1, element t of T at
+    bit r+t), which the nullity test reads; as an element mask, which
+    is what a circuit is emitted as; and as a label-rank mask, in which
+    bit k stands for the k-th largest label, so that of two circuits of
+    one size the one with the larger label-rank mask comes first in
+    sorted-label order.  Only independent T are expanded: if T holds a
+    circuit D, the cycle of any larger set contains D and so is not a
+    circuit.  The cycle of T is a circuit exactly when T's coordinates,
+    with the cycle's own basis coordinates masked out, have nullity 1.
+    The budget ticks once per XOR tried, counted as each set is
+    expanded and charged in batches of Budget.batch_limit(), so a node
+    cap stops the walk within one expanded set; its clock is also read
+    per emitted circuit.
     """
+    if budget is None:
+        budget = Budget()
+    n = M.size
     r = M.rank
     cap = r + 1
     basis_part = (1 << r) - 1
     coords, basis = greedy_coordinates(M.cols)
     in_basis = set(basis)
-    loops = [e for e, c in enumerate(M.cols) if not c]
     nonbasis = [e for e, c in enumerate(M.cols) if c and e not in in_basis]
     m = len(nonbasis)
+    # The k-th largest label, from k = 0, weighs 2^k: of two circuits of one
+    # size, the one whose first differing sorted label is smaller weighs more.
+    weight = [0] * n
+    for k, e in enumerate(sorted(range(n), key=M.labels.__getitem__, reverse=True)):
+        weight[e] = 1 << k
     tcoords = [coords[e] for e in nonbasis]
-    vecs = [c | 1 << (r + t) for t, c in enumerate(tcoords)]
+    vecs = []
+    emasks = []
+    lmasks = []
+    for t, (e, c) in enumerate(zip(nonbasis, tcoords)):
+        vecs.append(c | 1 << (r + t))
+        em, lm = 1 << e, weight[e]
+        for k in bits(c):
+            em |= 1 << basis[k]
+            lm |= weight[basis[k]]
+        emasks.append(em)
+        lmasks.append(lm)
     no_pivots: dict[int, int] = {}
+    # (sort key, element mask) per circuit; a label-rank mask is below
+    # 2^n, so the key orders by size, then by label-rank mask, largest first
+    found = [((1 << n) - weight[e], 1 << e) for e, c in enumerate(M.cols) if not c]
     pending = 0
-    found: list[int] = []
-    # Entries (first t to add, XOR so far, echelon of T's coordinates as
-    # (pivot bit, row) pairs in insertion order, each row reduced by
-    # the ones before it).
-    stack: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(0, 0, ())]
+    limit = budget.batch_limit()
+    # Entries (first t to add, the three XORs so far, echelon of T's
+    # coordinates as (pivot bit, row) pairs in insertion order, each row
+    # reduced by the ones before it).
+    stack: list[tuple[int, int, int, int, tuple[tuple[int, int], ...]]] = [(0, 0, 0, 0, ())]
     push, pop = stack.append, stack.pop
     while stack:
-        start, x, rows = pop()
-        if budget is not None:
-            pending += m - start
-            if pending >= CHECK_EVERY:
-                budget.tick(pending)
-                pending = 0
+        start, x, xe, xl, rows = pop()
+        pending += m - start
+        if pending >= limit:
+            budget.tick(pending)
+            pending = 0
+            limit = budget.batch_limit()
         for t in range(start, m):
             y = x ^ vecs[t]
             v = tcoords[t]
@@ -250,25 +276,17 @@ def _circuit_masks(M: BinaryMatroid, budget: Budget | None = None) -> list[int]:
                     v ^= row
             if v:
                 if t + 1 < m:
-                    push((t + 1, y, rows + ((v & -v, v),)))
+                    push((t + 1, y, xe ^ emasks[t], xl ^ lmasks[t], rows + ((v & -v, v),)))
             elif y & basis_part:
                 # T + t holds a circuit, and its cycle is larger still.
                 continue
-            if y.bit_count() <= cap and zero_residues(tcoords, y >> r, no_pivots, ~y) == 1:
-                found.append(y)
-                if budget is not None:
-                    budget.check_time()
-    if pending:
-        budget.tick(pending)
-    # The k-th largest label, from k = 0, weighs 2^k: of two circuits of one
-    # size, the one whose first differing sorted label is smaller weighs more.
-    by_label = sorted(range(M.size), key=M.labels.__getitem__, reverse=True)
-    weight = {e: 1 << k for k, e in enumerate(by_label)}
-    elements = basis + nonbasis  # bit i of a cycle stands for elements[i]
-    out = [1 << e for e in loops]
-    out += [sum(1 << elements[i] for i in bits(y)) for y in found]
-    out.sort(key=lambda c: (c.bit_count(), -sum(weight[e] for e in bits(c))))
-    return out
+            size = y.bit_count()
+            if size <= cap and zero_residues(tcoords, y >> r, no_pivots, ~y) == 1:
+                found.append(((size << n) - (xl ^ lmasks[t]), xe ^ emasks[t]))
+                budget.check_time()
+    budget.tick(pending)
+    found.sort()
+    return [c for _, c in found]
 
 
 # -- minors, duality, sums ----------------------------------------------

@@ -137,14 +137,24 @@ def _theta_scan(
     pairs left are one per set of three circuits, each the symmetric
     difference of the other two, so the number of corank tests does
     not depend on the element order.  The completing vector, the sum of
-    C1 n C2, is looked up in skip before the corank test, so a caller
-    that passes M's columns pays corank tests only for pairs that could
-    be an incomplete theta.  The corank test is incremental: columns of
-    C2 - C1 reduce against the echelon of C1, built on the first pair
-    of its row that gets this far; the corank of C1 u C2, minus 1,
-    equals the number of columns that reduce to zero, so we want
-    exactly one zero and can abort on the second.
+    C1 n C2, is summed once per distinct intersection and looked up in
+    skip before the corank test, so a caller that passes M's columns
+    pays corank tests only for pairs that could be an incomplete theta.
+    The corank test is incremental: columns of C2 - C1 reduce against
+    the echelon of C1, built on the first pair of its row that gets
+    this far; the corank of C1 u C2, minus 1, equals the number of
+    columns that reduce to zero, so we want exactly one zero and can
+    abort on the second.
+
+    The budget is charged one node per pair that passes the size cap.
+    The pairs are counted locally and charged in batches that stay
+    exact: a batch is passed on when it reaches Budget.batch_limit(),
+    so a node cap raises on the same pair, with the same count, as a
+    tick per pair would, and the clock is read as often; the count is
+    also passed on before every yield and at the end.
     """
+    if budget is None:
+        budget = Budget()
     cols = M.cols
     rank_cap = M.rank + 2  # |C1 u C2| can't exceed this at corank 2
     masks = _circuit_masks(M, budget)
@@ -152,6 +162,9 @@ def _theta_scan(
     buckets: list[list[int]] = [[] for _ in range(M.size)]
     for m in masks:
         buckets[(m & -m).bit_length() - 1].append(m)
+    sums: dict[int, int] = {}  # completing vector per C1 n C2
+    tested = 0
+    limit = budget.batch_limit()
 
     for bucket in buckets:
         for ii, mi in enumerate(bucket):
@@ -159,16 +172,23 @@ def _theta_scan(
             for mj in bucket[ii + 1 :]:
                 if (mi | mj).bit_count() > rank_cap:
                     continue
-                if budget is not None:
-                    budget.tick()
+                tested += 1
+                if tested >= limit:
+                    budget.tick(tested)
+                    tested = 0
+                    limit = budget.batch_limit()
                 if mi ^ mj not in circuits:
                     continue
-                inter = rest = mi & mj
-                w = 0
-                while rest:
-                    low = rest & -rest
-                    w ^= cols[low.bit_length() - 1]
-                    rest ^= low
+                inter = mi & mj
+                w = sums.get(inter)
+                if w is None:
+                    w = 0
+                    rest = inter
+                    while rest:
+                        low = rest & -rest
+                        w ^= cols[low.bit_length() - 1]
+                        rest ^= low
+                    sums[inter] = w
                 if w in skip:
                     continue
                 if pivots is None:
@@ -178,7 +198,11 @@ def _theta_scan(
                     pivots = ech.pivots
                 if zero_residues(cols, mj & ~mi, pivots) != 1:
                     continue
+                budget.tick(tested)
+                tested = 0
                 yield mi & ~mj, mj & ~mi, inter, w
+                limit = budget.batch_limit()
+    budget.tick(tested)
 
 
 def theta_graphs(M: BinaryMatroid, budget: Budget | None = None) -> list[ThetaGraph]:

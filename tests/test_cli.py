@@ -418,6 +418,16 @@ def test_budget_seconds_exit_three(capsys):
     assert "budget exceeded" in rep["error"]
 
 
+def test_batched_scan_honours_max_seconds(capsys):
+    # PG(5) lists its circuits in a few tenths of a second and spends
+    # seconds in the pair scan, which charges its pairs in batches and
+    # must still read the clock every few thousand of them
+    code, rep = run_cli(capsys, "check", "PG(5)", "--no-shortcut", "--max-seconds", "0.5")
+    assert code == 3
+    assert "time budget exhausted" in rep["error"]
+    assert rep["timings"]["total_s"] < 1.5
+
+
 def test_circuit_enumeration_honours_max_seconds(capsys):
     # both instances spend their time listing circuits
     code, rep = run_cli(capsys, "check", "MK(9)", "--no-shortcut", "--max-seconds", "0.2")

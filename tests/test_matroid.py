@@ -13,11 +13,12 @@ from math import comb, factorial
 import pytest
 
 from theta3.budget import Budget
-from theta3.construct import complete_graph_matroid
-from theta3.gf2 import DimensionError
+from theta3.construct import complete_graph_matroid, parallel_connection, projective_geometry
+from theta3.gf2 import DimensionError, bits
 from theta3.matroid import (
     BinaryMatroid,
     UnknownLabelError,
+    _circuit_masks,
     circuits,
     closure_flat,
     connected_components,
@@ -138,6 +139,34 @@ def test_complete_graph_circuits_are_its_cycles_in_closed_form():
             assert set(degree.values()) == {2}, (n, sorted(c))
         want = {k: comb(n, k) * factorial(k - 1) // 2 for k in range(3, n + 1)}
         assert counts == want, n
+
+
+def _pg4_mk5() -> BinaryMatroid:
+    return parallel_connection(projective_geometry(4), complete_graph_matroid(5), "p1", "1-2")
+
+
+@pytest.mark.parametrize(
+    "build, count",
+    [(lambda: complete_graph_matroid(7), 1172), (_pg4_mk5, None), (lambda: projective_geometry(5), None)],
+    ids=["MK(7)", "P(PG4,MK5)", "PG(5)"],
+)
+def test_circuit_order_across_byte_boundaries(build, count):
+    # 21, 24 and 31 elements, relabelled at random so that label order
+    # is not element order: the walk's carried element and label-rank
+    # masks span several bytes, and the order must still come from the
+    # labels alone
+    m = build()
+    names = [f"x{k:02d}" for k in range(m.size)]
+    random.Random(m.size).shuffle(names)
+    m = m.relabel(dict(zip(m.labels, names)))
+    assert list(m.labels) != sorted(m.labels)
+    masks = _circuit_masks(m)
+    assert len(set(masks)) == len(masks)
+    got = [frozenset(m.labels[j] for j in bits(c)) for c in masks]
+    assert all(oracles.oracle_is_circuit(m, c) for c in got)
+    assert got == sorted(got, key=lambda c: (len(c), sorted(c)))
+    if count is not None:
+        assert len(got) == count
 
 
 def _free_with_loops_and_copies(r: int, loops: int, copies: int) -> BinaryMatroid:

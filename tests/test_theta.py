@@ -23,7 +23,7 @@ from theta3.construct import (
     theta_edges,
 )
 from theta3.gf2 import zero_residues
-from theta3.matroid import BinaryMatroid, simplify
+from theta3.matroid import BinaryMatroid, _circuit_masks, simplify
 from theta3 import theta
 from theta3.theta import (
     graph_is_theta3_closed,
@@ -146,6 +146,28 @@ def test_closed_scan_rank_tests_only_thetas_that_could_be_incomplete():
     tests, nodes = _rank_tests_and_nodes(catalog_matroid("MK(7)"))
     assert tests <= 5075
     assert nodes == 30009
+
+
+@pytest.mark.parametrize("cap", [8191, 8192, 8193, 20000, 30008])
+def test_batched_scan_budget_is_exact(cap):
+    # The scan counts its pairs locally and charges them in batches; a
+    # node cap must still raise on the first pair past it, as a tick per
+    # pair would.  The caps lie past M(K7)'s prepass and circuit walk,
+    # and around CHECK_EVERY multiples.
+    m = catalog_matroid("MK(7)")
+    with pytest.raises(BudgetExceededError) as exc:
+        is_theta3_closed(m, use_shortcut=False, budget=Budget(max_nodes=cap))
+    assert exc.value.nodes == cap + 1
+    assert is_theta3_closed(m, use_shortcut=False, budget=Budget(max_nodes=30009))[0]
+
+
+def test_budget_stops_the_circuit_walk_within_one_set():
+    # the walk charges each expanded set in one batch, and passes it on
+    # before it could cross the cap; M(K7) has 15 non-basis elements
+    budget = Budget(max_nodes=1)
+    with pytest.raises(BudgetExceededError) as exc:
+        _circuit_masks(catalog_matroid("MK(7)"), budget)
+    assert exc.value.nodes == 15
 
 
 def test_budget_stops_the_scan():
