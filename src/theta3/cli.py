@@ -140,7 +140,7 @@ def _matroid_json(M: BinaryMatroid) -> dict:
         "dim": M.dim,
         "rank": M.rank,
         "size": M.size,
-        "elements": [[lab, M.col_str(lab)] for lab in M.labels],
+        "elements": [[lab, bits_to_str(c, M.dim)] for lab, c in zip(M.labels, M.cols)],
     }
 
 

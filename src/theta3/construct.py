@@ -285,7 +285,7 @@ def projective_mapping(M: BinaryMatroid) -> dict[str, str] | None:
     """Map p<k> labels onto M, if projective; any basis change is an automorphism."""
     if not is_projective(M):
         return None
-    coords, _ = greedy_coordinates(M.cols)
+    coords, _ = M.coordinates
     return {f"p{c}": M.labels[i] for i, c in enumerate(coords)}
 
 
@@ -598,7 +598,7 @@ def _cut_point_term(S: BinaryMatroid, budget: Budget | None) -> Term | BinaryMat
     leaf = block_leaf(S)
     if leaf is not None:
         return leaf
-    coords, _ = greedy_coordinates(S.cols)
+    coords, _ = S.coordinates
     for p, cp in enumerate(coords):
         if budget is not None:
             budget.tick()

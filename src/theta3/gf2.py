@@ -9,8 +9,10 @@ leaves plenty of headroom.
 Elimination uses the lowest set bit of a vector as its pivot.  The
 Echelon class keeps the basis *lazily* reduced: stored vectors are never
 rewritten when a later pivot arrives.  Lazy reduction is enough for rank
-and span membership, and it makes insert/remove perfectly undoable,
-which the separation search relies on.
+and span membership, and it makes insert/remove perfectly undoable.
+Kernels that never read origins (rank_bits, zero_residues and the
+separation search in matroid) eliminate on a bare dict of pivots in the
+same lazy form.
 """
 
 from __future__ import annotations
@@ -119,10 +121,16 @@ class Echelon:
 
 
 def rank_bits(cols: Iterable[int]) -> int:
-    ech = Echelon()
-    for c in cols:
-        ech.insert(c)
-    return ech.rank
+    """Rank of the columns, by elimination on bare pivots (no origins)."""
+    pivots: dict[int, int] = {}
+    for v in cols:
+        while v:
+            low = v & -v
+            if low not in pivots:
+                pivots[low] = v
+                break
+            v ^= pivots[low]
+    return len(pivots)
 
 
 def zero_residues(

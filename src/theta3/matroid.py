@@ -4,6 +4,10 @@ A BinaryMatroid is an ordered family of GF(2) columns with distinct
 string labels.  Duplicate columns (parallel elements) and zero columns
 (loops) are allowed everywhere.  All operations are pure functions; the
 dataclass is frozen and hashable, so matroids can sit in sets and dicts.
+A matroid works out its rank, its greedy coordinates and its connected
+components once, on first use, and keeps them; restrict, delete and
+simplify return M itself when they keep every element, so what M has
+worked out is not redone.
 
 Circuits are enumerated from the cycle space.  Over a greedy basis
 each non-basis element e has a fundamental circuit (e plus the basis
@@ -88,18 +92,27 @@ class BinaryMatroid:
 
     @classmethod
     def _derived(
-        cls, labels: tuple[str, ...], cols: tuple[int, ...], dim: int
+        cls,
+        labels: tuple[str, ...],
+        cols: tuple[int, ...],
+        dim: int,
+        rank: int | None = None,
     ) -> "BinaryMatroid":
         """A matroid the caller has already validated, built unchecked.
 
         For results of operations on a valid matroid that keep its
         dimension and take a subfamily of its elements, add one element
         checked on its own, or add vectors of its span under new labels.
+        In the last case the caller may pass the rank, which is then not
+        computed again.
         """
         M = object.__new__(cls)
         object.__setattr__(M, "labels", labels)
         object.__setattr__(M, "cols", cols)
         object.__setattr__(M, "dim", dim)
+        if rank is not None:
+            # seeds the cached rank property
+            object.__setattr__(M, "rank", rank)
         return M
 
     # -- basic views ---------------------------------------------------
@@ -119,6 +132,22 @@ class BinaryMatroid:
     @cached_property
     def rank(self) -> int:
         return rank_bits(self.cols)
+
+    @cached_property
+    def coordinates(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """greedy_coordinates(cols) as (coords, basis), both tuples."""
+        coords, basis = greedy_coordinates(self.cols)
+        return tuple(coords), tuple(basis)
+
+    @cached_property
+    def _components(self) -> tuple[frozenset[str], ...]:
+        """Circuit-connectivity classes; see connected_components."""
+        coords, basis = self.coordinates
+        pairs = ((i, basis[k]) for i, c in enumerate(coords) for k in bits(c))
+        groups: dict[int, list[str]] = {}
+        for lab, root in zip(self.labels, union_find_roots(self.size, pairs)):
+            groups.setdefault(root, []).append(lab)
+        return tuple(frozenset(groups[root]) for root in sorted(groups))
 
     @cached_property
     def colset(self) -> frozenset[int]:
@@ -181,9 +210,8 @@ def same_matroid(M: BinaryMatroid, N: BinaryMatroid) -> bool:
     """
     if M.label_set != N.label_set:
         return False
-    return greedy_coordinates(M.cols) == greedy_coordinates(
-        [N.col_of(lab) for lab in M.labels]
-    )
+    coords, basis = greedy_coordinates([N.col_of(lab) for lab in M.labels])
+    return M.coordinates == (tuple(coords), tuple(basis))
 
 
 def rank_of(M: BinaryMatroid, S: Iterable[str]) -> int:
@@ -229,7 +257,7 @@ def _circuit_masks(M: BinaryMatroid, budget: Budget | None = None) -> list[int]:
     r = M.rank
     cap = r + 1
     basis_part = (1 << r) - 1
-    coords, basis = greedy_coordinates(M.cols)
+    coords, basis = M.coordinates
     in_basis = set(basis)
     nonbasis = [e for e, c in enumerate(M.cols) if c and e not in in_basis]
     m = len(nonbasis)
@@ -293,7 +321,10 @@ def _circuit_masks(M: BinaryMatroid, budget: Budget | None = None) -> list[int]:
 
 
 def _sub(M: BinaryMatroid, keep: list[int]) -> BinaryMatroid:
-    """M restricted to the elements at these positions, kept in this order."""
+    """M restricted to the elements at these increasing positions: M
+    itself when that is all of them."""
+    if len(keep) == M.size:
+        return M
     return BinaryMatroid._derived(
         tuple(M.labels[i] for i in keep), tuple(M.cols[i] for i in keep), M.dim
     )
@@ -363,8 +394,8 @@ def direct_sum(M: BinaryMatroid, N: BinaryMatroid) -> BinaryMatroid:
 
 def _compact(M: BinaryMatroid) -> BinaryMatroid:
     """Re-coordinatize over a greedy basis so ambient dim equals rank."""
-    coords, basis = greedy_coordinates(M.cols)
-    return BinaryMatroid(M.labels, tuple(coords), len(basis))
+    coords, basis = M.coordinates
+    return BinaryMatroid(M.labels, coords, len(basis))
 
 
 # -- connectivity --------------------------------------------------------
@@ -397,18 +428,14 @@ def connected_components(M: BinaryMatroid) -> list[frozenset[str]]:
 
     Fundamental circuits of one greedy basis already generate the whole
     partition: each element is joined to the basis elements its
-    coordinates use (a basis element only to itself).
+    coordinates use (a basis element only to itself).  M keeps the
+    classes; each call returns a new list of them.
     """
-    coords, basis = greedy_coordinates(M.cols)
-    pairs = ((i, basis[k]) for i, c in enumerate(coords) for k in bits(c))
-    groups: dict[int, list[str]] = {}
-    for lab, root in zip(M.labels, union_find_roots(M.size, pairs)):
-        groups.setdefault(root, []).append(lab)
-    return [frozenset(groups[root]) for root in sorted(groups)]
+    return list(M._components)
 
 
 def is_connected(M: BinaryMatroid) -> bool:
-    return len(connected_components(M)) <= 1
+    return len(M._components) <= 1
 
 
 def exact_two_separations(
@@ -430,9 +457,14 @@ def exact_two_separations(
     target = M.rank + 1
     cols = M.cols
     labels = M.labels
-    echs = (Echelon(), Echelon())
+    # Each side's columns in bare lazy pivot form (pivot bit -> vector); an
+    # insert stores the residue under its lowest bit, so deleting that
+    # pivot undoes it exactly.  ranks is the sum of the two sides' ranks.
+    side_pivots: tuple[dict[int, int], dict[int, int]] = ({}, {})
     sides: tuple[list[int], list[int]] = ([0], [])
-    echs[0].insert(cols[0])
+    if cols[0]:
+        side_pivots[0][cols[0] & -cols[0]] = cols[0]
+    ranks = len(side_pivots[0])
     # Entries (step, i, side, piv): visit the node that places element i
     # (its X branch follows at once), place element i on the Y side once
     # the X branch is done, or take element i off a side, undoing piv.
@@ -444,14 +476,15 @@ def exact_two_separations(
         if step == UNDO:
             sides[s].pop()
             if piv:
-                echs[s].remove(piv)
+                del side_pivots[s][piv]
+                ranks -= 1
             continue
         if step == VISIT:
             if budget is not None:
                 budget.tick()
             if i == n:
                 xs, ys = sides
-                if len(xs) >= 2 and len(ys) >= 2 and echs[0].rank + echs[1].rank == target:
+                if len(xs) >= 2 and len(ys) >= 2 and ranks == target:
                     X = frozenset(labels[j] for j in xs)
                     Y = frozenset(labels[j] for j in ys)
                     if (len(X), sorted(X)) <= (len(Y), sorted(Y)):
@@ -461,14 +494,23 @@ def exact_two_separations(
                 continue
             push((PLACE_Y, i, 1, 0))
         if len(sides[1 - s]) + n - i - 1 >= 2:
-            ech = echs[s]
-            piv = ech.insert(cols[i])
-            if echs[0].rank + echs[1].rank <= target:
-                sides[s].append(i)
-                push((UNDO, i, s, piv))
-                push((VISIT, i + 1, 0, 0))
-            elif piv:
-                ech.remove(piv)
+            pivots = side_pivots[s]
+            v = cols[i]
+            while v:
+                piv = v & -v
+                if piv not in pivots:
+                    break
+                v ^= pivots[piv]
+            if not v:
+                piv = 0
+            elif ranks < target:
+                pivots[piv] = v
+                ranks += 1
+            else:
+                continue  # the ranks would pass r(M)+1
+            sides[s].append(i)
+            push((UNDO, i, s, piv))
+            push((VISIT, i + 1, 0, 0))
 
 
 def is_3connected(M: BinaryMatroid, budget: Budget | None = None) -> bool:

@@ -407,8 +407,11 @@ def theta3_closure(
                 lab += "'"
             taken.add(lab)
             new_labels.append(lab)
-        # one matroid per round; the added vectors lie in cur's span
-        cur = BinaryMatroid._derived(cur.labels + tuple(new_labels), cur.cols + added, cur.dim)
+        # one matroid per round; the added vectors lie in cur's span, so
+        # its rank carries over
+        cur = BinaryMatroid._derived(
+            cur.labels + tuple(new_labels), cur.cols + added, cur.dim, cur.rank
+        )
         rounds.append(ClosureRound(added, wits))
     return cur, ClosureTrace(initial=start, final=cur, rounds=tuple(rounds))
 

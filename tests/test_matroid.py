@@ -13,8 +13,14 @@ from math import comb, factorial
 import pytest
 
 from theta3.budget import Budget
-from theta3.construct import complete_graph_matroid, parallel_connection, projective_geometry
-from theta3.gf2 import DimensionError, bits
+from theta3.construct import (
+    catalog_matroid,
+    complete_graph_matroid,
+    cycle_matroid,
+    parallel_connection,
+    projective_geometry,
+)
+from theta3.gf2 import DimensionError, bits, bits_from_str, greedy_coordinates
 from theta3.matroid import (
     BinaryMatroid,
     UnknownLabelError,
@@ -336,6 +342,65 @@ def test_exact_two_separations_match_oracle():
         assert got == oracles.oracle_two_separations(m), name
 
 
+def _wheel(n: int) -> BinaryMatroid:
+    """The cycle matroid of the n-spoke wheel, spokes listed before the rim."""
+    edges = [("h", f"r{i}", f"s{i}") for i in range(n)]
+    edges += [(f"r{i}", f"r{(i + 1) % n}", f"t{i}") for i in range(n)]
+    return cycle_matroid(edges)
+
+
+# Every separation the backtrack yields, in its order, as "X | Y", and
+# the nodes it ticks.  The oracle test compares sets only; a kernel that
+# reorders the search or prunes differently changes these.
+_BACKTRACK_RUNS = [
+    (
+        lambda: catalog_matroid("M_K24"),
+        89,
+        [
+            "u1w4 u2w4 | u1w1 u1w2 u1w3 u2w1 u2w2 u2w3",
+            "u1w3 u2w3 | u1w1 u1w2 u1w4 u2w1 u2w2 u2w4",
+            "u1w1 u1w2 u2w1 u2w2 | u1w3 u1w4 u2w3 u2w4",
+            "u1w2 u2w2 | u1w1 u1w3 u1w4 u2w1 u2w3 u2w4",
+            "u1w1 u1w3 u2w1 u2w3 | u1w2 u1w4 u2w2 u2w4",
+            "u1w1 u1w4 u2w1 u2w4 | u1w2 u1w3 u2w2 u2w3",
+            "u1w1 u2w1 | u1w2 u1w3 u1w4 u2w2 u2w3 u2w4",
+        ],
+    ),
+    (
+        # the input of the golden p_c3_c3_doubled report
+        lambda: BinaryMatroid.from_pairs(
+            [
+                (lab, bits_from_str(col))
+                for lab, col in (
+                    ("A1", "1100"),
+                    ("B1", "1010"),
+                    ("B2", "0110"),
+                    ("C1", "1001"),
+                    ("C2", "0101"),
+                    ("D", "1010"),
+                )
+            ],
+            4,
+        ),
+        25,
+        ["C1 C2 | A1 B1 B2 D", "B1 D | A1 B2 C1 C2", "A1 C1 C2 | B1 B2 D"],
+    ),
+    # W13 is 3-connected: nothing to yield, after a search of 40902 nodes
+    (lambda: _wheel(13), 40902, []),
+]
+
+
+@pytest.mark.parametrize(
+    "make, nodes, seps", _BACKTRACK_RUNS, ids=["M_K24", "P_C3_C3_DOUBLED", "W13"]
+)
+def test_exact_two_separations_keep_their_order_and_node_count(make, nodes, seps):
+    budget = Budget()
+    got = list(exact_two_separations(make(), budget))
+    assert [" ".join(sorted(X)) + " | " + " ".join(sorted(Y)) for X, Y in got] == seps
+    assert all(isinstance(X, frozenset) and isinstance(Y, frozenset) for X, Y in got)
+    assert budget.nodes == nodes
+
+
 def test_two_separations_come_smaller_side_first():
     for name, m in SMALL_CORPUS:
         for X, Y in exact_two_separations(m):
@@ -351,3 +416,44 @@ def test_three_connected_spot_checks():
     assert not is_3connected(by_name["C4"])
     assert not is_3connected(by_name["P_C3_C3"])
     assert not is_3connected(by_name["C4_LOOP"])  # not even connected
+
+
+# -- what a matroid works out once ---------------------------------------------
+
+
+def test_cached_coordinates_are_greedy_and_immutable():
+    for name, m in SMALL_CORPUS:
+        coords, basis = m.coordinates
+        assert (list(coords), list(basis)) == greedy_coordinates(m.cols), name
+        assert isinstance(coords, tuple) and isinstance(basis, tuple), name
+        assert m.coordinates is m.coordinates, name
+    m = complete_graph_matroid(4)
+    coords, basis = m.coordinates
+    with pytest.raises(TypeError):
+        coords[0] = 0  # type: ignore[index]
+    with pytest.raises(TypeError):
+        basis[0] = 1  # type: ignore[index]
+    with pytest.raises(AttributeError):
+        m.coordinates = ((), ())  # type: ignore[misc]
+    assert m.coordinates == (coords, basis)
+
+
+def test_connected_components_returns_a_new_list_each_call():
+    m = dict(SMALL_CORPUS)["C4_LOOP"]
+    first = connected_components(m)
+    want = list(first)
+    first.clear()
+    second = connected_components(m)
+    assert second == want and second is not first
+    assert len(want) == 2 and not is_connected(m)
+
+
+def test_restrict_delete_and_simplify_return_the_input_when_they_keep_it():
+    for name, m in SMALL_CORPUS:
+        assert restrict(m, m.labels) is m, name
+        assert restrict(m, reversed(m.labels)) is m, name
+        assert delete(m, []) is m, name
+        assert (simplify(m) is m) == m.is_simple, name
+        if m.size:
+            smaller = restrict(m, m.labels[1:])
+            assert smaller is not m and smaller.labels == m.labels[1:], name

@@ -170,6 +170,45 @@ def test_same_matroid_agrees_with_circuit_families():
     assert outcomes == {True, False}
 
 
+@st.composite
+def loopy_matroids(draw, max_dim=4, max_cols=8):
+    """Columns drawn from a pool of at most three nonzero vectors and 0,
+    so loops and parallel copies are the rule, not the exception."""
+    dim = draw(st.integers(1, max_dim))
+    pool = draw(st.lists(st.integers(1, (1 << dim) - 1), min_size=1, max_size=3)) + [0]
+    n = draw(st.integers(1, max_cols))
+    cols = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    return BinaryMatroid(tuple(f"g{i}" for i in range(n)), tuple(cols), dim)
+
+
+def test_same_matroid_agrees_with_fresh_coordinates_on_loops_and_copies():
+    outcomes = set()
+
+    @settings(max_examples=150)
+    @given(loopy_matroids(), st.data())
+    def agree(m, data):
+        # N: M with its labels in a shuffled order, and sometimes one
+        # column replaced; M's coordinates are worked out before the call
+        cols = list(m.cols)
+        if data.draw(st.booleans()):
+            i = data.draw(st.integers(0, m.size - 1))
+            cols[i] = data.draw(st.integers(0, (1 << m.dim) - 1))
+        order = data.draw(st.permutations(range(m.size)))
+        n = BinaryMatroid(
+            tuple(m.labels[i] for i in order), tuple(cols[i] for i in order), m.dim
+        )
+        cached = m.coordinates
+        same = greedy_coordinates(m.cols) == greedy_coordinates(
+            [n.col_of(lab) for lab in m.labels]
+        )
+        assert same_matroid(m, n) == same_matroid(n, m) == same
+        assert m.coordinates is cached
+        outcomes.add(same)
+
+    agree()
+    assert outcomes == {True, False}
+
+
 @settings(max_examples=50)
 @given(matroids(max_dim=4, max_cols=7))
 def test_exact_two_separations_match_the_oracle(m):

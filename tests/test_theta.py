@@ -198,6 +198,8 @@ def test_closure_matches_oracle_fixed_point_and_rounds():
         final, trace = theta3_closure(m)
         ofinal, orounds = oracles.oracle_closure(m)
         assert final.colset == ofinal.colset, name
+        # the rank each round carries over, against one computed afresh
+        assert final.rank == ofinal.rank, name
         got_rounds = [sorted(r.added_vectors) for r in trace.rounds]
         assert got_rounds == orounds, name
 
