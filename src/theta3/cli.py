@@ -17,18 +17,31 @@ the first line followed by `LABEL bits` element lines, `#` starting a
 comment; with --graph the file is `u v label` edge lines instead and
 the cycle matroid of that graph is used.  check --graph decides by one
 flow per vertex pair on the graph itself, unless --no-shortcut asks
-for the circuit-pair scan.
+for the circuit-pair scan.  When a recipe certificate proved check's
+closed verdict, the report's recipe slot holds that recipe.
+
+Argv grammar: `theta3 COMMAND [options] ARG`, options before or after
+the positional argument.  Options are spelled out in full; an
+abbreviation (--max-sub) is an unknown option.  An option takes its
+value as `--opt value` or as `--opt=value`, and a value that looks like
+a negative number (-1, -.5) is read as the value, not as an option.
+After `--` every token is positional.  -h or --help prints help to
+stdout and exits 0.  A usage error prints `usage: ...` and
+`theta3 COMMAND: error: ...` to stderr and exits 2 with no JSON report.
+One table, _GRAMMAR, drives the parser, the help and the errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import random
+import re
 import sys
 import time
 import traceback
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from theta3.budget import Budget, BudgetExceededError
 from theta3.gf2 import MAX_DIM, DimensionError, bits_from_str, bits_to_str
@@ -212,6 +225,9 @@ def _cmd_check(args, budget, report) -> int:
         closed, wit = is_theta3_closed(
             M, use_shortcut=not args.no_shortcut, budget=budget
         )
+        if isinstance(wit, BuildRecipe):
+            report["recipe"] = _recipe_json(wit)
+            wit = None
     report["verdict"] = closed
     report["witness"] = _witness_json(wit, M)
     return 0 if closed else 1
@@ -285,6 +301,8 @@ def _crossval_instance(sub: BinaryMatroid, budget) -> dict | None:
 
 
 def _cmd_crossval(args, budget, report) -> int:
+    if args.samples < 0:
+        raise ValueError("--samples must be >= 0")
     report["input"] = {
         "exhaustive_rank": args.exhaustive_rank,
         "samples": args.samples,
@@ -327,69 +345,296 @@ def _cmd_catalog(args, budget, report) -> int:
 # -- driver ---------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--max-subsets",
-        type=int,
-        default=None,
-        metavar="N",
-        help="abort with exit 3 after N search nodes",
-    )
-    common.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        metavar="S",
-        help="abort with exit 3 after S seconds of search",
-    )
-    p = argparse.ArgumentParser(
-        prog="theta3", description="binary matroid theta-closure toolkit"
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("check", parents=[common], help="decide theta-closedness")
-    c.add_argument("input", help="catalog key or file path")
-    c.add_argument("--graph", action="store_true", help="input file is an edge list")
-    c.add_argument(
-        "--no-shortcut",
-        action="store_true",
-        help="disables the projective shortcut, the recipe certificate and, "
-        "with --graph, the flow test (the circuit-pair scan decides)",
-    )
-
-    c = sub.add_parser("closure", parents=[common], help="compute the closure")
-    c.add_argument("input", help="catalog key or file path")
-    c.add_argument("--graph", action="store_true", help="input file is an edge list")
-    c.add_argument(
-        "--strategy",
-        choices=("batch", "one_at_a_time"),
-        default="batch",
-        help="add all vectors found in a round, or only the smallest of them",
-    )
-
-    c = sub.add_parser(
-        "decompose", parents=[common], help="canonical tree and class verdict"
-    )
-    c.add_argument("input", help="catalog key or file path")
-    c.add_argument("--graph", action="store_true", help="input file is an edge list")
-
-    c = sub.add_parser("build", parents=[common], help="evaluate a recipe term")
-    c.add_argument("term", nargs="+", help="e.g. 'P(MK(4), C(3); base=1-2)'")
-
-    c = sub.add_parser(
-        "crossval", parents=[common], help="classifier vs direct decision sweep"
-    )
-    c.add_argument("--exhaustive-rank", type=int, default=3, metavar="R")
-    c.add_argument("--samples", type=int, default=200, metavar="N")
-    c.add_argument("--sample-rank", type=int, default=4, metavar="R")
-    c.add_argument("--seed", type=int, default=0)
-
-    sub.add_parser("catalog", parents=[common], help="list named matroids")
-    return p
+# The argv grammar: per command, its help, its positional argument (name,
+# help, and whether it takes one token or a run of them) and its
+# options.  Parsing, help and usage errors all read this one table.
 
 
-_PARSER = _build_parser()
+class _Option(NamedTuple):
+    name: str
+    kind: object  # "flag", "help", int, float, or a tuple of the allowed values
+    default: object
+    help: str
+    metavar: str = ""
+
+    @property
+    def dest(self) -> str:
+        """The attribute of args that holds the option's value."""
+        return self.name[2:].replace("-", "_")
+
+    @property
+    def form(self) -> str:
+        """The option as help and usage spell it, with its value."""
+        if isinstance(self.kind, tuple):
+            return f"{self.name} {{{','.join(self.kind)}}}"
+        return f"{self.name} {self.metavar}".rstrip()
+
+
+class _Command(NamedTuple):
+    help: str
+    positional: tuple[str, str, bool] | None  # (name, help, takes a run of tokens)
+    options: tuple[_Option, ...]
+
+
+_HELP = _Option("-h/--help", "help", None, "show this help and exit")
+_BUDGET = (
+    _Option("--max-subsets", int, None, "abort with exit 3 after N search nodes", "N"),
+    _Option(
+        "--max-seconds", float, None, "abort with exit 3 after S seconds of search", "S"
+    ),
+)
+_INPUT = ("input", "catalog key or file path", False)
+_GRAPH = _Option("--graph", "flag", False, "input file is an edge list")
+
+_GRAMMAR = {
+    "check": _Command(
+        "decide theta-closedness",
+        _INPUT,
+        (
+            *_BUDGET,
+            _GRAPH,
+            _Option(
+                "--no-shortcut",
+                "flag",
+                False,
+                "disables the projective shortcut, the recipe certificate and, "
+                "with --graph, the flow test (the circuit-pair scan decides)",
+            ),
+        ),
+    ),
+    "closure": _Command(
+        "compute the closure",
+        _INPUT,
+        (
+            *_BUDGET,
+            _GRAPH,
+            _Option(
+                "--strategy",
+                ("batch", "one_at_a_time"),
+                "batch",
+                "add all vectors found in a round, or only the smallest of them",
+            ),
+        ),
+    ),
+    "decompose": _Command("canonical tree and class verdict", _INPUT, (*_BUDGET, _GRAPH)),
+    "build": _Command(
+        "evaluate a recipe term",
+        ("term", "e.g. 'P(MK(4), C(3); base=1-2)'", True),
+        _BUDGET,
+    ),
+    "crossval": _Command(
+        "classifier vs direct decision sweep",
+        None,
+        (
+            *_BUDGET,
+            _Option("--exhaustive-rank", int, 3, "check every point set of PG(R)", "R"),
+            _Option("--samples", int, 200, "then N random point sets of PG(--sample-rank)", "N"),
+            _Option("--sample-rank", int, 4, "rank of the sampled geometry", "R"),
+            _Option("--seed", int, 0, "seed of the random samples", "SEED"),
+        ),
+    ),
+    "catalog": _Command("list named matroids", None, _BUDGET),
+}
+
+# Per command: each option by every name it answers to (-h and --help
+# included), and the attribute defaults of its args.
+_TOP_OPTIONS = {"-h": _HELP, "--help": _HELP}
+_OPTIONS = {
+    name: {**_TOP_OPTIONS, **{o.name: o for o in c.options}}
+    for name, c in _GRAMMAR.items()
+}
+_DEFAULTS = {name: {o.dest: o.default for o in c.options} for name, c in _GRAMMAR.items()}
+_TOP_USAGE = "theta3 [-h] {" + ",".join(_GRAMMAR) + "} ..."
+# argparse's test for a token that is a negative number, not an option
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
+
+
+class _Usage(Exception):
+    """Help (code 0, for stdout) or a usage error (code 2, for stderr)."""
+
+    def __init__(self, code: int, text: str):
+        super().__init__(text)
+        self.code = code
+        self.text = text
+
+
+def _usage_line(name: str) -> str:
+    command = _GRAMMAR[name]
+    parts = [f"theta3 {name} [-h]"]
+    parts += [f"[{o.form}]" for o in command.options]
+    if command.positional is not None:
+        pos, _, many = command.positional
+        parts.append(f"{pos} [{pos} ...]" if many else pos)
+    return " ".join(parts)
+
+
+def _error(name: str | None, message: str) -> _Usage:
+    if name is None:
+        return _Usage(2, f"usage: {_TOP_USAGE}\ntheta3: error: {message}")
+    return _Usage(2, f"usage: {_usage_line(name)}\ntheta3 {name}: error: {message}")
+
+
+def _columns(title: str, rows: list[tuple[str, str]]) -> list[str]:
+    import textwrap
+
+    width = max(len(left) for left, _ in rows) + 2
+    out = ["", title]
+    for left, text in rows:
+        lines = textwrap.wrap(text, max(79 - width - 2, 20)) or [""]
+        out.append(f"  {left:<{width}}{lines[0]}".rstrip())
+        out += [" " * (width + 2) + line for line in lines[1:]]
+    return out
+
+
+def _help(name: str | None) -> str:
+    if name is None:
+        rows = [(n, c.help) for n, c in _GRAMMAR.items()]
+        lines = [f"usage: {_TOP_USAGE}", "", "binary matroid theta-closure toolkit"]
+        lines += _columns("commands:", rows)
+        lines += _columns("options:", [(_HELP.name, _HELP.help)])
+        lines += [
+            "",
+            "Options are spelled out in full and take their value as --opt value",
+            "or --opt=value.  theta3 COMMAND -h describes one command.",
+        ]
+        return "\n".join(lines)
+    command = _GRAMMAR[name]
+    lines = [f"usage: {_usage_line(name)}", "", command.help]
+    if command.positional is not None:
+        pos, text, _ = command.positional
+        lines += _columns("positional arguments:", [(pos, text)])
+    rows = [(_HELP.name, _HELP.help)]
+    rows += [(o.form, o.help) for o in command.options]
+    lines += _columns("options:", rows)
+    return "\n".join(lines)
+
+
+def _read_option(
+    token: str, options: dict[str, _Option]
+) -> tuple[_Option | None, str | None] | None:
+    """How a token reads: None for a positional, else (the option or None
+    when it is unknown, the value given after '=' or None).
+
+    A token is an option when it starts with '-' and has more, unless it
+    looks like a negative number or holds a space; `--opt=value` names a
+    known option before the '='.  Options are never abbreviated.
+    """
+    if token[:1] != "-" or len(token) == 1:
+        return None
+    option = options.get(token)
+    if option is not None:
+        return option, None
+    key, eq, value = token.partition("=")
+    if eq and key in options:
+        return options[key], value
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def _parse_command(name: str, tokens: list[str]) -> SimpleNamespace:
+    """The args of one command from the tokens after its name.
+
+    Tokens are read left to right.  Help ends the parse at once, as do a
+    missing or malformed option value; an unknown option, a stray
+    positional token or a missing one is reported after the last token.
+    A run of positional tokens is broken by an option, and a command's
+    positional takes the first run: one token of it, or all of it.
+    After `--` every token is positional.
+    """
+    options = _OPTIONS[name]
+    values = dict(_DEFAULTS[name])
+    runs: list[list[str]] = []
+    unknown = None
+    in_run = only_positional = False
+    i = 0
+    while i < len(tokens):
+        token = tokens[i]
+        i += 1
+        if token == "--" and not only_positional:
+            only_positional = True
+            continue
+        read = None if only_positional else _read_option(token, options)
+        if read is None:
+            if not in_run:
+                runs.append([])
+                in_run = True
+            runs[-1].append(token)
+            continue
+        in_run = False
+        option, value = read
+        if option is None:
+            unknown = unknown or token
+            continue
+        label = option.name
+        if option.kind in ("help", "flag"):
+            if value is not None:
+                raise _error(name, f"argument {label}: ignored explicit argument {value!r}")
+            if option.kind == "help":
+                raise _Usage(0, _help(name))
+            values[option.dest] = True
+            continue
+        if value is None:
+            if i == len(tokens) or tokens[i] == "--" or _read_option(tokens[i], options):
+                raise _error(name, f"argument {label}: expected one argument")
+            value = tokens[i]
+            i += 1
+        kind = option.kind
+        if isinstance(kind, tuple):
+            if value not in kind:
+                choices = ", ".join(map(repr, kind))
+                raise _error(
+                    name, f"argument {label}: invalid choice: {value!r} (choose from {choices})"
+                )
+        else:
+            try:
+                value = kind(value)
+            except ValueError:
+                raise _error(
+                    name, f"argument {label}: invalid {kind.__name__} value: {value!r}"
+                ) from None
+        values[option.dest] = value
+    stray = [t for run in runs for t in run]
+    positional = _GRAMMAR[name].positional
+    if positional is not None:
+        pos, _, many = positional
+        if not runs:
+            raise _error(name, f"the following arguments are required: {pos}")
+        taken = runs[0] if many else runs[0][:1]
+        values[pos] = taken if many else taken[0]
+        stray = stray[len(taken) :]
+    if unknown is not None:
+        stray.insert(0, unknown)
+    if stray:
+        raise _error(name, "unrecognized arguments: " + " ".join(stray))
+    return SimpleNamespace(command=name, **values)
+
+
+def _parse_argv(argv: list[str]) -> SimpleNamespace:
+    """The args of a command line; raises _Usage for help and usage errors."""
+    unknown = None
+    for i, token in enumerate(argv):
+        read = _read_option(token, _TOP_OPTIONS)
+        if read is None:
+            break
+        option, value = read
+        if option is None:
+            unknown = unknown or token
+        elif value is not None:
+            raise _error(None, f"argument {_HELP.name}: ignored explicit argument {value!r}")
+        else:
+            raise _Usage(0, _help(None))
+    else:
+        raise _error(None, "the following arguments are required: command")
+    name = argv[i]
+    if name not in _GRAMMAR:
+        choices = ", ".join(map(repr, _GRAMMAR))
+        raise _error(None, f"argument command: invalid choice: {name!r} (choose from {choices})")
+    args = _parse_command(name, argv[i + 1 :])
+    if unknown is not None:
+        raise _error(None, f"unrecognized arguments: {unknown}")
+    return args
+
 
 _COMMANDS = {
     "check": _cmd_check,
@@ -404,9 +649,10 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
+        args = _parse_argv(argv)
+    except _Usage as exc:
+        print(exc.text, file=sys.stdout if exc.code == 0 else sys.stderr)
+        return exc.code
 
     report: dict = {
         "command": args.command,

@@ -449,11 +449,18 @@ def exact_two_separations(
     decrease.  Element 0 is pinned to X to break the X/Y symmetry.  Pairs
     come out with the smaller side first.  The DFS keeps an explicit
     stack, so its depth is not bounded by the interpreter's recursion
-    limit; the budget ticks once per node.
+    limit.  The budget is charged one node per visit, counted locally and
+    passed on when the count reaches Budget.batch_limit(), before every
+    yield and at the end, so a node cap raises on the same node, with
+    the same count, as a tick per node would.
     """
     n = M.size
     if n < 4:
         return
+    if budget is None:
+        budget = Budget()
+    visited = 0
+    limit = budget.batch_limit()
     target = M.rank + 1
     cols = M.cols
     labels = M.labels
@@ -480,17 +487,23 @@ def exact_two_separations(
                 ranks -= 1
             continue
         if step == VISIT:
-            if budget is not None:
-                budget.tick()
+            visited += 1
+            if visited >= limit:
+                budget.tick(visited)
+                visited = 0
+                limit = budget.batch_limit()
             if i == n:
                 xs, ys = sides
                 if len(xs) >= 2 and len(ys) >= 2 and ranks == target:
                     X = frozenset(labels[j] for j in xs)
                     Y = frozenset(labels[j] for j in ys)
+                    budget.tick(visited)
+                    visited = 0
                     if (len(X), sorted(X)) <= (len(Y), sorted(Y)):
                         yield X, Y
                     else:
                         yield Y, X
+                    limit = budget.batch_limit()
                 continue
             push((PLACE_Y, i, 1, 0))
         if len(sides[1 - s]) + n - i - 1 >= 2:
@@ -511,6 +524,7 @@ def exact_two_separations(
             sides[s].append(i)
             push((UNDO, i, s, piv))
             push((VISIT, i + 1, 0, 0))
+    budget.tick(visited)
 
 
 def is_3connected(M: BinaryMatroid, budget: Budget | None = None) -> bool:

@@ -308,8 +308,12 @@ def is_theta3_closed(
     *,
     use_shortcut: bool = True,
     budget: Budget | None = None,
-) -> tuple[bool, ThetaGraph | None]:
-    """Decide whether every theta of M is complete; witness on failure.
+) -> tuple[bool, ThetaGraph | BuildRecipe | None]:
+    """Decide whether every theta of M is complete, with the evidence.
+
+    The evidence is an incomplete theta when M is not closed, the
+    recipe when a recipe certificate proved M closed, and None when the
+    projective shortcut or the scan did.
 
     With use_shortcut enabled, a simple matroid whose columns exhaust
     every nonzero vector of their span is accepted immediately (a full
@@ -332,7 +336,7 @@ def is_theta3_closed(
     if use_shortcut and M.size > FULL_ENUM_LIMIT:
         found = certificate(M, budget)
         if isinstance(found, BuildRecipe):
-            return True, None
+            return True, found
         # a piece outside the class: its incomplete thetas are M's
         M = found
     for *arcs, w in _incomplete(M, budget):
@@ -423,12 +427,12 @@ def _graph_theta(
 
     Decided by flows (see the module docstring).  Vertices are numbered
     in the order in which they first appear in the edge list, and pairs
-    are tried in that order.  Each vertex v is split into an in-node 2v
-    and an out-node 2v + 1 joined by an arc of capacity 1, and every edge
-    uv gives the arcs u_out -> v_in and v_out -> u_in.  A BFS for an
-    augmenting path from x_out to y_in ticks the budget once; the third
-    path found ends the search.  The witness's arcs are the three paths,
-    each step taken by the first edge in input order between its ends.
+    are tried in that order.  The flow network (see _split_network) is
+    built once, at the first pair that needs it, and each pair starts
+    from a copy of its capacities.  A BFS for an augmenting path from
+    x_out to y_in ticks the budget once; the third path found ends the
+    search.  The witness's arcs are the three paths, each step taken by
+    the first edge in input order between its ends.
     """
     index: dict[str, int] = {}
     first: dict[tuple[int, int], int] = {}
@@ -439,30 +443,30 @@ def _graph_theta(
             first.setdefault((a, b), j)
             first.setdefault((b, a), j)
     n = len(index)
-    arcs = [(2 * v, 2 * v + 1) for v in range(n)]
-    arcs += [(2 * a + 1, 2 * b) for a, b in first]
-    adj: list[list[int]] = [[] for _ in range(2 * n)]
     degree = [0] * n
-    for a, b in arcs:
-        adj[a].append(b)
-        adj[b].append(a)
     for a, _ in first:
         degree[a] += 1
     hubs = [v for v in range(n) if degree[v] >= 3]
+    network = None
     for i, x in enumerate(hubs):
         for y in hubs[i + 1 :]:
             if (x, y) in first:
                 continue
+            if network is None:
+                network = _split_network(n, first)
             source = 2 * x + 1
-            res = _three_paths(arcs, adj, source, 2 * y, budget)
-            if res is None:
+            cap = _three_paths(network, source, 2 * y, budget)
+            if cap is None:
                 continue
-            # follow each unit of flow from x to y
-            flow = [arc for arc in arcs if arc not in res]
-            nxt = dict(flow)
+            head, out, _ = network
+            # follow each unit of flow from x to y; an arc carries flow
+            # exactly when its capacity has dropped to 0
+            nxt = {head[k ^ 1]: head[k] for k in range(0, len(cap), 2) if not cap[k]}
             masks = []
-            for b in [b for a, b in flow if a == source]:
-                prev, mask = x, 0
+            for k in out[source]:
+                if k & 1 or cap[k]:
+                    continue
+                prev, b, mask = x, head[k], 0
                 while True:
                     v = b // 2
                     mask |= 1 << first[prev, v]
@@ -477,40 +481,71 @@ def _graph_theta(
     return None
 
 
+def _split_network(
+    n: int, first: dict[tuple[int, int], int]
+) -> tuple[list[int], list[list[int]], list[int]]:
+    """The vertex-split network of a graph on vertices 0..n-1 whose
+    ordered adjacent pairs are the keys of first: (head, out, capacity).
+
+    Vertex v becomes an in-node 2v and an out-node 2v + 1, joined by an
+    arc of capacity 1, and every adjacent pair (a, b) gives an arc
+    a_out -> b_in of capacity 1.  Arcs are stored in pairs: arc 2i is
+    the i-th arc of the network (the split arcs first, then the pairs in
+    the order of first) and arc 2i + 1 is its reverse, of capacity 0, so
+    the reverse of arc k is k ^ 1.  Arc k runs to head[k], and out[a]
+    lists the arcs leaving node a in arc order.
+    """
+    # split arc 2v runs 2v -> 2v + 1, and its reverse 2v + 1 back
+    head = [k ^ 1 for k in range(2 * n)]
+    out = [[k] for k in range(2 * n)]
+    k = 2 * n
+    for a, b in first:
+        tail, to = 2 * a + 1, 2 * b
+        out[tail].append(k)
+        out[to].append(k + 1)
+        head += (to, tail)
+        k += 2
+    return head, out, [1, 0] * (k // 2)
+
+
 def _three_paths(
-    arcs: list[tuple[int, int]],
-    adj: list[list[int]],
+    network: tuple[list[int], list[list[int]], list[int]],
     source: int,
     sink: int,
     budget: Budget | None,
-) -> set[tuple[int, int]] | None:
-    """The residual arcs of a 3-unit flow from source to sink, or None.
+) -> list[int] | None:
+    """The residual capacities of a 3-unit flow from source to sink in a
+    network from _split_network, or None.
 
-    Every arc has capacity 1.  Each BFS for an augmenting path ticks the
-    budget once.
+    The network's own capacities are left as they are.  Each BFS for an
+    augmenting path ticks the budget once and keeps, per node, the arc
+    it was reached by.
     """
-    res = set(arcs)
+    head, out, capacity = network
+    cap = capacity[:]
     for _ in range(3):
         if budget is not None:
             budget.tick()
-        parent = {source: source}
+        parent = [-1] * len(out)
+        parent[source] = -2  # reached, by no arc
         queue = [source]
         for a in queue:
-            for b in adj[a]:
-                if b not in parent and (a, b) in res:
-                    parent[b] = a
+            for k in out[a]:
+                b = head[k]
+                if parent[b] == -1 and cap[k]:
+                    parent[b] = k
                     queue.append(b)
-            if sink in parent:
+            if parent[sink] != -1:
                 break
         else:
             return None
         b = sink
         while b != source:
-            a = parent[b]
-            res.remove((a, b))
-            res.add((b, a))
-            b = a
-    return res
+            k = parent[b]
+            cap[k] -= 1
+            cap[k ^ 1] += 1
+            b = head[k ^ 1]
+    return cap
 
 
 def graph_is_theta3_closed(edges: list[tuple[str, str, str]]) -> bool:

@@ -20,6 +20,7 @@ import theta3
 from theta3 import cli, construct, decompose
 from theta3.construct import catalog_matroid
 from theta3.gf2 import bits_from_str
+from theta3.matroid import same_matroid
 
 from oracles import oracle_is_circuit, oracle_is_complete, oracle_rank, oracle_theta_graphs
 
@@ -394,7 +395,7 @@ def test_decompose_rejects_disconnected_file(capsys, tmp_path):
     assert "['a']" in rep["error"] and "['b']" in rep["error"]
 
 
-# -- budgets, internal errors, argparse plumbing ----------------------------
+# -- budgets, internal errors, argv plumbing --------------------------------
 
 
 # MSTAR_K5 is no good for these: its refutation lands within a handful
@@ -459,6 +460,31 @@ def test_check_certifies_large_complete_graphs_within_a_node_budget(capsys, key)
     assert rep["verdict"] is True and rep["witness"] is None
 
 
+def test_check_reports_the_certificate_recipe(capsys, tmp_path):
+    # Above 18 elements check proves a closed verdict by the recipe
+    # certificate, and the report carries that recipe: its printed term,
+    # with the loops and parallel copies put back, rebuilds the input.
+    m = catalog_matroid("MK(9)")
+    doubled = m.extend("z", 0).extend("1-2'", m.col_of("1-2"))
+    path = tmp_path / "mk9_doubled.matroid"
+    path.write_text(render_matroid_file(doubled))
+    for argument, want in (("MK(9)", m), (str(path), doubled)):
+        code, rep = run_cli(capsys, "check", argument)
+        assert code == 0 and rep["verdict"] is True and rep["witness"] is None
+        recipe = rep["recipe"]
+        rebuilt = construct.BuildRecipe(
+            construct.parse_recipe(recipe["term"]),
+            tuple(recipe["loops"]),
+            tuple(map(tuple, recipe["parallel"])),
+        ).evaluate()
+        assert same_matroid(want, rebuilt), argument
+    assert recipe["loops"] == ["z"] and recipe["parallel"] == [["1-2'", "1-2"]]
+    # the projective shortcut and the scan prove nothing to print
+    for argv in (["PG(5)"], ["MK(4)"], ["MK(7)", "--no-shortcut"]):
+        _, rep = run_cli(capsys, "check", *argv)
+        assert rep["recipe"] is None, argv
+
+
 def test_budget_validation(capsys):
     code, rep = run_cli(capsys, "check", "PG(2)", "--max-subsets", "0")
     assert code == 2
@@ -467,6 +493,14 @@ def test_budget_validation(capsys):
     code, rep = run_cli(capsys, "check", "PG(2)", "--max-seconds", "-1")
     assert code == 2
     assert "--max-seconds" in rep["error"]
+
+
+def test_crossval_rejects_negative_samples(capsys):
+    # a negative count once ran the exhaustive sweep alone and exited 0
+    code, rep = run_cli(capsys, "crossval", "--exhaustive-rank", "2", "--samples", "-1")
+    assert code == 2
+    assert rep["error"] == "--samples must be >= 0"
+    assert rep["verdict"] is None and "checked" not in rep
 
 
 def test_budget_validation_rejects_nan_seconds(capsys):
@@ -605,6 +639,9 @@ def test_reports_match_golden_file(capsys, tmp_path, monkeypatch):
     # An entry with `input_file` reads that text from the file its argv
     # names: p_c3_c3_doubled.txt is non-simple, so its recipe adds a
     # parallel copy back (`recipe.parallel`) after the term is built.
+    # The `check --graph` entries pin the flows' witnesses on W6 and the
+    # Petersen graph, whose three paths depend on the BFS order, and the
+    # scan's witness on W6 with --no-shortcut.
     monkeypatch.chdir(tmp_path)
     for entry in json.loads(GOLDEN.read_text()):
         if "input_file" in entry:

@@ -12,7 +12,7 @@ from math import comb, factorial
 
 import pytest
 
-from theta3.budget import Budget
+from theta3.budget import Budget, BudgetExceededError
 from theta3.construct import (
     catalog_matroid,
     complete_graph_matroid,
@@ -399,6 +399,37 @@ def test_exact_two_separations_keep_their_order_and_node_count(make, nodes, seps
     assert [" ".join(sorted(X)) + " | " + " ".join(sorted(Y)) for X, Y in got] == seps
     assert all(isinstance(X, frozenset) and isinstance(Y, frozenset) for X, Y in got)
     assert budget.nodes == nodes
+
+
+@pytest.mark.parametrize("key", ["THETA(4,4,5)", "W13"])
+def test_exact_two_separations_stop_on_the_capped_node(key):
+    # The backtrack charges its nodes in batches, and up to date before
+    # each yield, so budget.nodes at a yield is the node that found it.
+    # A cap of k must then raise on node k + 1 with that count, after
+    # yielding exactly the separations found by node k, as a tick per
+    # node did.  THETA(4,4,5) yields 48 times in 4142 nodes; W13 yields
+    # nothing in 40902, so its batches run to the clock interval.
+    m = _wheel(13) if key == "W13" else catalog_matroid(key)
+    budget = Budget()
+    seps, found_at = [], []
+    for sep in exact_two_separations(m, budget):
+        seps.append(sep)
+        found_at.append(budget.nodes)
+    total = budget.nodes
+    caps = {1, 2, 4095, 4096, 4097, total - 1, total, total + 1}
+    caps |= {p + d for p in found_at[:3] + found_at[-2:] for d in (-1, 0)}
+    caps |= set(random.Random(7).sample(range(1, total), 6))
+    for cap in sorted(c for c in caps if c >= 1):
+        budget = Budget(max_nodes=cap)
+        got = []
+        try:
+            for sep in exact_two_separations(m, budget):
+                got.append(sep)
+        except BudgetExceededError as exc:
+            assert cap < total and exc.nodes == budget.nodes == cap + 1, cap
+        else:
+            assert cap >= total and budget.nodes == total, cap
+        assert got == seps[: sum(p <= cap for p in found_at)], cap
 
 
 def test_two_separations_come_smaller_side_first():
