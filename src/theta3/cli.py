@@ -14,11 +14,14 @@ neither the exit code nor stderr.
 Input resolution: an input argument is tried as a catalog key first
 (F7, MK(5), PG(3), ...), then as a file path.  Files hold `dim d` on
 the first line followed by `LABEL bits` element lines, `#` starting a
-comment; with --graph the file is `u v label` edge lines instead and
-the cycle matroid of that graph is used.  check --graph decides by one
-flow per vertex pair on the graph itself, unless --no-shortcut asks
-for the circuit-pair scan.  When a recipe certificate proved check's
-closed verdict, the report's recipe slot holds that recipe.
+comment; with --graph the file is `u v label` edge lines instead.
+check --graph and closure --graph work on the graph itself: check
+decides by one flow per vertex pair, reading the report's size and
+rank from one pass over the edges, and builds the cycle matroid only
+for a witness; closure runs its rounds as flows.  check --graph
+--no-shortcut and decompose --graph work on the cycle matroid, and the
+first by the circuit-pair scan.  When a recipe certificate proved
+check's closed verdict, the report's recipe slot holds that recipe.
 
 Argv grammar: `theta3 COMMAND [options] ARG`, options before or after
 the positional argument.  Options are spelled out in full; an
@@ -67,6 +70,8 @@ from theta3.construct import (
 from theta3.theta import (
     ClosureTrace,
     ThetaGraph,
+    _Graph,
+    _graph_closure,
     _graph_theta,
     is_complete,
     is_theta3_closed,
@@ -212,31 +217,36 @@ def _witness_json(wit, M: BinaryMatroid | None) -> object:
 
 
 def _cmd_check(args, budget, report) -> int:
-    if args.graph:
-        edges = _load_edges(args.input)
-        M = cycle_matroid(edges)
-    else:
-        M = _load_matroid(args.input, False)
-    report["input"] = {"argument": args.input, "size": M.size, "rank": M.rank}
     if args.graph and not args.no_shortcut:
-        wit = _graph_theta(M, edges, budget)
-        closed = wit is None
-    else:
-        closed, wit = is_theta3_closed(
-            M, use_shortcut=not args.no_shortcut, budget=budget
-        )
-        if isinstance(wit, BuildRecipe):
-            report["recipe"] = _recipe_json(wit)
-            wit = None
+        graph = _Graph(_load_edges(args.input))
+        report["input"] = {"argument": args.input, "size": graph.size, "rank": graph.rank}
+        wit = _graph_theta(graph, budget)
+        report["verdict"] = wit is None
+        if wit is None:
+            return 0
+        # the cycle matroid is built for a witness only
+        report["witness"] = _theta_json(wit, graph.matroid)
+        return 1
+    M = _load_matroid(args.input, args.graph)
+    report["input"] = {"argument": args.input, "size": M.size, "rank": M.rank}
+    closed, wit = is_theta3_closed(M, use_shortcut=not args.no_shortcut, budget=budget)
+    if isinstance(wit, BuildRecipe):
+        report["recipe"] = _recipe_json(wit)
+        wit = None
     report["verdict"] = closed
     report["witness"] = _witness_json(wit, M)
     return 0 if closed else 1
 
 
 def _cmd_closure(args, budget, report) -> int:
-    M = _load_matroid(args.input, args.graph)
-    report["input"] = {"argument": args.input, "size": M.size, "rank": M.rank}
-    final, trace = theta3_closure(M, strategy=args.strategy, budget=budget)
+    if args.graph:
+        graph = _Graph(_load_edges(args.input))
+        report["input"] = {"argument": args.input, "size": graph.size, "rank": graph.rank}
+        final, trace = _graph_closure(graph, args.strategy, budget)
+    else:
+        M = _load_matroid(args.input, False)
+        report["input"] = {"argument": args.input, "size": M.size, "rank": M.rank}
+        final, trace = theta3_closure(M, strategy=args.strategy, budget=budget)
     if is_projective(final):
         report["verdict"] = (
             f"final = PG({final.rank} over GF(2)), {final.size} elements"
@@ -311,7 +321,9 @@ def _cmd_crossval(args, budget, report) -> int:
     }
     mismatches: list[dict] = []
     checked = 0
+    # both geometries first, so that a bad rank fails before any sweep
     pg = projective_geometry(args.exhaustive_rank)
+    big = projective_geometry(args.sample_rank)
     for mask in range(1 << pg.size):
         sub = restrict(pg, [pg.labels[i] for i in range(pg.size) if mask >> i & 1])
         checked += 1
@@ -320,7 +332,6 @@ def _cmd_crossval(args, budget, report) -> int:
             bad["kind"] = "exhaustive"
             mismatches.append(bad)
     rng = random.Random(args.seed)
-    big = projective_geometry(args.sample_rank)
     for _ in range(args.samples):
         mask = rng.randrange(1 << big.size)
         sub = restrict(big, [big.labels[i] for i in range(big.size) if mask >> i & 1])

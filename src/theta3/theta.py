@@ -43,17 +43,25 @@ of Jamison and Mulder that the paper extends).  By Menger's theorem one
 unit-capacity flow per pair, stopped at 3, decides that in polynomial
 time; only vertices with at least three distinct neighbours need
 pairing.  Loops play no part, and a parallel edge only makes its ends
-adjacent.  graph_is_theta3_closed and check --graph decide this way.
+adjacent.  graph_is_theta3_closed and check --graph decide this way,
+on the edge list alone: the cycle matroid is built only for a
+witness's completing vector, the sum of the columns along any of its
+three paths.  The closure of a graph is a graph too, since each
+completing vector is a new edge xy, so graph_theta3_closure (closure
+--graph) runs theta3_closure's rounds as flows: a round adds xy for
+every pair that the flows refute, which is every vector the round can
+add.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator
+from functools import cached_property
+from typing import Callable, Collection, Iterable, Iterator
 
 from theta3.budget import Budget
 from theta3.construct import BuildRecipe, certificate, cycle_matroid, is_projective
-from theta3.gf2 import Echelon, bits, bits_to_str, zero_residues
+from theta3.gf2 import MAX_DIM, DimensionError, Echelon, bits, bits_to_str, zero_residues
 from theta3.matroid import BinaryMatroid, _circuit_masks, simplify
 
 __all__ = [
@@ -65,6 +73,7 @@ __all__ = [
     "is_theta3_closed",
     "theta3_closure",
     "graph_is_theta3_closed",
+    "graph_theta3_closure",
     "FULL_ENUM_LIMIT",
 ]
 
@@ -391,13 +400,27 @@ def theta3_closure(
     round; both end at the same fixed point, which the test suite
     asserts rather than assumes.
     """
+    return _closure_rounds(
+        simplify(M), lambda cur: _incomplete_vectors(cur, budget), strategy
+    )
+
+
+def _closure_rounds(
+    start: BinaryMatroid,
+    find: Callable[[BinaryMatroid], list[tuple[int, ThetaGraph]]],
+    strategy: str,
+) -> tuple[BinaryMatroid, ClosureTrace]:
+    """The rounds of theta3_closure from a simple start: find(cur) lists a
+    round's (vector, witness) pairs, ascending, and nothing at the fixed
+    point.  An added vector is labelled "v" plus its bits, with a prime
+    per clash.
+    """
     if strategy not in ("batch", "one_at_a_time"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    start = simplify(M)
     cur = start
     rounds: list[ClosureRound] = []
     while True:
-        found = _incomplete_vectors(cur, budget)
+        found = find(cur)
         if not found:
             break
         if strategy == "one_at_a_time":
@@ -420,29 +443,74 @@ def theta3_closure(
     return cur, ClosureTrace(initial=start, final=cur, rounds=tuple(rounds))
 
 
-def _graph_theta(
-    M: BinaryMatroid, edges: list[tuple[str, str, str]], budget: Budget | None = None
-) -> ThetaGraph | None:
-    """An incomplete theta of M = cycle_matroid(edges), or None if M is closed.
+class _Graph:
+    """An edge list read in one pass, for the flows.
 
-    Decided by flows (see the module docstring).  Vertices are numbered
-    in the order in which they first appear in the edge list, and pairs
-    are tried in that order.  The flow network (see _split_network) is
-    built once, at the first pair that needs it, and each pair starts
-    from a copy of its capacities.  A BFS for an augmenting path from
-    x_out to y_in ticks the budget once; the third path found ends the
-    search.  The witness's arcs are the three paths, each step taken by
-    the first edge in input order between its ends.
+    Vertices are numbered in the order in which they first appear, and
+    first maps each ordered pair (a, b) of adjacent vertices to the
+    index of the first edge between them; loops add no pair.  rank is
+    the rank of the cycle matroid, the number of vertices minus the
+    number of components, which a union-find over the adjacent pairs
+    counts.  Like cycle_matroid, the pass rejects a rank above MAX_DIM
+    and then a repeated label.  The cycle matroid itself is built only
+    when matroid is read.
     """
-    index: dict[str, int] = {}
-    first: dict[tuple[int, int], int] = {}
-    for j, (u, v, _) in enumerate(edges):
-        a = index.setdefault(u, len(index))
-        b = index.setdefault(v, len(index))
-        if a != b:
-            first.setdefault((a, b), j)
-            first.setdefault((b, a), j)
-    n = len(index)
+
+    def __init__(self, edges: list[tuple[str, str, str]]):
+        index: dict[str, int] = {}
+        first: dict[tuple[int, int], int] = {}
+        root = list(range(2 * len(edges)))
+        rank = 0
+        for j, (u, v, _) in enumerate(edges):
+            a = index.setdefault(u, len(index))
+            b = index.setdefault(v, len(index))
+            if a == b or (a, b) in first:
+                continue
+            first[a, b] = first[b, a] = j
+            while root[a] != a:
+                root[a] = a = root[root[a]]
+            while root[b] != b:
+                root[b] = b = root[root[b]]
+            if a != b:
+                root[a] = b
+                rank += 1
+        if rank > MAX_DIM:
+            raise DimensionError(f"graph of rank {rank} exceeds MAX_DIM = {MAX_DIM}")
+        if len({lab for _, _, lab in edges}) != len(edges):
+            raise ValueError("labels must be pairwise distinct")
+        self.edges = edges
+        self.n = len(index)
+        self.first = first
+        self.size = len(edges)
+        self.rank = rank
+
+    @cached_property
+    def matroid(self) -> BinaryMatroid:
+        return cycle_matroid(self.edges)
+
+
+def _path_sum(cols: tuple[int, ...], mask: int) -> int:
+    """The sum of the columns at the set bits of mask."""
+    w = 0
+    for j in bits(mask):
+        w ^= cols[j]
+    return w
+
+
+def _refuted_pairs(
+    n: int, first: dict[tuple[int, int], int], budget: Budget | None
+) -> Iterator[tuple[int, int, list[int]]]:
+    """(x, y, three paths) for each non-adjacent pair of vertices joined by
+    three internally disjoint paths, in a graph on 0..n-1 whose ordered
+    adjacent pairs are the keys of first.
+
+    Only vertices with at least three distinct neighbours are paired,
+    in vertex order.  The flow network (see _split_network) is built
+    once, at the first pair that needs it, and each pair starts from a
+    copy of its capacities.  A BFS for an augmenting path from x_out to
+    y_in ticks the budget once; the third path found ends the search.
+    A path is a mask of the edges first names for its steps.
+    """
     degree = [0] * n
     for a, _ in first:
         degree[a] += 1
@@ -474,11 +542,58 @@ def _graph_theta(
                         break
                     prev, b = v, nxt[nxt[b]]
                 masks.append(mask)
-            w = 0
-            for j in bits(masks[0]):
-                w ^= M.cols[j]
-            return _theta(M, masks, w)
+            yield x, y, masks
+
+
+def _graph_theta(graph: _Graph, budget: Budget | None = None) -> ThetaGraph | None:
+    """An incomplete theta of the graph's cycle matroid, or None if it is closed.
+
+    Decided by flows (see the module docstring), pair by pair in vertex
+    order, on the graph alone.  The witness's arcs are the first
+    refuted pair's three paths, each step taken by the first edge in
+    input order between its ends; the cycle matroid is built only then,
+    for the completing vector, the sum of arc 1's columns.
+    """
+    for _, _, masks in _refuted_pairs(graph.n, graph.first, budget):
+        M = graph.matroid
+        return _theta(M, masks, _path_sum(M.cols, masks[0]))
     return None
+
+
+def _graph_closure(
+    graph: _Graph, strategy: str, budget: Budget | None
+) -> tuple[BinaryMatroid, ClosureTrace]:
+    """theta3_closure of the graph's cycle matroid, with rounds of flows.
+
+    The start is simplify's: loops dropped, and the smallest label of
+    each parallel class kept, so the simple graph has one edge per
+    adjacent pair.  A round tests every non-adjacent pair (see
+    _refuted_pairs) and finds the vector xy of each pair joined by three
+    internally disjoint paths, the sum of any of those paths, with the
+    paths as its witness; these are exactly the round's incomplete
+    thetas' completing vectors.  Each added vector becomes the edge xy
+    of the next round's graph.
+    """
+    start = simplify(graph.matroid)
+    kept = set(start.labels)
+    simple = _Graph([e for e in graph.edges if e[2] in kept])
+    first = simple.first  # grows by the edges each round adds
+    ends: dict[int, tuple[int, int]] = {}  # a vector found, by its pair
+
+    def find(cur: BinaryMatroid) -> list[tuple[int, ThetaGraph]]:
+        # the elements added since the last round, as edges
+        for j in range(len(first) // 2, cur.size):
+            a, b = ends[cur.cols[j]]
+            first[a, b] = first[b, a] = j
+        found = []
+        for x, y, masks in _refuted_pairs(simple.n, first, budget):
+            w = _path_sum(cur.cols, masks[0])
+            ends[w] = (x, y)
+            found.append((w, _theta(cur, masks, w)))
+        found.sort(key=lambda hit: hit[0])
+        return found
+
+    return _closure_rounds(start, find, strategy)
 
 
 def _split_network(
@@ -531,10 +646,11 @@ def _three_paths(
         queue = [source]
         for a in queue:
             for k in out[a]:
-                b = head[k]
-                if parent[b] == -1 and cap[k]:
-                    parent[b] = k
-                    queue.append(b)
+                if cap[k]:
+                    b = head[k]
+                    if parent[b] == -1:
+                        parent[b] = k
+                        queue.append(b)
             if parent[sink] != -1:
                 break
         else:
@@ -553,7 +669,22 @@ def graph_is_theta3_closed(edges: list[tuple[str, str, str]]) -> bool:
 
     Two non-adjacent vertices joined by three internally disjoint paths
     are what an incomplete theta is in a graph; one flow per such pair
-    looks for them.  Raises as cycle_matroid does on a graph of rank
-    above MAX_DIM.
+    looks for them.  The cycle matroid is not built, but a graph of
+    rank above MAX_DIM raises as cycle_matroid would.
     """
-    return _graph_theta(cycle_matroid(edges), edges) is None
+    return _graph_theta(_Graph(edges)) is None
+
+
+def graph_theta3_closure(
+    edges: list[tuple[str, str, str]],
+    *,
+    strategy: str = "batch",
+    budget: Budget | None = None,
+) -> tuple[BinaryMatroid, ClosureTrace]:
+    """theta3_closure(cycle_matroid(edges)) by rounds of flows on the graph.
+
+    The final holds the same elements under the same labels, the added
+    ones perhaps in another order; the rounds are true batch rounds,
+    since the flows find every vector a round can add.
+    """
+    return _graph_closure(_Graph(edges), strategy, budget)

@@ -9,6 +9,7 @@ import errno
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import theta3
-from theta3 import cli, construct, decompose
+from theta3 import cli, construct, decompose, theta
 from theta3.construct import catalog_matroid
 from theta3.gf2 import bits_from_str
 from theta3.matroid import same_matroid
@@ -351,6 +352,93 @@ def test_graph_check_routes_agree_on_k23(capsys, tmp_path):
         assert (arcs, w) in oracle_theta_graphs(m)
 
 
+def random_edge_file(rng):
+    """The text of an edge file: a multigraph on at most 6 vertices, or a
+    sparse one on 17 to 20 vertices of rank 13 to 17, with loops,
+    parallel edges, comments, and now and then a repeated label or a
+    malformed line."""
+    if rng.random() < 0.6:
+        n = rng.randint(1, 6)
+        p = rng.random()
+        ends = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+    else:
+        # a forest of rank r (vertex v >= n - r hangs from an earlier one)
+        # plus up to three chords, so the scan stays cheap
+        n = rng.randint(17, 20)
+        r = rng.randint(13, min(17, n - 1))
+        ends = [(rng.randrange(v), v) for v in range(n - r, n)]
+        ends += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3))]
+    ends += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 4))]
+    rng.shuffle(ends)
+    lines = [f"x{a} x{b} e{k}" for k, (a, b) in enumerate(ends)]
+    if lines and rng.random() < 0.15:
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        lines[i] = lines[i].rsplit(" ", 1)[0] + " " + lines[j].rsplit(" ", 1)[1]
+    if rng.random() < 0.1:
+        lines.insert(rng.randint(0, len(lines)), rng.choice(["x0 x1", "x0 x1 e0 e1", "x0"]))
+    lines = [line + rng.choice(["", "  # note"]) for line in lines]
+    lines.insert(rng.randint(0, len(lines)), rng.choice(["", "# comment", "   "]))
+    return "\n".join(lines) + "\n"
+
+
+def test_graph_route_reads_edge_files_as_the_cycle_matroid_route(capsys, tmp_path):
+    # check --graph reads size, rank and the input errors from its own
+    # pass over the edges; --no-shortcut builds the cycle matroid.  Both
+    # must report the same input and fail alike, and the flows must
+    # agree with the scan.
+    rng = random.Random(21)
+    # a path of rank 17 whose last label repeats the first: the rank
+    # is reported, as cycle_matroid reports it
+    path17 = "".join(f"x{i} x{i + 1} e{i % 16}\n" for i in range(17))
+    texts = ["", "# nothing but a comment\n\n   # and another\n", path17]
+    texts += [random_edge_file(rng) for _ in range(300)]
+    errors, wide = [], 0
+    for i, text in enumerate(texts):
+        path = tmp_path / f"g{i}.graph"
+        path.write_text(text)
+        results = []
+        for extra in ((), ("--no-shortcut",)):
+            code = cli.main(["check", str(path), "--graph", *extra])
+            out = capsys.readouterr().out
+            assert out.count("\n") == 1 and code in (0, 1, 2, 3), text
+            results.append((code, json.loads(out)))
+        (code, flows), (scan_code, scan) = results
+        assert code == scan_code, text
+        assert flows["input"] == scan["input"], text
+        assert flows.get("error") == scan.get("error"), text
+        assert flows["verdict"] == scan["verdict"], text
+        errors.append(flows.get("error"))
+        wide += code < 2 and flows["input"]["rank"] >= 13
+    # every kind of outcome was met: verdicts, on 17 to 20 vertices too,
+    # a malformed line, a repeated label and a rank above 16
+    assert None in errors and wide
+    assert any(e and e.startswith("line ") for e in errors)
+    assert "labels must be pairwise distinct" in errors
+    assert any(e and e.startswith("graph of rank") for e in errors)
+    assert errors[2] == "graph of rank 17 exceeds MAX_DIM = 16"
+
+
+def test_graph_check_builds_no_cycle_matroid_on_a_closed_graph(capsys, tmp_path, monkeypatch):
+    calls = []
+    real = construct.cycle_matroid
+
+    def counted(edges):
+        calls.append(len(edges))
+        return real(edges)
+
+    for module in (construct, theta, cli):
+        monkeypatch.setattr(module, "cycle_matroid", counted)
+    closed = write_graph(tmp_path / "k5.graph", construct.complete_graph_edges(5))
+    code, rep = run_cli(capsys, "check", closed, "--graph")
+    assert code == 0 and rep["input"] == {"argument": closed, "size": 10, "rank": 4}
+    assert calls == []
+    # a witness needs the cycle matroid for its completing vector, once
+    open_ = write_graph(tmp_path / "k23.graph", construct.complete_bipartite_edges(2, 3))
+    code, rep = run_cli(capsys, "check", open_, "--graph")
+    assert code == 1 and rep["witness"]["complete"] is False
+    assert calls == [6]
+
+
 def test_parse_error_reports_line_number(capsys, tmp_path):
     path = tmp_path / "bad.matroid"
     path.write_text("dim 3\na 101\nb 10\n")
@@ -503,6 +591,21 @@ def test_crossval_rejects_negative_samples(capsys):
     assert rep["verdict"] is None and "checked" not in rep
 
 
+def test_crossval_rejects_a_bad_sample_rank_before_the_sweep(capsys, monkeypatch):
+    # the rank-4 sweep checks 32768 subsets; a bad --sample-rank must not
+    # wait for it
+    def sweep(sub, budget):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "_crossval_instance", sweep)
+    code, rep = run_cli(
+        capsys, "crossval", "--exhaustive-rank", "4", "--samples", "2", "--sample-rank", "-1"
+    )
+    assert code == 2
+    assert rep["error"] == "projective_geometry needs rank >= 1"
+    assert rep["verdict"] is None and "checked" not in rep
+
+
 def test_budget_validation_rejects_nan_seconds(capsys):
     # NaN compares false against everything, so it would switch the
     # time limit off; infinity is a legitimate "no limit"
@@ -641,7 +744,9 @@ def test_reports_match_golden_file(capsys, tmp_path, monkeypatch):
     # parallel copy back (`recipe.parallel`) after the term is built.
     # The `check --graph` entries pin the flows' witnesses on W6 and the
     # Petersen graph, whose three paths depend on the BFS order, and the
-    # scan's witness on W6 with --no-shortcut.
+    # scan's witness on W6 with --no-shortcut.  `closure w6.graph --graph`
+    # pins the flows' closure: one round that adds the nine missing rim
+    # chords, each with its three paths.
     monkeypatch.chdir(tmp_path)
     for entry in json.loads(GOLDEN.read_text()):
         if "input_file" in entry:

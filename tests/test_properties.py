@@ -49,6 +49,7 @@ from theta3.matroid import (
     simplify,
 )
 from theta3.theta import (
+    _Graph,
     _graph_theta,
     _incomplete,
     _pair_route_hits,
@@ -301,7 +302,7 @@ def test_graph_flows_agree_with_the_oracle_and_the_scan(edges):
     # adjacent; the flows, the path-listing oracle and the circuit-pair
     # scan must agree on that.
     m = cycle_matroid(edges)
-    wit = _graph_theta(m, edges)
+    wit = _graph_theta(_Graph(edges))
     closed = wit is None
     assert oracles.oracle_graph_closed(edges) == closed
     assert is_theta3_closed(m, use_shortcut=False)[0] == closed

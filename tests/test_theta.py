@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import pkgutil
+import random
 from unittest import mock
 
 import pytest
@@ -27,6 +28,7 @@ from theta3.matroid import BinaryMatroid, _circuit_masks, simplify
 from theta3 import theta
 from theta3.theta import (
     graph_is_theta3_closed,
+    graph_theta3_closure,
     is_complete,
     is_theta3_closed,
     theta3_closure,
@@ -408,17 +410,105 @@ def test_graph_flows_agree_with_the_scan_on_every_simple_graph_on_six_vertices()
 def test_graph_flows_tick_once_per_path_search():
     # K_{2,3}: one pair of hubs (vertices with three distinct neighbours),
     # three searches, all of which succeed
-    edges = complete_bipartite_edges(2, 3)
-    m = cycle_matroid(edges)
+    graph = theta._Graph(complete_bipartite_edges(2, 3))
     with pytest.raises(BudgetExceededError):
-        theta._graph_theta(m, edges, Budget(max_nodes=2))
-    assert theta._graph_theta(m, edges, Budget(max_nodes=3)) is not None
+        theta._graph_theta(graph, Budget(max_nodes=2))
+    assert theta._graph_theta(graph, Budget(max_nodes=3)) is not None
     # only non-adjacent hub pairs cost searches: C4 plus the chord 1-3 has
     # the hubs 1 and 3 alone, and they are adjacent
     edges = cycle_edges(4) + [("v1", "v3", "chord")]
     budget = Budget()
-    assert theta._graph_theta(cycle_matroid(edges), edges, budget) is None
+    assert theta._graph_theta(theta._Graph(edges), budget) is None
     assert budget.nodes == 0
+
+
+def random_multigraph(rng, max_vertices):
+    """An edge list in random order: a random simple graph, mostly on 4 or
+    more vertices, plus up to four loops or parallel edges.  Labels are drawn at random, so simplify's
+    smallest label is not always the first; now and then one reads like
+    a label the closure gives an added vector (v plus n bits)."""
+    n = rng.randint(1 if rng.random() < 0.2 else 4, max_vertices)
+    p = rng.uniform(0.3, 0.9)
+    ends = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+    ends += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 4))]
+    rng.shuffle(ends)
+    labels = [f"e{k}" for k in rng.sample(range(100), len(ends))]
+    for k in range(len(labels)):
+        if rng.random() < 0.05:
+            labels[k] = "v" + "".join(rng.choice("01") for _ in range(n))
+    labels = list(dict.fromkeys(labels))
+    return [(f"x{a}", f"x{b}", lab) for (a, b), lab in zip(ends, labels)]
+
+
+def _labelled(M):
+    return dict(zip(M.labels, M.cols))
+
+
+def _round_matroids(trace):
+    """The matroid each round of a trace searched, from its final."""
+    final, k = trace.final, trace.initial.size
+    for r in trace.rounds:
+        yield r, BinaryMatroid(final.labels[:k], final.cols[:k], final.dim)
+        k += len(r.added_vectors)
+
+
+def test_graph_closure_matches_the_matroid_route():
+    # The flows' final is theta3_closure's, label for label, for either
+    # strategy, and every witness is an incomplete theta of its round.
+    # One vector at a time, later rounds run on a graph that holds the
+    # edges added before, and their witnesses may use them.
+    rng = random.Random(8)
+    later_rounds = 0
+    for _ in range(300):
+        edges = random_multigraph(rng, 7)
+        want, _ = theta3_closure(cycle_matroid(edges))
+        for strategy in ("batch", "one_at_a_time"):
+            final, trace = graph_theta3_closure(edges, strategy=strategy)
+            assert _labelled(final) == _labelled(want), (strategy, edges)
+            assert trace.initial == simplify(cycle_matroid(edges))
+            for r, M in _round_matroids(trace):
+                assert list(r.added_vectors) == sorted(r.added_vectors)
+                for w, wit in zip(r.added_vectors, r.witnesses):
+                    assert wit.completing == w and w not in M.colset
+                    oracles.oracle_validate_theta(M, wit.arcs)
+                    assert not oracles.oracle_is_complete(M, wit.arcs)[0]
+                later_rounds += M.size > trace.initial.size
+    assert later_rounds > 50
+
+
+def test_graph_closure_rounds_are_the_oracle_batch_rounds():
+    # The flows find every vector a round can add, so their rounds are
+    # the definitional batch rounds.  The oracle lists every subset, so
+    # the graphs have at most 12 edges.
+    rng = random.Random(9)
+    tested = nonempty = 0
+    while tested < 100:
+        edges = random_multigraph(rng, 6)
+        if len(edges) > 12:
+            continue
+        _, trace = graph_theta3_closure(edges)
+        _, want = oracles.oracle_closure(cycle_matroid(edges))
+        assert [list(r.added_vectors) for r in trace.rounds] == want, edges
+        tested += 1
+        nonempty += bool(want)
+    assert nonempty >= 10
+
+
+def test_graph_closure_of_a_wheel_takes_one_round_of_flows():
+    # W16 has 17 vertices, so its columns are over a spanning forest.  Its
+    # 104 non-adjacent pairs of rim vertices are all refuted in round 1,
+    # at three searches each, and round 2 has no pair left to test: the
+    # final is M(K17).  The matroid route takes 69747 nodes.
+    edges = [("h", f"r{i}", f"s{i}") for i in range(16)]
+    edges += [(f"r{i}", f"r{(i + 1) % 16}", f"t{i}") for i in range(16)]
+    budget = Budget()
+    final, trace = graph_theta3_closure(edges, budget=budget)
+    assert budget.nodes == 312
+    assert final.size == 136 and len(trace.rounds) == 1
+    want, _ = theta3_closure(cycle_matroid(edges))
+    assert _labelled(final) == _labelled(want)
+    with pytest.raises(BudgetExceededError):
+        graph_theta3_closure(edges, budget=Budget(max_nodes=311))
 
 
 # -- the package surface -------------------------------------------------------
