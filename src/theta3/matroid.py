@@ -231,8 +231,11 @@ def circuits(M: BinaryMatroid, budget: Budget | None = None) -> list[frozenset[s
     return [frozenset(M.labels[j] for j in bits(c)) for c in _circuit_masks(M, budget)]
 
 
-def _circuit_masks(M: BinaryMatroid, budget: Budget | None = None) -> list[int]:
-    """All circuits as element-index masks, in the order of `circuits`.
+def _circuit_masks(
+    M: BinaryMatroid, budget: Budget | None = None, max_size: int | None = None
+) -> list[int]:
+    """All circuits as element-index masks, in the order of `circuits`;
+    with max_size, only those of at most max_size elements.
 
     Loops are the singleton circuits and lie in no other, so they are
     listed directly and left out of the walk.  A set T of non-basis
@@ -250,12 +253,19 @@ def _circuit_masks(M: BinaryMatroid, budget: Budget | None = None) -> list[int]:
     expanded and charged in batches of Budget.batch_limit(), so a node
     cap stops the walk within one expanded set; its clock is also read
     per emitted circuit.
+
+    A circuit has at most r + 1 elements, and the cycle of T holds all
+    of T, so it has at least |T| elements.  A set is therefore kept for
+    expansion only while a set one larger could still close a cycle of
+    at most min(max_size, r + 1) elements.  Every independent T has at
+    most r elements, so without max_size that keeps every one, and a
+    smaller max_size prunes the walk.
     """
     if budget is None:
         budget = Budget()
     n = M.size
     r = M.rank
-    cap = r + 1
+    cap = r + 1 if max_size is None else min(max_size, r + 1)
     basis_part = (1 << r) - 1
     coords, basis = M.coordinates
     in_basis = set(basis)
@@ -303,7 +313,7 @@ def _circuit_masks(M: BinaryMatroid, budget: Budget | None = None) -> list[int]:
                 if v & low:
                     v ^= row
             if v:
-                if t + 1 < m:
+                if t + 1 < m and len(rows) + 1 < cap:
                     push((t + 1, y, xe ^ emasks[t], xl ^ lmasks[t], rows + ((v & -v, v),)))
             elif y & basis_part:
                 # T + t holds a circuit, and its cycle is larger still.
@@ -444,9 +454,13 @@ def exact_two_separations(
     """Yield every partition (X, Y), |X|,|Y| >= 2, r(X)+r(Y) = r(M)+1.
 
     Depth-first backtracking over element assignments, X before Y at
-    every element; both side ranks are kept incrementally and the branch
-    is cut as soon as their sum passes r(M)+1, since ranks never
-    decrease.  Element 0 is pinned to X to break the X/Y symmetry.  Pairs
+    every element; both side ranks are kept incrementally.  Elements are
+    placed in order, so X u Y is always the first i elements, and
+    r(X) + r(Y) - r(X u Y), the dimension of span X n span Y, never
+    decreases as elements are added; at a leaf it must be 1.  So the
+    branch is cut as soon as it reaches 2, against the precomputed
+    ranks of the prefixes (which also keeps the rank sum within
+    r(M)+1).  Element 0 is pinned to X to break the X/Y symmetry.  Pairs
     come out with the smaller side first.  The DFS keeps an explicit
     stack, so its depth is not bounded by the interpreter's recursion
     limit.  The budget is charged one node per visit, counted locally and
@@ -464,6 +478,11 @@ def exact_two_separations(
     target = M.rank + 1
     cols = M.cols
     labels = M.labels
+    # prefix_rank[i] = r(first i elements)
+    prefix_rank = [0]
+    ech = Echelon()
+    for c in cols:
+        prefix_rank.append(prefix_rank[-1] + bool(ech.insert(c)))
     # Each side's columns in bare lazy pivot form (pivot bit -> vector); an
     # insert stores the residue under its lowest bit, so deleting that
     # pivot undoes it exactly.  ranks is the sum of the two sides' ranks.
@@ -516,11 +535,11 @@ def exact_two_separations(
                 v ^= pivots[piv]
             if not v:
                 piv = 0
-            elif ranks < target:
+            elif ranks <= prefix_rank[i + 1]:
                 pivots[piv] = v
                 ranks += 1
             else:
-                continue  # the ranks would pass r(M)+1
+                continue  # span X n span Y would reach dimension 2
             sides[s].append(i)
             push((UNDO, i, s, piv))
             push((VISIT, i + 1, 0, 0))

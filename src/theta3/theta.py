@@ -22,7 +22,10 @@ A singleton arc's column is itself the completing vector, so T is
 complete exactly when its completing vector is a column.  The scan
 for incomplete thetas does this lookup before the corank test of a
 circuit pair, so a pair whose vector is a column costs no rank test,
-and on a closed matroid only pairs that form no theta reach one.
+and on a closed matroid only pairs that form no theta reach one.  It
+also lists and pairs only circuits of 4 to r(M) elements: an
+incomplete theta has no singleton arc and at most r(M) + 2 elements,
+and each of its circuits is the theta minus one arc.
 
 Closedness also has a proof that lists no theta.  By the paper's
 theorem a binary matroid is theta-closed exactly when it is built from
@@ -57,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Collection, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from theta3.budget import Budget
 from theta3.construct import BuildRecipe, certificate, cycle_matroid, is_projective
@@ -132,10 +135,11 @@ def _theta(M: BinaryMatroid, arc_masks: Iterable[int], w: int) -> ThetaGraph:
 
 
 def _theta_scan(
-    M: BinaryMatroid, budget: Budget | None = None, skip: Collection[int] = ()
+    M: BinaryMatroid, budget: Budget | None = None, incomplete: bool = False
 ) -> Iterator[tuple[int, int, int, int]]:
-    """Yield (arc, arc, arc, completing vector) for every theta of M whose
-    completing vector is not in skip, once each.
+    """Yield (arc, arc, arc, completing vector) for every theta of M, or
+    with incomplete for every theta whose completing vector is not a
+    column, once each.
 
     Arcs are element masks.  Circuits are bucketed by their smallest
     element and only pairs within a bucket are tested, which finds each
@@ -146,14 +150,22 @@ def _theta_scan(
     pairs left are one per set of three circuits, each the symmetric
     difference of the other two, so the number of corank tests does
     not depend on the element order.  The completing vector, the sum of
-    C1 n C2, is summed once per distinct intersection and looked up in
-    skip before the corank test, so a caller that passes M's columns
-    pays corank tests only for pairs that could be an incomplete theta.
+    C1 n C2, is summed once per distinct intersection and, with
+    incomplete, looked up among M's columns before the corank test, so
+    only pairs that could be an incomplete theta pay for one.
     The corank test is incremental: columns of C2 - C1 reduce against
     the echelon of C1, built on the first pair of its row that gets
     this far; the corank of C1 u C2, minus 1, equals the number of
     columns that reduce to zero, so we want exactly one zero and can
     abort on the second.
+
+    An incomplete theta has no singleton arc (a singleton arc carries
+    the completing vector), and |T| = r(T) + 2 <= r(M) + 2, so each of
+    its three circuits, T minus one arc, has 4 to r(M) elements.  With
+    incomplete, the scan therefore lists and pairs only the circuits in
+    that window, in their usual order: it yields the same thetas in the
+    same order as the full scan with the complete ones left out, and
+    at rank 3 or less nothing.
 
     The budget is charged one node per pair that passes the size cap.
     The pairs are counted locally and charged in batches that stay
@@ -166,7 +178,12 @@ def _theta_scan(
         budget = Budget()
     cols = M.cols
     rank_cap = M.rank + 2  # |C1 u C2| can't exceed this at corank 2
-    masks = _circuit_masks(M, budget)
+    if incomplete:
+        skip = M.colset
+        masks = [m for m in _circuit_masks(M, budget, M.rank) if m.bit_count() >= 4]
+    else:
+        skip = frozenset()
+        masks = _circuit_masks(M, budget)
     circuits = set(masks)
     buckets: list[list[int]] = [[] for _ in range(M.size)]
     for m in masks:
@@ -225,7 +242,7 @@ def _incomplete(
     M: BinaryMatroid, budget: Budget | None
 ) -> Iterator[tuple[int, int, int, int]]:
     """Scan records of the incomplete thetas: no column is the completing vector."""
-    return _theta_scan(M, budget, M.colset)
+    return _theta_scan(M, budget, incomplete=True)
 
 
 def is_complete(M: BinaryMatroid, T: ThetaGraph) -> tuple[bool, str | None]:

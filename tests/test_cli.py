@@ -297,7 +297,7 @@ def write_graph(path, edges):
 
 def test_graph_check_witness_in_forest_coordinates(capsys, tmp_path):
     # W16 has 17 vertices, so its columns are over a spanning forest.  The
-    # circuit-pair scan needs 65648 nodes.  The flows need 3: the first
+    # circuit-pair scan needs 65591 nodes.  The flows need 3: the first
     # non-adjacent pair of vertices with three neighbours, in edge-list
     # order, is r0 and r2, and the three paths between them are forced.
     edges = [("h", f"r{i}", f"s{i}") for i in range(16)]
@@ -418,6 +418,98 @@ def test_graph_route_reads_edge_files_as_the_cycle_matroid_route(capsys, tmp_pat
     assert errors[2] == "graph of rank 17 exceeds MAX_DIM = 16"
 
 
+def random_matroid_file(rng):
+    """The text of a matroid file: up to 10 columns of dimension 0 to 6,
+    with loops, parallel copies, comments and blank lines, and now and
+    then a missing, malformed or too large `dim`, a column of the wrong
+    length or alphabet, or a repeated label."""
+    dim = rng.randint(0, 6)
+    cols = [rng.randrange(1 << dim) for _ in range(rng.randint(0, 10))]
+    cols += [rng.choice(cols) for _ in range(rng.randint(0, 2)) if cols]
+    cols += [0] * (rng.random() < 0.3)
+    rng.shuffle(cols)
+    lines = [f"e{k} " + format(c, f"0{dim}b")[-dim:] * bool(dim) for k, c in enumerate(cols)]
+    if lines and rng.random() < 0.1:
+        i = rng.randrange(len(lines))
+        lab, col = lines[i].partition(" ")[::2]
+        lines[i] = lab + " " + rng.choice([col + "0", col[1:], "2" * dim, col + " 1"])
+    if lines and rng.random() < 0.1:
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        lines[i] = lines[j].split()[0] + " " + lines[i].partition(" ")[2]
+    lines = [line + rng.choice(["", "  # note"]) for line in lines]
+    header = f"dim {dim}"
+    if rng.random() < 0.1:
+        header = rng.choice(["", "dim", "dim x", "dim -1", f"dim {dim} {dim}", "dim 17"])
+    lines.insert(0, header)
+    lines.insert(rng.randint(0, len(lines)), rng.choice(["", "# comment", "   "]))
+    return "\n".join(lines) + "\n"
+
+
+def _one_report(capsys, argv):
+    """Run the CLI; assert one JSON line and an exit code of 0 to 3."""
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and code in (0, 1, 2, 3), argv
+    rep = json.loads(out)
+    assert isinstance(rep, dict) and ("error" in rep) == (code >= 2), argv
+    return code, rep
+
+
+def test_generated_matroid_files_never_crash(capsys, tmp_path):
+    # check, decompose and closure read the file the same way; whatever
+    # it holds, each answers with one report and never exits 4
+    rng = random.Random(22)
+    texts = ["", "dim 0\n", "dim 3\n", "dim 2\nz 00\n", "e1 101\n"]
+    texts += [random_matroid_file(rng) for _ in range(200)]
+    errors = []
+    for i, text in enumerate(texts):
+        path = tmp_path / f"m{i}.matroid"
+        path.write_text(text)
+        for argv in (["check"], ["check", "--no-shortcut"], ["decompose"], ["closure"]):
+            code, rep = _one_report(capsys, [*argv, str(path), "--max-subsets", "20000"])
+            errors.append(rep.get("error"))
+    assert None in errors
+    assert "missing 'dim d' header line" in errors
+    assert "labels must be pairwise distinct" in errors
+    assert any(e and "column must be" in e for e in errors)
+    assert any(e and "expected 'dim d'" in e for e in errors)
+    assert any(e and "exceeds MAX_DIM" in e for e in errors)
+
+
+def random_build_term(rng, depth=0):
+    """Recipe text: leaves of size 0 to 5, parallel connections at a
+    label that may or may not be on both sides, and direct sums, which
+    often repeat a leaf's labels."""
+    kind = rng.choice(["C", "MK", "PG"] + ["P", "D"] * (depth < 2))
+    if kind in ("C", "MK", "PG"):
+        return f"{kind}({rng.randint(0, 5)})"
+    left, right = random_build_term(rng, depth + 1), random_build_term(rng, depth + 1)
+    if kind == "D":
+        return f"D({left}, {right})"
+    labels = ["e1", "e3", "1-2", "2-3", "p1", "p3", "x"]
+    base = rng.choice(labels)
+    if rng.random() < 0.5:
+        base += "," + rng.choice(labels)
+    return f"P({left}, {right}; base={base})"
+
+
+def test_generated_build_terms_never_crash(capsys):
+    rng = random.Random(23)
+    terms = ["C(0)", "MK(0)", "MK(1)", "PG(0)", "PG(20)", "D(C(3))", "P(C(3), C(3); base=e3)"]
+    terms += [random_build_term(rng) for _ in range(300)]
+    codes = []
+    for term in terms:
+        if rng.random() < 0.1:
+            term = term[: rng.randrange(len(term))]
+        code, rep = _one_report(capsys, ["build", term])
+        if code == 0:
+            assert rep["verdict"] == "built"
+            again = construct.evaluate_term(construct.parse_recipe(rep["recipe"]["term"]))
+            assert rep["matroid"]["size"] == again.size
+        codes.append(code)
+    assert codes.count(0) > 30 and codes.count(2) > 30
+
+
 def test_graph_check_builds_no_cycle_matroid_on_a_closed_graph(capsys, tmp_path, monkeypatch):
     calls = []
     real = construct.cycle_matroid
@@ -508,10 +600,11 @@ def test_budget_seconds_exit_three(capsys):
 
 
 def test_batched_scan_honours_max_seconds(capsys):
-    # PG(5) lists its circuits in a few tenths of a second and spends
-    # seconds in the pair scan, which charges its pairs in batches and
-    # must still read the clock every few thousand of them
-    code, rep = run_cli(capsys, "check", "PG(5)", "--no-shortcut", "--max-seconds", "0.5")
+    # M(K8) lists the circuits its scan pairs in under a tenth of a
+    # second and spends most of a second in the pair scan, which charges
+    # its pairs in batches and must still read the clock every few
+    # thousand of them
+    code, rep = run_cli(capsys, "check", "MK(8)", "--no-shortcut", "--max-seconds", "0.25")
     assert code == 3
     assert "time budget exhausted" in rep["error"]
     assert rep["timings"]["total_s"] < 1.5

@@ -387,11 +387,18 @@ _BACKTRACK_RUNS = [
     ),
     # W13 is 3-connected: nothing to yield, after a search of 40902 nodes
     (lambda: _wheel(13), 40902, []),
+    # PG(7) minus a point is 3-connected too.  A branch is cut once span X
+    # n span Y reaches dimension 2, which happens early in a projective
+    # geometry; cutting only when r(X) + r(Y) passed r(M) + 1 took 154046
+    # nodes.
+    (lambda: delete(projective_geometry(7), ["p1"]), 8118, []),
 ]
 
 
 @pytest.mark.parametrize(
-    "make, nodes, seps", _BACKTRACK_RUNS, ids=["M_K24", "P_C3_C3_DOUBLED", "W13"]
+    "make, nodes, seps",
+    _BACKTRACK_RUNS,
+    ids=["M_K24", "P_C3_C3_DOUBLED", "W13", "PG7_MINUS_P1"],
 )
 def test_exact_two_separations_keep_their_order_and_node_count(make, nodes, seps):
     budget = Budget()

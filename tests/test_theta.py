@@ -23,7 +23,7 @@ from theta3.construct import (
     projective_geometry,
     theta_edges,
 )
-from theta3.gf2 import zero_residues
+from theta3.gf2 import rank_bits, zero_residues
 from theta3.matroid import BinaryMatroid, _circuit_masks, simplify
 from theta3 import theta
 from theta3.theta import (
@@ -143,24 +143,27 @@ def test_closed_scan_rank_tests_only_thetas_that_could_be_incomplete():
     # Every theta of PG(4, 2) is complete, so the scan looks up each
     # completing vector among the columns and never needs a rank test.
     # M(K7) needed 19355 rank tests when every circuit pair was
-    # rank-tested first.  The node count, one per pair tested, stays.
-    assert _rank_tests_and_nodes(projective_geometry(4)) == (0, 3327)
+    # rank-tested first.  The node counts, one per pair tested, count
+    # only pairs of circuits of 4 to r elements: with every circuit
+    # paired, they were 3327 and 30009.
+    assert _rank_tests_and_nodes(projective_geometry(4)) == (0, 1057)
     tests, nodes = _rank_tests_and_nodes(catalog_matroid("MK(7)"))
     assert tests <= 5075
-    assert nodes == 30009
+    assert nodes == 22703
 
 
-@pytest.mark.parametrize("cap", [8191, 8192, 8193, 20000, 30008])
+@pytest.mark.parametrize("cap", [8191, 8192, 8193, 20000, 22702])
 def test_batched_scan_budget_is_exact(cap):
     # The scan counts its pairs locally and charges them in batches; a
     # node cap must still raise on the first pair past it, as a tick per
-    # pair would.  The caps lie past M(K7)'s prepass and circuit walk,
-    # and around CHECK_EVERY multiples.
+    # pair would.  The caps lie past M(K7)'s prepass and circuit walk
+    # (6342 nodes), around CHECK_EVERY multiples, and up to the last
+    # node of the 22703 that the whole check takes.
     m = catalog_matroid("MK(7)")
     with pytest.raises(BudgetExceededError) as exc:
         is_theta3_closed(m, use_shortcut=False, budget=Budget(max_nodes=cap))
     assert exc.value.nodes == cap + 1
-    assert is_theta3_closed(m, use_shortcut=False, budget=Budget(max_nodes=30009))[0]
+    assert is_theta3_closed(m, use_shortcut=False, budget=Budget(max_nodes=22703))[0]
 
 
 def test_budget_stops_the_circuit_walk_within_one_set():
@@ -175,6 +178,53 @@ def test_budget_stops_the_circuit_walk_within_one_set():
 def test_budget_stops_the_scan():
     with pytest.raises(BudgetExceededError):
         theta_graphs(catalog_matroid("MSTAR_K5"), Budget(max_nodes=5))
+
+
+def _random_point_set(rng):
+    """A random matroid of rank 1 to 7, with now and then a loop and a few
+    parallel copies, its elements shuffled and labelled at random, so
+    that label order is not element order."""
+    rank = rng.randint(1, 7)
+    dim = rank + rng.randint(0, 1)
+    basis = []
+    while len(basis) < rank:
+        v = rng.randrange(1, 1 << dim)
+        if rank_bits(basis + [v]) > len(basis):
+            basis.append(v)
+    cols = list(basis)
+    for _ in range(rng.randint(0, rank + 6)):
+        v = 0
+        while not v:
+            for b in basis:
+                if rng.random() < 0.5:
+                    v ^= b
+        cols.append(v)
+    cols += [rng.choice(cols) for _ in range(rng.randint(0, 2))]
+    if rng.random() < 0.3:
+        cols.append(0)
+    rng.shuffle(cols)
+    labels = [f"e{k}" for k in rng.sample(range(100), len(cols))]
+    return BinaryMatroid(tuple(labels), tuple(cols), dim)
+
+
+def test_incomplete_scan_window_drops_only_pairs_that_cannot_yield():
+    # The incomplete scan pairs only circuits of 4 to r(M) elements: an
+    # incomplete theta has no singleton arc and at most r(M) + 2
+    # elements, and each of its circuits is the theta minus one arc.  It
+    # must yield what the full scan yields with the complete thetas left
+    # out, in the same order, and nothing at rank 3 or less.
+    rng = random.Random(22)
+    yielded = low_rank = 0
+    for _ in range(300):
+        m = _random_point_set(rng)
+        want = [rec for rec in theta._theta_scan(m) if rec[3] not in m.colset]
+        got = list(theta._theta_scan(m, incomplete=True))
+        assert got == want, (m.labels, m.cols, m.dim)
+        if m.rank <= 3:
+            assert got == []
+            low_rank += 1
+        yielded += len(got)
+    assert yielded > 1000 and low_rank > 50
 
 
 # -- closure ------------------------------------------------------------------
@@ -211,7 +261,7 @@ def test_closure_arc_search_stays_within_a_node_budget():
     # 3-connected: the pair route finds nothing there and the certificate
     # fails with all of M as its piece, so that round scans all of M.  It
     # is the only round that reaches the scan (the whole closure takes
-    # 28682 nodes).
+    # 24149 nodes).
     cols = [81, 7, 58, 37, 56, 10, 104, 47, 21, 68, 85, 74, 95, 46]
     m = BinaryMatroid(tuple(f"q{i}" for i in range(len(cols))), tuple(cols), 7)
     with mock.patch.object(theta, "_incomplete", wraps=theta._incomplete) as scan:
@@ -219,6 +269,25 @@ def test_closure_arc_search_stays_within_a_node_budget():
     assert [c.args[0].size for c in scan.call_args_list] == [21]
     assert final.size == 65 and trace.rounds
     assert is_theta3_closed(final)[0]
+
+
+def test_closure_to_pg7_stays_within_the_closure_growth_cap():
+    # 14 points of PG(6, 2).  The pair route answers four of the five
+    # rounds.  The fourth round's matroid has 22 elements and is
+    # 3-connected, so that round scans all of it, and adds 98 vectors.
+    # Pairing only the circuits an
+    # incomplete theta can use (4 to r elements) brings the closure from
+    # 52825 nodes to 42680, under the 50k cap of the closure benchmark.
+    cols = [123, 44, 97, 51, 72, 86, 12, 33, 25, 26, 49, 94, 15, 43]
+    m = BinaryMatroid(tuple(f"q{i}" for i in range(len(cols))), tuple(cols), 7)
+    final, trace = theta3_closure(m, budget=Budget(max_nodes=50_000))
+    assert final.size == 127 and final.colset == set(range(1, 128))
+    assert len(trace.rounds) == 5
+    for r, M in _round_matroids(trace):
+        for w, wit in zip(r.added_vectors, r.witnesses):
+            assert wit.completing == w and w not in M.colset
+            oracles.oracle_validate_theta(M, wit.arcs)
+            assert not oracles.oracle_is_complete(M, wit.arcs)[0]
 
 
 @pytest.mark.parametrize(
@@ -232,7 +301,7 @@ def test_closure_arc_search_stays_within_a_node_budget():
 def test_closure_certifies_its_fixed_point_within_a_node_budget(cols):
     # Point sets of PG(5, 2) whose closure has 21 elements, where the
     # last round proves the fixed point.  The circuit-pair scan of that
-    # round takes about 34k nodes on both; the whole closure, with the
+    # round takes about 24k nodes on both; the whole closure, with the
     # recipe certificate, takes under 150.
     m = BinaryMatroid(tuple(f"q{i}" for i in range(len(cols))), tuple(cols), 6)
     final, trace = theta3_closure(m, budget=Budget(max_nodes=50_000))
@@ -498,7 +567,7 @@ def test_graph_closure_of_a_wheel_takes_one_round_of_flows():
     # W16 has 17 vertices, so its columns are over a spanning forest.  Its
     # 104 non-adjacent pairs of rim vertices are all refuted in round 1,
     # at three searches each, and round 2 has no pair left to test: the
-    # final is M(K17).  The matroid route takes 69747 nodes.
+    # final is M(K17).  The matroid route takes 69377 nodes.
     edges = [("h", f"r{i}", f"s{i}") for i in range(16)]
     edges += [(f"r{i}", f"r{(i + 1) % 16}", f"t{i}") for i in range(16)]
     budget = Budget()
