@@ -99,7 +99,7 @@ def parse_matroid(text: str) -> BinaryMatroid:
             continue
         parts = line.split()
         if dim is None:
-            if len(parts) != 2 or parts[0] != "dim" or not parts[1].isdigit():
+            if len(parts) != 2 or parts[0] != "dim" or not parts[1].isdecimal():
                 raise ValueError(f"line {lineno}: expected 'dim d', got {line!r}")
             dim = int(parts[1])
             if dim > MAX_DIM:

@@ -36,6 +36,7 @@ from theta3.budget import Budget
 from theta3.gf2 import MAX_DIM, DimensionError, greedy_coordinates
 from theta3.matroid import (
     BinaryMatroid,
+    _coordinate_classes,
     connected_components,
     contract,
     delete,
@@ -446,7 +447,7 @@ def parse_recipe(text: str) -> Term:
         if head in ("C", "MK", "PG"):
             take("(")
             num = take()
-            if not num.isdigit():
+            if not num.isdecimal():
                 raise ValueError(f"{head} needs an integer parameter, got {num!r}")
             take(")")
             return Leaf(head, int(num))
@@ -619,24 +620,6 @@ def _cut_point_term(S: BinaryMatroid, budget: Budget | None) -> Term | BinaryMat
             term = part if term is None else PNode(term, part, base, base)
         return term
     return S
-
-
-def _coordinate_classes(vectors: list[int]) -> list[int]:
-    """Coordinate masks of the connected components, given coordinates
-    over a basis: two coordinates are joined when one vector uses both."""
-    classes: list[int] = []
-    for v in vectors:
-        if not v:
-            continue
-        rest = []
-        for m in classes:
-            if m & v:
-                v |= m
-            else:
-                rest.append(m)
-        rest.append(v)
-        classes = rest
-    return classes
 
 
 # -- named catalog -------------------------------------------------------

@@ -23,13 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from theta3.budget import Budget, BudgetExceededError
-from theta3.gf2 import Echelon, bits
+from theta3.gf2 import bits, greedy_coordinates
 from theta3.matroid import (
     BinaryMatroid,
+    _coordinate_classes,
     exact_two_separations,
     is_connected,
     restrict,
-    union_find_roots,
 )
 from theta3.construct import (
     BuildRecipe,
@@ -86,27 +86,23 @@ def _vertex_kind(V: BinaryMatroid) -> str:
 def _split_vector(V: BinaryMatroid, X: frozenset[str], Y: frozenset[str]) -> int:
     """The unique nonzero vector of span(X) intersect span(Y).
 
-    Exactness of the separation makes that intersection a line.  A basis
-    of X goes into a tracked echelon; feeding a basis of Y after it,
-    exactly one Y basis vector reduces to zero, and the X-origin mask it
-    accumulated names the X combination equal to the wanted vector.
+    Exactness of the separation makes that intersection a line.  Over a
+    greedy basis that starts with a basis of X, the rest of the basis
+    lies in Y, so the X part of a Y column (its leading r(X)
+    coordinates) lies in span(X) and in span(Y); these parts span the
+    intersection.  So the separation is exact exactly when the nonzero
+    X parts are all one vector, which is the one wanted.
     """
-    xb: list[int] = []
-    ech = Echelon()
-    for i in sorted(V._positions(X)):
-        if ech.insert(V.cols[i], 1 << len(xb)):
-            xb.append(V.cols[i])
-    eyy = Echelon()
-    yb = [V.cols[i] for i in sorted(V._positions(Y)) if eyy.insert(V.cols[i])]
-    for c in yb:
-        res, orig = ech.tracked_residue(c)
-        if res == 0:
-            w = 0
-            for k in bits(orig):
-                w ^= xb[k]
-            return w
-        ech.insert(c)
-    raise ValueError("not an exact 2-separation")
+    xs = sorted(V._positions(X))
+    coords, basis = greedy_coordinates(V.cols, xs)
+    x_part = (1 << len(set(xs).intersection(basis))) - 1
+    parts = {coords[i] & x_part for i in V._positions(Y)} - {0}
+    if len(parts) != 1:
+        raise ValueError("not an exact 2-separation")
+    w = 0
+    for k in bits(parts.pop()):
+        w ^= V.cols[basis[k]]
+    return w
 
 
 def canonical_tree_decomposition(
@@ -227,7 +223,8 @@ def _check_tree(T: MatroidLabelledTree) -> None:
                 f"tree invariant violated: label {lab!r} shared without an edge"
             )
     # n - 1 edges: connected is the same as acyclic, so this is a tree
-    if len(set(union_find_roots(n, ((a, b) for a, b, _ in T.edges)))) != 1:
+    classes = _coordinate_classes(1 << a | 1 << b for a, b, _ in T.edges)
+    if n > 1 and classes != [(1 << n) - 1]:
         raise ValueError("tree invariant violated: tree is not connected")
 
 

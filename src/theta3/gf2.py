@@ -6,13 +6,13 @@ The string form reads row 1 first, so "110000" is the integer 3
 geometry we target lives in dimension 6, so one machine word per column
 leaves plenty of headroom.
 
-Elimination uses the lowest set bit of a vector as its pivot.  The
-Echelon class keeps the basis *lazily* reduced: stored vectors are never
-rewritten when a later pivot arrives.  Lazy reduction is enough for rank
-and span membership, and it makes insert/remove perfectly undoable.
-Kernels that never read origins (rank_bits, zero_residues and the
-separation search in matroid) eliminate on a bare dict of pivots in the
-same lazy form.
+Elimination uses the lowest set bit of a vector as its pivot.  The one
+echelon form is a bare dict from pivot bit to stored vector, kept
+*lazily* reduced: stored vectors are never rewritten when a later pivot
+arrives.  Lazy reduction is enough for rank and span membership, and an
+insert is undone exactly by deleting its pivot, which the separation
+search in matroid relies on.  pivots_of builds the form; only
+greedy_coordinates also tracks which columns each stored vector sums.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from typing import Iterable, Iterator, Mapping, Sequence
 __all__ = [
     "MAX_DIM",
     "DimensionError",
-    "Echelon",
     "bits",
     "bits_from_str",
     "bits_to_str",
+    "pivots_of",
     "rank_bits",
     "zero_residues",
     "greedy_coordinates",
@@ -64,64 +64,12 @@ def bits_to_str(mask: int, dim: int) -> str:
     return format(mask, f"0{dim}b")[::-1] if dim else ""
 
 
-class Echelon:
-    """Incremental lazy echelon basis over int-encoded vectors.
+def pivots_of(cols: Iterable[int]) -> dict[int, int]:
+    """The columns in lazy echelon form: pivot bit -> stored vector.
 
-    pivots maps a pivot bit (the lowest set bit of the stored vector) to
-    that vector.  origins optionally carries, per pivot, a caller-chosen
-    mask; residues accumulate the XOR of the origins they consumed, so a
-    vector that reduces to zero reports exactly which inserted vectors
-    sum to it (unique, because the stored vectors are independent).
+    Each column is reduced by the pivots stored so far and, unless it
+    reduces to zero, stored under its lowest remaining bit.
     """
-
-    __slots__ = ("pivots", "origins")
-
-    def __init__(self) -> None:
-        self.pivots: dict[int, int] = {}
-        self.origins: dict[int, int] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def residue(self, v: int) -> int:
-        pivots = self.pivots
-        while v:
-            low = v & -v
-            if low not in pivots:
-                break
-            v ^= pivots[low]
-        return v
-
-    def tracked_residue(self, v: int, origin: int = 0) -> tuple[int, int]:
-        pivots = self.pivots
-        origins = self.origins
-        while v:
-            low = v & -v
-            if low not in pivots:
-                break
-            v ^= pivots[low]
-            origin ^= origins[low]
-        return v, origin
-
-    def insert(self, v: int, origin: int = 0) -> int:
-        """Insert v; return its pivot bit, or 0 if v was already spanned."""
-        v, origin = self.tracked_residue(v, origin)
-        if v == 0:
-            return 0
-        low = v & -v
-        self.pivots[low] = v
-        self.origins[low] = origin
-        return low
-
-    def remove(self, pivot_bit: int) -> None:
-        """Undo an insert that returned pivot_bit (laziness makes this exact)."""
-        del self.pivots[pivot_bit]
-        del self.origins[pivot_bit]
-
-
-def rank_bits(cols: Iterable[int]) -> int:
-    """Rank of the columns, by elimination on bare pivots (no origins)."""
     pivots: dict[int, int] = {}
     for v in cols:
         while v:
@@ -130,7 +78,12 @@ def rank_bits(cols: Iterable[int]) -> int:
                 pivots[low] = v
                 break
             v ^= pivots[low]
-    return len(pivots)
+    return pivots
+
+
+def rank_bits(cols: Iterable[int]) -> int:
+    """Rank of the columns."""
+    return len(pivots_of(cols))
 
 
 def zero_residues(
@@ -140,7 +93,7 @@ def zero_residues(
     rest in increasing order, are spanned by base and the vectors before
     them; counting stops at 2.
 
-    base is read-only, in the lazy pivot form of Echelon.pivots.  The
+    base is read-only, in the lazy pivot form of pivots_of.  The
     vectors have nullity 1 modulo span(base) exactly when this returns 1,
     so nullity-1 tests abort on the second zero.
     """
@@ -176,12 +129,23 @@ def greedy_coordinates(
     column in order; each one independent of those taken so far joins
     basis.  Coordinate k of a column is the coefficient of cols[basis[k]].
     """
-    ech = Echelon()
+    # pivot bit -> (stored vector, mask of the basis columns it sums)
+    pivots: dict[int, tuple[int, int]] = {}
+
+    def reduce(v: int, origin: int) -> tuple[int, int]:
+        while v and v & -v in pivots:
+            u, o = pivots[v & -v]
+            v ^= u
+            origin ^= o
+        return v, origin
+
     basis: list[int] = []
     for i in chain(first, range(len(cols))):
-        if ech.insert(cols[i], 1 << len(basis)):
+        v, origin = reduce(cols[i], 1 << len(basis))
+        if v:
+            pivots[v & -v] = v, origin
             basis.append(i)
-    return [ech.tracked_residue(c)[1] for c in cols], basis
+    return [reduce(c, 0)[1] for c in cols], basis
 
 
 def dual_representation(cols: Sequence[int]) -> tuple[tuple[int, ...], int]:

@@ -30,7 +30,6 @@ from theta3.budget import Budget
 from theta3.gf2 import (
     MAX_DIM,
     DimensionError,
-    Echelon,
     bits,
     bits_to_str,
     dual_representation,
@@ -141,13 +140,16 @@ class BinaryMatroid:
 
     @cached_property
     def _components(self) -> tuple[frozenset[str], ...]:
-        """Circuit-connectivity classes; see connected_components."""
-        coords, basis = self.coordinates
-        pairs = ((i, basis[k]) for i, c in enumerate(coords) for k in bits(c))
+        """Circuit-connectivity classes in order of their first element;
+        see connected_components."""
+        coords, _ = self.coordinates
+        classes = _coordinate_classes(coords)
         groups: dict[int, list[str]] = {}
-        for lab, root in zip(self.labels, union_find_roots(self.size, pairs)):
-            groups.setdefault(root, []).append(lab)
-        return tuple(frozenset(groups[root]) for root in sorted(groups))
+        for i, (lab, c) in enumerate(zip(self.labels, coords)):
+            # a loop has no coordinates and is a class of its own
+            key = next(m for m in classes if m & c) if c else ~i
+            groups.setdefault(key, []).append(lab)
+        return tuple(frozenset(g) for g in groups.values())
 
     @cached_property
     def colset(self) -> frozenset[int]:
@@ -219,11 +221,16 @@ def rank_of(M: BinaryMatroid, S: Iterable[str]) -> int:
 
 
 def closure_flat(M: BinaryMatroid, S: Iterable[str]) -> frozenset[str]:
-    """All elements whose column lies in span(S).  Idempotent, contains S."""
-    ech = Echelon()
-    for i in M._positions(S):
-        ech.insert(M.cols[i])
-    return frozenset(lab for lab, c in zip(M.labels, M.cols) if ech.residue(c) == 0)
+    """All elements whose column lies in span(S).  Idempotent, contains S.
+
+    Over a greedy basis that starts inside S, the leading r(S)
+    coordinates span S, and a column lies in span(S) exactly when it
+    uses no other coordinate.
+    """
+    first = M._positions(S)
+    coords, basis = greedy_coordinates(M.cols, first)
+    k = len(set(first).intersection(basis))
+    return frozenset(lab for lab, c in zip(M.labels, coords) if not c >> k)
 
 
 def circuits(M: BinaryMatroid, budget: Budget | None = None) -> list[frozenset[str]]:
@@ -416,25 +423,27 @@ def local_connectivity(M: BinaryMatroid, X: Iterable[str], Y: Iterable[str]) -> 
     return rank_of(M, X) + rank_of(M, Y) - rank_of(M, X | Y)
 
 
-def union_find_roots(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
-    """Union-find over 0..n-1: merge every pair, return each item's root."""
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    return [find(i) for i in range(n)]
+def _coordinate_classes(vectors: Iterable[int]) -> list[int]:
+    """Coordinate masks of the connected components, given coordinates
+    over a basis: two coordinates are joined when one vector uses both."""
+    classes: list[int] = []
+    for v in vectors:
+        if not v:
+            continue
+        rest = []
+        for m in classes:
+            if m & v:
+                v |= m
+            else:
+                rest.append(m)
+        rest.append(v)
+        classes = rest
+    return classes
 
 
 def connected_components(M: BinaryMatroid) -> list[frozenset[str]]:
-    """Circuit-connectivity classes; loops and coloops end up as singletons.
+    """Circuit-connectivity classes, in order of their first element;
+    loops and coloops end up as singletons.
 
     Fundamental circuits of one greedy basis already generate the whole
     partition: each element is joined to the basis elements its
@@ -458,12 +467,12 @@ def exact_two_separations(
     placed in order, so X u Y is always the first i elements, and
     r(X) + r(Y) - r(X u Y), the dimension of span X n span Y, never
     decreases as elements are added; at a leaf it must be 1.  So the
-    branch is cut as soon as it reaches 2, against the precomputed
-    ranks of the prefixes (which also keeps the rank sum within
-    r(M)+1).  Element 0 is pinned to X to break the X/Y symmetry.  Pairs
-    come out with the smaller side first.  The DFS keeps an explicit
-    stack, so its depth is not bounded by the interpreter's recursion
-    limit.  The budget is charged one node per visit, counted locally and
+    branch is cut as soon as it reaches 2, against the ranks of the
+    prefixes, read off M's greedy basis (which also keeps the rank sum
+    within r(M)+1).  Element 0 is pinned to X to break the X/Y symmetry.
+    Pairs come out with the smaller side first.  The DFS keeps an
+    explicit stack, so its depth is not bounded by the interpreter's
+    recursion limit.  The budget is charged one node per visit, counted locally and
     passed on when the count reaches Budget.batch_limit(), before every
     yield and at the end, so a node cap raises on the same node, with
     the same count, as a tick per node would.
@@ -478,11 +487,11 @@ def exact_two_separations(
     target = M.rank + 1
     cols = M.cols
     labels = M.labels
-    # prefix_rank[i] = r(first i elements)
+    # prefix_rank[i] = r(first i elements): the greedy basis elements before i
+    in_basis = set(M.coordinates[1])
     prefix_rank = [0]
-    ech = Echelon()
-    for c in cols:
-        prefix_rank.append(prefix_rank[-1] + bool(ech.insert(c)))
+    for i in range(n):
+        prefix_rank.append(prefix_rank[-1] + (i in in_basis))
     # Each side's columns in bare lazy pivot form (pivot bit -> vector); an
     # insert stores the residue under its lowest bit, so deleting that
     # pivot undoes it exactly.  ranks is the sum of the two sides' ranks.

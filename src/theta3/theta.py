@@ -64,7 +64,7 @@ from typing import Callable, Iterable, Iterator
 
 from theta3.budget import Budget
 from theta3.construct import BuildRecipe, certificate, cycle_matroid, is_projective
-from theta3.gf2 import MAX_DIM, DimensionError, Echelon, bits, bits_to_str, zero_residues
+from theta3.gf2 import MAX_DIM, DimensionError, bits, bits_to_str, pivots_of, zero_residues
 from theta3.matroid import BinaryMatroid, _circuit_masks, simplify
 
 __all__ = [
@@ -218,10 +218,7 @@ def _theta_scan(
                 if w in skip:
                     continue
                 if pivots is None:
-                    ech = Echelon()
-                    for j in bits(mi):
-                        ech.insert(cols[j])
-                    pivots = ech.pivots
+                    pivots = pivots_of(cols[j] for j in bits(mi))
                 if zero_residues(cols, mj & ~mi, pivots) != 1:
                     continue
                 budget.tick(tested)
@@ -236,13 +233,6 @@ def theta_graphs(M: BinaryMatroid, budget: Budget | None = None) -> list[ThetaGr
     out = [_theta(M, arcs, w) for *arcs, w in _theta_scan(M, budget)]
     out.sort(key=lambda t: [_arc_key(a) for a in t.arcs])
     return out
-
-
-def _incomplete(
-    M: BinaryMatroid, budget: Budget | None
-) -> Iterator[tuple[int, int, int, int]]:
-    """Scan records of the incomplete thetas: no column is the completing vector."""
-    return _theta_scan(M, budget, incomplete=True)
 
 
 def is_complete(M: BinaryMatroid, T: ThetaGraph) -> tuple[bool, str | None]:
@@ -265,11 +255,8 @@ def is_complete(M: BinaryMatroid, T: ThetaGraph) -> tuple[bool, str | None]:
 
 def _missing_vectors(M: BinaryMatroid) -> list[int]:
     """Nonzero span vectors of M that no column carries, ascending."""
-    ech = Echelon()
-    for c in M.cols:
-        ech.insert(c)
     span = [0]
-    for b in ech.pivots.values():
+    for b in pivots_of(M.cols).values():
         span += [v ^ b for v in span]
     colset = M.colset
     return sorted(v for v in span if v and v not in colset)
@@ -365,7 +352,7 @@ def is_theta3_closed(
             return True, found
         # a piece outside the class: its incomplete thetas are M's
         M = found
-    for *arcs, w in _incomplete(M, budget):
+    for *arcs, w in _theta_scan(M, budget, incomplete=True):
         return False, _theta(M, arcs, w)
     return True, None
 
@@ -397,7 +384,7 @@ def _incomplete_vectors(
         return []
     # a piece outside the class: its incomplete thetas are M's
     found: dict[int, ThetaGraph] = {}
-    for *arcs, w in _incomplete(piece, budget):
+    for *arcs, w in _theta_scan(piece, budget, incomplete=True):
         if w not in found:
             found[w] = _theta(piece, arcs, w)
     return sorted(found.items())

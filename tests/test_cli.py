@@ -552,6 +552,21 @@ def test_parse_error_missing_header(capsys, tmp_path):
     assert "missing 'dim d'" in rep["error"]
 
 
+def test_parse_error_dim_needs_decimal_digits(capsys, tmp_path):
+    # "²" is a digit to str.isdigit but not to int()
+    path = tmp_path / "superscript.matroid"
+    path.write_text("dim ²\na 10\n", encoding="utf-8")
+    code, rep = run_cli(capsys, "check", str(path))
+    assert code == 2
+    assert rep["error"].startswith("line 1: expected 'dim d'")
+
+
+def test_build_leaf_parameter_needs_decimal_digits(capsys):
+    code, rep = run_cli(capsys, "build", "C(²)")
+    assert code == 2
+    assert rep["error"].startswith("C needs an integer parameter")
+
+
 def test_parse_error_dim_too_large(capsys, tmp_path):
     path = tmp_path / "wide.matroid"
     path.write_text("dim 17\n")
@@ -573,6 +588,14 @@ def test_decompose_rejects_disconnected_file(capsys, tmp_path):
     assert code == 2
     assert "components" in rep["error"]
     assert "['a']" in rep["error"] and "['b']" in rep["error"]
+
+
+def test_decompose_lists_components_in_order_of_their_first_element(capsys, tmp_path):
+    path = tmp_path / "two_pairs.matroid"
+    path.write_text("dim 2\na 10\nb 01\nc 01\nd 10\n")
+    code, rep = run_cli(capsys, "decompose", str(path))
+    assert code == 2
+    assert rep["error"].endswith("components: [['a', 'd'], ['b', 'c']]")
 
 
 # -- budgets, internal errors, argv plumbing --------------------------------

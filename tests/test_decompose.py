@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from theta3.budget import Budget, BudgetExceededError
@@ -31,6 +33,7 @@ from theta3.decompose import (
     MatroidLabelledTree,
     Verdict,
     _check_tree,
+    _split_vector,
     canonical_tree_decomposition,
     classify_theta3,
     recompose,
@@ -197,6 +200,35 @@ def test_check_tree_flags_broken_invariants():
     )
     with pytest.raises(ValueError, match="not connected"):
         _check_tree(cyclic)
+
+
+def test_split_vector_lies_in_both_spans_of_every_exact_separation():
+    rng = random.Random(23)
+    matroids = [m for _, m in CONNECTED_CORPUS]
+    for _ in range(100):
+        dim = rng.randint(2, 5)
+        cols = tuple(rng.randrange(1 << dim) for _ in range(rng.randint(4, 9)))
+        matroids.append(BinaryMatroid(tuple(f"g{j}" for j in range(len(cols))), cols, dim))
+    rank = oracles.oracle_rank
+    exact, inexact = 0, set()
+    for m in matroids:
+        for X, Y in exact_two_separations(m):
+            w = _split_vector(m, X, Y)
+            with_w = m.extend("split", w)
+            assert w != 0
+            for side in (X, Y):
+                assert rank(with_w, side | {"split"}) == rank(m, side)
+            exact += 1
+        # random splits, exact or not by the oracle
+        for _ in range(10):
+            X = frozenset(lab for lab in m.labels if rng.random() < 0.5)
+            Y = m.label_set - X
+            meet = rank(m, X) + rank(m, Y) - rank(m)
+            if meet != 1:
+                inexact.add(meet)
+                with pytest.raises(ValueError, match="not an exact 2-separation"):
+                    _split_vector(m, X, Y)
+    assert exact > 500 and {0, 2, 3} <= inexact, (exact, inexact)
 
 
 def test_budget_aborts_decomposition():

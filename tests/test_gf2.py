@@ -1,4 +1,4 @@
-"""Bit-level linear algebra: conventions, echelon bookkeeping, duality."""
+"""Bit-level linear algebra: conventions, the echelon form, duality."""
 
 from __future__ import annotations
 
@@ -9,12 +9,12 @@ import pytest
 from theta3.gf2 import (
     MAX_DIM,
     DimensionError,
-    Echelon,
     bits,
     bits_from_str,
     bits_to_str,
     dual_representation,
     greedy_coordinates,
+    pivots_of,
     rank_bits,
 )
 
@@ -64,39 +64,25 @@ def test_vector_dim_guard():
 # -- echelon ---------------------------------------------------------------
 
 
-def test_echelon_rank_and_membership_match_span_counting():
+def _reduce(pivots: dict[int, int], v: int) -> int:
+    while v and v & -v in pivots:
+        v ^= pivots[v & -v]
+    return v
+
+
+def test_pivots_of_rank_and_membership_match_span_counting():
     rng = random.Random(11)
     for _ in range(50):
         dim = rng.randint(1, 8)
         cols = [rng.randrange(1 << dim) for _ in range(rng.randint(0, 10))]
-        ech = Echelon()
-        for c in cols:
-            ech.insert(c)
+        pivots = pivots_of(cols)
         span = span_of(cols)
-        assert (1 << ech.rank) == len(span)
-        assert rank_bits(cols) == ech.rank
+        assert (1 << len(pivots)) == len(span)
+        assert rank_bits(cols) == len(pivots)
+        # each stored vector sits under its lowest bit
+        assert all(low == v & -v for low, v in pivots.items())
         for probe in range(1 << dim):
-            assert (ech.residue(probe) == 0) == (probe in span)
-
-
-def test_echelon_insert_reports_pivot_and_remove_undoes_it():
-    ech = Echelon()
-    assert ech.insert(0b110) != 0
-    before = dict(ech.pivots)
-    piv = ech.insert(0b011)
-    assert piv != 0
-    ech.remove(piv)
-    assert ech.pivots == before
-    assert ech.insert(0b110) == 0  # still dependent on the survivor
-
-
-def test_echelon_tracked_residue_returns_witness_origin():
-    ech = Echelon()
-    ech.insert(0b001, origin=1)
-    ech.insert(0b010, origin=2)
-    res, orig = ech.tracked_residue(0b011)
-    assert res == 0
-    assert orig == 3  # both inserted vectors participate
+            assert (_reduce(pivots, probe) == 0) == (probe in span)
 
 
 # -- change of basis, duality ----------------------------------------------

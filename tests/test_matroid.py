@@ -476,6 +476,14 @@ def test_cached_coordinates_are_greedy_and_immutable():
     assert m.coordinates == (coords, basis)
 
 
+def test_connected_components_come_in_order_of_their_first_element():
+    m = BinaryMatroid(tuple("abcd"), (0b01, 0b10, 0b10, 0b01), 2)
+    assert connected_components(m) == [frozenset("ad"), frozenset("bc")]
+    # a loop is a component of its own, where it stands
+    m = BinaryMatroid(tuple("zabcd"), (0, 0b01, 0b10, 0b10, 0b01), 2)
+    assert connected_components(m) == [{"z"}, {"a", "d"}, {"b", "c"}]
+
+
 def test_connected_components_returns_a_new_list_each_call():
     m = dict(SMALL_CORPUS)["C4_LOOP"]
     first = connected_components(m)

@@ -13,7 +13,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from theta3.decompose import classify_theta3
 from theta3.gf2 import (
     MAX_DIM,
-    Echelon,
     bits,
     bits_to_str,
     greedy_coordinates,
@@ -51,7 +50,6 @@ from theta3.matroid import (
 from theta3.theta import (
     _Graph,
     _graph_theta,
-    _incomplete,
     _pair_route_hits,
     _theta_scan,
     is_theta3_closed,
@@ -85,18 +83,6 @@ def test_simplify_is_idempotent_and_rank_preserving(m):
     assert len(set(s.cols)) == s.size
     again = simplify(s)
     assert again.labels == s.labels and again.cols == s.cols
-
-
-@given(st.lists(st.integers(0, 255), max_size=12), st.data())
-def test_echelon_remove_undoes_inserts_in_lifo_order(cols, data):
-    keep = data.draw(st.integers(0, len(cols)))
-    ech = Echelon()
-    pivots = [ech.insert(c) for c in cols]
-    for pivot in reversed(pivots[keep:]):
-        if pivot:
-            ech.remove(pivot)
-    assert ech.rank == rank_bits(cols[:keep])
-    assert all(ech.residue(c) == 0 for c in cols[:keep])
 
 
 @given(st.lists(st.integers(0, 255), max_size=12), st.data())
@@ -255,7 +241,7 @@ def test_theta_scan_yields_each_theta_once(m):
 def test_incomplete_scan_yields_each_incomplete_theta_once(m):
     # The scan skips a pair whose completing vector is a column before
     # its rank test; what is left must be exactly the incomplete thetas.
-    got = _scan_form(m, _incomplete(m, None))
+    got = _scan_form(m, _theta_scan(m, incomplete=True))
     assert len(got) == len(set(got))
     want = {(arcs, w) for arcs, w in oracles.oracle_theta_graphs(m) if w not in m.colset}
     assert set(got) == want
@@ -272,7 +258,7 @@ def test_theta_scan_rank_tests_do_not_depend_on_element_order(m, data):
     )
     counts = []
     for mm in (m, shuffled):
-        for scan in (_theta_scan(mm), _incomplete(mm, None)):
+        for scan in (_theta_scan(mm), _theta_scan(mm, incomplete=True)):
             with mock.patch("theta3.theta.zero_residues", wraps=zero_residues) as rank_test:
                 found = sum(1 for _ in scan)
             counts.append((rank_test.call_count, found))

@@ -264,7 +264,7 @@ def test_closure_arc_search_stays_within_a_node_budget():
     # 24149 nodes).
     cols = [81, 7, 58, 37, 56, 10, 104, 47, 21, 68, 85, 74, 95, 46]
     m = BinaryMatroid(tuple(f"q{i}" for i in range(len(cols))), tuple(cols), 7)
-    with mock.patch.object(theta, "_incomplete", wraps=theta._incomplete) as scan:
+    with mock.patch.object(theta, "_theta_scan", wraps=theta._theta_scan) as scan:
         final, trace = theta3_closure(m, budget=Budget(max_nodes=50_000))
     assert [c.args[0].size for c in scan.call_args_list] == [21]
     assert final.size == 65 and trace.rounds
@@ -359,7 +359,7 @@ def test_closure_round_scans_only_the_piece_outside_the_class():
         cycle_matroid(theta_edges(2, 2, 3)), complete_graph_matroid(4), "C1", "1-2"
     )
     assert (m.size, m.rank) == (12, 7)
-    with mock.patch.object(theta, "_incomplete", wraps=theta._incomplete) as scan:
+    with mock.patch.object(theta, "_theta_scan", wraps=theta._theta_scan) as scan:
         final, trace = theta3_closure(m)
     assert [c.args[0].size for c in scan.call_args_list] == [7]
     ofinal, orounds = oracles.oracle_closure(m)
