@@ -175,16 +175,20 @@ def _theta_json(T: ThetaGraph, M: BinaryMatroid | None = None) -> dict:
 
 
 def _trace_json(trace: ClosureTrace) -> dict:
+    rounds = []
+    for r in trace.rounds:
+        added = [bits_to_str(v, trace.final.dim) for v in r.added_vectors]
+        # witness i was found for added vector i, its completing vector,
+        # so added[i] is also the witness's rendering of it
+        witnesses = [
+            {"arcs": [sorted(a) for a in t.arcs], "completing_vector": w}
+            for t, w in zip(r.witnesses, added)
+        ]
+        rounds.append({"added": added, "witnesses": witnesses})
     return {
         "initial_size": trace.initial.size,
         "final_size": trace.final.size,
-        "rounds": [
-            {
-                "added": [bits_to_str(v, trace.final.dim) for v in r.added_vectors],
-                "witnesses": [_theta_json(t) for t in r.witnesses],
-            }
-            for r in trace.rounds
-        ],
+        "rounds": rounds,
     }
 
 

@@ -50,13 +50,11 @@ def bits(mask: int) -> Iterator[int]:
 
 def bits_from_str(s: str) -> int:
     """Parse "0110..." (row 1 first) into the int encoding."""
-    out = 0
-    for i, ch in enumerate(s):
-        if ch == "1":
-            out |= 1 << i
-        elif ch != "0":
-            raise ValueError(f"bad bit character {ch!r} in {s!r}")
-    return out
+    # what strip leaves starts at the first character that is not a bit
+    bad = s.strip("01")
+    if bad:
+        raise ValueError(f"bad bit character {bad[0]!r} in {s!r}")
+    return int(s[::-1], 2) if s else 0
 
 
 def bits_to_str(mask: int, dim: int) -> str:

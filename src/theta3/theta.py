@@ -58,6 +58,7 @@ add.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
@@ -127,11 +128,14 @@ def _arc_key(arc: frozenset[str]) -> tuple[int, list[str]]:
 
 
 def _theta(M: BinaryMatroid, arc_masks: Iterable[int], w: int) -> ThetaGraph:
-    """The ThetaGraph of M with these arcs (element masks) and completing vector."""
+    """The ThetaGraph of M with these arcs (element masks) and completing vector.
+
+    Each arc's labels are sorted once, and the arcs ordered by (length,
+    labels), which is _arc_key's order; disjoint arcs never tie.
+    """
     labels = M.labels
-    arcs = [frozenset(labels[j] for j in bits(m)) for m in arc_masks]
-    a1, a2, a3 = sorted(arcs, key=_arc_key)
-    return ThetaGraph((a1, a2, a3), w, M.dim)
+    arcs = sorted((m.bit_count(), sorted(labels[j] for j in bits(m))) for m in arc_masks)
+    return ThetaGraph(tuple(frozenset(arc) for _, arc in arcs), w, M.dim)
 
 
 def _theta_scan(
@@ -263,18 +267,23 @@ def _missing_vectors(M: BinaryMatroid) -> list[int]:
 
 
 def _pair_route_hits(
-    M: BinaryMatroid, targets: list[int] | None, budget: Budget | None
+    M: BinaryMatroid, budget: Budget | None
 ) -> Iterator[tuple[int, ThetaGraph]]:
-    """Per target v, in order: a theta with three 2-element arcs completed by v.
+    """Per missing span vector v, ascending: a theta with three 2-element
+    arcs completed by v.
 
     Pairs {a, a^v} of present columns are disjoint across distinct
     pairs and any two of them union to a 4-circuit, so three pairs form
-    a theta exactly when {a, b, c, v} has rank 4.  targets None stands
-    for every missing span vector, ascending; only those that are the
-    sum of two columns can yield, and their pair lists come from one
-    pass over the pairs of present columns.  When fewer vectors are
-    missing than a third of the columns, a pass over each missing
-    vector's possible pairs is cheaper, so that is taken instead.
+    a theta exactly when {a, b, c, v} has rank 4.  Only missing vectors
+    that are the sum of two columns can yield.  Their pair lists come
+    from one pass over the pairs of present columns: a table from each
+    pair sum to the smaller columns of its pairs, filled column by
+    column in ascending order, so every list is ascending; the sums that
+    are columns are dropped once, when the targets are sorted.  When
+    fewer vectors are missing than a third of the columns, a pass over
+    each missing vector's possible pairs is cheaper, so that is taken
+    instead.  The clock is read once per column of the first pass, and
+    once per target of the second, without counting a node.
 
     The rank test needs no elimination.  Each pair is named by its
     smaller column, the one without v's highest bit, so a^b is a name
@@ -283,37 +292,50 @@ def _pair_route_hits(
     one named a^b; so {a, b, c, v} has rank 4 exactly when c != a^b.
     The first triple in combination order is therefore (p0, p1, p2), or
     (p0, p1, p3) when p2 is the sum pair, and with only three pairs and
-    p2 the sum pair v completes no such theta.
+    p2 the sum pair v completes no such theta.  Each tested target ticks
+    the budget once, and once more when it moves on to p3.
+
+    A witness is built from the labels of its three pairs: each pair
+    sorted, then the three pairs sorted, which is _theta's arc order.
     """
+    if budget is None:
+        budget = Budget()
     first: dict[int, int] = {}
     for j, c in enumerate(M.cols):
         first.setdefault(c, j)
     present = sorted(c for c in first if c)
-    if targets is None and 3 * ((1 << M.rank) - 1 - len(present)) < len(present):
+    pairs: dict[int, list[int]]
+    if 3 * ((1 << M.rank) - 1 - len(present)) < len(present):
         targets = _missing_vectors(M)
-    if targets is None:
-        pairs: dict[int, list[int]] = {}
-        for i, a in enumerate(present):
-            for v in set(map(a.__xor__, present[i + 1 :])) - first.keys():
-                pairs.setdefault(v, []).append(a)
-        targets = sorted(pairs)
+        pairs = {}
+        for v in targets:
+            budget.check_time()
+            pairs[v] = [a for a in present if a < a ^ v and a ^ v in first]
     else:
-        pairs = {v: [a for a in present if a < a ^ v and a ^ v in first] for v in targets}
+        pairs = defaultdict(list)
+        for i, a in enumerate(present):
+            budget.check_time()
+            for v in map(a.__xor__, present[i + 1 :]):
+                pairs[v].append(a)
+        targets = sorted(pairs.keys() - first.keys())
+    labels = M.labels
     for v in targets:
         reps = pairs[v]
         if len(reps) < 3:
             continue
         a, b, c = reps[:3]
-        if budget is not None:
-            budget.tick()
+        budget.tick()
         if c == a ^ b:
             if len(reps) == 3:
                 continue
-            if budget is not None:
-                budget.tick()
+            budget.tick()
             c = reps[3]
-        arcs = [1 << first[x] | 1 << first[x ^ v] for x in (a, b, c)]
-        yield v, _theta(M, arcs, v)
+        arcs = []
+        for x in (a, b, c):
+            p, q = labels[first[x]], labels[first[x ^ v]]
+            arcs.append((p, q) if p < q else (q, p))
+        arcs.sort()
+        yield v, ThetaGraph(tuple(map(frozenset, arcs)), v, M.dim)
 
 
 def is_theta3_closed(
@@ -343,7 +365,7 @@ def is_theta3_closed(
     if use_shortcut and is_projective(M):
         return True, None
     if M.rank <= _PREPASS_MAX_RANK:
-        prepass = _pair_route_hits(M, None, budget)
+        prepass = _pair_route_hits(M, budget)
         for _, hit in prepass:
             return False, hit
     if use_shortcut and M.size > FULL_ENUM_LIMIT:
@@ -376,7 +398,7 @@ def _incomplete_vectors(
     """
     if is_projective(M):
         return []
-    out = list(_pair_route_hits(M, None, budget))
+    out = list(_pair_route_hits(M, budget))
     if out:
         return out
     piece = certificate(M, budget)

@@ -303,12 +303,10 @@ def oracle_is_complete_graph(M: BinaryMatroid) -> bool:
     return grow([], 0)
 
 
-def oracle_pair_route_hits(
-    M: BinaryMatroid, targets: list[int] | None = None
-) -> list[tuple[int, frozenset[frozenset[str]]]]:
+def oracle_pair_route_hits(M: BinaryMatroid) -> list[tuple[int, frozenset[frozenset[str]]]]:
     """Reference for the pair-route prepass, one target at a time.
 
-    Targets default to the nonzero span vectors that no column carries,
+    The targets are the nonzero span vectors that no column carries,
     ascending.  Per target v, in order: the pairs {a, a + v} of distinct
     present columns with a < a + v, ascending in a; the first triple of
     them, in combination order, whose columns together with v have
@@ -318,8 +316,7 @@ def oracle_pair_route_hits(
     for lab, c in zip(M.labels, M.cols):
         first.setdefault(c, lab)
     present = sorted(c for c in first if c)
-    if targets is None:
-        targets = sorted(v for v in span_of(M.cols) if v and v not in first)
+    targets = sorted(v for v in span_of(M.cols) if v and v not in first)
     out = []
     for v in targets:
         pairs = [a for a in present if a < a ^ v and a ^ v in first]

@@ -862,7 +862,10 @@ def test_reports_match_golden_file(capsys, tmp_path, monkeypatch):
     # Petersen graph, whose three paths depend on the BFS order, and the
     # scan's witness on W6 with --no-shortcut.  `closure w6.graph --graph`
     # pins the flows' closure: one round that adds the nine missing rim
-    # chords, each with its three paths.
+    # chords, each with its three paths.  `closure PG6from12.matroid`
+    # pins a closure answered by the pair route alone: 12 points of
+    # PG(6, 2) reach all 63 in five rounds that add 3, 5, 2, 24 and 17
+    # vectors, 51 witnesses whose arcs are built from label pairs.
     monkeypatch.chdir(tmp_path)
     for entry in json.loads(GOLDEN.read_text()):
         if "input_file" in entry:

@@ -4,16 +4,19 @@ The generators favor degenerate inputs on purpose: zero columns,
 repeated columns, and dims above the actual rank all show up.
 """
 
+import re
 from functools import reduce
 from operator import xor
 from unittest import mock
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from theta3.decompose import classify_theta3
 from theta3.gf2 import (
     MAX_DIM,
     bits,
+    bits_from_str,
     bits_to_str,
     greedy_coordinates,
     rank_bits,
@@ -48,12 +51,16 @@ from theta3.matroid import (
     simplify,
 )
 from theta3.theta import (
+    ThetaGraph,
+    _arc_key,
     _Graph,
     _graph_theta,
     _pair_route_hits,
+    _theta,
     _theta_scan,
     is_theta3_closed,
     theta3_closure,
+    theta_graphs,
 )
 
 import oracles
@@ -372,6 +379,20 @@ def test_bits_to_str_matches_the_per_bit_definition(case):
     assert bits_to_str(mask, dim) == "".join("1" if mask >> i & 1 else "0" for i in range(dim))
 
 
+@given(st.text(alphabet="01", max_size=20) | st.text(alphabet="01x _+-١", max_size=8))
+@example("")
+@example("1_0")  # int() alone would read these three
+@example("+1")
+@example(" 1")
+def test_bits_from_str_matches_the_per_character_definition(s):
+    bad = [ch for ch in s if ch not in "01"]
+    if bad:
+        with pytest.raises(ValueError, match=re.escape(f"bad bit character {bad[0]!r}")):
+            bits_from_str(s)
+    else:
+        assert bits_from_str(s) == sum(1 << i for i, ch in enumerate(s) if ch == "1")
+
+
 @settings(max_examples=40)
 @given(st.integers(0, 127))
 def test_classify_matches_direct_decision_on_plane_subsets(mask):
@@ -402,16 +423,39 @@ def test_pair_route_matches_the_per_target_reference(m):
     # One yield per target that has a rank-4 triple, in ascending target
     # order, whether the pairs come from the pass over column pairs or,
     # with few missing vectors, from each missing vector in turn.
-    got = [(v, frozenset(t.arcs)) for v, t in _pair_route_hits(m, None, None)]
+    got = [(v, frozenset(t.arcs)) for v, t in _pair_route_hits(m, None)]
     assert got == oracles.oracle_pair_route_hits(m)
 
 
-@settings(max_examples=60)
-@given(matroids(max_dim=4, max_cols=10), st.lists(st.integers(0, 15), max_size=4))
-def test_pair_route_with_explicit_targets_matches_the_reference(m, targets):
-    targets = [v for v in targets if not v >> m.dim]
-    got = [(v, frozenset(t.arcs)) for v, t in _pair_route_hits(m, targets, None)]
-    assert got == oracles.oracle_pair_route_hits(m, targets)
+@settings(max_examples=100, deadline=None)
+@given(matroids(max_dim=5, max_cols=10))
+@example(BinaryMatroid(tuple("abcdefg"), (3, 13, 6, 23, 18, 28, 25), 5))  # 7 pair-route yields
+@example(cycle_matroid(theta_edges(2, 2, 3)))  # a longer arc, found by the scan
+def test_every_witness_lists_its_arcs_in_arc_key_order(m):
+    # The reports render arcs in this order, and frozenset comparisons
+    # elsewhere would not see a change to it.
+    wits = [t for _, t in _pair_route_hits(m, None)]
+    wits += theta_graphs(m)
+    wits += [is_theta3_closed(m, use_shortcut=s)[1] for s in (True, False)]
+    for strategy in ("batch", "one_at_a_time"):
+        _, trace = theta3_closure(m, strategy=strategy)
+        wits += [t for r in trace.rounds for t in r.witnesses]
+    for t in wits:
+        if isinstance(t, ThetaGraph):
+            assert t.arcs == tuple(sorted(t.arcs, key=_arc_key))
+
+
+@given(matroids(max_dim=4, max_cols=12), st.data())
+def test_theta_builds_the_reference_witness_from_arc_masks(m, data):
+    # Labels in shuffled order, so that "g10" < "g2" and label order is
+    # not element order; arcs drawn in any order, lengths often tied.
+    m = BinaryMatroid(tuple(data.draw(st.permutations(m.labels))), m.cols, m.dim)
+    arc_of = data.draw(st.lists(st.integers(0, 3), min_size=m.size, max_size=m.size))
+    masks = [sum(1 << j for j, k in enumerate(arc_of) if k == i) for i in range(3)]
+    assume(all(masks))
+    w = data.draw(st.integers(0, (1 << m.dim) - 1))
+    arcs = sorted((frozenset(m.labels[j] for j in bits(x)) for x in masks), key=_arc_key)
+    assert _theta(m, masks, w) == ThetaGraph(tuple(arcs), w, m.dim)
 
 
 def test_certificate_exactly_when_the_oracle_says_closed():

@@ -180,6 +180,30 @@ def test_budget_stops_the_scan():
         theta_graphs(catalog_matroid("MSTAR_K5"), Budget(max_nodes=5))
 
 
+@pytest.mark.parametrize(
+    "m, nodes",
+    [
+        # 11 of 15 span vectors missing: the pass over column pairs, in
+        # which every pair sum has one pair
+        (BinaryMatroid(tuple("abcd"), (1, 2, 4, 8), 4), 0),
+        # PG(3) minus a point: the pass over the one missing vector's
+        # pairs, three that span only rank 3
+        (BinaryMatroid(tuple("abcdef"), (1, 2, 3, 4, 5, 6), 3), 1),
+    ],
+)
+def test_pair_route_reads_the_clock_while_it_builds_its_pair_lists(m, nodes):
+    # Neither matroid gives the pair route a theta, and only the second
+    # ticks, for its one target; a time budget already spent must still
+    # stop the pair route while it builds its lists, by the clock alone.
+    budget = Budget()
+    assert list(theta._pair_route_hits(m, budget)) == []
+    assert budget.nodes == nodes
+    budget = Budget(max_seconds=1)
+    budget._started -= 2
+    with pytest.raises(BudgetExceededError, match="time budget exhausted"):
+        list(theta._pair_route_hits(m, budget))
+
+
 def _random_point_set(rng):
     """A random matroid of rank 1 to 7, with now and then a loop and a few
     parallel copies, its elements shuffled and labelled at random, so
