@@ -24,14 +24,14 @@ first by the circuit-pair scan.  When a recipe certificate proved
 check's closed verdict, the report's recipe slot holds that recipe.
 
 Argv grammar: `theta3 COMMAND [options] ARG`, options before or after
-the positional argument.  Options are spelled out in full; an
-abbreviation (--max-sub) is an unknown option.  An option takes its
-value as `--opt value` or as `--opt=value`, and a value that looks like
-a negative number (-1, -.5) is read as the value, not as an option.
-After `--` every token is positional.  -h or --help prints help to
-stdout and exits 0.  A usage error prints `usage: ...` and
-`theta3 COMMAND: error: ...` to stderr and exits 2 with no JSON report.
-One table, _GRAMMAR, drives the parser, the help and the errors.
+the positional argument, each spelled out in full and taking its value
+as `--opt value` or `--opt=value`.  One table, _GRAMMAR, drives both
+parsers.  _read takes a plain command line (no help, no `--`, no value
+that starts with '-' as a separate token, no usage error) without
+importing argparse; every other line goes to argparse, built from the
+table with abbreviations off, which owns help (stdout, exit 0) and
+usage errors (`usage: ...` and `theta3 COMMAND: error: ...` on stderr,
+exit 2, no JSON report).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from __future__ import annotations
 import json
 import os
 import random
-import re
 import sys
 import time
 import traceback
@@ -60,7 +59,6 @@ from theta3.construct import (
     BuildRecipe,
     catalog_listing,
     catalog_matroid,
-    cycle_matroid,
     evaluate_term,
     is_projective,
     parse_recipe,
@@ -139,7 +137,7 @@ def _load_edges(argument: str) -> list[tuple[str, str, str]]:
 
 def _load_matroid(argument: str, as_graph: bool) -> BinaryMatroid:
     if as_graph:
-        return cycle_matroid(_load_edges(argument))
+        return _Graph(_load_edges(argument)).matroid
     try:
         return catalog_matroid(argument)
     except KeyError:
@@ -362,12 +360,12 @@ def _cmd_catalog(args, budget, report) -> int:
 
 # The argv grammar: per command, its help, its positional argument (name,
 # help, and whether it takes one token or a run of them) and its
-# options.  Parsing, help and usage errors all read this one table.
+# options.  The fast path and the argparse parser both read this table.
 
 
 class _Option(NamedTuple):
     name: str
-    kind: object  # "flag", "help", int, float, or a tuple of the allowed values
+    kind: object  # "flag", int, float, or a tuple of the allowed values
     default: object
     help: str
     metavar: str = ""
@@ -377,13 +375,6 @@ class _Option(NamedTuple):
         """The attribute of args that holds the option's value."""
         return self.name[2:].replace("-", "_")
 
-    @property
-    def form(self) -> str:
-        """The option as help and usage spell it, with its value."""
-        if isinstance(self.kind, tuple):
-            return f"{self.name} {{{','.join(self.kind)}}}"
-        return f"{self.name} {self.metavar}".rstrip()
-
 
 class _Command(NamedTuple):
     help: str
@@ -391,7 +382,6 @@ class _Command(NamedTuple):
     options: tuple[_Option, ...]
 
 
-_HELP = _Option("-h/--help", "help", None, "show this help and exit")
 _BUDGET = (
     _Option("--max-subsets", int, None, "abort with exit 3 after N search nodes", "N"),
     _Option(
@@ -451,17 +441,9 @@ _GRAMMAR = {
     "catalog": _Command("list named matroids", None, _BUDGET),
 }
 
-# Per command: each option by every name it answers to (-h and --help
-# included), and the attribute defaults of its args.
-_TOP_OPTIONS = {"-h": _HELP, "--help": _HELP}
-_OPTIONS = {
-    name: {**_TOP_OPTIONS, **{o.name: o for o in c.options}}
-    for name, c in _GRAMMAR.items()
-}
+# Per command: each option by its name, and the attribute defaults of its args.
+_OPTIONS = {name: {o.name: o for o in c.options} for name, c in _GRAMMAR.items()}
 _DEFAULTS = {name: {o.dest: o.default for o in c.options} for name, c in _GRAMMAR.items()}
-_TOP_USAGE = "theta3 [-h] {" + ",".join(_GRAMMAR) + "} ..."
-# argparse's test for a token that is a negative number, not an option
-_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
 
 
 class _Usage(Exception):
@@ -473,182 +455,118 @@ class _Usage(Exception):
         self.text = text
 
 
-def _usage_line(name: str) -> str:
-    command = _GRAMMAR[name]
-    parts = [f"theta3 {name} [-h]"]
-    parts += [f"[{o.form}]" for o in command.options]
-    if command.positional is not None:
-        pos, _, many = command.positional
-        parts.append(f"{pos} [{pos} ...]" if many else pos)
-    return " ".join(parts)
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The args of a plain command line, or None when argparse must decide.
 
-
-def _error(name: str | None, message: str) -> _Usage:
-    if name is None:
-        return _Usage(2, f"usage: {_TOP_USAGE}\ntheta3: error: {message}")
-    return _Usage(2, f"usage: {_usage_line(name)}\ntheta3 {name}: error: {message}")
-
-
-def _columns(title: str, rows: list[tuple[str, str]]) -> list[str]:
-    import textwrap
-
-    width = max(len(left) for left, _ in rows) + 2
-    out = ["", title]
-    for left, text in rows:
-        lines = textwrap.wrap(text, max(79 - width - 2, 20)) or [""]
-        out.append(f"  {left:<{width}}{lines[0]}".rstrip())
-        out += [" " * (width + 2) + line for line in lines[1:]]
-    return out
-
-
-def _help(name: str | None) -> str:
-    if name is None:
-        rows = [(n, c.help) for n, c in _GRAMMAR.items()]
-        lines = [f"usage: {_TOP_USAGE}", "", "binary matroid theta-closure toolkit"]
-        lines += _columns("commands:", rows)
-        lines += _columns("options:", [(_HELP.name, _HELP.help)])
-        lines += [
-            "",
-            "Options are spelled out in full and take their value as --opt value",
-            "or --opt=value.  theta3 COMMAND -h describes one command.",
-        ]
-        return "\n".join(lines)
-    command = _GRAMMAR[name]
-    lines = [f"usage: {_usage_line(name)}", "", command.help]
-    if command.positional is not None:
-        pos, text, _ = command.positional
-        lines += _columns("positional arguments:", [(pos, text)])
-    rows = [(_HELP.name, _HELP.help)]
-    rows += [(o.form, o.help) for o in command.options]
-    lines += _columns("options:", rows)
-    return "\n".join(lines)
-
-
-def _read_option(
-    token: str, options: dict[str, _Option]
-) -> tuple[_Option | None, str | None] | None:
-    """How a token reads: None for a positional, else (the option or None
-    when it is unknown, the value given after '=' or None).
-
-    A token is an option when it starts with '-' and has more, unless it
-    looks like a negative number or holds a space; `--opt=value` names a
-    known option before the '='.  Options are never abbreviated.
+    A plain command line is a command name, then options spelled in full
+    (`--opt value` with a value that does not start with '-', or
+    `--opt=value`) around one run of positional tokens, none of which
+    starts with '-', and every value valid.  Help, `--`, negative numbers
+    as separate tokens and every usage error are left to _argparse.
     """
-    if token[:1] != "-" or len(token) == 1:
+    if not argv or argv[0] not in _GRAMMAR:
         return None
-    option = options.get(token)
-    if option is not None:
-        return option, None
-    key, eq, value = token.partition("=")
-    if eq and key in options:
-        return options[key], value
-    if _NEGATIVE_NUMBER.match(token) or " " in token:
-        return None
-    return None, None
-
-
-def _parse_command(name: str, tokens: list[str]) -> SimpleNamespace:
-    """The args of one command from the tokens after its name.
-
-    Tokens are read left to right.  Help ends the parse at once, as do a
-    missing or malformed option value; an unknown option, a stray
-    positional token or a missing one is reported after the last token.
-    A run of positional tokens is broken by an option, and a command's
-    positional takes the first run: one token of it, or all of it.
-    After `--` every token is positional.
-    """
+    name = argv[0]
     options = _OPTIONS[name]
     values = dict(_DEFAULTS[name])
-    runs: list[list[str]] = []
-    unknown = None
-    in_run = only_positional = False
-    i = 0
-    while i < len(tokens):
-        token = tokens[i]
+    run: list[str] = []
+    run_ended = False
+    i = 1
+    while i < len(argv):
+        token = argv[i]
         i += 1
-        if token == "--" and not only_positional:
-            only_positional = True
+        if token[:1] != "-":
+            if run_ended:
+                return None
+            run.append(token)
             continue
-        read = None if only_positional else _read_option(token, options)
-        if read is None:
-            if not in_run:
-                runs.append([])
-                in_run = True
-            runs[-1].append(token)
-            continue
-        in_run = False
-        option, value = read
+        run_ended = bool(run)
+        key, eq, value = token.partition("=")
+        option = options.get(key)
         if option is None:
-            unknown = unknown or token
-            continue
-        label = option.name
-        if option.kind in ("help", "flag"):
-            if value is not None:
-                raise _error(name, f"argument {label}: ignored explicit argument {value!r}")
-            if option.kind == "help":
-                raise _Usage(0, _help(name))
+            return None
+        if option.kind == "flag":
+            if eq:
+                return None
             values[option.dest] = True
             continue
-        if value is None:
-            if i == len(tokens) or tokens[i] == "--" or _read_option(tokens[i], options):
-                raise _error(name, f"argument {label}: expected one argument")
-            value = tokens[i]
+        if not eq:
+            if i == len(argv) or argv[i][:1] == "-":
+                return None
+            value = argv[i]
             i += 1
-        kind = option.kind
-        if isinstance(kind, tuple):
-            if value not in kind:
-                choices = ", ".join(map(repr, kind))
-                raise _error(
-                    name, f"argument {label}: invalid choice: {value!r} (choose from {choices})"
-                )
+        if isinstance(option.kind, tuple):
+            if value not in option.kind:
+                return None
         else:
             try:
-                value = kind(value)
+                value = option.kind(value)
             except ValueError:
-                raise _error(
-                    name, f"argument {label}: invalid {kind.__name__} value: {value!r}"
-                ) from None
+                return None
         values[option.dest] = value
-    stray = [t for run in runs for t in run]
     positional = _GRAMMAR[name].positional
     if positional is not None:
         pos, _, many = positional
-        if not runs:
-            raise _error(name, f"the following arguments are required: {pos}")
-        taken = runs[0] if many else runs[0][:1]
-        values[pos] = taken if many else taken[0]
-        stray = stray[len(taken) :]
-    if unknown is not None:
-        stray.insert(0, unknown)
-    if stray:
-        raise _error(name, "unrecognized arguments: " + " ".join(stray))
+        if not run or (len(run) > 1 and not many):
+            return None
+        values[pos] = run if many else run[0]
+    elif run:
+        return None
     return SimpleNamespace(command=name, **values)
+
+
+def _argparse(argv: list[str]) -> SimpleNamespace:
+    """The args of any command line, by argparse built from _GRAMMAR.
+
+    Abbreviations are off.  Help and usage errors raise _Usage, with the
+    usage on one line.  The tokens after a known command go to that
+    command's parser, so its errors name it.
+    """
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def print_help(self, file=None):
+            raise _Usage(0, self.format_help().rstrip())
+
+        def error(self, message):
+            usage = " ".join(self.format_usage().split())
+            raise _Usage(2, f"{usage}\n{self.prog}: error: {message}")
+
+    top = Parser(
+        prog="theta3",
+        description="binary matroid theta-closure toolkit",
+        epilog="Options are spelled out in full and take their value as --opt value "
+        "or --opt=value. theta3 COMMAND -h describes one command.",
+        allow_abbrev=False,
+    )
+    commands = top.add_subparsers(dest="command", required=True)
+    parsers = {}
+    for name, command in _GRAMMAR.items():
+        p = parsers[name] = commands.add_parser(
+            name, help=command.help, description=command.help, allow_abbrev=False
+        )
+        if command.positional is not None:
+            pos, text, many = command.positional
+            p.add_argument(pos, nargs="+" if many else None, help=text)
+        for o in command.options:
+            if o.kind == "flag":
+                p.add_argument(o.name, action="store_true", help=o.help)
+            elif isinstance(o.kind, tuple):
+                p.add_argument(o.name, choices=o.kind, default=o.default, help=o.help)
+            else:
+                p.add_argument(
+                    o.name, type=o.kind, default=o.default, metavar=o.metavar, help=o.help
+                )
+    if argv and argv[0] in parsers:
+        args = parsers[argv[0]].parse_args(argv[1:])
+        return SimpleNamespace(command=argv[0], **vars(args))
+    return SimpleNamespace(**vars(top.parse_args(argv)))
 
 
 def _parse_argv(argv: list[str]) -> SimpleNamespace:
     """The args of a command line; raises _Usage for help and usage errors."""
-    unknown = None
-    for i, token in enumerate(argv):
-        read = _read_option(token, _TOP_OPTIONS)
-        if read is None:
-            break
-        option, value = read
-        if option is None:
-            unknown = unknown or token
-        elif value is not None:
-            raise _error(None, f"argument {_HELP.name}: ignored explicit argument {value!r}")
-        else:
-            raise _Usage(0, _help(None))
-    else:
-        raise _error(None, "the following arguments are required: command")
-    name = argv[i]
-    if name not in _GRAMMAR:
-        choices = ", ".join(map(repr, _GRAMMAR))
-        raise _error(None, f"argument command: invalid choice: {name!r} (choose from {choices})")
-    args = _parse_command(name, argv[i + 1 :])
-    if unknown is not None:
-        raise _error(None, f"unrecognized arguments: {unknown}")
-    return args
+    args = _read(argv)
+    return _argparse(argv) if args is None else args
 
 
 _COMMANDS = {

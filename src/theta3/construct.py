@@ -176,9 +176,13 @@ def complete_bipartite_edges(m: int, n: int) -> list[tuple[str, str, str]]:
 
 
 def theta_edges(a: int, b: int, c: int) -> list[tuple[str, str, str]]:
-    """Two vertices joined by three internally disjoint paths of the given lengths."""
+    """Two vertices joined by three internally disjoint paths of the given
+    lengths; the graph's rank, a + b + c - 2, is checked before any edge
+    is built."""
     if min(a, b, c) < 1:
         raise ValueError("path lengths must be >= 1")
+    if a + b + c - 2 > MAX_DIM:
+        raise DimensionError(f"graph of rank {a + b + c - 2} exceeds MAX_DIM = {MAX_DIM}")
     edges = []
     for name, length in (("A", a), ("B", b), ("C", c)):
         prev = "x"

@@ -1,10 +1,12 @@
-"""The table-driven argv parser against the argparse parser it replaced.
+"""The command line's argv parser against a plain argparse parser.
 
-`reference_parser` is the argparse set-up the command line used before
-it had its own parser, kept here as the oracle.  On a generated corpus
-of command lines every argv must end the same way under both: accepted
-with the same attributes, help (exit 0), or a usage error (exit 2).
-The one intended difference is that options are no longer abbreviated.
+`cli._parse_argv` reads a plain command line with the table-driven fast
+path `cli._read` and leaves every other one to `cli._argparse`.
+`reference_parser` is an argparse set-up written out by hand, kept here
+as the oracle.  On a generated corpus of command lines every argv must
+end the same way under both: accepted with the same attributes, help
+(exit 0), or a usage error (exit 2).  The one intended difference is
+that options are not abbreviated.
 """
 
 from __future__ import annotations
@@ -13,8 +15,15 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import theta3
 
 from theta3 import cli
 
@@ -276,3 +285,59 @@ def test_help_lists_every_option_and_exits_zero(capsys, command):
         assert name in captured.out
     with pytest.raises(json.JSONDecodeError):
         json.loads(captured.out)
+
+
+def test_the_fast_path_agrees_with_argparse():
+    read = 0
+    for argv in CORPUS:
+        args = cli._read(argv)
+        if args is not None:
+            read += 1
+            assert attributes(args) == attributes(cli._argparse(argv)), argv
+    # the fast path takes a good share of the accepted lines
+    assert read > 500
+
+
+def readme_examples() -> list[list[str]]:
+    """The argv of each `theta3 ...` line in README's first code block
+    under "Command line"."""
+    text = Path(__file__).resolve().parents[1].joinpath("README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return [words[1:] for words in lines if words[:1] == ["theta3"]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the shapes of the benchmark's ops
+        ["check", "/tmp/in.matroid", "--max-subsets", "200000"],
+        ["check", "/tmp/in.graph", "--graph", "--max-subsets", "200000"],
+        ["check", "/tmp/in.matroid", "--no-shortcut", "--max-subsets", "200000"],
+        ["decompose", "/tmp/in.matroid", "--max-subsets", "200000"],
+        ["closure", "/tmp/in.matroid", "--max-subsets", "200000"],
+        ["check", "/tmp/in.matroid"],
+        *readme_examples(),
+    ],
+)
+def test_plain_command_lines_take_the_fast_path(argv):
+    args = cli._read(argv)
+    assert args is not None
+    assert attributes(args) == attributes(cli._argparse(argv))
+
+
+def test_readme_examples_cover_every_command():
+    assert {argv[0] for argv in readme_examples()} == set(cli._GRAMMAR)
+
+
+def test_importing_the_cli_does_not_import_argparse():
+    # a plain command line never needs argparse, so start-up skips it
+    src = str(Path(theta3.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, theta3.cli; print('argparse' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -290,6 +290,14 @@ def test_graph_input_is_limited_by_rank_not_vertices(capsys, tmp_path):
     assert "rank 17" in rep["error"] and "MAX_DIM" in rep["error"]
 
 
+def test_catalog_theta_checks_its_rank_before_building_the_graph(capsys):
+    # the billion-edge graph is never built
+    code, rep = run_cli(capsys, "check", "THETA(1000000000,1,1)")
+    assert code == 2
+    assert rep["error"] == "graph of rank 1000000000 exceeds MAX_DIM = 16"
+    assert rep["timings"]["total_s"] < 1
+
+
 def write_graph(path, edges):
     path.write_text("".join(f"{u} {v} {lab}\n" for u, v, lab in edges))
     return str(path)
@@ -381,11 +389,21 @@ def random_edge_file(rng):
     return "\n".join(lines) + "\n"
 
 
+def graph_outcome(build, text):
+    """(size, rank) of build(edges) for an edge file, or the error it raises."""
+    try:
+        built = build(cli.parse_graph(text))
+    except Exception as exc:
+        return type(exc), str(exc)
+    return built.size, built.rank
+
+
 def test_graph_route_reads_edge_files_as_the_cycle_matroid_route(capsys, tmp_path):
     # check --graph reads size, rank and the input errors from its own
-    # pass over the edges; --no-shortcut builds the cycle matroid.  Both
-    # must report the same input and fail alike, and the flows must
-    # agree with the scan.
+    # pass over the edges; --no-shortcut builds the cycle matroid after
+    # that pass.  Both must report the same input and fail alike, the
+    # flows must agree with the scan, and the pass must read each file
+    # as cycle_matroid does.
     rng = random.Random(21)
     # a path of rank 17 whose last label repeats the first: the rank
     # is reported, as cycle_matroid reports it
@@ -407,6 +425,9 @@ def test_graph_route_reads_edge_files_as_the_cycle_matroid_route(capsys, tmp_pat
         assert flows["input"] == scan["input"], text
         assert flows.get("error") == scan.get("error"), text
         assert flows["verdict"] == scan["verdict"], text
+        assert graph_outcome(theta._Graph, text) == graph_outcome(
+            construct.cycle_matroid, text
+        ), text
         errors.append(flows.get("error"))
         wide += code < 2 and flows["input"]["rank"] >= 13
     # every kind of outcome was met: verdicts, on 17 to 20 vertices too,
@@ -518,7 +539,8 @@ def test_graph_check_builds_no_cycle_matroid_on_a_closed_graph(capsys, tmp_path,
         calls.append(len(edges))
         return real(edges)
 
-    for module in (construct, theta, cli):
+    # every module that binds cycle_matroid
+    for module in (construct, theta):
         monkeypatch.setattr(module, "cycle_matroid", counted)
     closed = write_graph(tmp_path / "k5.graph", construct.complete_graph_edges(5))
     code, rep = run_cli(capsys, "check", closed, "--graph")
