@@ -10,7 +10,6 @@ time; exceeding either limit raises BudgetExceededError.  The CLI maps
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 __all__ = ["Budget", "BudgetExceededError"]
 
@@ -27,7 +26,6 @@ class BudgetExceededError(Exception):
         self.seconds = seconds
 
 
-@dataclass
 class Budget:
     """Mutable node/time budget shared across one logical computation.
 
@@ -35,13 +33,17 @@ class Budget:
     the clock is only consulted every CHECK_EVERY nodes, and a tick of
     that many nodes or more always consults it.  A hot loop may count
     nodes itself and tick once per batch_limit() of them.  check_time()
-    reads the clock without counting a node.
+    reads the clock without counting a node.  The clock starts when the
+    budget is made.
     """
 
-    max_nodes: int | None = None
-    max_seconds: float | None = None
-    nodes: int = field(default=0, init=False)
-    _started: float = field(default_factory=time.monotonic, init=False)
+    __slots__ = ("max_nodes", "max_seconds", "nodes", "_started")
+
+    def __init__(self, max_nodes: int | None = None, max_seconds: float | None = None):
+        self.max_nodes = max_nodes
+        self.max_seconds = max_seconds
+        self.nodes = 0
+        self._started = time.monotonic()
 
     def elapsed(self) -> float:
         return time.monotonic() - self._started

@@ -42,6 +42,7 @@ import random
 import sys
 import time
 import traceback
+from functools import cache
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -130,9 +131,14 @@ def parse_graph(text: str) -> list[tuple[str, str, str]]:
     return edges
 
 
+def _read_text(path: str) -> str:
+    """A file's text, read as bytes and decoded from UTF-8 once."""
+    with open(path, "rb") as fh:
+        return fh.read().decode("utf-8")
+
+
 def _load_edges(argument: str) -> list[tuple[str, str, str]]:
-    with open(argument, encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    return parse_graph(_read_text(argument))
 
 
 def _load_matroid(argument: str, as_graph: bool) -> BinaryMatroid:
@@ -143,20 +149,22 @@ def _load_matroid(argument: str, as_graph: bool) -> BinaryMatroid:
     except KeyError:
         pass
     if os.path.exists(argument):
-        with open(argument, encoding="utf-8") as fh:
-            return parse_matroid(fh.read())
+        return parse_matroid(_read_text(argument))
     raise ValueError(f"{argument!r} is neither a catalog key nor a file")
 
 
 # -- JSON rendering -------------------------------------------------------
 
 
-def _matroid_json(M: BinaryMatroid) -> dict:
+def _matroid_json(M: BinaryMatroid, rendered: list[str] | None = None) -> dict:
+    """M as JSON; rendered, when given, holds each column's bits_to_str."""
+    if rendered is None:
+        rendered = [bits_to_str(c, M.dim) for c in M.cols]
     return {
         "dim": M.dim,
         "rank": M.rank,
         "size": M.size,
-        "elements": [[lab, bits_to_str(c, M.dim)] for lab, c in zip(M.labels, M.cols)],
+        "elements": [[lab, bits] for lab, bits in zip(M.labels, rendered)],
     }
 
 
@@ -172,10 +180,14 @@ def _theta_json(T: ThetaGraph, M: BinaryMatroid | None = None) -> dict:
     return out
 
 
-def _trace_json(trace: ClosureTrace) -> dict:
+def _trace_json(trace: ClosureTrace, added_bits: list[str]) -> dict:
+    """The trace as JSON; added_bits renders every added vector, in the
+    order added."""
     rounds = []
+    start = 0
     for r in trace.rounds:
-        added = [bits_to_str(v, trace.final.dim) for v in r.added_vectors]
+        added = added_bits[start : start + len(r.added_vectors)]
+        start += len(added)
         # witness i was found for added vector i, its completing vector,
         # so added[i] is also the witness's rendering of it
         witnesses = [
@@ -255,8 +267,13 @@ def _cmd_closure(args, budget, report) -> int:
         )
     else:
         report["verdict"] = f"final = {final.size} elements, rank {final.rank}"
-    report["final"] = _matroid_json(final)
-    report["trace"] = _trace_json(trace)
+    # An added element's label is "v" plus its vector's bits (then a prime
+    # per clash), so each added vector is rendered once, by the closure.
+    n = trace.initial.size
+    added_bits = [lab[1 : 1 + final.dim] for lab in final.labels[n:]]
+    rendered = [bits_to_str(c, final.dim) for c in final.cols[:n]] + added_bits
+    report["final"] = _matroid_json(final, rendered)
+    report["trace"] = _trace_json(trace, added_bits)
     return 0
 
 
@@ -515,12 +532,14 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=name, **values)
 
 
-def _argparse(argv: list[str]) -> SimpleNamespace:
-    """The args of any command line, by argparse built from _GRAMMAR.
+@cache
+def _parsers():
+    """argparse's top parser and the parser of each command, built from
+    _GRAMMAR once, on first use, so that a plain command line never
+    imports argparse.
 
     Abbreviations are off.  Help and usage errors raise _Usage, with the
-    usage on one line.  The tokens after a known command go to that
-    command's parser, so its errors name it.
+    usage on one line.
     """
     import argparse
 
@@ -557,6 +576,16 @@ def _argparse(argv: list[str]) -> SimpleNamespace:
                 p.add_argument(
                     o.name, type=o.kind, default=o.default, metavar=o.metavar, help=o.help
                 )
+    return top, parsers
+
+
+def _argparse(argv: list[str]) -> SimpleNamespace:
+    """The args of any command line, by argparse (see _parsers).
+
+    The tokens after a known command go to that command's parser, so its
+    errors name it.
+    """
+    top, parsers = _parsers()
     if argv and argv[0] in parsers:
         args = parsers[argv[0]].parse_args(argv[1:])
         return SimpleNamespace(command=argv[0], **vars(args))

@@ -29,8 +29,8 @@ the piece it could not cut.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from theta3.budget import Budget
 from theta3.gf2 import MAX_DIM, DimensionError, greedy_coordinates
@@ -55,7 +55,6 @@ __all__ = [
     "parallel_connection",
     "two_sum",
     "is_projective",
-    "is_complete_graph",
     "is_circuit",
     "is_cocircuit",
     "circuit_mapping",
@@ -135,20 +134,34 @@ def cycle_matroid(edges: list[tuple[str, str, str]]) -> BinaryMatroid:
 
     A graph with more than MAX_DIM vertices is rewritten over a spanning
     forest (the greedy basis of its edges), so any graph of rank <= MAX_DIM
-    fits.
+    fits.  Its rank, the size of a spanning forest, is counted first by a
+    union-find over the edges, so a larger rank raises before any column
+    is built.
     """
     for e in edges:
         if len(e) != 3:
             raise ValueError(f"edge must be (u, v, label), got {e!r}")
     verts = sorted({u for u, _, _ in edges} | {v for _, v, _ in edges})
     pos = {v: i for i, v in enumerate(verts)}
+    if len(verts) > MAX_DIM:
+        root = list(range(len(verts)))
+        rank = 0
+        for u, v, _ in edges:
+            a, b = pos[u], pos[v]
+            while root[a] != a:
+                root[a] = a = root[root[a]]
+            while root[b] != b:
+                root[b] = b = root[root[b]]
+            if a != b:
+                root[a] = b
+                rank += 1
+        if rank > MAX_DIM:
+            raise DimensionError(f"graph of rank {rank} exceeds MAX_DIM = {MAX_DIM}")
     labels = tuple(lab for _, _, lab in edges)
     cols = tuple((1 << pos[u]) ^ (1 << pos[v]) for u, v, _ in edges)
     if len(verts) <= MAX_DIM:
         return BinaryMatroid(labels, cols, len(verts))
     coords, forest = greedy_coordinates(cols)
-    if len(forest) > MAX_DIM:
-        raise DimensionError(f"graph of rank {len(forest)} exceeds MAX_DIM = {MAX_DIM}")
     return BinaryMatroid(labels, tuple(coords), len(forest))
 
 
@@ -340,19 +353,10 @@ def complete_graph_mapping(M: BinaryMatroid) -> dict[str, str] | None:
     return mapping
 
 
-def is_complete_graph(M: BinaryMatroid) -> tuple[bool, int | None]:
-    mapping = complete_graph_mapping(M)
-    if mapping is None:
-        return False, None
-    n = (1 + isqrt(1 + 8 * M.size)) // 2
-    return True, n
-
-
 # -- build recipes --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     """One block: kind "C" (circuit), "MK", or "PG" with its size parameter.
 
     relabel maps the constructor's labels onto the final ones; identity
@@ -364,16 +368,14 @@ class Leaf:
     relabel: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
-class PNode:
+class PNode(NamedTuple):
     left: "Leaf | PNode | DNode"
     right: "Leaf | PNode | DNode"
     base_left: str
     base_right: str
 
 
-@dataclass(frozen=True)
-class DNode:
+class DNode(NamedTuple):
     parts: tuple["Leaf | PNode | DNode", ...]
 
 
@@ -489,8 +491,7 @@ def parse_recipe(text: str) -> Term:
     return out
 
 
-@dataclass(frozen=True)
-class BuildRecipe:
+class BuildRecipe(NamedTuple):
     """Term tree plus loop and parallel annotations.
 
     evaluate() reproduces the classified matroid exactly, circuits and

@@ -20,7 +20,7 @@ incomplete thetas are the matroid's own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from theta3.budget import Budget, BudgetExceededError
 from theta3.gf2 import bits, greedy_coordinates
@@ -44,7 +44,6 @@ __all__ = [
     "MatroidLabelledTree",
     "canonical_tree_decomposition",
     "recompose",
-    "trees_equivalent",
     "Verdict",
     "classify_theta3",
 ]
@@ -53,8 +52,7 @@ __all__ = [
 # -- the tree -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatroidLabelledTree:
+class MatroidLabelledTree(NamedTuple):
     """Tree of matroid parts joined by shared marker elements.
 
     edges hold (i, j, label) where label is an element of both
@@ -241,47 +239,10 @@ def recompose(T: MatroidLabelledTree) -> BinaryMatroid:
     return next(V for V in verts if V is not None)
 
 
-def trees_equivalent(T1: MatroidLabelledTree, T2: MatroidLabelledTree) -> bool:
-    """Isomorphic as kind- and real-element-labelled trees; markers ignored.
-
-    Color refinement on the disjoint union; refinement identifies trees,
-    so equal stable color multisets on the two sides decide isomorphism.
-    """
-
-    def base_colors(T: MatroidLabelledTree) -> list[tuple]:
-        markers = T.marker_labels
-        return [
-            (k, V.size, tuple(sorted(set(V.labels) - markers)))
-            for V, k in zip(T.vertices, T.kinds)
-        ]
-
-    b1, b2 = base_colors(T1), base_colors(T2)
-    if sorted(b1) != sorted(b2):
-        return False
-    n1 = len(b1)
-    total = n1 + len(b2)
-    adj: list[list[int]] = [[] for _ in range(total)]
-    for a, b, _ in T1.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    for a, b, _ in T2.edges:
-        adj[n1 + a].append(n1 + b)
-        adj[n1 + b].append(n1 + a)
-    colors: list = b1 + b2
-    for _ in range(total):
-        combos = [
-            (colors[i], tuple(sorted(colors[j] for j in adj[i]))) for i in range(total)
-        ]
-        rank = {c: k for k, c in enumerate(sorted(set(combos)))}
-        colors = [rank[c] for c in combos]
-    return sorted(colors[:n1]) == sorted(colors[n1:])
-
-
 # -- classification -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     in_class: bool
     recipe: BuildRecipe | None = None
     witness: ThetaGraph | str | None = None

@@ -2,8 +2,10 @@
 
 A BinaryMatroid is an ordered family of GF(2) columns with distinct
 string labels.  Duplicate columns (parallel elements) and zero columns
-(loops) are allowed everywhere.  All operations are pure functions; the
-dataclass is frozen and hashable, so matroids can sit in sets and dicts.
+(loops) are allowed everywhere.  All operations are pure functions; a
+matroid is immutable, equal to another exactly when their labels,
+columns and dimension are, and hashable, so matroids can sit in sets
+and dicts.
 A matroid works out its rank, its greedy coordinates and its connected
 components once, on first use, and keeps them; restrict, delete and
 simplify return M itself when they keep every element, so what M has
@@ -22,7 +24,6 @@ exactly when its columns have nullity 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
@@ -43,7 +44,6 @@ __all__ = [
     "UnknownLabelError",
     "same_matroid",
     "rank_of",
-    "closure_flat",
     "circuits",
     "delete",
     "contract",
@@ -51,10 +51,8 @@ __all__ = [
     "simplify",
     "dual",
     "direct_sum",
-    "local_connectivity",
     "connected_components",
     "is_connected",
-    "is_3connected",
     "exact_two_separations",
 ]
 
@@ -69,20 +67,43 @@ def _check_cols(labels: Iterable[str], cols: Iterable[int], dim: int) -> None:
             raise DimensionError(f"column {lab!r} = {c:#x} does not fit dimension {dim}")
 
 
-@dataclass(frozen=True)
 class BinaryMatroid:
+    """labels, int columns (bit i is row i+1) and the ambient dimension.
+
+    Attributes cannot be set or deleted.  What a matroid works out on
+    first use (its cached properties) goes straight into its __dict__.
+    """
+
     labels: tuple[str, ...]
     cols: tuple[int, ...]
     dim: int
 
-    def __post_init__(self) -> None:
-        if len(self.labels) != len(self.cols):
+    def __init__(self, labels: tuple[str, ...], cols: tuple[int, ...], dim: int) -> None:
+        if len(labels) != len(cols):
             raise ValueError("labels and cols must have equal length")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise ValueError("labels must be pairwise distinct")
-        if not 0 <= self.dim <= MAX_DIM:
-            raise DimensionError(f"ambient dimension {self.dim} outside 0..{MAX_DIM}")
-        _check_cols(self.labels, self.cols, self.dim)
+        if not 0 <= dim <= MAX_DIM:
+            raise DimensionError(f"ambient dimension {dim} outside 0..{MAX_DIM}")
+        _check_cols(labels, cols, dim)
+        self.__dict__.update(labels=labels, cols=cols, dim=dim)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a BinaryMatroid")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a BinaryMatroid")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.labels, self.cols, self.dim) == (other.labels, other.cols, other.dim)
+
+    def __hash__(self) -> int:
+        return hash((self.labels, self.cols, self.dim))
+
+    def __repr__(self) -> str:
+        return f"BinaryMatroid(labels={self.labels!r}, cols={self.cols!r}, dim={self.dim!r})"
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, int]], dim: int) -> "BinaryMatroid":
@@ -106,12 +127,10 @@ class BinaryMatroid:
         computed again.
         """
         M = object.__new__(cls)
-        object.__setattr__(M, "labels", labels)
-        object.__setattr__(M, "cols", cols)
-        object.__setattr__(M, "dim", dim)
+        M.__dict__.update(labels=labels, cols=cols, dim=dim)
         if rank is not None:
             # seeds the cached rank property
-            object.__setattr__(M, "rank", rank)
+            M.__dict__["rank"] = rank
         return M
 
     # -- basic views ---------------------------------------------------
@@ -218,19 +237,6 @@ def same_matroid(M: BinaryMatroid, N: BinaryMatroid) -> bool:
 
 def rank_of(M: BinaryMatroid, S: Iterable[str]) -> int:
     return rank_bits(M.cols[i] for i in M._positions(S))
-
-
-def closure_flat(M: BinaryMatroid, S: Iterable[str]) -> frozenset[str]:
-    """All elements whose column lies in span(S).  Idempotent, contains S.
-
-    Over a greedy basis that starts inside S, the leading r(S)
-    coordinates span S, and a column lies in span(S) exactly when it
-    uses no other coordinate.
-    """
-    first = M._positions(S)
-    coords, basis = greedy_coordinates(M.cols, first)
-    k = len(set(first).intersection(basis))
-    return frozenset(lab for lab, c in zip(M.labels, coords) if not c >> k)
 
 
 def circuits(M: BinaryMatroid, budget: Budget | None = None) -> list[frozenset[str]]:
@@ -418,11 +424,6 @@ def _compact(M: BinaryMatroid) -> BinaryMatroid:
 # -- connectivity --------------------------------------------------------
 
 
-def local_connectivity(M: BinaryMatroid, X: Iterable[str], Y: Iterable[str]) -> int:
-    X, Y = frozenset(X), frozenset(Y)
-    return rank_of(M, X) + rank_of(M, Y) - rank_of(M, X | Y)
-
-
 def _coordinate_classes(vectors: Iterable[int]) -> list[int]:
     """Coordinate masks of the connected components, given coordinates
     over a basis: two coordinates are joined when one vector uses both."""
@@ -553,10 +554,3 @@ def exact_two_separations(
             push((UNDO, i, s, piv))
             push((VISIT, i + 1, 0, 0))
     budget.tick(visited)
-
-
-def is_3connected(M: BinaryMatroid, budget: Budget | None = None) -> bool:
-    """Connected with no exact 2-separation (both sides of size >= 2)."""
-    if not is_connected(M):
-        return False
-    return next(exact_two_separations(M, budget), None) is None

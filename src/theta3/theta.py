@@ -59,9 +59,8 @@ add.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from theta3.budget import Budget
 from theta3.construct import BuildRecipe, certificate, cycle_matroid, is_projective
@@ -92,8 +91,7 @@ FULL_ENUM_LIMIT = 18
 _PREPASS_MAX_RANK = 12
 
 
-@dataclass(frozen=True)
-class ThetaGraph:
+class ThetaGraph(NamedTuple):
     """Three arcs plus their common column-sum, the completing vector."""
 
     arcs: tuple[frozenset[str], frozenset[str], frozenset[str]]
@@ -108,16 +106,14 @@ class ThetaGraph:
         return bits_to_str(self.completing, self.dim)
 
 
-@dataclass(frozen=True)
-class ClosureRound:
+class ClosureRound(NamedTuple):
     """One round: vector i was added because witness theta i lacked it."""
 
     added_vectors: tuple[int, ...]
     witnesses: tuple[ThetaGraph, ...]
 
 
-@dataclass(frozen=True)
-class ClosureTrace:
+class ClosureTrace(NamedTuple):
     initial: BinaryMatroid
     final: BinaryMatroid
     rounds: tuple[ClosureRound, ...]

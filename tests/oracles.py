@@ -10,15 +10,22 @@ exponential on purpose; keep inputs at ten-ish elements (the closure
 oracle tolerates fifteen because theta ground sets stay small).
 
 Only the BinaryMatroid container (labels, cols, dim, extend) is reused;
-none of the algorithms under test are.
+none of the algorithms under test are.  The exception is the last
+section: helpers that only tests call, built on the library's own
+routines, each checked against an oracle above or against its
+definition in the tests.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import isqrt
 from typing import Iterable
 
-from theta3.matroid import BinaryMatroid
+from theta3.construct import complete_graph_mapping
+from theta3.decompose import MatroidLabelledTree
+from theta3.gf2 import greedy_coordinates
+from theta3.matroid import BinaryMatroid, exact_two_separations, is_connected, rank_of
 
 
 def span_of(cols: Iterable[int]) -> set[int]:
@@ -372,3 +379,74 @@ def oracle_graph_theta(
 
 def oracle_graph_closed(edges: list[tuple[str, str, str]]) -> bool:
     return oracle_graph_theta(edges) is None
+
+
+# -- helpers on the library's routines ----------------------------------------
+
+
+def closure_flat(M: BinaryMatroid, S: Iterable[str]) -> frozenset[str]:
+    """All elements whose column lies in span(S).  Idempotent, contains S.
+
+    Over a greedy basis that starts inside S, the leading r(S)
+    coordinates span S, and a column lies in span(S) exactly when it
+    uses no other coordinate.
+    """
+    first = M._positions(S)
+    coords, basis = greedy_coordinates(M.cols, first)
+    k = len(set(first).intersection(basis))
+    return frozenset(lab for lab, c in zip(M.labels, coords) if not c >> k)
+
+
+def local_connectivity(M: BinaryMatroid, X: Iterable[str], Y: Iterable[str]) -> int:
+    X, Y = frozenset(X), frozenset(Y)
+    return rank_of(M, X) + rank_of(M, Y) - rank_of(M, X | Y)
+
+
+def is_3connected(M: BinaryMatroid) -> bool:
+    """Connected with no exact 2-separation (both sides of size >= 2)."""
+    if not is_connected(M):
+        return False
+    return next(exact_two_separations(M), None) is None
+
+
+def is_complete_graph(M: BinaryMatroid) -> tuple[bool, int | None]:
+    """Whether M is some M(K_n), and n."""
+    if complete_graph_mapping(M) is None:
+        return False, None
+    return True, (1 + isqrt(1 + 8 * M.size)) // 2
+
+
+def trees_equivalent(T1: MatroidLabelledTree, T2: MatroidLabelledTree) -> bool:
+    """Isomorphic as kind- and real-element-labelled trees; markers ignored.
+
+    Color refinement on the disjoint union; refinement identifies trees,
+    so equal stable color multisets on the two sides decide isomorphism.
+    """
+
+    def base_colors(T: MatroidLabelledTree) -> list[tuple]:
+        markers = T.marker_labels
+        return [
+            (k, V.size, tuple(sorted(set(V.labels) - markers)))
+            for V, k in zip(T.vertices, T.kinds)
+        ]
+
+    b1, b2 = base_colors(T1), base_colors(T2)
+    if sorted(b1) != sorted(b2):
+        return False
+    n1 = len(b1)
+    total = n1 + len(b2)
+    adj: list[list[int]] = [[] for _ in range(total)]
+    for a, b, _ in T1.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    for a, b, _ in T2.edges:
+        adj[n1 + a].append(n1 + b)
+        adj[n1 + b].append(n1 + a)
+    colors: list = b1 + b2
+    for _ in range(total):
+        combos = [
+            (colors[i], tuple(sorted(colors[j] for j in adj[i]))) for i in range(total)
+        ]
+        rank = {c: k for k, c in enumerate(sorted(set(combos)))}
+        colors = [rank[c] for c in combos]
+    return sorted(colors[:n1]) == sorted(colors[n1:])

@@ -21,7 +21,6 @@ from theta3.construct import (
     cycle_matroid,
     is_circuit,
     is_cocircuit,
-    is_complete_graph,
     is_projective,
     parallel_connection,
     projective_geometry,
@@ -33,16 +32,13 @@ from theta3.decompose import (
     canonical_tree_decomposition,
     classify_theta3,
     recompose,
-    trees_equivalent,
 )
 from theta3.matroid import (
     BinaryMatroid,
     circuits,
-    closure_flat,
     contract,
     delete,
     exact_two_separations,
-    is_3connected,
     restrict,
     simplify,
 )
@@ -55,6 +51,7 @@ from theta3.theta import (
 )
 
 import oracles
+from oracles import closure_flat, is_3connected, is_complete_graph, trees_equivalent
 from corpus import CONNECTED_CORPUS, SMALL_CORPUS, reversed_elements
 
 

@@ -330,14 +330,31 @@ def test_readme_examples_cover_every_command():
     assert {argv[0] for argv in readme_examples()} == set(cli._GRAMMAR)
 
 
-def test_importing_the_cli_does_not_import_argparse():
-    # a plain command line never needs argparse, so start-up skips it
+def run_fresh(code: str) -> str:
+    """stdout of code run in a fresh interpreter that imports this theta3."""
     src = str(Path(theta3.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = "import sys, theta3.cli; print('argparse' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout
+
+
+def test_importing_the_cli_does_not_import_argparse():
+    # a plain command line never needs argparse, so start-up skips it
+    out = run_fresh("import sys, theta3.cli; print('argparse' in sys.modules)")
+    assert out.strip() == "False"
+
+
+def test_importing_the_cli_runs_every_module_and_loads_no_heavy_stdlib():
+    # start-up runs every theta3 module, none lazily, and needs neither
+    # dataclasses nor the inspect chain it pulls in
+    out = run_fresh(
+        "import json, sys, theta3.cli; print(json.dumps(sorted(m for m in sys.modules "
+        "if m in ('argparse', 'dataclasses', 'inspect') or m.startswith('theta3.'))))"
+    )
+    package = Path(theta3.__file__).parent
+    submodules = sorted(f"theta3.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__")
+    assert json.loads(out) == submodules

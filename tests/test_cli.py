@@ -597,6 +597,16 @@ def test_parse_error_dim_too_large(capsys, tmp_path):
     assert "MAX_DIM" in rep["error"]
 
 
+@pytest.mark.parametrize("flags", [(), ("--graph",)])
+def test_input_file_that_is_not_utf8_exits_two(capsys, tmp_path, flags):
+    path = tmp_path / "latin1.matroid"
+    path.write_bytes(b"dim 2\n\xe9 10\n")
+    code = cli.main(["check", str(path), *flags])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert json.loads(out)["error"].startswith("'utf-8' codec can't decode byte 0xe9")
+
+
 def test_unknown_input_exits_two(capsys):
     code, rep = run_cli(capsys, "check", "NO_SUCH_KEY")
     assert code == 2

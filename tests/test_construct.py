@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from theta3 import construct
 from theta3.gf2 import DimensionError, rank_bits
 from theta3.matroid import (
     BinaryMatroid,
@@ -28,7 +29,6 @@ from theta3.construct import (
     cycle_matroid,
     is_circuit,
     is_cocircuit,
-    is_complete_graph,
     is_projective,
     parallel_connection,
     projective_geometry,
@@ -38,6 +38,7 @@ from theta3.construct import (
 )
 
 import oracles
+from oracles import is_complete_graph
 
 
 def _ckey(c):
@@ -111,6 +112,22 @@ def test_cycle_matroid_rejects_malformed_edges_and_big_graphs():
     too_big = [(f"x{i}", f"x{i+1}", f"t{i}") for i in range(17)]
     with pytest.raises(DimensionError):
         cycle_matroid(too_big)
+
+
+def test_cycle_matroid_counts_the_rank_before_building_a_column(monkeypatch):
+    # a 32000-vertex path: the union-find rejects it, and no column is
+    # coordinatized
+    def fail(*args):
+        raise AssertionError("greedy_coordinates called")
+
+    monkeypatch.setattr(construct, "greedy_coordinates", fail)
+    path = [(f"x{i}", f"x{i + 1}", f"t{i}") for i in range(31999)]
+    with pytest.raises(DimensionError, match="rank 31999 exceeds MAX_DIM = 16"):
+        cycle_matroid(path)
+    # a chorded path of rank 16 on 17 vertices gets past the count
+    chorded = path[:16] + [("x2", "x8", "chord")]
+    with pytest.raises(AssertionError, match="greedy_coordinates called"):
+        cycle_matroid(chorded)
 
 
 def test_cycle_matroid_is_limited_by_rank_not_vertices():

@@ -37,7 +37,6 @@ from theta3.decompose import (
     canonical_tree_decomposition,
     classify_theta3,
     recompose,
-    trees_equivalent,
 )
 from theta3.matroid import (
     BinaryMatroid,
@@ -45,7 +44,6 @@ from theta3.matroid import (
     connected_components,
     direct_sum,
     exact_two_separations,
-    is_3connected,
     restrict,
     same_matroid,
     simplify,
@@ -53,6 +51,7 @@ from theta3.matroid import (
 from theta3.theta import ThetaGraph, is_theta3_closed
 
 import oracles
+from oracles import is_3connected, trees_equivalent
 from corpus import CONNECTED_CORPUS, SMALL_CORPUS, reversed_elements
 
 

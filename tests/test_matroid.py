@@ -26,22 +26,20 @@ from theta3.matroid import (
     UnknownLabelError,
     _circuit_masks,
     circuits,
-    closure_flat,
     connected_components,
     contract,
     delete,
     direct_sum,
     dual,
     exact_two_separations,
-    is_3connected,
     is_connected,
-    local_connectivity,
     rank_of,
     restrict,
     simplify,
 )
 
 import oracles
+from oracles import closure_flat, is_3connected, local_connectivity
 from corpus import SMALL_CORPUS
 
 
