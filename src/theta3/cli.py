@@ -18,7 +18,7 @@ comment; with --graph the file is `u v label` edge lines instead.
 check --graph and closure --graph work on the graph itself: check
 decides by one flow per vertex pair, reading the report's size and
 rank from one pass over the edges, and builds the cycle matroid only
-for a witness; closure runs its rounds as flows.  check --graph
+for a witness; closure runs one round of flows.  check --graph
 --no-shortcut and decompose --graph work on the cycle matroid, and the
 first by the circuit-pair scan.  When a recipe certificate proved
 check's closed verdict, the report's recipe slot holds that recipe.
@@ -41,7 +41,6 @@ import os
 import random
 import sys
 import time
-import traceback
 from functools import cache
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -58,6 +57,7 @@ from theta3.matroid import (
 )
 from theta3.construct import (
     BuildRecipe,
+    _Graph,
     catalog_listing,
     catalog_matroid,
     evaluate_term,
@@ -69,7 +69,6 @@ from theta3.construct import (
 from theta3.theta import (
     ClosureTrace,
     ThetaGraph,
-    _Graph,
     _graph_closure,
     _graph_theta,
     is_complete,
@@ -441,7 +440,7 @@ _GRAMMAR = {
     "decompose": _Command("canonical tree and class verdict", _INPUT, (*_BUDGET, _GRAPH)),
     "build": _Command(
         "evaluate a recipe term",
-        ("term", "e.g. 'P(MK(4), C(3); base=1-2)'", True),
+        ("term", "e.g. 'P(MK(4), C(3); base=1-2,e1)'", True),
         _BUDGET,
     ),
     "crossval": _Command(
@@ -613,9 +612,25 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_argv(argv)
     except _Usage as exc:
-        print(exc.text, file=sys.stdout if exc.code == 0 else sys.stderr)
-        return exc.code
+        code, text = exc.code, exc.text
+        stream = sys.stdout if code == 0 else sys.stderr
+    else:
+        code, report = _report(args)
+        text, stream = json.dumps(report, separators=(",", ":")), sys.stdout
+    try:
+        print(text, file=stream)
+        stream.flush()
+    except BrokenPipeError:
+        # The reader has gone away.  Python flushes the stream again at
+        # exit, so point it at devnull to keep that flush from raising too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+    return code
 
+
+def _report(args: SimpleNamespace) -> tuple[int, dict]:
+    """Run the command that args names: its exit code and its report."""
     report: dict = {
         "command": args.command,
         "input": None,
@@ -644,20 +659,13 @@ def main(argv: list[str] | None = None) -> int:
         report["error"] = str(exc)
         code = 2
     except Exception as exc:
+        import traceback
+
         report["error"] = f"internal error: {type(exc).__name__}: {exc}"
         traceback.print_exc(file=sys.stderr)
         code = 4
     report["timings"]["total_s"] = round(time.perf_counter() - started, 6)
-    try:
-        print(json.dumps(report, separators=(",", ":")))
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader has gone away.  Python flushes stdout again at exit,
-        # so point it at devnull to keep that flush from raising too.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-    return code
+    return code, report
 
 
 def run(command: str, args: list[str]) -> int:

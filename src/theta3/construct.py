@@ -29,6 +29,7 @@ the piece it could not cut.
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from math import isqrt
 from typing import NamedTuple
 
@@ -134,20 +135,49 @@ def cycle_matroid(edges: list[tuple[str, str, str]]) -> BinaryMatroid:
 
     A graph with more than MAX_DIM vertices is rewritten over a spanning
     forest (the greedy basis of its edges), so any graph of rank <= MAX_DIM
-    fits.  Its rank, the size of a spanning forest, is counted first by a
-    union-find over the edges, so a larger rank raises before any column
-    is built.
+    fits.  Its rank, the size of a spanning forest, is counted first by
+    _Graph's union-find, so a larger rank raises before any column is
+    built.
     """
     for e in edges:
         if len(e) != 3:
             raise ValueError(f"edge must be (u, v, label), got {e!r}")
     verts = sorted({u for u, _, _ in edges} | {v for _, v, _ in edges})
-    pos = {v: i for i, v in enumerate(verts)}
     if len(verts) > MAX_DIM:
-        root = list(range(len(verts)))
+        _Graph(edges)
+    pos = {v: i for i, v in enumerate(verts)}
+    labels = tuple(lab for _, _, lab in edges)
+    cols = tuple((1 << pos[u]) ^ (1 << pos[v]) for u, v, _ in edges)
+    if len(verts) <= MAX_DIM:
+        return BinaryMatroid(labels, cols, len(verts))
+    coords, forest = greedy_coordinates(cols)
+    return BinaryMatroid(labels, tuple(coords), len(forest))
+
+
+class _Graph:
+    """An edge list read in one pass, for the flows.
+
+    Vertices are numbered in the order in which they first appear, and
+    first maps each ordered pair (a, b) of adjacent vertices to the
+    index of the first edge between them; loops add no pair.  rank is
+    the rank of the cycle matroid, the number of vertices minus the
+    number of components, which a union-find over the adjacent pairs
+    counts.  Like cycle_matroid, the pass rejects a rank above MAX_DIM
+    and then a repeated label.  The cycle matroid itself is built only
+    when matroid is read.
+    """
+
+    def __init__(self, edges: list[tuple[str, str, str]]):
+        index: dict[str, int] = {}
+        first: dict[tuple[int, int], int] = {}
+        root = list(range(2 * len(edges)))
         rank = 0
-        for u, v, _ in edges:
-            a, b = pos[u], pos[v]
+        for j, (u, v, _) in enumerate(edges):
+            a = index.setdefault(u, len(index))
+            b = index.setdefault(v, len(index))
+            if a == b or (a, b) in first:
+                continue
+            first[a, b] = first[b, a] = j
             while root[a] != a:
                 root[a] = a = root[root[a]]
             while root[b] != b:
@@ -157,12 +187,17 @@ def cycle_matroid(edges: list[tuple[str, str, str]]) -> BinaryMatroid:
                 rank += 1
         if rank > MAX_DIM:
             raise DimensionError(f"graph of rank {rank} exceeds MAX_DIM = {MAX_DIM}")
-    labels = tuple(lab for _, _, lab in edges)
-    cols = tuple((1 << pos[u]) ^ (1 << pos[v]) for u, v, _ in edges)
-    if len(verts) <= MAX_DIM:
-        return BinaryMatroid(labels, cols, len(verts))
-    coords, forest = greedy_coordinates(cols)
-    return BinaryMatroid(labels, tuple(coords), len(forest))
+        if len({lab for _, _, lab in edges}) != len(edges):
+            raise ValueError("labels must be pairwise distinct")
+        self.edges = edges
+        self.n = len(index)
+        self.first = first
+        self.size = len(edges)
+        self.rank = rank
+
+    @cached_property
+    def matroid(self) -> BinaryMatroid:
+        return cycle_matroid(self.edges)
 
 
 # -- graph edge lists used by the catalog and the test samplers ----------

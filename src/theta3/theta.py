@@ -51,20 +51,19 @@ on the edge list alone: the cycle matroid is built only for a
 witness's completing vector, the sum of the columns along any of its
 three paths.  The closure of a graph is a graph too, since each
 completing vector is a new edge xy, so graph_theta3_closure (closure
---graph) runs theta3_closure's rounds as flows: a round adds xy for
-every pair that the flows refute, which is every vector the round can
-add.
+--graph) runs one round of flows: it adds xy for every pair that the
+flows refute, which is every vector a round can add, and the graph this
+gives is closed (the lemma in _graph_closure's docstring).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from theta3.budget import Budget
-from theta3.construct import BuildRecipe, certificate, cycle_matroid, is_projective
-from theta3.gf2 import MAX_DIM, DimensionError, bits, bits_to_str, pivots_of, zero_residues
+from theta3.construct import BuildRecipe, _Graph, certificate, is_projective
+from theta3.gf2 import bits, bits_to_str, pivots_of, zero_residues
 from theta3.matroid import BinaryMatroid, _circuit_masks, simplify
 
 __all__ = [
@@ -465,52 +464,6 @@ def _closure_rounds(
     return cur, ClosureTrace(initial=start, final=cur, rounds=tuple(rounds))
 
 
-class _Graph:
-    """An edge list read in one pass, for the flows.
-
-    Vertices are numbered in the order in which they first appear, and
-    first maps each ordered pair (a, b) of adjacent vertices to the
-    index of the first edge between them; loops add no pair.  rank is
-    the rank of the cycle matroid, the number of vertices minus the
-    number of components, which a union-find over the adjacent pairs
-    counts.  Like cycle_matroid, the pass rejects a rank above MAX_DIM
-    and then a repeated label.  The cycle matroid itself is built only
-    when matroid is read.
-    """
-
-    def __init__(self, edges: list[tuple[str, str, str]]):
-        index: dict[str, int] = {}
-        first: dict[tuple[int, int], int] = {}
-        root = list(range(2 * len(edges)))
-        rank = 0
-        for j, (u, v, _) in enumerate(edges):
-            a = index.setdefault(u, len(index))
-            b = index.setdefault(v, len(index))
-            if a == b or (a, b) in first:
-                continue
-            first[a, b] = first[b, a] = j
-            while root[a] != a:
-                root[a] = a = root[root[a]]
-            while root[b] != b:
-                root[b] = b = root[root[b]]
-            if a != b:
-                root[a] = b
-                rank += 1
-        if rank > MAX_DIM:
-            raise DimensionError(f"graph of rank {rank} exceeds MAX_DIM = {MAX_DIM}")
-        if len({lab for _, _, lab in edges}) != len(edges):
-            raise ValueError("labels must be pairwise distinct")
-        self.edges = edges
-        self.n = len(index)
-        self.first = first
-        self.size = len(edges)
-        self.rank = rank
-
-    @cached_property
-    def matroid(self) -> BinaryMatroid:
-        return cycle_matroid(self.edges)
-
-
 def _path_sum(cols: tuple[int, ...], mask: int) -> int:
     """The sum of the columns at the set bits of mask."""
     w = 0
@@ -520,19 +473,19 @@ def _path_sum(cols: tuple[int, ...], mask: int) -> int:
 
 
 def _refuted_pairs(
-    n: int, first: dict[tuple[int, int], int], budget: Budget | None
+    graph: _Graph, budget: Budget | None
 ) -> Iterator[tuple[int, int, list[int]]]:
-    """(x, y, three paths) for each non-adjacent pair of vertices joined by
-    three internally disjoint paths, in a graph on 0..n-1 whose ordered
-    adjacent pairs are the keys of first.
+    """(x, y, three paths) for each non-adjacent pair of vertices of the
+    graph joined by three internally disjoint paths.
 
     Only vertices with at least three distinct neighbours are paired,
     in vertex order.  The flow network (see _split_network) is built
     once, at the first pair that needs it, and each pair starts from a
     copy of its capacities.  A BFS for an augmenting path from x_out to
     y_in ticks the budget once; the third path found ends the search.
-    A path is a mask of the edges first names for its steps.
+    A path is a mask of the edges graph.first names for its steps.
     """
+    n, first = graph.n, graph.first
     degree = [0] * n
     for a, _ in first:
         degree[a] += 1
@@ -576,7 +529,7 @@ def _graph_theta(graph: _Graph, budget: Budget | None = None) -> ThetaGraph | No
     input order between its ends; the cycle matroid is built only then,
     for the completing vector, the sum of arc 1's columns.
     """
-    for _, _, masks in _refuted_pairs(graph.n, graph.first, budget):
+    for _, _, masks in _refuted_pairs(graph, budget):
         M = graph.matroid
         return _theta(M, masks, _path_sum(M.cols, masks[0]))
     return None
@@ -585,37 +538,46 @@ def _graph_theta(graph: _Graph, budget: Budget | None = None) -> ThetaGraph | No
 def _graph_closure(
     graph: _Graph, strategy: str, budget: Budget | None
 ) -> tuple[BinaryMatroid, ClosureTrace]:
-    """theta3_closure of the graph's cycle matroid, with rounds of flows.
+    """theta3_closure of the graph's cycle matroid, by one round of flows.
 
     The start is simplify's: loops dropped, and the smallest label of
     each parallel class kept, so the simple graph has one edge per
-    adjacent pair.  A round tests every non-adjacent pair (see
-    _refuted_pairs) and finds the vector xy of each pair joined by three
+    adjacent pair.  The flows test every non-adjacent pair (see
+    _refuted_pairs) and find the vector xy of each pair joined by three
     internally disjoint paths, the sum of any of those paths, with the
-    paths as its witness; these are exactly the round's incomplete
-    thetas' completing vectors.  Each added vector becomes the edge xy
-    of the next round's graph.
+    paths as its witness; these are exactly the incomplete thetas'
+    completing vectors.  Adding them all reaches the fixed point:
+
+    Lemma.  Let G be a simple graph, and let G' add the edge xy for
+    every non-adjacent pair x, y of G joined by three internally
+    disjoint paths.  Then no non-adjacent pair of G' is joined by three
+    internally disjoint paths in G'.
+
+    Proof.  Let x, y be non-adjacent in G'.  Then G has no three
+    internally disjoint x-y paths, or G' would have the edge xy, so by
+    Menger's theorem a set S of at most two vertices, neither x nor y,
+    separates x from y in G.  An
+    added edge uv joins a pair that no two vertices separate, so u and
+    v lie in one component of G - S, or one of them is in S: no added
+    edge joins two components of G - S.  So S separates x from y in G'
+    too, and G' has at most two internally disjoint x-y paths.
+
+    So the flows run once, on the simple graph, and every round takes
+    its vectors from their hits, ascending: find returns the hits that
+    the current matroid does not hold yet.  Under one_at_a_time each
+    witness is therefore three paths of the input graph, an incomplete
+    theta of every round's matroid, since the vectors added before it
+    are other vectors.
     """
     start = simplify(graph.matroid)
     kept = set(start.labels)
     simple = _Graph([e for e in graph.edges if e[2] in kept])
-    first = simple.first  # grows by the edges each round adds
-    ends: dict[int, tuple[int, int]] = {}  # a vector found, by its pair
-
-    def find(cur: BinaryMatroid) -> list[tuple[int, ThetaGraph]]:
-        # the elements added since the last round, as edges
-        for j in range(len(first) // 2, cur.size):
-            a, b = ends[cur.cols[j]]
-            first[a, b] = first[b, a] = j
-        found = []
-        for x, y, masks in _refuted_pairs(simple.n, first, budget):
-            w = _path_sum(cur.cols, masks[0])
-            ends[w] = (x, y)
-            found.append((w, _theta(cur, masks, w)))
-        found.sort(key=lambda hit: hit[0])
-        return found
-
-    return _closure_rounds(start, find, strategy)
+    found = []
+    for _, _, masks in _refuted_pairs(simple, budget):
+        w = _path_sum(start.cols, masks[0])
+        found.append((w, _theta(start, masks, w)))
+    found.sort(key=lambda hit: hit[0])
+    return _closure_rounds(start, lambda cur: found[cur.size - start.size :], strategy)
 
 
 def _split_network(
@@ -703,10 +665,11 @@ def graph_theta3_closure(
     strategy: str = "batch",
     budget: Budget | None = None,
 ) -> tuple[BinaryMatroid, ClosureTrace]:
-    """theta3_closure(cycle_matroid(edges)) by rounds of flows on the graph.
+    """theta3_closure(cycle_matroid(edges)) by one round of flows on the graph.
 
     The final holds the same elements under the same labels, the added
     ones perhaps in another order; the rounds are true batch rounds,
-    since the flows find every vector a round can add.
+    since the flows find every vector a round can add, and under batch
+    there is one round at most (see _graph_closure).
     """
     return _graph_closure(_Graph(edges), strategy, budget)

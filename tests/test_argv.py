@@ -76,7 +76,7 @@ def reference_parser() -> argparse.ArgumentParser:
     c.add_argument("--graph", action="store_true", help="input file is an edge list")
 
     c = sub.add_parser("build", parents=[common], help="evaluate a recipe term")
-    c.add_argument("term", nargs="+", help="e.g. 'P(MK(4), C(3); base=1-2)'")
+    c.add_argument("term", nargs="+", help="e.g. 'P(MK(4), C(3); base=1-2,e1)'")
 
     c = sub.add_parser(
         "crossval", parents=[common], help="classifier vs direct decision sweep"
@@ -330,6 +330,17 @@ def test_readme_examples_cover_every_command():
     assert {argv[0] for argv in readme_examples()} == set(cli._GRAMMAR)
 
 
+def test_readme_examples_answer(capsys, monkeypatch, tmp_path):
+    # every example runs as written, in a directory that holds the
+    # input.graph it names, and ends in a verdict (exit 0 or 1), never in
+    # a usage or input error
+    monkeypatch.chdir(tmp_path)
+    Path("input.graph").write_text("a b ab\na c ac\na d ad\nb c bc\nb d bd\nc d cd\n")
+    for argv in readme_examples():
+        assert cli.main(argv) in (0, 1), argv
+        capsys.readouterr()
+
+
 def run_fresh(code: str) -> str:
     """stdout of code run in a fresh interpreter that imports this theta3."""
     src = str(Path(theta3.__file__).resolve().parent.parent)
@@ -350,10 +361,12 @@ def test_importing_the_cli_does_not_import_argparse():
 
 def test_importing_the_cli_runs_every_module_and_loads_no_heavy_stdlib():
     # start-up runs every theta3 module, none lazily, and needs neither
-    # dataclasses nor the inspect chain it pulls in
+    # dataclasses nor the inspect chain it pulls in, nor traceback, which
+    # only an internal error (exit 4) prints
     out = run_fresh(
         "import json, sys, theta3.cli; print(json.dumps(sorted(m for m in sys.modules "
-        "if m in ('argparse', 'dataclasses', 'inspect') or m.startswith('theta3.'))))"
+        "if m in ('argparse', 'dataclasses', 'inspect', 'traceback') "
+        "or m.startswith('theta3.'))))"
     )
     package = Path(theta3.__file__).parent
     submodules = sorted(f"theta3.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__")

@@ -484,7 +484,9 @@ def test_graph_not_closed_for_k23_and_bare_thetas():
 
 def test_graph_flows_agree_with_the_scan_on_every_simple_graph_on_six_vertices():
     # All 2^15 labelled simple graphs on six vertices; 23501 are closed.
-    # About 6 s on a 2-core host, nearly all of it in the scan.
+    # About 6 s on a 2-core host, nearly all of it in the scan.  Each
+    # graph that is not closed is closed once it gains an edge per
+    # refuted pair, the lemma in _graph_closure's docstring.
     pairs = [(a, b) for a in range(6) for b in range(a + 1, 6)]
     closed = 0
     for mask in range(1 << len(pairs)):
@@ -497,6 +499,14 @@ def test_graph_flows_agree_with_the_scan_on_every_simple_graph_on_six_vertices()
         by_scan, _ = is_theta3_closed(cycle_matroid(edges), use_shortcut=False)
         assert by_flows == by_scan, edges
         closed += by_flows
+        if not by_flows:
+            # _Graph numbers the vertices in the order they first appear
+            names = list(dict.fromkeys(v for u, w, _ in edges for v in (u, w)))
+            added = [
+                (names[x], names[y], f"a{x}{y}")
+                for x, y, _ in theta._refuted_pairs(theta._Graph(edges), None)
+            ]
+            assert added and graph_is_theta3_closed(edges + added), edges
     assert closed == 23501
 
 
@@ -548,8 +558,9 @@ def _round_matroids(trace):
 def test_graph_closure_matches_the_matroid_route():
     # The flows' final is theta3_closure's, label for label, for either
     # strategy, and every witness is an incomplete theta of its round.
-    # One vector at a time, later rounds run on a graph that holds the
-    # edges added before, and their witnesses may use them.
+    # The flows run once, on the simple input graph, so one vector at a
+    # time every witness is three paths of that graph, in later rounds
+    # too.
     rng = random.Random(8)
     later_rounds = 0
     for _ in range(300):
@@ -565,6 +576,7 @@ def test_graph_closure_matches_the_matroid_route():
                     assert wit.completing == w and w not in M.colset
                     oracles.oracle_validate_theta(M, wit.arcs)
                     assert not oracles.oracle_is_complete(M, wit.arcs)[0]
+                    assert wit.elements <= set(trace.initial.labels)
                 later_rounds += M.size > trace.initial.size
     assert later_rounds > 50
 
@@ -587,13 +599,18 @@ def test_graph_closure_rounds_are_the_oracle_batch_rounds():
     assert nonempty >= 10
 
 
+def _wheel(hub, rim, tag=""):
+    n = len(rim)
+    edges = [(hub, rim[i], f"{tag}s{i}") for i in range(n)]
+    return edges + [(rim[i], rim[(i + 1) % n], f"{tag}t{i}") for i in range(n)]
+
+
 def test_graph_closure_of_a_wheel_takes_one_round_of_flows():
     # W16 has 17 vertices, so its columns are over a spanning forest.  Its
-    # 104 non-adjacent pairs of rim vertices are all refuted in round 1,
-    # at three searches each, and round 2 has no pair left to test: the
-    # final is M(K17).  The matroid route takes 69377 nodes.
-    edges = [("h", f"r{i}", f"s{i}") for i in range(16)]
-    edges += [(f"r{i}", f"r{(i + 1) % 16}", f"t{i}") for i in range(16)]
+    # 104 non-adjacent pairs of rim vertices are all refuted, at three
+    # searches each, and no flow runs after that: the final is M(K17).
+    # The matroid route takes 69377 nodes.
+    edges = _wheel("h", [f"r{i}" for i in range(16)])
     budget = Budget()
     final, trace = graph_theta3_closure(edges, budget=budget)
     assert budget.nodes == 312
@@ -602,6 +619,26 @@ def test_graph_closure_of_a_wheel_takes_one_round_of_flows():
     assert _labelled(final) == _labelled(want)
     with pytest.raises(BudgetExceededError):
         graph_theta3_closure(edges, budget=Budget(max_nodes=311))
+    # one vector at a time takes 104 rounds from the same flows, which
+    # run once
+    budget = Budget()
+    final, trace = graph_theta3_closure(edges, strategy="one_at_a_time", budget=budget)
+    assert budget.nodes == 312
+    assert final.size == 136 and len(trace.rounds) == 104
+    # two copies of W6 sharing a rim edge close to two K7 sharing that
+    # edge, 41 elements; no round of flows confirms the fixed point, which
+    # would cost 75 nodes more
+    edges = _wheel("h", [f"r{i}" for i in range(6)], "a")
+    edges += [
+        e for e in _wheel("g", ["r0", "r1"] + [f"q{i}" for i in range(2, 6)], "b")
+        if e[2] != "bt0"  # the shared edge r0-r1, kept once as at0
+    ]
+    budget = Budget()
+    final, trace = graph_theta3_closure(edges, budget=budget)
+    assert budget.nodes == 129
+    assert final.size == 41 and len(trace.rounds) == 1
+    want, _ = theta3_closure(cycle_matroid(edges))
+    assert _labelled(final) == _labelled(want)
 
 
 # -- the package surface -------------------------------------------------------
