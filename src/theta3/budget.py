@@ -13,7 +13,8 @@ import time
 
 __all__ = ["Budget", "BudgetExceededError"]
 
-# tick() consults the clock only once per this many nodes.
+# The batch size of batch_limit(): a hot loop that counts nodes itself
+# ticks, and so reads the clock, at least once per this many nodes.
 CHECK_EVERY = 4096
 
 
@@ -29,12 +30,12 @@ class BudgetExceededError(Exception):
 class Budget:
     """Mutable node/time budget shared across one logical computation.
 
-    max_nodes / max_seconds of None mean unlimited.  tick() is cheap:
-    the clock is only consulted every CHECK_EVERY nodes, and a tick of
-    that many nodes or more always consults it.  A hot loop may count
-    nodes itself and tick once per batch_limit() of them.  check_time()
-    reads the clock without counting a node.  The clock starts when the
-    budget is made.
+    max_nodes / max_seconds of None mean unlimited.  With max_seconds
+    set, every tick() reads the clock, since one node may be a pass over
+    every coordinate.  A hot loop whose nodes are cheap may count them
+    itself and tick once per batch_limit() of them.  check_time() reads
+    the clock without counting a node.  The clock starts when the budget
+    is made.
     """
 
     __slots__ = ("max_nodes", "max_seconds", "nodes", "_started")
@@ -63,16 +64,18 @@ class Budget:
     def batch_limit(self) -> int:
         """How many nodes a caller may count itself before it must tick.
 
-        CHECK_EVERY, so that batched ticks read the clock as often as
-        single ones; or, when the node cap is nearer, one more than the
-        nodes left under it, so the batch that crosses the cap raises on
-        the same node, with the same count, as ticking one by one.
+        CHECK_EVERY, so that a batched loop reads the clock at least
+        once per that many nodes; or, when the node cap is nearer, one
+        more than the nodes left under it, so the batch that crosses the
+        cap raises on the same node, with the same count, as ticking one
+        by one.
         """
         if self.max_nodes is None:
             return CHECK_EVERY
         return min(CHECK_EVERY, self.max_nodes - self.nodes + 1)
 
     def tick(self, count: int = 1) -> None:
+        """Count nodes, then raise if either limit has passed."""
         self.nodes += count
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise BudgetExceededError(
@@ -80,5 +83,4 @@ class Budget:
                 nodes=self.nodes,
                 seconds=self.elapsed(),
             )
-        if self.max_seconds is not None and self.nodes % CHECK_EVERY < count:
-            self.check_time()
+        self.check_time()

@@ -342,22 +342,19 @@ def _cmd_crossval(args, budget, report) -> int:
     # both geometries first, so that a bad rank fails before any sweep
     pg = projective_geometry(args.exhaustive_rank)
     big = projective_geometry(args.sample_rank)
-    for mask in range(1 << pg.size):
-        sub = restrict(pg, [pg.labels[i] for i in range(pg.size) if mask >> i & 1])
-        checked += 1
-        bad = _crossval_instance(sub, budget)
-        if bad is not None:
-            bad["kind"] = "exhaustive"
-            mismatches.append(bad)
     rng = random.Random(args.seed)
-    for _ in range(args.samples):
-        mask = rng.randrange(1 << big.size)
-        sub = restrict(big, [big.labels[i] for i in range(big.size) if mask >> i & 1])
-        checked += 1
-        bad = _crossval_instance(sub, budget)
-        if bad is not None:
-            bad["kind"] = "random"
-            mismatches.append(bad)
+    sweeps = (
+        ("exhaustive", pg, range(1 << pg.size)),
+        ("random", big, (rng.randrange(1 << big.size) for _ in range(args.samples))),
+    )
+    for kind, geom, masks in sweeps:
+        for mask in masks:
+            sub = restrict(geom, [lab for i, lab in enumerate(geom.labels) if mask >> i & 1])
+            checked += 1
+            bad = _crossval_instance(sub, budget)
+            if bad is not None:
+                bad["kind"] = kind
+                mismatches.append(bad)
     report["verdict"] = not mismatches
     report["checked"] = checked
     report["mismatches"] = mismatches

@@ -85,9 +85,10 @@ __all__ = [
 # certificate at every size.
 FULL_ENUM_LIMIT = 18
 
-# Rank cap for the pair-route prepass in is_theta3_closed; the exact
-# searches behind it have no caps, only the caller's Budget.
-_PREPASS_MAX_RANK = 12
+# Distinct-column cap for the pair-route prepass in is_theta3_closed: its
+# table of column pairs stays under 8.4M, and every rank of 12 or less
+# fits.  The exact searches behind it are capped only by the Budget.
+_PREPASS_MAX_COLUMNS = 1 << 12
 
 
 class ThetaGraph(NamedTuple):
@@ -348,9 +349,10 @@ def is_theta3_closed(
     With use_shortcut enabled, a simple matroid whose columns exhaust
     every nonzero vector of their span is accepted immediately (a full
     projective restriction has no room for an incomplete theta).  Up to
-    rank _PREPASS_MAX_RANK, a pair-route sweep over the missing pair
-    sums catches most negatives quickly: it finds every incomplete
-    theta whose three arcs have two elements each, and none other.
+    _PREPASS_MAX_COLUMNS distinct columns, which takes in every input of
+    rank 12 or less, a pair-route sweep over the missing pair sums
+    catches most negatives quickly: it finds every incomplete theta
+    whose three arcs have two elements each, and none other.
     With use_shortcut enabled and more than FULL_ENUM_LIMIT elements, a
     recipe certificate then proves a member of the class closed (the
     paper's theorem), in polynomial time; for a non-member it names the
@@ -359,7 +361,7 @@ def is_theta3_closed(
     """
     if use_shortcut and is_projective(M):
         return True, None
-    if M.rank <= _PREPASS_MAX_RANK:
+    if len(M.colset) <= _PREPASS_MAX_COLUMNS:
         prepass = _pair_route_hits(M, budget)
         for _, hit in prepass:
             return False, hit

@@ -647,8 +647,8 @@ def test_budget_nodes_exit_three(capsys):
 
 
 def test_budget_seconds_exit_three(capsys):
-    # the clock is only consulted every few thousand nodes, so the
-    # instance must be large enough to reach a checkpoint
+    # every charge of the budget reads the clock, so a search of any
+    # size stops at its first charge past the limit
     code, rep = run_cli(capsys, "check", "MK(7)", "--no-shortcut", "--max-seconds", "1e-9")
     assert code == 3
     assert "budget exceeded" in rep["error"]

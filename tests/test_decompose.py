@@ -16,6 +16,7 @@ from theta3.construct import (
     Term,
     block_leaf,
     catalog_matroid,
+    certificate,
     circuit_matroid,
     complete_bipartite_edges,
     complete_graph_matroid,
@@ -139,6 +140,24 @@ def test_no_same_kind_circuit_or_cocircuit_adjacency():
             ka, kb = t.kinds[a], t.kinds[b]
             assert not (ka == kb == "Circuit"), name
             assert not (ka == kb == "Cocircuit"), name
+
+
+def test_split_moves_tree_edges_to_the_new_vertex():
+    # A 7-cycle with five chords, one of them parallel to c0.  A later
+    # split of a vertex sends to its new half a marker of an edge made by
+    # an earlier split, so that edge is relinked to the new vertex.
+    edges = [(f"v{i}", f"v{(i + 1) % 7}", f"c{i}") for i in range(7)]
+    edges += [
+        ("v0", "v5", "x0"),
+        ("v1", "v0", "x1"),
+        ("v5", "v2", "x2"),
+        ("v0", "v4", "x3"),
+        ("v0", "v3", "x4"),
+    ]
+    m = cycle_matroid(edges)
+    t = canonical_tree_decomposition(m)
+    _check_tree(t)
+    assert same_matroid(m, recompose(t))
 
 
 def test_recompose_round_trips_circuits():
@@ -375,6 +394,23 @@ def test_classify_agrees_with_the_decision_procedure_on_corpus():
 def test_classify_budget_propagates():
     with pytest.raises(BudgetExceededError):
         classify_theta3(catalog_matroid("MSTAR_K5"), budget=Budget(max_nodes=2))
+
+
+def test_certificate_reads_the_clock_at_its_first_cut_point():
+    # a cut point is a pass over every coordinate, so its one node must
+    # read the clock; MSTAR_K5 is no block and reaches the cut points
+    budget = Budget(max_seconds=1)
+    budget._started -= 2
+    with pytest.raises(BudgetExceededError, match="time budget exhausted"):
+        certificate(catalog_matroid("MSTAR_K5"), budget)
+    assert budget.nodes == 1
+
+
+def test_every_tick_reads_the_clock():
+    budget = Budget(max_seconds=1)
+    budget._started -= 2
+    with pytest.raises(BudgetExceededError, match="time budget exhausted"):
+        budget.tick()
 
 
 def test_classify_names_the_piece_when_the_search_runs_out():

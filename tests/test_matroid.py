@@ -307,6 +307,30 @@ def test_direct_sum_unions_circuits():
         direct_sum(a, a)
 
 
+def test_direct_sum_compacts_when_the_dimensions_do_not_fit():
+    # Two 9-vertex graphs: dimensions 9 + 9 > MAX_DIM, ranks 5 + 6 fit.
+    def edge(u, v):
+        return (u, v, u + v)
+
+    a = cycle_matroid(
+        [edge("a0", "a1"), edge("a1", "a2"), edge("a2", "a0")]
+        + [edge("a3", "a4"), edge("a5", "a6"), edge("a7", "a8")]
+    )
+    b = cycle_matroid(
+        [edge(f"b{i}", f"b{(i + 1) % 5}") for i in range(5)]
+        + [edge("b5", "b6"), edge("b7", "b8")]
+    )
+    assert (a.dim, a.rank, b.dim, b.rank) == (9, 5, 9, 6)
+    s = direct_sum(a, b)
+    assert s.dim == s.rank == 11
+    assert circuits(s) == oracles.oracle_circuits(s)
+    # paths of ranks 8 and 9 still do not fit after compaction
+    p = cycle_matroid([edge(f"p{i}", f"p{i + 1}") for i in range(8)])
+    q = cycle_matroid([edge(f"q{i}", f"q{i + 1}") for i in range(9)])
+    with pytest.raises(DimensionError):
+        direct_sum(p, q)
+
+
 # -- connectivity ------------------------------------------------------------
 
 

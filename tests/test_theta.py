@@ -12,6 +12,7 @@ import pytest
 import theta3
 from theta3.budget import Budget, BudgetExceededError
 from theta3.construct import (
+    BuildRecipe,
     catalog_matroid,
     circuit_matroid,
     complete_bipartite_edges,
@@ -19,7 +20,9 @@ from theta3.construct import (
     complete_graph_matroid,
     cycle_edges,
     cycle_matroid,
+    evaluate_term,
     parallel_connection,
+    parse_recipe,
     projective_geometry,
     theta_edges,
 )
@@ -361,7 +364,8 @@ def test_small_closure_fixed_point_comes_from_the_certificate(monkeypatch):
 
 def test_check_searches_only_the_piece_outside_the_class():
     # A wheel with 8 spokes glued to M(K7) at one element: 36 elements,
-    # rank 13, above the prepass.  The certificate cuts off the M(K7)
+    # rank 13.  No two vertices are joined by three paths of two edges,
+    # so the prepass finds nothing.  The certificate cuts off the M(K7)
     # block and hands back the wheel; scanning all of M took 1.62M nodes.
     rim = [(f"v{i}", f"v{i % 8 + 1}", f"r{i}") for i in range(1, 9)]
     spokes = [("hub", f"v{i}", f"s{i}") for i in range(1, 9)]
@@ -373,6 +377,36 @@ def test_check_searches_only_the_piece_outside_the_class():
     assert not closed
     oracles.oracle_validate_theta(m, wit.arcs)
     assert not oracles.oracle_is_complete(m, wit.arcs)[0]
+
+
+def test_prepass_refutes_forty_points_of_rank_13_in_one_node():
+    # The prepass is gated by distinct columns, not rank: 40 random
+    # points of PG(13) are refuted by their first pair-route target,
+    # where the circuit-pair scan spent millions of nodes.
+    pts = random.Random(1).sample(range(1, 1 << 13), 40)
+    m = BinaryMatroid(tuple(f"q{i}" for i in range(40)), tuple(pts), 13)
+    assert m.rank == 13
+    closed, wit = is_theta3_closed(m, budget=Budget(max_nodes=1))
+    assert not closed
+    oracles.oracle_validate_theta(m, wit.arcs)
+    assert not oracles.oracle_is_complete(m, wit.arcs)[0]
+
+
+def test_recipe_proves_pg15_with_a_point_glued_circuit_without_the_prepass(
+    monkeypatch,
+):
+    # 32769 distinct columns are past the prepass's cap, whose table of
+    # pairs would hold 537M; the certificate proves the input in 1 node.
+    def no_prepass(*args, **kwargs):
+        raise AssertionError("the pair-route prepass ran")
+
+    monkeypatch.setattr(theta, "_pair_route_hits", no_prepass)
+    m = evaluate_term(parse_recipe("P(PG(15), C(3); base=p1,e1)"))
+    assert len(m.colset) == 32769
+    budget = Budget()
+    closed, recipe = is_theta3_closed(m, budget=budget)
+    assert closed and isinstance(recipe, BuildRecipe)
+    assert budget.nodes == 1
 
 
 def test_closure_round_scans_only_the_piece_outside_the_class():
