@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from functools import cached_property
 from math import isqrt
-from typing import NamedTuple
+from typing import Collection, NamedTuple
 
 from theta3.budget import Budget
 from theta3.gf2 import MAX_DIM, DimensionError, greedy_coordinates
@@ -142,10 +142,20 @@ def cycle_matroid(edges: list[tuple[str, str, str]]) -> BinaryMatroid:
     for e in edges:
         if len(e) != 3:
             raise ValueError(f"edge must be (u, v, label), got {e!r}")
-    verts = sorted({u for u, _, _ in edges} | {v for _, v, _ in edges})
+    verts = {u for u, _, _ in edges} | {v for _, v, _ in edges}
     if len(verts) > MAX_DIM:
-        _Graph(edges)
-    pos = {v: i for i, v in enumerate(verts)}
+        return _Graph(edges).matroid
+    return _incidence_matroid(edges, verts)
+
+
+def _incidence_matroid(
+    edges: list[tuple[str, str, str]], verts: Collection[str]
+) -> BinaryMatroid:
+    """cycle_matroid(edges), given the vertices verts of the (u, v,
+    label) edges.  Rows are the sorted vertices, or over more than
+    MAX_DIM vertices the spanning forest, whose size the caller has
+    already checked."""
+    pos = {v: i for i, v in enumerate(sorted(verts))}
     labels = tuple(lab for _, _, lab in edges)
     cols = tuple((1 << pos[u]) ^ (1 << pos[v]) for u, v, _ in edges)
     if len(verts) <= MAX_DIM:
@@ -157,14 +167,15 @@ def cycle_matroid(edges: list[tuple[str, str, str]]) -> BinaryMatroid:
 class _Graph:
     """An edge list read in one pass, for the flows.
 
-    Vertices are numbered in the order in which they first appear, and
-    first maps each ordered pair (a, b) of adjacent vertices to the
-    index of the first edge between them; loops add no pair.  rank is
-    the rank of the cycle matroid, the number of vertices minus the
-    number of components, which a union-find over the adjacent pairs
-    counts.  Like cycle_matroid, the pass rejects a rank above MAX_DIM
-    and then a repeated label.  The cycle matroid itself is built only
-    when matroid is read.
+    Vertices are numbered in the order in which they first appear
+    (vertices maps each to its number), and first maps each ordered
+    pair (a, b) of adjacent vertices to the index of the first edge
+    between them; loops add no pair.  rank is the rank of the cycle
+    matroid, the number of vertices minus the number of components,
+    which a union-find over the adjacent pairs counts.  Like
+    cycle_matroid, the pass rejects a rank above MAX_DIM and then a
+    repeated label.  The cycle matroid itself is built only when matroid
+    is read, from the edges this pass has checked.
     """
 
     def __init__(self, edges: list[tuple[str, str, str]]):
@@ -190,6 +201,7 @@ class _Graph:
         if len({lab for _, _, lab in edges}) != len(edges):
             raise ValueError("labels must be pairwise distinct")
         self.edges = edges
+        self.vertices = index
         self.n = len(index)
         self.first = first
         self.size = len(edges)
@@ -197,7 +209,7 @@ class _Graph:
 
     @cached_property
     def matroid(self) -> BinaryMatroid:
-        return cycle_matroid(self.edges)
+        return _incidence_matroid(self.edges, self.vertices)
 
 
 # -- graph edge lists used by the catalog and the test samplers ----------

@@ -21,11 +21,16 @@ some arc is the singleton {e}, or col(e) equals the completing vector
 A singleton arc's column is itself the completing vector, so T is
 complete exactly when its completing vector is a column.  The scan
 for incomplete thetas does this lookup before the corank test of a
-circuit pair, so a pair whose vector is a column costs no rank test,
-and on a closed matroid only pairs that form no theta reach one.  It
-also lists and pairs only circuits of 4 to r(M) elements: an
-incomplete theta has no singleton arc and at most r(M) + 2 elements,
-and each of its circuits is the theta minus one arc.
+circuit pair, so a pair whose vector is a column costs no corank test,
+and on a closed matroid only pairs that form no theta reach one.  The
+test needs no elimination per pair: C1 u C2 has corank 2 exactly when
+C2 - C1 is a circuit of the contraction M/C1, which the residues of its
+elements modulo span(C1), read off M's fundamental cocycles once per
+C1, decide by their number, their closure and pairwise distinctness,
+and only above 5 elements by a rank (see _theta_pair).  The scan also
+lists and pairs only circuits of 4 to r(M) elements: an incomplete
+theta has no singleton arc and at most r(M) + 2 elements, and each of
+its circuits is the theta minus one arc.
 
 Closedness also has a proof that lists no theta.  By the paper's
 theorem a binary matroid is theta-closed exactly when it is built from
@@ -63,7 +68,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from theta3.budget import Budget
 from theta3.construct import BuildRecipe, _Graph, certificate, is_projective
-from theta3.gf2 import bits, bits_to_str, pivots_of, zero_residues
+from theta3.gf2 import bits, bits_to_str, pivots_of
 from theta3.matroid import BinaryMatroid, _circuit_masks, simplify
 
 __all__ = [
@@ -153,11 +158,14 @@ def _theta_scan(
     C1 n C2, is summed once per distinct intersection and, with
     incomplete, looked up among M's columns before the corank test, so
     only pairs that could be an incomplete theta pay for one.
-    The corank test is incremental: columns of C2 - C1 reduce against
-    the echelon of C1, built on the first pair of its row that gets
-    this far; the corank of C1 u C2, minus 1, equals the number of
-    columns that reduce to zero, so we want exactly one zero and can
-    abort on the second.
+    The corank test is made in the contraction by C1: the corank of
+    C1 u C2, minus 1, is the nullity of C2 - C1 in M/C1, so the pair is
+    a theta exactly when C2 - C1 is a circuit of M/C1 (_theta_pair).
+    M/C1 is read off the fundamental cocycles of M, the r masks of the
+    elements whose coordinate k is 1, built once per scan: on the first
+    pair of its row that gets this far, _contraction reduces them to a
+    basis of the cocycles disjoint from C1, which gives every element
+    its residue modulo span(C1).  No pair pays for an elimination.
 
     An incomplete theta has no singleton arc (a singleton arc carries
     the completing vector), and |T| = r(T) + 2 <= r(M) + 2, so each of
@@ -188,13 +196,19 @@ def _theta_scan(
     buckets: list[list[int]] = [[] for _ in range(M.size)]
     for m in masks:
         buckets[(m & -m).bit_length() - 1].append(m)
+    # cocycles[k]: the elements whose coordinate k is 1, the fundamental
+    # cocircuit of basis element k
+    cocycles = [0] * M.rank
+    for e, c in enumerate(M.coordinates[0]):
+        for k in bits(c):
+            cocycles[k] |= 1 << e
     sums: dict[int, int] = {}  # completing vector per C1 n C2
     tested = 0
     limit = budget.batch_limit()
 
     for bucket in buckets:
         for ii, mi in enumerate(bucket):
-            pivots = None
+            residue = None
             for mj in bucket[ii + 1 :]:
                 if (mi | mj).bit_count() > rank_cap:
                     continue
@@ -217,15 +231,79 @@ def _theta_scan(
                     sums[inter] = w
                 if w in skip:
                     continue
-                if pivots is None:
-                    pivots = pivots_of(cols[j] for j in bits(mi))
-                if zero_residues(cols, mj & ~mi, pivots) != 1:
+                if residue is None:
+                    free, residue = _contraction(cocycles, mi, M.size)
+                if not _theta_pair(mi, mj, free, residue):
                     continue
                 budget.tick(tested)
                 tested = 0
                 yield mi & ~mj, mj & ~mi, inter, w
                 limit = budget.batch_limit()
     budget.tick(tested)
+
+
+def _contraction(cocycles: list[int], c1: int, n: int) -> tuple[int, list[int]]:
+    """M/C1 for the element mask c1, read off M's fundamental cocycles:
+    (the elements outside cl(C1), the residue of each of M's n elements).
+
+    The cocycles are reduced on their elements in C1, in the lazy
+    echelon form of gf2.pivots_of; those that reduce to miss C1 form a
+    basis of the cocycles of M disjoint from C1, which are the cocycles
+    of M/C1.  An element lies in one of them exactly when it lies
+    outside cl(C1), and bit i of its residue says whether it lies in the
+    i-th: the residues are coordinates of M/C1, so an element's residue
+    is zero exactly when it lies in cl(C1).
+    """
+    pivots: dict[int, int] = {}
+    free = 0
+    residue = [0] * n
+    bit = 1
+    for v in cocycles:
+        on = v & c1
+        while on:
+            low = on & -on
+            if low not in pivots:
+                pivots[low] = v
+                break
+            v ^= pivots[low]
+            on = v & c1
+        else:
+            free |= v
+            for j in bits(v):
+                residue[j] |= bit
+            bit <<= 1
+    return free, residue
+
+
+def _theta_pair(c1: int, c2: int, free: int, residue: list[int]) -> bool:
+    """Whether C1 u C2 is a theta, for circuits C1 != C2 that meet, given
+    (free, residue) = _contraction(..., C1, ...).
+
+    It is exactly when C1 u C2 has corank 2, and its corank is 1 plus
+    the nullity of A2 = C2 - C1 in M/C1 (contraction; Oxley, Matroid
+    Theory, 3.1).  The residues of A2 sum to zero, since C2's columns
+    do and C1 n C2 lies in C1, so A2 is a cycle of M/C1, and it has
+    nullity 1 exactly when it is a circuit: when no proper nonempty
+    subset sums to zero.  The complement of such a subset sums to zero
+    too.  So a single element (a zero residue, a loop of M/C1) is a
+    circuit; a longer A2 is not when it meets cl(C1), where residues
+    are zero; with none zero, up to 3 elements are a circuit, and 4 or
+    5 exactly when their residues are pairwise distinct (of a zero-sum
+    subset and its complement, one has 2 elements); above 5, exactly
+    when the residues have rank |A2| - 1.
+    """
+    a2 = c2 & ~c1
+    if not a2 & (a2 - 1):
+        return True
+    if a2 & ~free:
+        return False
+    size = a2.bit_count()
+    if size <= 3:
+        return True
+    res = [residue[j] for j in bits(a2)]
+    if size <= 5:
+        return len(set(res)) == size
+    return len(pivots_of(res)) == size - 1
 
 
 def theta_graphs(M: BinaryMatroid, budget: Budget | None = None) -> list[ThetaGraph]:

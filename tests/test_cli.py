@@ -532,16 +532,16 @@ def test_generated_build_terms_never_crash(capsys):
 
 
 def test_graph_check_builds_no_cycle_matroid_on_a_closed_graph(capsys, tmp_path, monkeypatch):
+    # cycle_matroid and the graph pass's own matroid both build the
+    # columns in construct._incidence_matroid
     calls = []
-    real = construct.cycle_matroid
+    real = construct._incidence_matroid
 
-    def counted(edges):
+    def counted(edges, verts):
         calls.append(len(edges))
-        return real(edges)
+        return real(edges, verts)
 
-    # every module that binds cycle_matroid
-    for module in (construct,):
-        monkeypatch.setattr(module, "cycle_matroid", counted)
+    monkeypatch.setattr(construct, "_incidence_matroid", counted)
     closed = write_graph(tmp_path / "k5.graph", construct.complete_graph_edges(5))
     code, rep = run_cli(capsys, "check", closed, "--graph")
     assert code == 0 and rep["input"] == {"argument": closed, "size": 10, "rank": 4}

@@ -20,7 +20,6 @@ from theta3.gf2 import (
     bits_to_str,
     greedy_coordinates,
     rank_bits,
-    zero_residues,
 )
 from theta3.construct import (
     BuildRecipe,
@@ -57,6 +56,7 @@ from theta3.theta import (
     _graph_theta,
     _pair_route_hits,
     _theta,
+    _theta_pair,
     _theta_scan,
     is_theta3_closed,
     theta3_closure,
@@ -257,8 +257,11 @@ def test_incomplete_scan_yields_each_incomplete_theta_once(m):
 @settings(max_examples=100)
 @given(matroids(max_dim=4, max_cols=9), st.data())
 def test_theta_scan_rank_tests_do_not_depend_on_element_order(m, data):
-    # The completing vector a pair is looked up by does not depend on
-    # the element order either, so neither does the incomplete scan's.
+    # The scan decides one circuit pair per set of three circuits that
+    # gets past its filters, so the number of decisions (calls to
+    # _theta_pair) does not depend on the element order.  The completing
+    # vector a pair is looked up by does not depend on it either, so
+    # neither does the incomplete scan's count.
     order = data.draw(st.permutations(range(m.size)))
     shuffled = BinaryMatroid(
         tuple(m.labels[i] for i in order), tuple(m.cols[i] for i in order), m.dim
@@ -266,10 +269,56 @@ def test_theta_scan_rank_tests_do_not_depend_on_element_order(m, data):
     counts = []
     for mm in (m, shuffled):
         for scan in (_theta_scan(mm), _theta_scan(mm, incomplete=True)):
-            with mock.patch("theta3.theta.zero_residues", wraps=zero_residues) as rank_test:
+            with mock.patch("theta3.theta._theta_pair", wraps=_theta_pair) as decide:
                 found = sum(1 for _ in scan)
-            counts.append((rank_test.call_count, found))
+            counts.append((decide.call_count, found))
     assert counts[:2] == counts[2:]
+
+
+@st.composite
+def matroids_with_copies(draw, max_dim=8, max_cols=16):
+    """Up to max_cols nonzero columns, then up to four loops or copies of
+    them, in random order: every dimension gets loops and copies."""
+    dim = draw(st.integers(2, max_dim))
+    n = draw(st.integers(1, max_cols))
+    cols = draw(st.lists(st.integers(1, (1 << dim) - 1), min_size=n, max_size=n))
+    extra = draw(st.lists(st.integers(-1, n - 1), max_size=4))  # -1 is a loop
+    cols += [cols[i] if i >= 0 else 0 for i in extra]
+    cols = draw(st.permutations(cols))
+    return BinaryMatroid(tuple(f"g{i}" for i in range(len(cols))), tuple(cols), dim)
+
+
+def _p_k6_k5():
+    k5 = complete_graph_matroid(5)
+    k5 = k5.relabel({lab: "b" + lab for lab in k5.labels})
+    return parallel_connection(complete_graph_matroid(6), k5, "1-2", "b1-2")
+
+
+@settings(max_examples=150, deadline=None)
+@given(matroids_with_copies())
+@example(BinaryMatroid(tuple("abcdefgh"), (0, 1, 1, 2, 3, 4, 5, 6), 3))  # loop, copies
+@example(_p_k6_k5())  # rank 8: |C2 - C1| = 2..6 in the incomplete scan
+def test_theta_pair_decides_corank_two_as_the_oracle(m):
+    # Every pair the scan decides, in either mode, is a theta exactly
+    # when its union has corank 2.
+    decided = {}
+    for incomplete in (False, True):
+        calls = decided[incomplete] = []
+
+        def decide(c1, c2, free, residue):
+            verdict = _theta_pair(c1, c2, free, residue)
+            calls.append((c1, c2, verdict))
+            return verdict
+
+        with mock.patch("theta3.theta._theta_pair", decide):
+            for _ in _theta_scan(m, incomplete=incomplete):
+                pass
+        for c1, c2, verdict in calls:
+            union = [m.labels[j] for j in bits(c1 | c2)]
+            assert verdict == (oracles.oracle_rank(m, union) == len(union) - 2)
+    if m == _p_k6_k5():
+        sizes = [(c2 & ~c1).bit_count() for c1, c2, _ in decided[True]]
+        assert [sizes.count(k) for k in range(2, 7)] == [1324, 1878, 1776, 1152, 360]
 
 
 @st.composite

@@ -26,7 +26,7 @@ from theta3.construct import (
     projective_geometry,
     theta_edges,
 )
-from theta3.gf2 import rank_bits, zero_residues
+from theta3.gf2 import rank_bits
 from theta3.matroid import BinaryMatroid, _circuit_masks, simplify
 from theta3 import theta
 from theta3.theta import (
@@ -134,25 +134,24 @@ def test_shortcut_and_direct_agree_on_projective_geometries():
         assert is_theta3_closed(pg, use_shortcut=False)[0]
 
 
-def _rank_tests_and_nodes(m):
+def _decisions_and_nodes(m):
     budget = Budget()
-    with mock.patch.object(theta, "zero_residues", wraps=zero_residues) as rank_test:
+    with mock.patch.object(theta, "_theta_pair", wraps=theta._theta_pair) as decide:
         closed, _ = is_theta3_closed(m, use_shortcut=False, budget=budget)
     assert closed
-    return rank_test.call_count, budget.nodes
+    return decide.call_count, budget.nodes
 
 
 def test_closed_scan_rank_tests_only_thetas_that_could_be_incomplete():
     # Every theta of PG(4, 2) is complete, so the scan looks up each
-    # completing vector among the columns and never needs a rank test.
-    # M(K7) needed 19355 rank tests when every circuit pair was
-    # rank-tested first.  The node counts, one per pair tested, count
-    # only pairs of circuits of 4 to r elements: with every circuit
-    # paired, they were 3327 and 30009.
-    assert _rank_tests_and_nodes(projective_geometry(4)) == (0, 1057)
-    tests, nodes = _rank_tests_and_nodes(catalog_matroid("MK(7)"))
-    assert tests <= 5075
-    assert nodes == 22703
+    # completing vector among the columns and never decides a pair in
+    # the contraction by C1.  M(K7) needed 19355 rank tests when every
+    # circuit pair was rank-tested first; the column lookup leaves 5075
+    # pairs to decide, each once.  The node counts, one per pair tested,
+    # count only pairs of circuits of 4 to r elements: with every
+    # circuit paired, they were 3327 and 30009.
+    assert _decisions_and_nodes(projective_geometry(4)) == (0, 1057)
+    assert _decisions_and_nodes(catalog_matroid("MK(7)")) == (5075, 22703)
 
 
 @pytest.mark.parametrize("cap", [8191, 8192, 8193, 20000, 22702])
@@ -673,6 +672,26 @@ def test_graph_closure_of_a_wheel_takes_one_round_of_flows():
     assert final.size == 41 and len(trace.rounds) == 1
     want, _ = theta3_closure(cycle_matroid(edges))
     assert _labelled(final) == _labelled(want)
+
+
+def test_graph_closure_reads_each_edge_list_once(monkeypatch):
+    # The closure reads the input and its simple graph, one pass each; the
+    # cycle matroid of a graph of more than 16 vertices is built from the
+    # edges the first pass checked, without a pass of its own.
+    edges = _wheel("h", [f"r{i}" for i in range(16)])
+    passes = []
+    init = theta._Graph.__init__
+
+    def counted(self, edges):
+        passes.append(len(edges))
+        init(self, edges)
+
+    monkeypatch.setattr(theta._Graph, "__init__", counted)
+    final, _ = graph_theta3_closure(edges)
+    assert passes == [32, 32]
+    assert final.size == 136
+    monkeypatch.undo()
+    assert theta._Graph(edges).matroid == cycle_matroid(edges)
 
 
 # -- the package surface -------------------------------------------------------
