@@ -74,10 +74,8 @@ __all__ = [
     "catalog_matroid",
     "catalog_listing",
     "complete_graph_edges",
-    "cycle_edges",
     "complete_bipartite_edges",
     "theta_edges",
-    "K5_LABELED_EDGES",
 ]
 
 
@@ -133,28 +131,23 @@ def projective_geometry(r: int) -> BinaryMatroid:
 def cycle_matroid(edges: list[tuple[str, str, str]]) -> BinaryMatroid:
     """Vertex-edge incidence columns over GF(2); graph loops become loops.
 
-    A graph with more than MAX_DIM vertices is rewritten over a spanning
-    forest (the greedy basis of its edges), so any graph of rank <= MAX_DIM
-    fits.  Its rank, the size of a spanning forest, is counted first by
-    _Graph's union-find, so a larger rank raises before any column is
-    built.
+    Rows are the sorted vertices.  A graph with more than MAX_DIM
+    vertices is rewritten over a spanning forest (the greedy basis of
+    its edges), so any graph of rank <= MAX_DIM fits.  The edges are
+    read by _Graph, whose union-find counts the rank first, so a larger
+    rank raises before any column is built.
     """
     for e in edges:
         if len(e) != 3:
             raise ValueError(f"edge must be (u, v, label), got {e!r}")
-    verts = {u for u, _, _ in edges} | {v for _, v, _ in edges}
-    if len(verts) > MAX_DIM:
-        return _Graph(edges).matroid
-    return _incidence_matroid(edges, verts)
+    return _Graph(edges).matroid
 
 
 def _incidence_matroid(
     edges: list[tuple[str, str, str]], verts: Collection[str]
 ) -> BinaryMatroid:
     """cycle_matroid(edges), given the vertices verts of the (u, v,
-    label) edges.  Rows are the sorted vertices, or over more than
-    MAX_DIM vertices the spanning forest, whose size the caller has
-    already checked."""
+    label) edges, whose rank _Graph has checked."""
     pos = {v: i for i, v in enumerate(sorted(verts))}
     labels = tuple(lab for _, _, lab in edges)
     cols = tuple((1 << pos[u]) ^ (1 << pos[v]) for u, v, _ in edges)
@@ -172,10 +165,10 @@ class _Graph:
     pair (a, b) of adjacent vertices to the index of the first edge
     between them; loops add no pair.  rank is the rank of the cycle
     matroid, the number of vertices minus the number of components,
-    which a union-find over the adjacent pairs counts.  Like
-    cycle_matroid, the pass rejects a rank above MAX_DIM and then a
-    repeated label.  The cycle matroid itself is built only when matroid
-    is read, from the edges this pass has checked.
+    which a union-find over the adjacent pairs counts.  The pass
+    rejects a rank above MAX_DIM and then a repeated label.  The cycle
+    matroid itself (cycle_matroid) is built only when matroid is read,
+    from the edges this pass has checked.
     """
 
     def __init__(self, edges: list[tuple[str, str, str]]):
@@ -223,10 +216,6 @@ def complete_graph_edges(n: int) -> list[tuple[str, str, str]]:
     ]
 
 
-def cycle_edges(n: int) -> list[tuple[str, str, str]]:
-    return [(f"v{i}", f"v{i % n + 1}", f"c{i}") for i in range(1, n + 1)]
-
-
 def complete_bipartite_edges(m: int, n: int) -> list[tuple[str, str, str]]:
     return [
         (f"u{i}", f"w{j}", f"u{i}w{j}")
@@ -252,22 +241,6 @@ def theta_edges(a: int, b: int, c: int) -> list[tuple[str, str, str]]:
             prev = nxt
         edges.append((prev, "y", f"{name}{length}"))
     return edges
-
-
-# The K5 edge labeling whose cycle matroid is dual to the MSTAR_K5
-# catalog matrix: pentagon 7,3,6,5,0 around v0..v4, pentagram 8,9,1,2,4.
-K5_LABELED_EDGES: list[tuple[str, str, str]] = [
-    ("v0", "v1", "7"),
-    ("v1", "v2", "3"),
-    ("v2", "v3", "6"),
-    ("v3", "v4", "5"),
-    ("v4", "v0", "0"),
-    ("v0", "v2", "8"),
-    ("v0", "v3", "9"),
-    ("v1", "v4", "1"),
-    ("v1", "v3", "2"),
-    ("v2", "v4", "4"),
-]
 
 
 # -- composition ---------------------------------------------------------

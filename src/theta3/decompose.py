@@ -68,9 +68,6 @@ class MatroidLabelledTree(NamedTuple):
     def marker_labels(self) -> frozenset[str]:
         return frozenset(lab for _, _, lab in self.edges)
 
-    def degree(self, i: int) -> int:
-        return sum(1 for a, b, _ in self.edges if i in (a, b))
-
 
 def _vertex_kind(V: BinaryMatroid) -> str:
     # U_{1,2} is both a circuit and a cocircuit; circuit wins.

@@ -18,7 +18,7 @@ greedy_coordinates also tracks which columns each stored vector sums.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "MAX_DIM",
@@ -28,7 +28,7 @@ __all__ = [
     "bits_to_str",
     "pivots_of",
     "rank_bits",
-    "zero_residues",
+    "nullity_one",
     "greedy_coordinates",
     "dual_representation",
 ]
@@ -84,38 +84,27 @@ def rank_bits(cols: Iterable[int]) -> int:
     return len(pivots_of(cols))
 
 
-def zero_residues(
-    vecs: Sequence[int], rest: int, base: Mapping[int, int], keep: int = -1
-) -> int:
-    """How many of the vectors vecs[i] & keep, i over the set bits of
-    rest in increasing order, are spanned by base and the vectors before
-    them; counting stops at 2.
+def nullity_one(vecs: Sequence[int]) -> bool:
+    """Whether vectors that sum to zero have nullity 1: whether no proper
+    nonempty subfamily of them sums to zero.
 
-    base is read-only, in the lazy pivot form of pivots_of.  The
-    vectors have nullity 1 modulo span(base) exactly when this returns 1,
-    so nullity-1 tests abort on the second zero.
+    The complement of a zero-sum subfamily sums to zero too.  So a
+    single vector is enough; a longer family with a zero vector is not;
+    with none zero, up to 3 vectors are enough (a zero-sum pair would
+    leave the third zero), and 4 or 5 exactly when they are pairwise
+    distinct (of a zero-sum subfamily and its complement, one has 2
+    vectors); above 5, exactly when they have rank len(vecs) - 1.
     """
-    local: dict[int, int] = {}
-    zeros = 0
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        v = vecs[low.bit_length() - 1] & keep
-        while v:
-            vlow = v & -v
-            if vlow in base:
-                v ^= base[vlow]
-            elif vlow in local:
-                v ^= local[vlow]
-            else:
-                break
-        if v:
-            local[v & -v] = v
-        else:
-            zeros += 1
-            if zeros == 2:
-                break
-    return zeros
+    size = len(vecs)
+    if size == 1:
+        return True
+    if 0 in vecs:
+        return False
+    if size <= 3:
+        return True
+    if size <= 5:
+        return len(set(vecs)) == size
+    return len(pivots_of(vecs)) == size - 1
 
 
 def greedy_coordinates(

@@ -19,7 +19,9 @@ elements, so each cycle comes from exactly one set of them.  A cycle
 whose non-basis part holds a circuit contains that circuit, so only
 independent sets of non-basis elements are expanded, and a loop or a
 pair of parallel copies never widens the walk.  A cycle is a circuit
-exactly when its columns have nullity 1.
+exactly when its columns have nullity 1, which gf2.nullity_one decides
+on the coordinates of its non-basis elements; the theta scan decides
+its circuit pairs by the same rule.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from theta3.gf2 import (
     bits_to_str,
     dual_representation,
     greedy_coordinates,
+    nullity_one,
     rank_bits,
-    zero_residues,
 )
 
 __all__ = [
@@ -261,7 +263,9 @@ def _circuit_masks(
     sorted-label order.  Only independent T are expanded: if T holds a
     circuit D, the cycle of any larger set contains D and so is not a
     circuit.  The cycle of T is a circuit exactly when T's coordinates,
-    with the cycle's own basis coordinates masked out, have nullity 1.
+    with the cycle's own basis coordinates masked out, have nullity 1:
+    the basis elements in the cycle are unit columns.  Masked, the
+    coordinates sum to zero, so gf2.nullity_one decides that.
     The budget ticks once per XOR tried, counted as each set is
     expanded and charged in batches of Budget.batch_limit(), so a node
     cap stops the walk within one expanded set; its clock is also read
@@ -301,7 +305,6 @@ def _circuit_masks(
             lm |= weight[basis[k]]
         emasks.append(em)
         lmasks.append(lm)
-    no_pivots: dict[int, int] = {}
     # (sort key, element mask) per circuit; a label-rank mask is below
     # 2^n, so the key orders by size, then by label-rank mask, largest first
     found = [((1 << n) - weight[e], 1 << e) for e, c in enumerate(M.cols) if not c]
@@ -332,7 +335,7 @@ def _circuit_masks(
                 # T + t holds a circuit, and its cycle is larger still.
                 continue
             size = y.bit_count()
-            if size <= cap and zero_residues(tcoords, y >> r, no_pivots, ~y) == 1:
+            if size <= cap and nullity_one([tcoords[u] & ~y for u in bits(y >> r)]):
                 found.append(((size << n) - (xl ^ lmasks[t]), xe ^ emasks[t]))
                 budget.check_time()
     budget.tick(pending)

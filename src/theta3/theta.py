@@ -26,11 +26,11 @@ and on a closed matroid only pairs that form no theta reach one.  The
 test needs no elimination per pair: C1 u C2 has corank 2 exactly when
 C2 - C1 is a circuit of the contraction M/C1, which the residues of its
 elements modulo span(C1), read off M's fundamental cocycles once per
-C1, decide by their number, their closure and pairwise distinctness,
-and only above 5 elements by a rank (see _theta_pair).  The scan also
-lists and pairs only circuits of 4 to r(M) elements: an incomplete
-theta has no singleton arc and at most r(M) + 2 elements, and each of
-its circuits is the theta minus one arc.
+C1, decide by gf2.nullity_one, the rule the circuit walk decides its
+cycles by (see _theta_pair).  The scan also lists and pairs only
+circuits of 4 to r(M) elements: an incomplete theta has no singleton
+arc and at most r(M) + 2 elements, and each of its circuits is the
+theta minus one arc.
 
 Closedness also has a proof that lists no theta.  By the paper's
 theorem a binary matroid is theta-closed exactly when it is built from
@@ -68,7 +68,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from theta3.budget import Budget
 from theta3.construct import BuildRecipe, _Graph, certificate, is_projective
-from theta3.gf2 import bits, bits_to_str, pivots_of
+from theta3.gf2 import bits, bits_to_str, nullity_one, pivots_of
 from theta3.matroid import BinaryMatroid, _circuit_masks, simplify
 
 __all__ = [
@@ -282,28 +282,17 @@ def _theta_pair(c1: int, c2: int, free: int, residue: list[int]) -> bool:
     It is exactly when C1 u C2 has corank 2, and its corank is 1 plus
     the nullity of A2 = C2 - C1 in M/C1 (contraction; Oxley, Matroid
     Theory, 3.1).  The residues of A2 sum to zero, since C2's columns
-    do and C1 n C2 lies in C1, so A2 is a cycle of M/C1, and it has
-    nullity 1 exactly when it is a circuit: when no proper nonempty
-    subset sums to zero.  The complement of such a subset sums to zero
-    too.  So a single element (a zero residue, a loop of M/C1) is a
-    circuit; a longer A2 is not when it meets cl(C1), where residues
-    are zero; with none zero, up to 3 elements are a circuit, and 4 or
-    5 exactly when their residues are pairwise distinct (of a zero-sum
-    subset and its complement, one has 2 elements); above 5, exactly
-    when the residues have rank |A2| - 1.
+    do and C1 n C2 lies in C1, so gf2.nullity_one decides it.  Two
+    mask tests answer as it would, before any residue is read: a
+    single element is a circuit of M/C1, and a longer A2 that meets
+    cl(C1), where residues are zero, is not.
     """
     a2 = c2 & ~c1
     if not a2 & (a2 - 1):
         return True
     if a2 & ~free:
         return False
-    size = a2.bit_count()
-    if size <= 3:
-        return True
-    res = [residue[j] for j in bits(a2)]
-    if size <= 5:
-        return len(set(res)) == size
-    return len(pivots_of(res)) == size - 1
+    return nullity_one([residue[j] for j in bits(a2)])
 
 
 def theta_graphs(M: BinaryMatroid, budget: Budget | None = None) -> list[ThetaGraph]:
@@ -642,22 +631,28 @@ def _graph_closure(
     edge joins two components of G - S.  So S separates x from y in G'
     too, and G' has at most two internally disjoint x-y paths.
 
-    So the flows run once, on the simple graph, and every round takes
-    its vectors from their hits, ascending: find returns the hits that
-    the current matroid does not hold yet.  Under one_at_a_time each
+    So the flows run once, on the simple graph, at the first round, after
+    _closure_rounds has checked the strategy, and every round takes its
+    vectors from their hits, ascending: find returns the hits that the
+    current matroid does not hold yet.  Under one_at_a_time each
     witness is therefore three paths of the input graph, an incomplete
     theta of every round's matroid, since the vectors added before it
     are other vectors.
     """
     start = simplify(graph.matroid)
-    kept = set(start.labels)
-    simple = _Graph([e for e in graph.edges if e[2] in kept])
-    found = []
-    for _, _, masks in _refuted_pairs(simple, budget):
-        w = _path_sum(start.cols, masks[0])
-        found.append((w, _theta(start, masks, w)))
-    found.sort(key=lambda hit: hit[0])
-    return _closure_rounds(start, lambda cur: found[cur.size - start.size :], strategy)
+    found: list[tuple[int, ThetaGraph]] = []
+
+    def find(cur: BinaryMatroid) -> list[tuple[int, ThetaGraph]]:
+        if cur is start:
+            kept = set(start.labels)
+            simple = _Graph([e for e in graph.edges if e[2] in kept])
+            for _, _, masks in _refuted_pairs(simple, budget):
+                w = _path_sum(start.cols, masks[0])
+                found.append((w, _theta(start, masks, w)))
+            found.sort(key=lambda hit: hit[0])
+        return found[cur.size - start.size :]
+
+    return _closure_rounds(start, find, strategy)
 
 
 def _split_network(

@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 
 from theta3.construct import (
-    K5_LABELED_EDGES,
     catalog_matroid,
     circuit_matroid,
     complete_bipartite_edges,
@@ -24,6 +23,27 @@ from theta3.construct import (
     two_sum,
 )
 from theta3.matroid import BinaryMatroid, is_connected
+
+
+def cycle_edges(n: int) -> list[tuple[str, str, str]]:
+    """The n-cycle v1..vn, its edges labelled c1..cn."""
+    return [(f"v{i}", f"v{i % n + 1}", f"c{i}") for i in range(1, n + 1)]
+
+
+# The K5 edge labeling whose cycle matroid is dual to the MSTAR_K5
+# catalog matrix: pentagon 7,3,6,5,0 around v0..v4, pentagram 8,9,1,2,4.
+K5_LABELED_EDGES: list[tuple[str, str, str]] = [
+    ("v0", "v1", "7"),
+    ("v1", "v2", "3"),
+    ("v2", "v3", "6"),
+    ("v3", "v4", "5"),
+    ("v4", "v0", "0"),
+    ("v0", "v2", "8"),
+    ("v0", "v3", "9"),
+    ("v1", "v4", "1"),
+    ("v1", "v3", "2"),
+    ("v2", "v4", "4"),
+]
 
 
 def reversed_elements(m: BinaryMatroid) -> BinaryMatroid:

@@ -416,6 +416,11 @@ def is_complete_graph(M: BinaryMatroid) -> tuple[bool, int | None]:
     return True, (1 + isqrt(1 + 8 * M.size)) // 2
 
 
+def tree_degree(T: MatroidLabelledTree, i: int) -> int:
+    """The number of tree edges at vertex i."""
+    return sum(1 for a, b, _ in T.edges if i in (a, b))
+
+
 def trees_equivalent(T1: MatroidLabelledTree, T2: MatroidLabelledTree) -> bool:
     """Isomorphic as kind- and real-element-labelled trees; markers ignored.
 

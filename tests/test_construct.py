@@ -17,7 +17,6 @@ from theta3.matroid import (
     rank_of,
 )
 from theta3.construct import (
-    K5_LABELED_EDGES,
     catalog_listing,
     catalog_matroid,
     circuit_mapping,
@@ -25,7 +24,6 @@ from theta3.construct import (
     complete_bipartite_edges,
     complete_graph_mapping,
     complete_graph_matroid,
-    cycle_edges,
     cycle_matroid,
     is_circuit,
     is_cocircuit,
@@ -39,6 +37,7 @@ from theta3.construct import (
 
 import oracles
 from oracles import is_complete_graph
+from corpus import K5_LABELED_EDGES
 
 
 def _ckey(c):

@@ -52,7 +52,7 @@ from theta3.matroid import (
 from theta3.theta import ThetaGraph, is_theta3_closed
 
 import oracles
-from oracles import is_3connected, trees_equivalent
+from oracles import is_3connected, tree_degree, trees_equivalent
 from corpus import CONNECTED_CORPUS, SMALL_CORPUS, reversed_elements
 
 
@@ -91,7 +91,7 @@ def test_parallel_connection_of_triangles_tree_shape():
     t = canonical_tree_decomposition(BY_NAME["P_C3_C3"])
     assert sorted(t.kinds) == ["Circuit", "Circuit", "Cocircuit"]
     hub = t.kinds.index("Cocircuit")
-    assert t.degree(hub) == 2
+    assert tree_degree(t, hub) == 2
     assert t.vertices[hub].size == 3
     # the hub keeps the shared point; the circuits keep their own edges
     assert "e3" in t.vertices[hub].label_set
@@ -101,7 +101,7 @@ def test_k24_tree_is_a_star_of_triangles():
     t = canonical_tree_decomposition(BY_NAME["M_K24"])
     assert sorted(t.kinds) == ["Circuit"] * 4 + ["Cocircuit"]
     hub = t.kinds.index("Cocircuit")
-    assert t.degree(hub) == 4
+    assert tree_degree(t, hub) == 4
     assert t.vertices[hub].size == 4  # four markers, no real element
     marker_free = set(t.vertices[hub].labels) - t.marker_labels
     assert marker_free == set()
@@ -458,7 +458,7 @@ def _tree_term(C: BinaryMatroid) -> Term | None:
     base: dict[int, str] = {}
     for i, V in enumerate(tree.vertices):
         if tree.kinds[i] == "Cocircuit":
-            if len(real[i]) != 1 or V.size != tree.degree(i) + 1:
+            if len(real[i]) != 1 or V.size != tree_degree(tree, i) + 1:
                 return None
             base[i] = real[i][0]
     leaves: dict[int, Leaf] = {}

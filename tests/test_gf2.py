@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
 
@@ -14,6 +16,7 @@ from theta3.gf2 import (
     bits_to_str,
     dual_representation,
     greedy_coordinates,
+    nullity_one,
     pivots_of,
     rank_bits,
 )
@@ -83,6 +86,39 @@ def test_pivots_of_rank_and_membership_match_span_counting():
         assert all(low == v & -v for low, v in pivots.items())
         for probe in range(1 << dim):
             assert (_reduce(pivots, probe) == 0) == (probe in span)
+
+
+def test_nullity_one_by_hand():
+    # one vector, which sums to zero alone, and a family with a zero vector
+    assert nullity_one([0])
+    assert not nullity_one([0, 0])
+    assert not nullity_one([1, 0, 1])
+    # up to 3 nonzero vectors; a repeated pair is a family of 2
+    assert nullity_one([5, 5])
+    assert nullity_one([1, 2, 3])
+    # 4 and 5: exactly when pairwise distinct
+    assert nullity_one([1, 2, 4, 7])
+    assert not nullity_one([1, 1, 2, 2])
+    assert nullity_one([1, 2, 4, 8, 15])
+    assert not nullity_one([1, 2, 3, 5, 5])
+    # above 5: by rank; 1 + 2 + 3 and 4 + 8 + 12 sum to zero, all distinct
+    assert nullity_one([1, 2, 4, 8, 16, 31])
+    assert not nullity_one([1, 2, 3, 4, 8, 12])
+    assert not nullity_one([1, 2, 3, 4, 8, 16, 28])
+
+
+def test_nullity_one_matches_zero_sum_subfamilies():
+    rng = random.Random(13)
+    for _ in range(400):
+        dim = rng.randint(1, 5)
+        vecs = [rng.randrange(1 << dim) for _ in range(rng.randint(0, 7))]
+        vecs.append(reduce(xor, vecs, 0))  # the family sums to zero
+        n = len(vecs)
+        proper = any(
+            not reduce(xor, (vecs[i] for i in range(n) if sub >> i & 1), 0)
+            for sub in range(1, (1 << n) - 1)
+        )
+        assert nullity_one(vecs) == (not proper), vecs
 
 
 # -- change of basis, duality ----------------------------------------------

@@ -5,6 +5,8 @@ repeated columns, and dims above the actual rank all show up.
 """
 
 import re
+import sys
+from collections import Counter
 from functools import reduce
 from operator import xor
 from unittest import mock
@@ -19,6 +21,7 @@ from theta3.gf2 import (
     bits_from_str,
     bits_to_str,
     greedy_coordinates,
+    nullity_one,
     rank_bits,
 )
 from theta3.construct import (
@@ -39,6 +42,7 @@ from theta3.construct import (
 )
 from theta3.matroid import (
     BinaryMatroid,
+    _circuit_masks,
     circuits,
     connected_components,
     contract,
@@ -319,6 +323,65 @@ def test_theta_pair_decides_corank_two_as_the_oracle(m):
     if m == _p_k6_k5():
         sizes = [(c2 & ~c1).bit_count() for c1, c2, _ in decided[True]]
         assert [sizes.count(k) for k in range(2, 7)] == [1324, 1878, 1776, 1152, 360]
+
+
+def _rule_branch(vecs):
+    """Which branch of gf2.nullity_one decides vecs."""
+    if len(vecs) == 1:
+        return "one"
+    if 0 in vecs:
+        return "zero"
+    return "2-3" if len(vecs) <= 3 else "4-5" if len(vecs) <= 5 else "6+"
+
+
+# 21 columns of dimension 8, random.Random(0).randint(1, 255) each: unlike
+# P(M(K6), M(K5)), some of its cycles are refuted by the rank branch
+_DENSE_RANK8 = BinaryMatroid(
+    tuple(f"g{i}" for i in range(21)),
+    (217, 99, 195, 228, 108, 11, 67, 248, 131, 125, 104, 236, 201, 213, 78, 248,
+     123, 92, 150, 229, 233),
+    8,
+)
+
+# the rule's verdicts per branch over the walk, full and windowed
+_WALK_RULE_COUNTS = {
+    _p_k6_k5(): {
+        ("one", True): 32, ("zero", False): 3348, ("2-3", True): 400,
+        ("4-5", True): 1092, ("4-5", False): 1242, ("6+", True): 720,
+    },
+    _DENSE_RANK8: {
+        ("one", True): 26, ("zero", False): 706, ("2-3", True): 539,
+        ("4-5", True): 1572, ("4-5", False): 304, ("6+", True): 679,
+        ("6+", False): 226,
+    },
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(matroids_with_copies())
+@example(BinaryMatroid(tuple("abcdefgh"), (0, 1, 1, 2, 3, 4, 5, 6), 3))  # loop, copies
+@example(_p_k6_k5())
+@example(_DENSE_RANK8)
+def test_circuit_walk_decides_cycles_as_the_oracle(m):
+    # Every cycle the walk decides, full or windowed, is a circuit exactly
+    # when gf2.nullity_one says so.  The cycle a call decides is the
+    # walk's element mask of T plus the element just added, read off the
+    # walk's frame.
+    decided = Counter()
+
+    def rule(vecs):
+        verdict = nullity_one(vecs)
+        walk = sys._getframe(1).f_locals
+        cycle = walk["xe"] ^ walk["emasks"][walk["t"]]
+        assert verdict == oracles.oracle_is_circuit(m, [m.labels[j] for j in bits(cycle)])
+        decided[_rule_branch(vecs), verdict] += 1
+        return verdict
+
+    with mock.patch("theta3.matroid.nullity_one", rule):
+        for window in (None, m.rank):
+            _circuit_masks(m, max_size=window)
+    if m in _WALK_RULE_COUNTS:
+        assert decided == _WALK_RULE_COUNTS[m]
 
 
 @st.composite

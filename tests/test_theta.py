@@ -18,7 +18,6 @@ from theta3.construct import (
     complete_bipartite_edges,
     complete_graph_edges,
     complete_graph_matroid,
-    cycle_edges,
     cycle_matroid,
     evaluate_term,
     parallel_connection,
@@ -39,7 +38,7 @@ from theta3.theta import (
 )
 
 import oracles
-from corpus import SMALL_CORPUS
+from corpus import SMALL_CORPUS, cycle_edges
 
 
 def _impl_theta_set(m):
@@ -672,6 +671,16 @@ def test_graph_closure_of_a_wheel_takes_one_round_of_flows():
     assert final.size == 41 and len(trace.rounds) == 1
     want, _ = theta3_closure(cycle_matroid(edges))
     assert _labelled(final) == _labelled(want)
+
+
+def test_graph_closure_rejects_unknown_strategy_before_any_flow():
+    # W16's flows would tick 312 nodes; theta3_closure checks the
+    # strategy before its scan, and the graph closure before its flows.
+    edges = _wheel("h", [f"r{i}" for i in range(16)])
+    budget = Budget()
+    with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+        graph_theta3_closure(edges, strategy="bogus", budget=budget)
+    assert budget.nodes == 0
 
 
 def test_graph_closure_reads_each_edge_list_once(monkeypatch):
