@@ -73,7 +73,6 @@ __all__ = [
     "certificate",
     "catalog_matroid",
     "catalog_listing",
-    "complete_graph_edges",
     "complete_bipartite_edges",
     "theta_edges",
 ]
@@ -206,14 +205,6 @@ class _Graph:
 
 
 # -- graph edge lists used by the catalog and the test samplers ----------
-
-
-def complete_graph_edges(n: int) -> list[tuple[str, str, str]]:
-    return [
-        (f"v{i}", f"v{j}", f"{i}-{j}")
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-    ]
 
 
 def complete_bipartite_edges(m: int, n: int) -> list[tuple[str, str, str]]:

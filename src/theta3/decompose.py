@@ -20,6 +20,7 @@ incomplete thetas are the matroid's own.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import NamedTuple
 
 from theta3.budget import Budget, BudgetExceededError
@@ -34,8 +35,10 @@ from theta3.matroid import (
 from theta3.construct import (
     BuildRecipe,
     certificate,
+    complete_graph_mapping,
     is_circuit,
     is_cocircuit,
+    is_projective,
     two_sum,
 )
 from theta3.theta import ThetaGraph, is_theta3_closed
@@ -100,6 +103,17 @@ def _split_vector(V: BinaryMatroid, X: frozenset[str], Y: frozenset[str]) -> int
     return w
 
 
+def _fold(verts: list[BinaryMatroid | None], ends: dict[str, list[int]], lab: str) -> None:
+    """2-sum the second holder of marker lab into the first, which takes
+    over the second's other markers."""
+    a, b = ends.pop(lab)
+    verts[a] = two_sum(verts[a], verts[b], lab, lab)
+    for m in verts[b].labels:
+        if m in ends:
+            ends[m] = [a if h == b else h for h in ends[m]]
+    verts[b] = None
+
+
 def canonical_tree_decomposition(
     M: BinaryMatroid, *, budget: Budget | None = None
 ) -> MatroidLabelledTree:
@@ -107,83 +121,68 @@ def canonical_tree_decomposition(
 
     Each split takes the first exact 2-separation the search finds.  The
     canonical tree does not depend on that choice (Cunningham and
-    Edmonds), so one build serves every reader of it.
+    Edmonds), so one build serves every reader of it.  A part that is
+    M(K_n) or PG(r) is recognized as 3-connected, not searched.
     """
     if M.size < 1:
         raise ValueError("decomposition needs at least one element")
     if not is_connected(M):
         raise ValueError("decomposition needs a connected matroid")
 
-    used = set(M.labels)
-    counter = 0
-
-    def fresh_marker() -> str:
-        nonlocal counter
-        while True:
-            counter += 1
-            lab = f"m{counter}"
-            if lab not in used:
-                used.add(lab)
-                return lab
-
+    taken = set(M.labels)
+    fresh = (lab for lab in map("m{}".format, count(1)) if lab not in taken)
     verts: list[BinaryMatroid | None] = [M]
-    kinds: list[str | None] = [None]
-    edges: list[tuple[int, int, str]] = []
+    kinds: dict[int, str] = {}
+    # each marker's two holders, the holder of its split's X side first
+    ends: dict[str, list[int]] = {}
     pending = [0]
     while pending:
         v = pending.pop()
         V = verts[v]
-        kind = _vertex_kind(V)
-        if kind != "ThreeConnected":
-            kinds[v] = kind
+        kinds[v] = _vertex_kind(V)
+        # M(K_n) for n >= 4 and PG(r) for r >= 3 are 3-connected, and
+        # their smaller cases are circuits, so blocks need no search
+        if kinds[v] != "ThreeConnected" or is_projective(V):
+            continue
+        if complete_graph_mapping(V) is not None:
             continue
         sep = next(exact_two_separations(V, budget), None)
         if sep is None:
-            kinds[v] = "ThreeConnected"
             continue
         X, Y = sep
-        marker = fresh_marker()
+        marker = next(fresh)
         w = _split_vector(V, X, Y)
+        u = len(verts)
         verts[v] = restrict(V, X).extend(marker, w)
         verts.append(restrict(V, Y).extend(marker, w))
-        kinds.append(None)
-        u = len(verts) - 1
-        for idx, (a, b, lab) in enumerate(edges):
-            if a == v and lab in Y:
-                edges[idx] = (u, b, lab)
-            elif b == v and lab in Y:
-                edges[idx] = (a, u, lab)
-        edges.append((v, u, marker))
+        for lab in ends.keys() & Y:
+            ends[lab] = [u if h == v else h for h in ends[lab]]
+        ends[marker] = [v, u]
         pending += [v, u]
 
-    def merge_once() -> bool:
-        for e in edges:
-            a, b, lab = e
-            if kinds[a] == kinds[b] and kinds[a] in ("Circuit", "Cocircuit"):
-                merged = two_sum(verts[a], verts[b], lab, lab)
-                verts[a] = merged
-                kinds[a] = _vertex_kind(merged)
-                verts[b] = None
-                kinds[b] = None
-                edges.remove(e)
-                for i, (x, y, l) in enumerate(edges):
-                    edges[i] = (a if x == b else x, a if y == b else y, l)
-                return True
-        return False
+    # A 2-sum of two circuits is a circuit and of two cocircuits a
+    # cocircuit (U_{1,a} 2-summed with U_{1,b} is U_{1,a+b-2}), so no
+    # vertex ever changes kind, and an edge whose ends differ in kind
+    # keeps differing.  So one pass over the markers in the order they
+    # were made merges the same pairs, in the same order and with the
+    # same holder first, as merging the first same-kind edge over and
+    # over until none is left.
+    for lab in list(ends):
+        a, b = ends[lab]
+        if kinds[a] == kinds[b] != "ThreeConnected":
+            _fold(verts, ends, lab)
 
-    while merge_once():
-        pass
-
-    alive = [i for i in range(len(verts)) if verts[i] is not None]
+    alive = [i for i, V in enumerate(verts) if V is not None]
     alive.sort(key=lambda i: sorted(verts[i].labels))
     remap = {old: new for new, old in enumerate(alive)}
-    out_edges = sorted(
-        (min(remap[a], remap[b]), max(remap[a], remap[b]), lab) for a, b, lab in edges
+    edges = sorted(
+        (min(remap[a], remap[b]), max(remap[a], remap[b]), lab)
+        for lab, (a, b) in ends.items()
     )
     return MatroidLabelledTree(
         tuple(verts[i] for i in alive),
         tuple(kinds[i] for i in alive),
-        tuple(out_edges),
+        tuple(edges),
     )
 
 
@@ -227,12 +226,9 @@ def recompose(T: MatroidLabelledTree) -> BinaryMatroid:
     """Fold the tree back into one matroid by 2-summing along every edge."""
     _check_tree(T)
     verts: list[BinaryMatroid | None] = list(T.vertices)
-    edges = list(T.edges)
-    while edges:
-        a, b, lab = edges.pop(0)
-        verts[a] = two_sum(verts[a], verts[b], lab, lab)
-        verts[b] = None
-        edges = [(a if x == b else x, a if y == b else y, l) for x, y, l in edges]
+    ends = {lab: [a, b] for a, b, lab in T.edges}
+    for _, _, lab in T.edges:
+        _fold(verts, ends, lab)
     return next(V for V in verts if V is not None)
 
 

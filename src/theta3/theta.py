@@ -64,6 +64,7 @@ gives is closed (the lemma in _graph_closure's docstring).
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from theta3.budget import Budget
@@ -90,9 +91,12 @@ __all__ = [
 # certificate at every size.
 FULL_ENUM_LIMIT = 18
 
-# Distinct-column cap for the pair-route prepass in is_theta3_closed: its
-# table of column pairs stays under 8.4M, and every rank of 12 or less
-# fits.  The exact searches behind it are capped only by the Budget.
+# Distinct-column cap for the pair-route prepass in is_theta3_closed when
+# the route fills its table of column pairs: the table stays under 8.4M,
+# and every rank of 12 or less fits.  It bounds only that table.  When
+# few vectors are missing the route goes target by target, keeping four
+# names per target, and the prepass runs at any size.  The exact
+# searches behind it are capped only by the Budget.
 _PREPASS_MAX_COLUMNS = 1 << 12
 
 
@@ -329,6 +333,13 @@ def _missing_vectors(M: BinaryMatroid) -> list[int]:
     return sorted(v for v in span if v and v not in colset)
 
 
+def _goes_by_target(M: BinaryMatroid) -> bool:
+    """Whether the pair route goes through the missing vectors one by one:
+    fewer are missing than a third of the nonzero distinct columns."""
+    present = len(M.colset) - (0 in M.colset)
+    return 3 * ((1 << M.rank) - 1 - present) < present
+
+
 def _pair_route_hits(
     M: BinaryMatroid, budget: Budget | None
 ) -> Iterator[tuple[int, ThetaGraph]]:
@@ -343,10 +354,12 @@ def _pair_route_hits(
     pair sum to the smaller columns of its pairs, filled column by
     column in ascending order, so every list is ascending; the sums that
     are columns are dropped once, when the targets are sorted.  When
-    fewer vectors are missing than a third of the columns, a pass over
-    each missing vector's possible pairs is cheaper, so that is taken
-    instead.  The clock is read once per column of the first pass, and
-    once per target of the second, without counting a node.
+    fewer vectors are missing than a third of the columns
+    (_goes_by_target), a pass over each missing vector's possible pairs
+    is cheaper, so that is taken instead; it stops at a target's first
+    four names, all that the rule below reads.  The clock is read once
+    per column of the first pass, and once per target of the second,
+    without counting a node.
 
     The rank test needs no elimination.  Each pair is named by its
     smaller column, the one without v's highest bit, so a^b is a name
@@ -368,12 +381,13 @@ def _pair_route_hits(
         first.setdefault(c, j)
     present = sorted(c for c in first if c)
     pairs: dict[int, list[int]]
-    if 3 * ((1 << M.rank) - 1 - len(present)) < len(present):
+    if _goes_by_target(M):
         targets = _missing_vectors(M)
         pairs = {}
         for v in targets:
             budget.check_time()
-            pairs[v] = [a for a in present if a < a ^ v and a ^ v in first]
+            names = (a for a in present if a < a ^ v and a ^ v in first)
+            pairs[v] = list(islice(names, 4))
     else:
         pairs = defaultdict(list)
         for i, a in enumerate(present):
@@ -415,11 +429,14 @@ def is_theta3_closed(
 
     With use_shortcut enabled, a simple matroid whose columns exhaust
     every nonzero vector of their span is accepted immediately (a full
-    projective restriction has no room for an incomplete theta).  Up to
-    _PREPASS_MAX_COLUMNS distinct columns, which takes in every input of
-    rank 12 or less, a pair-route sweep over the missing pair sums
-    catches most negatives quickly: it finds every incomplete theta
-    whose three arcs have two elements each, and none other.
+    projective restriction has no room for an incomplete theta).  A
+    pair-route sweep over the missing pair sums then catches most
+    negatives quickly: it finds every incomplete theta whose three arcs
+    have two elements each, and none other.  When few vectors are
+    missing it goes target by target, four names per target, at any
+    size; otherwise it fills a table of column pairs, and
+    _PREPASS_MAX_COLUMNS distinct columns (every input of rank 12 or
+    less) bound that table, so larger inputs skip the sweep.
     With use_shortcut enabled and more than FULL_ENUM_LIMIT elements, a
     recipe certificate then proves a member of the class closed (the
     paper's theorem), in polynomial time; for a non-member it names the
@@ -428,7 +445,7 @@ def is_theta3_closed(
     """
     if use_shortcut and is_projective(M):
         return True, None
-    if len(M.colset) <= _PREPASS_MAX_COLUMNS:
+    if _goes_by_target(M) or len(M.colset) <= _PREPASS_MAX_COLUMNS:
         prepass = _pair_route_hits(M, budget)
         for _, hit in prepass:
             return False, hit

@@ -30,6 +30,15 @@ def cycle_edges(n: int) -> list[tuple[str, str, str]]:
     return [(f"v{i}", f"v{i % n + 1}", f"c{i}") for i in range(1, n + 1)]
 
 
+def complete_graph_edges(n: int) -> list[tuple[str, str, str]]:
+    """K_n on v1..vn, the edge vi vj labelled i-j."""
+    return [
+        (f"v{i}", f"v{j}", f"{i}-{j}")
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+    ]
+
+
 # The K5 edge labeling whose cycle matroid is dual to the MSTAR_K5
 # catalog matrix: pentagon 7,3,6,5,0 around v0..v4, pentagram 8,9,1,2,4.
 K5_LABELED_EDGES: list[tuple[str, str, str]] = [

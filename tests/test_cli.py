@@ -21,8 +21,9 @@ import theta3
 from theta3 import cli, construct, decompose, theta
 from theta3.construct import catalog_matroid
 from theta3.gf2 import bits_from_str
-from theta3.matroid import same_matroid
+from theta3.matroid import delete, same_matroid
 
+from corpus import complete_graph_edges
 from oracles import oracle_is_circuit, oracle_is_complete, oracle_rank, oracle_theta_graphs
 
 REPORT_KEYS = {"command", "input", "verdict", "witness", "trace", "recipe", "timings"}
@@ -542,7 +543,7 @@ def test_graph_check_builds_no_cycle_matroid_on_a_closed_graph(capsys, tmp_path,
         return real(edges, verts)
 
     monkeypatch.setattr(construct, "_incidence_matroid", counted)
-    closed = write_graph(tmp_path / "k5.graph", construct.complete_graph_edges(5))
+    closed = write_graph(tmp_path / "k5.graph", complete_graph_edges(5))
     code, rep = run_cli(capsys, "check", closed, "--graph")
     assert code == 0 and rep["input"] == {"argument": closed, "size": 10, "rank": 4}
     assert calls == []
@@ -766,10 +767,14 @@ def test_budget_validation_rejects_nan_seconds(capsys):
     assert rep["verdict"] is False
 
 
-def test_decompose_long_separation_search_hits_the_budget(capsys):
-    # the 2-separation backtrack is one level per element; on 1023
-    # elements it must run out of nodes, not out of stack
-    code, rep = run_cli(capsys, "decompose", "PG(10)", "--max-subsets", "100000")
+def test_decompose_long_separation_search_hits_the_budget(capsys, tmp_path):
+    # the 2-separation backtrack is one level per element; on 1022
+    # elements it must run out of nodes, not out of stack.  PG(10) itself
+    # is a block, which decompose recognizes without the backtrack, so
+    # the input is PG(10) minus one point: 3-connected, not a block.
+    path = tmp_path / "pg10p.matroid"
+    path.write_text(render_matroid_file(delete(catalog_matroid("PG(10)"), ["p1"])))
+    code, rep = run_cli(capsys, "decompose", str(path), "--max-subsets", "100000")
     assert code == 3
     assert rep["error"] == "budget exceeded: node budget exhausted (100001 > 100000)"
 
@@ -911,6 +916,9 @@ def test_reports_match_golden_file(capsys, tmp_path, monkeypatch):
     # An entry with `input_file` reads that text from the file its argv
     # names: p_c3_c3_doubled.txt is non-simple, so its recipe adds a
     # parallel copy back (`recipe.parallel`) after the term is built.
+    # `decompose merges.graph --graph` pins a tree built with three
+    # merges, two of circuits and one of cocircuits: a dimension-1
+    # cocircuit joined to two merged 4-element circuits and a triangle.
     # The `check --graph` entries pin the flows' witnesses on W6 and the
     # Petersen graph, whose three paths depend on the BFS order, and the
     # scan's witness on W6 with --no-shortcut.  `closure w6.graph --graph`

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from theta3 import decompose
 from theta3.budget import Budget, BudgetExceededError
 from theta3.construct import (
     MAX_RECIPE_DEPTH,
@@ -29,6 +30,7 @@ from theta3.construct import (
     parse_recipe,
     projective_geometry,
     serialize_term,
+    two_sum,
 )
 from theta3.decompose import (
     MatroidLabelledTree,
@@ -68,6 +70,30 @@ def test_three_connected_matroids_stay_whole():
         assert len(t.vertices) == 1 and t.edges == ()
         assert t.kinds == ("ThreeConnected",)
         assert t.vertices[0].labels == BY_NAME[name].labels
+
+
+def test_blocks_are_recognized_without_the_backtrack(monkeypatch):
+    # M(K_n) and PG(r) parts are 3-connected, so only a part that is
+    # neither gets searched: the 2-sum of M(K5) and PG(3) is split once,
+    # and its two halves, M(K5) and PG(3) with the marker in the glued
+    # element's place, take no search.
+    searched = []
+
+    def counting(V, budget=None):
+        searched.append(V.size)
+        return exact_two_separations(V, budget)
+
+    monkeypatch.setattr(decompose, "exact_two_separations", counting)
+    for m in (complete_graph_matroid(6), projective_geometry(5)):
+        t = canonical_tree_decomposition(m)
+        assert t.kinds == ("ThreeConnected",) and searched == []
+    pg = projective_geometry(3)
+    pg = pg.relabel({x: "b" + x for x in pg.labels})
+    m = two_sum(complete_graph_matroid(5), pg, "1-2", "bp1")
+    t = canonical_tree_decomposition(m)
+    assert searched == [m.size]
+    assert t.kinds == ("ThreeConnected", "ThreeConnected")
+    assert same_matroid(m, recompose(t))
 
 
 def test_small_matroids_are_single_vertices():

@@ -16,7 +16,6 @@ from theta3.construct import (
     catalog_matroid,
     circuit_matroid,
     complete_bipartite_edges,
-    complete_graph_edges,
     complete_graph_matroid,
     cycle_matroid,
     evaluate_term,
@@ -26,7 +25,7 @@ from theta3.construct import (
     theta_edges,
 )
 from theta3.gf2 import rank_bits
-from theta3.matroid import BinaryMatroid, _circuit_masks, simplify
+from theta3.matroid import BinaryMatroid, _circuit_masks, delete, simplify
 from theta3 import theta
 from theta3.theta import (
     graph_is_theta3_closed,
@@ -38,7 +37,7 @@ from theta3.theta import (
 )
 
 import oracles
-from corpus import SMALL_CORPUS, cycle_edges
+from corpus import SMALL_CORPUS, complete_graph_edges, cycle_edges
 
 
 def _impl_theta_set(m):
@@ -388,6 +387,41 @@ def test_prepass_refutes_forty_points_of_rank_13_in_one_node():
     assert not closed
     oracles.oracle_validate_theta(m, wit.arcs)
     assert not oracles.oracle_is_complete(m, wit.arcs)[0]
+
+
+def test_prepass_goes_by_target_above_the_column_cap():
+    # The column cap bounds only the table of pairs.  PG(13) minus one
+    # point has 8190 columns and misses one vector, so the route goes
+    # target by target: that target's third name is the sum pair, so it
+    # refutes in two nodes, and the closure adds the point back.
+    m = delete(projective_geometry(13), ["p1"])
+    assert len(m.colset) > theta._PREPASS_MAX_COLUMNS
+    closed, wit = is_theta3_closed(m, budget=Budget(max_nodes=2))
+    assert not closed and wit.completing == 1
+    assert all(len(arc) == 2 for arc in wit.arcs)
+    with pytest.raises(BudgetExceededError):
+        is_theta3_closed(m, budget=Budget(max_nodes=1))
+    final, trace = theta3_closure(m)
+    assert final.size == (1 << 13) - 1 and len(trace.rounds) == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pair_route_branches_agree(monkeypatch, seed):
+    # The target-by-target pass keeps four names per target, all that
+    # the triple rule reads, so both passes give the same hits,
+    # witnesses and ticks, on sets dense enough for either.
+    rng = random.Random(seed)
+    for _ in range(50):
+        rank = rng.randint(3, 6)
+        size = rng.randint((1 << rank) // 2, (1 << rank) - 1)
+        pts = rng.sample(range(1, 1 << rank), size)
+        m = BinaryMatroid(tuple(f"q{i}" for i in range(size)), tuple(pts), rank)
+        runs = []
+        for by_target in (False, True):
+            monkeypatch.setattr(theta, "_goes_by_target", lambda M: by_target)
+            budget = Budget()
+            runs.append((list(theta._pair_route_hits(m, budget)), budget.nodes))
+        assert runs[0] == runs[1], pts
 
 
 def test_recipe_proves_pg15_with_a_point_glued_circuit_without_the_prepass(
