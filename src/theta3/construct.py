@@ -23,7 +23,9 @@ sums (D) and parallel connections (P), plus the loops and parallel
 copies to add back.  certificate() finds one for a theta-closed matroid
 by splitting at cut points, and returns it only once it has checked
 that the recipe rebuilds the matroid; for any other matroid it returns
-the piece it could not cut.
+the piece it could not cut.  Its walk is cut_walk, which, given marker
+names, goes on to split the pieces without a cut point at the vectors
+their columns miss: decompose reads the canonical tree off that walk.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from __future__ import annotations
 import re
 from functools import cached_property
 from math import isqrt
-from typing import Collection, NamedTuple
+from typing import Collection, Iterator, NamedTuple, Sequence
 
 from theta3.budget import Budget
-from theta3.gf2 import MAX_DIM, DimensionError, greedy_coordinates
+from theta3.gf2 import MAX_DIM, DimensionError, bits, greedy_coordinates
 from theta3.matroid import (
     BinaryMatroid,
     _coordinate_classes,
@@ -565,6 +567,23 @@ def block_leaf(V: BinaryMatroid) -> Leaf | None:
 # -- recipe certificate ---------------------------------------------------
 
 
+class Piece(NamedTuple):
+    """A simple connected piece met by cut_walk.
+
+    leaf is the block the piece is, if it is one.  Otherwise at names
+    the vector the piece splits at, and parts are the pieces it splits
+    into, each holding that vector under the label at: either a column
+    of the piece, a cut point, or a marker that each part adds for a
+    vector of the span that no column carries.  A piece with neither a
+    leaf nor parts is uncut.
+    """
+
+    matroid: BinaryMatroid
+    leaf: Leaf | None = None
+    at: str | None = None
+    parts: tuple["Piece", ...] = ()
+
+
 def certificate(
     M: BinaryMatroid, budget: Budget | None = None
 ) -> BuildRecipe | BinaryMatroid:
@@ -587,17 +606,31 @@ def certificate(
     every p) and one budget node.
 
     The first simple connected piece that is neither a block nor cut at
-    a point is returned instead of a recipe.  It is a restriction of M
-    in M's own coordinates and lies outside the class, so by the
-    theorem it holds an incomplete theta, and by the argument above
-    that theta is incomplete in M too.  A recipe that does not rebuild
-    M returns M itself, so the caller still searches all of M.
+    a point is returned instead of a recipe, and the walk (cut_walk)
+    stops there.  It is a restriction of M in M's own coordinates and
+    lies outside the class, so by the theorem it holds an incomplete
+    theta, and by the argument above that theta is incomplete in M too.
+    A recipe that does not rebuild M returns M itself, so the caller
+    still searches all of M.
     """
-    loops, copies = loops_and_copies(M)
     S = simplify(M)
-    terms = []
+    pieces = []
     for comp in sorted(connected_components(S), key=sorted):
-        term = _cut_point_term(restrict(S, comp), budget)
+        pieces.append(cut_walk(restrict(S, comp), budget))
+        if pieces[-1].leaf is None and not pieces[-1].parts:
+            break
+    return _read_certificate(M, pieces)
+
+
+def _read_certificate(
+    M: BinaryMatroid, pieces: Collection[Piece]
+) -> BuildRecipe | BinaryMatroid:
+    """What certificate returns, read off the walks of the components
+    of M's simplification: the first piece in walk order that is
+    neither a block nor cut at a point, or else the recipe, checked."""
+    terms = []
+    for piece in pieces:
+        term = _term(piece)
         if isinstance(term, BinaryMatroid):
             return term
         terms.append(term)
@@ -605,37 +638,144 @@ def certificate(
         whole = None
     else:
         whole = terms[0] if len(terms) == 1 else DNode(tuple(terms))
+    loops, copies = loops_and_copies(M)
     recipe = BuildRecipe(whole, loops, copies)
     return recipe if same_matroid(M, recipe.evaluate()) else M
 
 
-def _cut_point_term(S: BinaryMatroid, budget: Budget | None) -> Term | BinaryMatroid:
-    """The term of a simple connected S, split at cut points, or the
-    first piece that is neither a block nor cut at a point."""
+def _term(piece: Piece) -> Term | BinaryMatroid:
+    """The term of a walked piece, or the first piece under it that is
+    neither a block nor cut at a point."""
+    if piece.leaf is not None:
+        return piece.leaf
+    if piece.at not in piece.matroid.label_set:
+        return piece.matroid
+    term: Term | None = None
+    for part in piece.parts:
+        t = _term(part)
+        if isinstance(t, BinaryMatroid):
+            return t
+        term = t if term is None else PNode(term, t, piece.at, piece.at)
+    return term
+
+
+def cut_walk(
+    S: BinaryMatroid,
+    budget: Budget | None = None,
+    fresh: Iterator[str] | None = None,
+) -> Piece:
+    """Split a simple connected S at cut points, and with fresh also at
+    the vectors of its span that no column carries.
+
+    The lemma behind both: let P be simple and connected, v a nonzero
+    vector of its span, and let P/v, the contraction by v, fall into
+    coordinate classes K_1..K_t (its components, less the loop that a
+    column equal to v becomes).  Every K_i spans v.  Otherwise v is
+    outside span(K), so r_{P/v}(K) = r(K), while r_{P/v}(E - K) >=
+    r(E - K) - 1; P/v is the direct sum of its classes, so these add
+    up to r(P/v) = r(P) - 1, which gives r(K) + r(E - K) <= r(P): K
+    would separate P.  So with t >= 2 the spans of the K_i meet only
+    in <v>, and P is the parallel connection of the pieces K_i + v
+    along v, with v deleted when it is not a column; each
+    (K_i, E - K_i) is an exact 2-separation.  A class is never a single
+    element, since a class spans v and the only column that spans v
+    alone is v itself.  Conversely, the spans of the sides of an exact
+    2-separation (X, Y) meet in one vector v, its split vector; in P/v
+    they meet only in 0, and each side keeps a nonzero column since P
+    is simple, so X and Y are unions of classes and t >= 2.  So every
+    exact 2-separation arises from its split vector.
+
+    Candidates come in one loop, each one budget node and one pass
+    over S's coordinates, contracted by the candidate and cut into
+    classes: first the columns in element order, then, with fresh, the
+    missing vectors of S's span in ascending order of their coordinates
+    over S's greedy basis.  The first that splits S gives its parts:
+    S|(K_i + p) for a cut point p, or S|K_i plus a marker named
+    next(fresh) that carries v.  Parts are simple and re-enter the walk,
+    where a marker can be a cut point.  A piece that is not a block and
+    that no candidate splits is returned uncut; with fresh, by the
+    lemma, it is 3-connected.  Without fresh, the walk is certificate's:
+    it stops at the first piece that is neither a block nor cut at a
+    point, and returns that piece.
+    """
     leaf = block_leaf(S)
     if leaf is not None:
-        return leaf
-    coords, _ = S.coordinates
+        return Piece(S, leaf)
+    coords, basis = S.coordinates
+    whole = (1 << len(basis)) - 1
     for p, cp in enumerate(coords):
         if budget is not None:
             budget.tick()
-        # Swap p into the basis for its lowest coordinate and drop that
-        # coordinate: what is left are the coordinates of S/p.
-        low = cp & -cp
-        quotient = [c ^ cp if c & low else c for c in coords]
-        classes = _coordinate_classes(quotient)
-        if len(classes) < 2:
+        split = _quotient_classes(coords, cp, whole)
+        if split is None:
             continue
         base = S.labels[p]
-        term: Term | None = None
-        for cls in classes:
-            labels = [lab for lab, c in zip(S.labels, quotient) if c & cls]
-            part = _cut_point_term(restrict(S, labels + [base]), budget)
-            if isinstance(part, BinaryMatroid):
+        parts = []
+        for labels in _class_labels(S, *split):
+            part = cut_walk(restrict(S, labels + [base]), budget, fresh)
+            if fresh is None and part.leaf is None and not part.parts:
                 return part
-            term = part if term is None else PNode(term, part, base, base)
-        return term
-    return S
+            parts.append(part)
+        return Piece(S, None, base, tuple(parts))
+    if fresh is None:
+        return Piece(S)
+    present = set(coords)
+    for cv in range(1, whole + 1):
+        if cv in present:
+            continue
+        if budget is not None:
+            budget.tick()
+        split = _quotient_classes(coords, cv, whole)
+        if split is None:
+            continue
+        marker = next(fresh)
+        v = 0
+        for k in bits(cv):
+            v ^= S.cols[basis[k]]
+        parts = tuple(
+            cut_walk(restrict(S, labels).extend(marker, v), budget, fresh)
+            for labels in _class_labels(S, *split)
+        )
+        return Piece(S, None, marker, parts)
+    return Piece(S)
+
+
+def _quotient_classes(
+    coords: Sequence[int], cv: int, whole: int
+) -> tuple[list[int], list[int]] | None:
+    """The coordinates of S/v and their classes, as _coordinate_classes
+    finds them, where coords are S's coordinates over a basis of whole
+    and cv is v's; None when S/v is connected.
+
+    Swapping v into the basis for its lowest coordinate and dropping
+    that coordinate leaves the coordinates of S/v, and every coordinate
+    left is used.  So S/v is connected as soon as one pass in element
+    order, growing the class of the first nonzero vector by each vector
+    that meets it, holds every coordinate left; the coordinates of S/v
+    are listed and cut into classes only when it does not.  The pass
+    alone decides most candidates on dense pieces, every one of the
+    1023 on PG(10) minus a point.
+    """
+    low = cv & -cv
+    target = whole ^ low
+    grown = 0
+    for c in coords:
+        if c & low:
+            c ^= cv
+        if c & grown or not grown:
+            grown |= c
+            if grown == target:
+                return None
+    quotient = [c ^ cv if c & low else c for c in coords]
+    classes = _coordinate_classes(quotient)
+    return None if len(classes) < 2 else (quotient, classes)
+
+
+def _class_labels(
+    S: BinaryMatroid, quotient: list[int], classes: list[int]
+) -> list[list[str]]:
+    """The labels of S in each class of S/v, in S's element order."""
+    return [[lab for lab, c in zip(S.labels, quotient) if c & cls] for cls in classes]
 
 
 # -- named catalog -------------------------------------------------------

@@ -2,20 +2,24 @@
 
 A connected binary matroid decomposes along its exact 2-separations into
 a tree of parts: 3-connected pieces, circuits, and cocircuits, glued by
-2-sums across fresh marker elements.  Splitting until every vertex is
-one of those three kinds and then merging adjacent circuit pairs and
-adjacent cocircuit pairs yields the canonical tree, which is unique up
-to relabeling of the markers.
+2-sums across fresh marker elements.  Once no two circuits and no two
+cocircuits are neighbours, the tree is the canonical one, unique up to
+relabeling of the markers (Cunningham and Edmonds).
 
-classify_theta3 decides membership in the class generated by circuits,
-complete-graph cycle matroids, and binary projective geometries under
-direct sums and parallel connections without building that tree.  Its
-verdict and recipe come from construct.certificate, which cuts each
-component at cut points and returns a recipe only once it rebuilds the
-matroid.  A matroid outside the class gets an incomplete theta as the
-concrete witness whenever the search budget allows; the search runs
-only on the piece the certificate could not cut, since that piece's
-incomplete thetas are the matroid's own.
+By the paper's theorem a member of the class generated by circuits,
+complete-graph cycle matroids and binary projective geometries under
+direct sums and parallel connections is a parallel connection of such
+blocks, so its canonical tree is the cut-point tree that
+construct.certificate walks.  canonical_tree_decomposition reads the
+tree off that walk (construct.cut_walk), which goes on where the
+certificate stops: a piece with no cut point is split at a vector of
+its span that no column carries, and every exact 2-separation is such
+a split.  classify_theta3 takes its verdict and recipe from the same
+walk, and a recipe is returned only once it rebuilds the matroid.  A
+matroid outside the class gets an incomplete theta as the concrete
+witness whenever the search budget allows; the search runs only on the
+piece the certificate could not cut, since that piece's incomplete
+thetas are the matroid's own.
 """
 
 from __future__ import annotations
@@ -24,21 +28,21 @@ from itertools import count
 from typing import NamedTuple
 
 from theta3.budget import Budget, BudgetExceededError
-from theta3.gf2 import bits, greedy_coordinates
 from theta3.matroid import (
     BinaryMatroid,
     _coordinate_classes,
-    exact_two_separations,
     is_connected,
-    restrict,
+    simplify,
 )
 from theta3.construct import (
     BuildRecipe,
+    Piece,
+    _read_certificate,
     certificate,
-    complete_graph_mapping,
+    cut_walk,
     is_circuit,
     is_cocircuit,
-    is_projective,
+    loops_and_copies,
     two_sum,
 )
 from theta3.theta import ThetaGraph, is_theta3_closed
@@ -81,28 +85,6 @@ def _vertex_kind(V: BinaryMatroid) -> str:
     return "ThreeConnected"
 
 
-def _split_vector(V: BinaryMatroid, X: frozenset[str], Y: frozenset[str]) -> int:
-    """The unique nonzero vector of span(X) intersect span(Y).
-
-    Exactness of the separation makes that intersection a line.  Over a
-    greedy basis that starts with a basis of X, the rest of the basis
-    lies in Y, so the X part of a Y column (its leading r(X)
-    coordinates) lies in span(X) and in span(Y); these parts span the
-    intersection.  So the separation is exact exactly when the nonzero
-    X parts are all one vector, which is the one wanted.
-    """
-    xs = sorted(V._positions(X))
-    coords, basis = greedy_coordinates(V.cols, xs)
-    x_part = (1 << len(set(xs).intersection(basis))) - 1
-    parts = {coords[i] & x_part for i in V._positions(Y)} - {0}
-    if len(parts) != 1:
-        raise ValueError("not an exact 2-separation")
-    w = 0
-    for k in bits(parts.pop()):
-        w ^= V.cols[basis[k]]
-    return w
-
-
 def _fold(verts: list[BinaryMatroid | None], ends: dict[str, list[int]], lab: str) -> None:
     """2-sum the second holder of marker lab into the first, which takes
     over the second's other markers."""
@@ -117,56 +99,95 @@ def _fold(verts: list[BinaryMatroid | None], ends: dict[str, list[int]], lab: st
 def canonical_tree_decomposition(
     M: BinaryMatroid, *, budget: Budget | None = None
 ) -> MatroidLabelledTree:
-    """Split along exact 2-separations, then merge same-kind neighbors.
+    """The canonical tree, read off one walk of M's simplification.
 
-    Each split takes the first exact 2-separation the search finds.  The
-    canonical tree does not depend on that choice (Cunningham and
-    Edmonds), so one build serves every reader of it.  A part that is
-    M(K_n) or PG(r) is recognized as 3-connected, not searched.
+    construct.cut_walk splits the simplification S at cut points and at
+    missing vectors of the span, and its docstring proves that every
+    exact 2-separation of a piece is one of these splits, so a piece it
+    leaves whole is 3-connected.  Each walked piece becomes vertices:
+    - a block is a vertex: C(n) a Circuit, M(K_n) and PG(r) ThreeConnected;
+    - an uncut piece is a ThreeConnected vertex;
+    - a piece cut at a point p is a Cocircuit hub {p, m_1..m_t}, and its
+      i-th part holds m_i in p's place;
+    - a piece split at a missing vector v into two parts is a 2-sum
+      edge, whose marker carries v in both parts;
+    - split into t >= 3 parts it is a hub of markers only, {m_1..m_t}.
+    A marker keeps the column of the vector it stands for.  A parallel
+    copy joins its element's hub, or its element moves to a hub of its
+    own, {m, e, copies}, with m in e's place.  Every vertex has at least
+    three elements, since a class of a split has at least two, so the
+    tree is a 2-sum tree of M.  Splits inside pieces without a cut point
+    can leave circuits next to circuits and hubs next to hubs, and one
+    pass merges them with two_sum (see below), which leaves the
+    canonical tree, unique by Cunningham and Edmonds.  Every vertex the
+    merge leaves alone is in M's coordinates.  Each candidate vector
+    the walk tries is one budget node.
+
+    M keeps the walk, with the budget it was charged to, so that
+    classify_theta3 under the same budget reads its verdict off this
+    walk instead of walking again.
     """
     if M.size < 1:
         raise ValueError("decomposition needs at least one element")
     if not is_connected(M):
         raise ValueError("decomposition needs a connected matroid")
 
-    taken = set(M.labels)
+    taken = M.label_set
     fresh = (lab for lab in map("m{}".format, count(1)) if lab not in taken)
-    verts: list[BinaryMatroid | None] = [M]
-    kinds: dict[int, str] = {}
-    # each marker's two holders, the holder of its split's X side first
-    ends: dict[str, list[int]] = {}
-    pending = [0]
-    while pending:
-        v = pending.pop()
-        V = verts[v]
-        kinds[v] = _vertex_kind(V)
-        # M(K_n) for n >= 4 and PG(r) for r >= 3 are 3-connected, and
-        # their smaller cases are circuits, so blocks need no search
-        if kinds[v] != "ThreeConnected" or is_projective(V):
-            continue
-        if complete_graph_mapping(V) is not None:
-            continue
-        sep = next(exact_two_separations(V, budget), None)
-        if sep is None:
-            continue
-        X, Y = sep
-        marker = next(fresh)
-        w = _split_vector(V, X, Y)
-        u = len(verts)
-        verts[v] = restrict(V, X).extend(marker, w)
-        verts.append(restrict(V, Y).extend(marker, w))
-        for lab in ends.keys() & Y:
-            ends[lab] = [u if h == v else h for h in ends[lab]]
-        ends[marker] = [v, u]
-        pending += [v, u]
+    S = simplify(M)
+    pieces = (cut_walk(S, budget, fresh),) if S.size else ()
+    M.__dict__["_walk"] = (budget, pieces)
+    if S.size <= 1:
+        return MatroidLabelledTree((M,), (_vertex_kind(M),), ())
 
+    copies: dict[str, list[str]] = {}
+    if not M.is_simple:
+        for lab, rep in loops_and_copies(M)[1]:
+            copies.setdefault(rep, []).append(lab)
+
+    verts: list[BinaryMatroid | None] = []
+    kinds: list[str] = []
+
+    def hub(labels: list[str], col: int) -> None:
+        verts.append(BinaryMatroid._derived(tuple(labels), (col,) * len(labels), M.dim))
+        kinds.append("Cocircuit")
+
+    # pieces to place, each with the markers its labels are renamed to
+    # because a hub above holds the label itself
+    stack: list[tuple[Piece, dict[str, str]]] = [(pieces[0], {})]
+    while stack:
+        (V, leaf, at, parts), names = stack.pop()
+        if not parts:
+            for rep in V.labels:
+                if rep in copies and rep not in names:
+                    names = {**names, rep: next(fresh)}
+                    hub([names[rep], rep, *copies[rep]], M.col_of(rep))
+            verts.append(V.relabel(names) if names else V)
+            kinds.append("Circuit" if leaf and leaf.kind == "C" else "ThreeConnected")
+        elif at in V.label_set:
+            marks = [next(fresh) for _ in parts]
+            own = [] if at in names else copies.get(at, [])
+            hub([names.get(at, at), *own, *marks], V.col_of(at))
+            stack += [(part, {**names, at: m}) for part, m in zip(parts, marks)][::-1]
+        elif len(parts) > 2:
+            # the first part keeps the walk's marker
+            marks = [at] + [next(fresh) for _ in parts[1:]]
+            hub(marks, parts[0].matroid.col_of(at))
+            stack += [(part, {**names, at: m}) for part, m in zip(parts, marks)][::-1]
+        else:
+            stack += [(part, names) for part in parts[::-1]]
+
+    # each marker's two holders, in the order the vertices were made
+    ends: dict[str, list[int]] = {}
+    for i, V in enumerate(verts):
+        for lab in V.labels:
+            if lab not in taken:
+                ends.setdefault(lab, []).append(i)
     # A 2-sum of two circuits is a circuit and of two cocircuits a
     # cocircuit (U_{1,a} 2-summed with U_{1,b} is U_{1,a+b-2}), so no
     # vertex ever changes kind, and an edge whose ends differ in kind
-    # keeps differing.  So one pass over the markers in the order they
-    # were made merges the same pairs, in the same order and with the
-    # same holder first, as merging the first same-kind edge over and
-    # over until none is left.
+    # keeps differing.  So one pass over the markers merges every pair
+    # of same-kind neighbours, whatever the order.
     for lab in list(ends):
         a, b = ends[lab]
         if kinds[a] == kinds[b] != "ThreeConnected":
@@ -247,9 +268,17 @@ def classify_theta3(M: BinaryMatroid, budget: Budget | None = None) -> Verdict:
     InClass verdicts carry the certificate's BuildRecipe, whose
     evaluate() reproduces M exactly.  NotInClass verdicts carry an
     incomplete theta of the piece the certificate could not cut when
-    the budget allows the search, else a note naming that piece.
+    the budget allows the search, else a note naming that piece.  After
+    canonical_tree_decomposition(M) under the same budget, the verdict
+    is read off that call's walk: its first piece that is neither a
+    block nor cut at a point is the certificate's piece, in M's labels,
+    since the walk cuts at points exactly as the certificate does.
     """
-    found = certificate(M, budget)
+    walked = M.__dict__.get("_walk")
+    if walked is not None and walked[0] is budget:
+        found = _read_certificate(M, walked[1])
+    else:
+        found = certificate(M, budget)
     if isinstance(found, BuildRecipe):
         return Verdict(True, found)
     piece = sorted(found.labels)

@@ -74,6 +74,10 @@ class BinaryMatroid:
 
     Attributes cannot be set or deleted.  What a matroid works out on
     first use (its cached properties) goes straight into its __dict__.
+    One entry there is not derived from the matroid alone: _walk, the
+    walk of the last decompose.canonical_tree_decomposition(M) with the
+    budget it was charged to, which classify_theta3(M) reads under that
+    same budget instead of walking again.
     """
 
     labels: tuple[str, ...]
@@ -479,7 +483,9 @@ def exact_two_separations(
     recursion limit.  The budget is charged one node per visit, counted locally and
     passed on when the count reaches Budget.batch_limit(), before every
     yield and at the end, so a node cap raises on the same node, with
-    the same count, as a tick per node would.
+    the same count, as a tick per node would.  The canonical tree does
+    not use it (construct.cut_walk splits at vectors instead); it is
+    the reference the tests hold that walk to.
     """
     n = M.size
     if n < 4:

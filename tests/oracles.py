@@ -18,14 +18,21 @@ definition in the tests.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, count
 from math import isqrt
 from typing import Iterable
 
+from theta3.budget import Budget
 from theta3.construct import complete_graph_mapping
-from theta3.decompose import MatroidLabelledTree
-from theta3.gf2 import greedy_coordinates
-from theta3.matroid import BinaryMatroid, exact_two_separations, is_connected, rank_of
+from theta3.decompose import MatroidLabelledTree, _fold, _vertex_kind
+from theta3.gf2 import bits, greedy_coordinates
+from theta3.matroid import (
+    BinaryMatroid,
+    exact_two_separations,
+    is_connected,
+    rank_of,
+    restrict,
+)
 
 
 def span_of(cols: Iterable[int]) -> set[int]:
@@ -438,6 +445,12 @@ def trees_equivalent(T1: MatroidLabelledTree, T2: MatroidLabelledTree) -> bool:
     b1, b2 = base_colors(T1), base_colors(T2)
     if sorted(b1) != sorted(b2):
         return False
+    if all(labels for _, _, labels in b1):
+        # real labels name every vertex, so the edges decide
+        def named_edges(T: MatroidLabelledTree, b: list[tuple]) -> list[tuple]:
+            return sorted(sorted((b[x][2], b[y][2])) for x, y, _ in T.edges)
+
+        return named_edges(T1, b1) == named_edges(T2, b2)
     n1 = len(b1)
     total = n1 + len(b2)
     adj: list[list[int]] = [[] for _ in range(total)]
@@ -455,3 +468,79 @@ def trees_equivalent(T1: MatroidLabelledTree, T2: MatroidLabelledTree) -> bool:
         rank = {c: k for k, c in enumerate(sorted(set(combos)))}
         colors = [rank[c] for c in combos]
     return sorted(colors[:n1]) == sorted(colors[n1:])
+
+
+def split_vector(V: BinaryMatroid, X: frozenset[str], Y: frozenset[str]) -> int:
+    """The unique nonzero vector of span(X) intersect span(Y).
+
+    Exactness of the separation makes that intersection a line.  Over a
+    greedy basis that starts with a basis of X, the rest of the basis
+    lies in Y, so the X part of a Y column (its leading r(X)
+    coordinates) lies in span(X) and in span(Y); these parts span the
+    intersection.  So the separation is exact exactly when the nonzero
+    X parts are all one vector, which is the one wanted.
+    """
+    xs = sorted(V._positions(X))
+    coords, basis = greedy_coordinates(V.cols, xs)
+    x_part = (1 << len(set(xs).intersection(basis))) - 1
+    parts = {coords[i] & x_part for i in V._positions(Y)} - {0}
+    if len(parts) != 1:
+        raise ValueError("not an exact 2-separation")
+    w = 0
+    for k in bits(parts.pop()):
+        w ^= V.cols[basis[k]]
+    return w
+
+
+def oracle_canonical_tree(
+    M: BinaryMatroid, budget: Budget | None = None
+) -> MatroidLabelledTree:
+    """The canonical tree by the 2-separation backtrack: split each part
+    at the first exact 2-separation exact_two_separations yields, with a
+    marker carrying its split vector on both sides, until no part has
+    one, then merge same-kind neighbours.  Blocks are searched like any
+    other part."""
+    if M.size < 1 or not is_connected(M):
+        raise ValueError("decomposition needs a connected matroid")
+    taken = set(M.labels)
+    fresh = (lab for lab in map("m{}".format, count(1)) if lab not in taken)
+    verts: list[BinaryMatroid | None] = [M]
+    kinds: dict[int, str] = {}
+    # each marker's two holders, the holder of its split's X side first
+    ends: dict[str, list[int]] = {}
+    pending = [0]
+    while pending:
+        v = pending.pop()
+        V = verts[v]
+        kinds[v] = _vertex_kind(V)
+        if kinds[v] != "ThreeConnected":
+            continue
+        sep = next(exact_two_separations(V, budget), None)
+        if sep is None:
+            continue
+        X, Y = sep
+        marker = next(fresh)
+        w = split_vector(V, X, Y)
+        u = len(verts)
+        verts[v] = restrict(V, X).extend(marker, w)
+        verts.append(restrict(V, Y).extend(marker, w))
+        for lab in ends.keys() & Y:
+            ends[lab] = [u if h == v else h for h in ends[lab]]
+        ends[marker] = [v, u]
+        pending += [v, u]
+    for lab in list(ends):
+        a, b = ends[lab]
+        if kinds[a] == kinds[b] != "ThreeConnected":
+            _fold(verts, ends, lab)
+    alive = [i for i, V in enumerate(verts) if V is not None]
+    alive.sort(key=lambda i: sorted(verts[i].labels))
+    remap = {old: new for new, old in enumerate(alive)}
+    edges = sorted(
+        (min(remap[a], remap[b]), max(remap[a], remap[b]), lab)
+        for lab, (a, b) in ends.items()
+    )
+    return MatroidLabelledTree(
+        tuple(verts[i] for i in alive),
+        tuple(kinds[i] for i in alive),
+        tuple(edges),
+    )

@@ -21,7 +21,7 @@ import theta3
 from theta3 import cli, construct, decompose, theta
 from theta3.construct import catalog_matroid
 from theta3.gf2 import bits_from_str
-from theta3.matroid import delete, same_matroid
+from theta3.matroid import same_matroid
 
 from corpus import complete_graph_edges
 from oracles import oracle_is_circuit, oracle_is_complete, oracle_rank, oracle_theta_graphs
@@ -768,15 +768,21 @@ def test_budget_validation_rejects_nan_seconds(capsys):
 
 
 def test_decompose_long_separation_search_hits_the_budget(capsys, tmp_path):
-    # the 2-separation backtrack is one level per element; on 1022
-    # elements it must run out of nodes, not out of stack.  PG(10) itself
-    # is a block, which decompose recognizes without the backtrack, so
-    # the input is PG(10) minus one point: 3-connected, not a block.
-    path = tmp_path / "pg10p.matroid"
-    path.write_text(render_matroid_file(delete(catalog_matroid("PG(10)"), ["p1"])))
-    code, rep = run_cli(capsys, "decompose", str(path), "--max-subsets", "100000")
+    # a piece with no cut point is split at a vector of its span that no
+    # column carries, so a 3-connected piece that is not a block has all
+    # 2^r - 1 vectors of its span tried, one node each.  The rank-15
+    # spike (tip e0, legs {e_i, e_i + e0} for i = 1..14, and the sum of
+    # e_1..e_14) is such a piece: its search takes 32767 nodes, so it
+    # must run out of a cap of 30000, not out of time or stack.
+    cols = [1] + [c for i in range(1, 15) for c in (1 << i, 1 << i | 1)]
+    cols.append(sum(1 << i for i in range(1, 15)))
+    labels = ["e0"] + [f"{x}{i}" for i in range(1, 15) for x in "ab"] + ["z"]
+    lines = ["dim 15"] + [f"{lab} {format(c, '015b')[::-1]}" for lab, c in zip(labels, cols)]
+    path = tmp_path / "spike15.matroid"
+    path.write_text("\n".join(lines) + "\n")
+    code, rep = run_cli(capsys, "decompose", str(path), "--max-subsets", "30000")
     assert code == 3
-    assert rep["error"] == "budget exceeded: node budget exhausted (100001 > 100000)"
+    assert rep["error"] == "budget exceeded: node budget exhausted (30001 > 30000)"
 
 
 def test_unexpected_exception_exits_four(capsys, monkeypatch):
@@ -831,6 +837,39 @@ def test_decompose_builds_one_tree(capsys, monkeypatch, tmp_path):
         _, rep = run_cli(capsys, "decompose", argument)
         assert len(rep["tree"]["vertices"]) > 1, argument
         assert built == [rep["input"]["size"]], argument
+
+
+def test_decompose_walks_once(capsys, monkeypatch, tmp_path):
+    # the tree and the verdict come from one walk: the classifier reads
+    # its verdict off the tree's walk, never runs the certificate, and
+    # no piece reaches the block recognizer twice
+    seen = []
+    certified = []
+    recognize = construct.complete_graph_mapping
+
+    def counting(M):
+        seen.append((M.labels, M.cols))
+        return recognize(M)
+
+    for module in (construct, decompose):
+        monkeypatch.setattr(module, "complete_graph_mapping", counting, raising=False)
+    certify = decompose.certificate
+
+    def certificate(M, budget=None):
+        certified.append(M.size)
+        return certify(M, budget)
+
+    monkeypatch.setattr(decompose, "certificate", certificate)
+    doubled = next(e for e in json.loads(GOLDEN.read_text()) if "input_file" in e)
+    path = tmp_path / "p_c3_c3_doubled.txt"
+    path.write_text(doubled["input_file"], encoding="utf-8")
+    for argument, code in (("MK(5)", 0), ("M_K24", 1), ("F7STAR", 1), (str(path), 0)):
+        seen.clear()
+        for budget in ([], ["--max-subsets", "1000"]):
+            got, rep = run_cli(capsys, "decompose", argument, *budget)
+            assert got == code and rep["tree"]["vertices"], argument
+        assert seen and len(seen) == 2 * len(set(seen)), argument
+    assert certified == []
 
 
 def test_closed_reader_keeps_the_exit_code(capsys, monkeypatch, tmp_path):
@@ -916,9 +955,10 @@ def test_reports_match_golden_file(capsys, tmp_path, monkeypatch):
     # An entry with `input_file` reads that text from the file its argv
     # names: p_c3_c3_doubled.txt is non-simple, so its recipe adds a
     # parallel copy back (`recipe.parallel`) after the term is built.
-    # `decompose merges.graph --graph` pins a tree built with three
-    # merges, two of circuits and one of cocircuits: a dimension-1
-    # cocircuit joined to two merged 4-element circuits and a triangle.
+    # `decompose merges.graph --graph` pins a tree read off one cut
+    # point, v3v4: the cocircuit {v3v4, m1, m2, m3} joined to a triangle
+    # and two 4-element circuits, every vertex in the input's
+    # coordinates.
     # The `check --graph` entries pin the flows' witnesses on W6 and the
     # Petersen graph, whose three paths depend on the BFS order, and the
     # scan's witness on W6 with --no-shortcut.  `closure w6.graph --graph`

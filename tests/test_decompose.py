@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+from itertools import count
 
 import pytest
 
-from theta3 import decompose
+from theta3 import construct, decompose
 from theta3.budget import Budget, BudgetExceededError
 from theta3.construct import (
     MAX_RECIPE_DEPTH,
@@ -36,7 +37,6 @@ from theta3.decompose import (
     MatroidLabelledTree,
     Verdict,
     _check_tree,
-    _split_vector,
     canonical_tree_decomposition,
     classify_theta3,
     recompose,
@@ -47,6 +47,7 @@ from theta3.matroid import (
     connected_components,
     direct_sum,
     exact_two_separations,
+    is_connected,
     restrict,
     same_matroid,
     simplify,
@@ -54,7 +55,7 @@ from theta3.matroid import (
 from theta3.theta import ThetaGraph, is_theta3_closed
 
 import oracles
-from oracles import is_3connected, tree_degree, trees_equivalent
+from oracles import is_3connected, split_vector, tree_degree, trees_equivalent
 from corpus import CONNECTED_CORPUS, SMALL_CORPUS, reversed_elements
 
 
@@ -75,18 +76,25 @@ def test_three_connected_matroids_stay_whole():
 def test_blocks_are_recognized_without_the_backtrack(monkeypatch):
     # M(K_n) and PG(r) parts are 3-connected, so only a part that is
     # neither gets searched: the 2-sum of M(K5) and PG(3) is split once,
-    # and its two halves, M(K5) and PG(3) with the marker in the glued
-    # element's place, take no search.
+    # at a vector of its span that no column carries, and its two
+    # halves, M(K5) and PG(3) with the marker in the glued element's
+    # place, take no search and no budget node.
     searched = []
+    real = construct.cut_walk
 
-    def counting(V, budget=None):
-        searched.append(V.size)
-        return exact_two_separations(V, budget)
+    def counting(S, budget=None, fresh=None):
+        piece = real(S, budget, fresh)
+        if piece.leaf is None:
+            searched.append(S.size)
+        return piece
 
-    monkeypatch.setattr(decompose, "exact_two_separations", counting)
+    for module in (construct, decompose):
+        monkeypatch.setattr(module, "cut_walk", counting)
     for m in (complete_graph_matroid(6), projective_geometry(5)):
-        t = canonical_tree_decomposition(m)
+        budget = Budget()
+        t = canonical_tree_decomposition(m, budget=budget)
         assert t.kinds == ("ThreeConnected",) and searched == []
+        assert budget.nodes == 0
     pg = projective_geometry(3)
     pg = pg.relabel({x: "b" + x for x in pg.labels})
     m = two_sum(complete_graph_matroid(5), pg, "1-2", "bp1")
@@ -169,9 +177,11 @@ def test_no_same_kind_circuit_or_cocircuit_adjacency():
 
 
 def test_split_moves_tree_edges_to_the_new_vertex():
-    # A 7-cycle with five chords, one of them parallel to c0.  A later
-    # split of a vertex sends to its new half a marker of an edge made by
-    # an earlier split, so that edge is relinked to the new vertex.
+    # A 7-cycle with five chords, one of them parallel to c0.  The walk
+    # cuts at x0, and the part holding the rest has no cut point, so it
+    # is split at a vector no column carries: the marker that stands for
+    # x0 there is handed down to the 3-connected piece of that split,
+    # and c0, in a triangle, moves to a hub of its own with its copy.
     edges = [(f"v{i}", f"v{(i + 1) % 7}", f"c{i}") for i in range(7)]
     edges += [
         ("v0", "v5", "x0"),
@@ -194,19 +204,82 @@ def test_recompose_round_trips_circuits():
         assert circuits(back) == circuits(m), name
 
 
+def _first_split(m: BinaryMatroid) -> tuple[str | None, frozenset[frozenset[str]]]:
+    """Where the tree's walk splits m's simplification first, and the
+    label sets of the parts."""
+    piece = construct.cut_walk(simplify(m), None, map("marker{}".format, count()))
+    return piece.at, frozenset(part.matroid.label_set for part in piece.parts)
+
+
 def test_search_orders_agree_up_to_marker_names():
-    # Listing the elements last to first changes which exact 2-separation
-    # the search meets first; the canonical tree must not change.
+    # Listing the elements last to first changes where the walk splits
+    # first (its cut points come in element order, its missing vectors
+    # in the order of a greedy basis); the canonical tree must not change.
     split_differently = 0
     for name, m in CONNECTED_CORPUS:
         r = reversed_elements(m)
-        first = frozenset(next(exact_two_separations(m), ()))
-        if first != frozenset(next(exact_two_separations(r), ())):
+        if _first_split(m) != _first_split(r):
             split_differently += 1
         assert trees_equivalent(
             canonical_tree_decomposition(m), canonical_tree_decomposition(r)
         ), name
     assert split_differently > 0
+
+
+def _matches_the_reference(m: BinaryMatroid) -> MatroidLabelledTree:
+    t = canonical_tree_decomposition(m)
+    _check_tree(t)
+    assert trees_equivalent(t, oracles.oracle_canonical_tree(m))
+    assert same_matroid(m, recompose(t))
+    return t
+
+
+def test_tree_matches_the_backtrack_reference_on_the_connected_corpus():
+    for name, m in CONNECTED_CORPUS:
+        _matches_the_reference(m)
+
+
+def test_tree_matches_the_backtrack_reference_on_every_graph_on_six_vertices():
+    # All connected labelled simple graphs on six vertices (12981 cycle
+    # matroids with at least one element), against the split loop on
+    # the 2-separation backtrack.
+    pairs = [(a, b) for a in range(6) for b in range(a + 1, 6)]
+    checked = merged = 0
+    for mask in range(1, 1 << len(pairs)):
+        edges = [
+            (f"v{a}", f"v{b}", f"e{a}{b}")
+            for k, (a, b) in enumerate(pairs)
+            if mask >> k & 1
+        ]
+        m = cycle_matroid(edges)
+        if not is_connected(m):
+            continue
+        t = _matches_the_reference(m)
+        checked += 1
+        merged += any(V.dim != m.dim for V in t.vertices)
+    assert checked == 12981 and merged > 0, (checked, merged)
+
+
+def test_a_circuit_split_in_two_is_merged_back():
+    # THETA(2,2,3) drawn so that the first vector of its span that no
+    # column carries cuts the 3-path off as a triangle: the walk splits
+    # it in two, and the merge glues it back into one 4-element circuit.
+    edges = [
+        ("v0", "v3", "a"),
+        ("v0", "v4", "b"),
+        ("v0", "v5", "c"),
+        ("v1", "v2", "d"),
+        ("v1", "v4", "e"),
+        ("v1", "v5", "f"),
+        ("v2", "v3", "g"),
+    ]
+    m = cycle_matroid(edges)
+    piece = construct.cut_walk(m, None, iter(["x", "y"]))
+    assert piece.at == "x" and piece.parts[1].at == "y"
+    t = _matches_the_reference(m)
+    assert sorted(t.kinds) == ["Circuit"] * 3 + ["Cocircuit"]
+    assert sorted(V.size for V in t.vertices) == [3, 3, 3, 4]
+    assert {"a", "d", "g"} < t.vertices[[V.size for V in t.vertices].index(4)].label_set
 
 
 def test_trees_of_different_matroids_are_not_equivalent():
@@ -257,7 +330,7 @@ def test_split_vector_lies_in_both_spans_of_every_exact_separation():
     exact, inexact = 0, set()
     for m in matroids:
         for X, Y in exact_two_separations(m):
-            w = _split_vector(m, X, Y)
+            w = split_vector(m, X, Y)
             with_w = m.extend("split", w)
             assert w != 0
             for side in (X, Y):
@@ -271,7 +344,7 @@ def test_split_vector_lies_in_both_spans_of_every_exact_separation():
             if meet != 1:
                 inexact.add(meet)
                 with pytest.raises(ValueError, match="not an exact 2-separation"):
-                    _split_vector(m, X, Y)
+                    split_vector(m, X, Y)
     assert exact > 500 and {0, 2, 3} <= inexact, (exact, inexact)
 
 

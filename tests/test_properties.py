@@ -8,13 +8,14 @@ import re
 import sys
 from collections import Counter
 from functools import reduce
+from itertools import count
 from operator import xor
 from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from theta3.decompose import classify_theta3
+from theta3.decompose import canonical_tree_decomposition, classify_theta3, recompose
 from theta3.gf2 import (
     MAX_DIM,
     bits,
@@ -33,6 +34,7 @@ from theta3.construct import (
     circuit_matroid,
     complete_bipartite_edges,
     complete_graph_matroid,
+    cut_walk,
     cycle_matroid,
     parallel_connection,
     parse_recipe,
@@ -290,6 +292,70 @@ def matroids_with_copies(draw, max_dim=8, max_cols=16):
     cols += [cols[i] if i >= 0 else 0 for i in extra]
     cols = draw(st.permutations(cols))
     return BinaryMatroid(tuple(f"g{i}" for i in range(len(cols))), tuple(cols), dim)
+
+
+def _component(m):
+    """m restricted to its largest connected component."""
+    return restrict(m, max(connected_components(m), key=len, default=()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matroids_with_copies(max_dim=8, max_cols=10))
+def test_tree_matches_the_backtrack_reference(m):
+    # the tree read off the walk against the split loop on the
+    # 2-separation backtrack, on connected inputs with parallel copies
+    m = _component(m)
+    t = canonical_tree_decomposition(m)
+    assert oracles.trees_equivalent(t, oracles.oracle_canonical_tree(m))
+    assert same_matroid(m, recompose(t))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matroids(max_dim=5, max_cols=10))
+def test_a_vector_that_splits_the_contraction_gives_exact_two_separations(m):
+    # the lemma in construct.cut_walk's docstring, on a simple connected
+    # m: for a nonzero vector v of its span, each class K of m/v (its
+    # components other than the loop that an element equal to v
+    # becomes) gives an exact 2-separation (K, E - K) once m/v has two
+    # classes; and every exact 2-separation arises so, from its split
+    # vector
+    m = _component(simplify(m))
+    r = oracles.oracle_rank(m)
+
+    def classes(v):
+        quotient = contract(m.extend("v", v), ["v"])
+        return [K for K in connected_components(quotient) if quotient.col_of(min(K))]
+
+    found = set()
+    for v in sorted(oracles.span_of(m.cols) - {0}):
+        split = classes(v)
+        if len(split) < 2:
+            continue
+        for K in split:
+            rest = m.label_set - K
+            assert len(K) >= 2 and len(rest) >= 2
+            assert oracles.oracle_rank(m, K) + oracles.oracle_rank(m, rest) == r + 1
+            found.add(frozenset((K, rest)))
+    every = oracles.oracle_two_separations(m)
+    assert found <= every
+    for X, Y in map(tuple, every):
+        split = classes(oracles.split_vector(m, X, Y))
+        assert len(split) >= 2 and all(K <= X or K <= Y for K in split)
+
+
+@settings(max_examples=100, deadline=None)
+@given(simple_matroids(min_rank=4, max_dim=6, max_cols=12))
+def test_split_search_finds_a_split_exactly_when_the_backtrack_does(m):
+    # on a simple connected piece with no cut point that is not a block,
+    # the certificate's piece, the walk's search over the vectors no
+    # column carries splits it exactly when it has an exact 2-separation
+    S = certificate(m)
+    assume(isinstance(S, BinaryMatroid))
+    piece = cut_walk(S, None, map("marker{}".format, count()))
+    has_separation = next(exact_two_separations(S), None) is not None
+    assert (piece.at == "marker0") == has_separation
+    if has_separation:
+        assert piece.at not in S.label_set and len(piece.parts) >= 2
 
 
 def _p_k6_k5():
