@@ -46,7 +46,7 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from theta3.budget import Budget, BudgetExceededError
-from theta3.gf2 import MAX_DIM, DimensionError, bits_from_str, bits_to_str
+from theta3.gf2 import MAX_DIM, DimensionError, bits_to_str
 from theta3.matroid import (
     BinaryMatroid,
     UnknownLabelError,
@@ -91,6 +91,7 @@ def parse_matroid(text: str) -> BinaryMatroid:
     """Read the `dim d` / `LABEL bits` format; row 1 is the leading bit."""
     dim: int | None = None
     pairs: list[tuple[str, int]] = []
+    seen: dict[str, int] = {}  # the line of each label
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -106,19 +107,32 @@ def parse_matroid(text: str) -> BinaryMatroid:
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'LABEL bits', got {line!r}")
         lab, bits = parts
-        if len(bits) != dim or set(bits) - {"0", "1"}:
+        if len(bits) != dim or bits.strip("01"):
             raise ValueError(
                 f"line {lineno}: column must be {dim} characters of 0/1, got {bits!r}"
             )
-        pairs.append((lab, bits_from_str(bits)))
+        _check_label(lab, lineno, seen)
+        # bits_from_str's encoding, with the bits already checked here
+        pairs.append((lab, int(bits[::-1], 2)))
     if dim is None:
         raise ValueError("missing 'dim d' header line")
     return BinaryMatroid.from_pairs(pairs, dim)
 
 
+def _check_label(lab: str, lineno: int, seen: dict[str, int]) -> None:
+    """Record that lab is on line lineno, or raise if an earlier line has it."""
+    first = seen.setdefault(lab, lineno)
+    if first != lineno:
+        raise ValueError(
+            f"line {lineno}: label {lab!r} is already on line {first}: "
+            "labels must be pairwise distinct"
+        )
+
+
 def parse_graph(text: str) -> list[tuple[str, str, str]]:
     """Read `u v label` edge lines."""
     edges = []
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -126,6 +140,7 @@ def parse_graph(text: str) -> list[tuple[str, str, str]]:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 'u v label', got {line!r}")
+        _check_label(parts[2], lineno, seen)
         edges.append((parts[0], parts[1], parts[2]))
     return edges
 
@@ -147,9 +162,15 @@ def _load_matroid(argument: str, as_graph: bool) -> BinaryMatroid:
         return catalog_matroid(argument)
     except KeyError:
         pass
-    if os.path.exists(argument):
-        return parse_matroid(_read_text(argument))
-    raise ValueError(f"{argument!r} is neither a catalog key nor a file")
+    try:
+        text = _read_text(argument)
+    except (OSError, ValueError):
+        # the file's own error (a directory, bytes that are not UTF-8)
+        # for a path that exists; otherwise the argument is neither
+        if os.path.exists(argument):
+            raise
+        raise ValueError(f"{argument!r} is neither a catalog key nor a file") from None
+    return parse_matroid(text)
 
 
 # -- JSON rendering -------------------------------------------------------
@@ -604,6 +625,11 @@ _COMMANDS = {
 }
 
 
+# Reports are trees of dicts, lists and scalars, so the encoder needs no
+# cycle check; one encoder serves every report.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
@@ -613,7 +639,7 @@ def main(argv: list[str] | None = None) -> int:
         stream = sys.stdout if code == 0 else sys.stderr
     else:
         code, report = _report(args)
-        text, stream = json.dumps(report, separators=(",", ":")), sys.stdout
+        text, stream = _ENCODER.encode(report), sys.stdout
     try:
         print(text, file=stream)
         stream.flush()

@@ -31,7 +31,6 @@ their columns miss: decompose reads the canonical tree off that walk.
 from __future__ import annotations
 
 import re
-from functools import cached_property
 from math import isqrt
 from typing import Collection, Iterator, NamedTuple, Sequence
 
@@ -40,6 +39,7 @@ from theta3.gf2 import MAX_DIM, DimensionError, bits, greedy_coordinates
 from theta3.matroid import (
     BinaryMatroid,
     _coordinate_classes,
+    cached_property,
     connected_components,
     contract,
     delete,

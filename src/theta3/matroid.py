@@ -26,8 +26,7 @@ its circuit pairs by the same rule.
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from theta3.budget import Budget
 from theta3.gf2 import (
@@ -57,6 +56,28 @@ __all__ = [
     "is_connected",
     "exact_two_separations",
 ]
+
+
+class cached_property:
+    """functools.cached_property without its lock: the value is worked
+    out on first access and stored in the instance's __dict__, where
+    later lookups find it before this non-data descriptor.  Python 3.11
+    takes a lock on every first access, which costs more than most of
+    the values here; 3.12 dropped it.
+    """
+
+    def __init__(self, func: Callable) -> None:
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 class UnknownLabelError(KeyError):

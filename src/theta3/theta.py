@@ -41,7 +41,11 @@ names a piece of M outside the class, where is_theta3_closed scans for
 the witness.  Every closure round does the same at any size, after the
 pair route (exact for thetas whose three arcs have two elements each)
 comes up empty: the recipe proves the fixed point, and otherwise the
-scan of the piece finds the round's vectors.
+scan of the piece finds the round's vectors.  At rank 4 or less every
+incomplete theta has three 2-element arcs, by the window bound above,
+so there the pair route is exact on its own: when it comes up empty,
+check (on at most FULL_ENUM_LIMIT elements) and the closure round stop
+without the certificate or the scan.
 
 A cycle matroid needs no scan.  There a theta is three internally
 disjoint x-y paths, and its completing vector x+y is a column exactly
@@ -87,7 +91,8 @@ __all__ = [
 
 # Above this many elements, check (with its shortcuts on) tries the
 # recipe certificate before the circuit-pair scan.  At or below it the
-# scan is cheaper than the certificate.  Closure rounds try the
+# scan is cheaper than the certificate, and at rank 4 or less neither
+# runs (_pair_route_is_exact).  Closure rounds above rank 4 try the
 # certificate at every size.
 FULL_ENUM_LIMIT = 18
 
@@ -340,11 +345,25 @@ def _goes_by_target(M: BinaryMatroid) -> bool:
     return 3 * ((1 << M.rank) - 1 - present) < present
 
 
+def _pair_route_is_exact(M: BinaryMatroid) -> bool:
+    """Whether the pair route finds every incomplete theta of M, as it
+    does at rank 4 or less; there an empty pair route means M is closed.
+
+    An incomplete theta T has no singleton arc (its column would be the
+    completing vector) and |T| = r(T) + 2 <= r(M) + 2.  At r(M) <= 4
+    its three arcs of at least two elements each fill at most six, so
+    each has exactly two, and the pair route decides those thetas
+    exactly (_pair_route_hits).
+    """
+    return M.rank <= 4
+
+
 def _pair_route_hits(
     M: BinaryMatroid, budget: Budget | None
 ) -> Iterator[tuple[int, ThetaGraph]]:
     """Per missing span vector v, ascending: a theta with three 2-element
-    arcs completed by v.
+    arcs completed by v.  It is exact for those thetas, and at rank 4 or
+    less they are all the incomplete thetas (_pair_route_is_exact).
 
     Pairs {a, a^v} of present columns are disjoint across distinct
     pairs and any two of them union to a 4-circuit, so three pairs form
@@ -441,7 +460,9 @@ def is_theta3_closed(
     recipe certificate then proves a member of the class closed (the
     paper's theorem), in polynomial time; for a non-member it names the
     piece that holds an incomplete theta, and only that piece is
-    scanned.  The full circuit-pair scan settles the rest exactly.
+    scanned.  Otherwise, at rank 4 or less, an empty sweep proves M
+    closed (_pair_route_is_exact).  The full circuit-pair scan settles
+    the rest exactly.
     """
     if use_shortcut and is_projective(M):
         return True, None
@@ -455,6 +476,8 @@ def is_theta3_closed(
             return True, found
         # a piece outside the class: its incomplete thetas are M's
         M = found
+    elif use_shortcut and _pair_route_is_exact(M):
+        return True, None
     for *arcs, w in _theta_scan(M, budget, incomplete=True):
         return False, _theta(M, arcs, w)
     return True, None
@@ -469,18 +492,20 @@ def _incomplete_vectors(
     point.  At every size the pair route goes first.  It is exact for
     thetas whose three arcs have two elements each and blind to the
     rest, so its answer may be partial; later rounds pick up whatever
-    it missed (additions never invalidate earlier ones).  Once it comes
-    up empty, a recipe certificate proves the fixed point if M is in
-    the class.  Otherwise the certificate names a piece of M outside
-    the class, whose incomplete thetas are M's own, and the circuit-pair
-    scan of that piece has the final word.  It reports only the piece's
+    it missed (additions never invalidate earlier ones).  At rank 4 or
+    less it misses nothing, so an empty answer there is the fixed point
+    (_pair_route_is_exact).  At a higher rank, once it comes up empty, a
+    recipe certificate proves the fixed point if M is in the class.
+    Otherwise the certificate names a piece of M outside the class,
+    whose incomplete thetas are M's own, and the circuit-pair scan of
+    that piece has the final word.  It reports only the piece's
     vectors, and never nothing: by the paper's theorem the piece holds
     an incomplete theta.
     """
     if is_projective(M):
         return []
     out = list(_pair_route_hits(M, budget))
-    if out:
+    if out or _pair_route_is_exact(M):
         return out
     piece = certificate(M, budget)
     if isinstance(piece, BuildRecipe):

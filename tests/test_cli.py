@@ -406,10 +406,12 @@ def test_graph_route_reads_edge_files_as_the_cycle_matroid_route(capsys, tmp_pat
     # flows must agree with the scan, and the pass must read each file
     # as cycle_matroid does.
     rng = random.Random(21)
-    # a path of rank 17 whose last label repeats the first: the rank
-    # is reported, as cycle_matroid reports it
-    path17 = "".join(f"x{i} x{i + 1} e{i % 16}\n" for i in range(17))
-    texts = ["", "# nothing but a comment\n\n   # and another\n", path17]
+    # a path of rank 17, and one whose last label repeats the first:
+    # the rank is reported as cycle_matroid reports it, and a repeated
+    # label first, with its lines, as the file is read
+    path17 = "".join(f"x{i} x{i + 1} e{i}\n" for i in range(17))
+    repeat17 = "".join(f"x{i} x{i + 1} e{i % 16}\n" for i in range(17))
+    texts = ["", "# nothing but a comment\n\n   # and another\n", path17, repeat17]
     texts += [random_edge_file(rng) for _ in range(300)]
     errors, wide = [], 0
     for i, text in enumerate(texts):
@@ -435,9 +437,12 @@ def test_graph_route_reads_edge_files_as_the_cycle_matroid_route(capsys, tmp_pat
     # a malformed line, a repeated label and a rank above 16
     assert None in errors and wide
     assert any(e and e.startswith("line ") for e in errors)
-    assert "labels must be pairwise distinct" in errors
+    assert any(e and e.endswith(": labels must be pairwise distinct") for e in errors)
     assert any(e and e.startswith("graph of rank") for e in errors)
     assert errors[2] == "graph of rank 17 exceeds MAX_DIM = 16"
+    assert errors[3] == (
+        "line 17: label 'e0' is already on line 1: labels must be pairwise distinct"
+    )
 
 
 def random_matroid_file(rng):
@@ -492,7 +497,7 @@ def test_generated_matroid_files_never_crash(capsys, tmp_path):
             errors.append(rep.get("error"))
     assert None in errors
     assert "missing 'dim d' header line" in errors
-    assert "labels must be pairwise distinct" in errors
+    assert any(e and e.endswith(": labels must be pairwise distinct") for e in errors)
     assert any(e and "column must be" in e for e in errors)
     assert any(e and "expected 'dim d'" in e for e in errors)
     assert any(e and "exceeds MAX_DIM" in e for e in errors)
@@ -612,6 +617,48 @@ def test_unknown_input_exits_two(capsys):
     code, rep = run_cli(capsys, "check", "NO_SUCH_KEY")
     assert code == 2
     assert "neither a catalog key nor a file" in rep["error"]
+
+
+@pytest.mark.parametrize(
+    "kind, error",
+    [
+        ("missing", "{arg!r} is neither a catalog key nor a file"),
+        ("directory", f"[Errno {errno.EISDIR}] Is a directory: {{arg!r}}"),
+        ("nul", "{arg!r} is neither a catalog key nor a file"),
+        ("not utf-8", "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"),
+        ("bad bit", "line 2: column must be 3 characters of 0/1, got '120'"),
+        ("short column", "line 2: column must be 3 characters of 0/1, got '10'"),
+    ],
+)
+def test_loader_errors(capsys, tmp_path, kind, error):
+    # the file is opened once, with no existence test first; each input
+    # keeps the exit code and the message it had with that test
+    arg = str(tmp_path / "m.matroid")
+    if kind == "directory":
+        os.mkdir(arg)
+    elif kind == "nul":
+        arg += "\0"
+    elif kind != "missing":
+        body = {"not utf-8": b"e1 1\xff0", "bad bit": b"e1 120", "short column": b"e1 10"}
+        Path(arg).write_bytes(b"dim 3\n" + body[kind] + b"\n")
+    code, rep = run_cli(capsys, "check", arg)
+    assert code == 2 and rep["error"] == error.format(arg=arg)
+
+
+@pytest.mark.parametrize(
+    "flags, text, lines",
+    [
+        ((), "dim 2\na 10\n# b\nb 01\na 11\n", (5, 2)),
+        (("--graph",), "x y a\n\ny z b\nz x a\n", (4, 1)),
+    ],
+)
+def test_repeated_label_names_both_lines(capsys, tmp_path, flags, text, lines):
+    path = tmp_path / "repeat.txt"
+    path.write_text(text)
+    code, rep = run_cli(capsys, "check", str(path), *flags)
+    assert code == 2 and rep["error"] == (
+        "line %d: label 'a' is already on line %d: labels must be pairwise distinct" % lines
+    )
 
 
 def test_decompose_rejects_disconnected_file(capsys, tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import json
 import pkgutil
 import random
 from unittest import mock
@@ -26,7 +27,7 @@ from theta3.construct import (
 )
 from theta3.gf2 import rank_bits
 from theta3.matroid import BinaryMatroid, _circuit_masks, delete, simplify
-from theta3 import theta
+from theta3 import cli, theta
 from theta3.theta import (
     graph_is_theta3_closed,
     graph_theta3_closure,
@@ -130,6 +131,85 @@ def test_shortcut_and_direct_agree_on_projective_geometries():
         pg = projective_geometry(r)
         assert is_theta3_closed(pg, use_shortcut=True)[0]
         assert is_theta3_closed(pg, use_shortcut=False)[0]
+
+
+def test_rank_rule_agrees_with_the_scan_on_every_subset_of_pg4():
+    # At rank 4 or less an empty pair route proves M closed; without
+    # the shortcut the circuit-pair scan decides.
+    pg = projective_geometry(4)
+    for mask in range(1, 1 << pg.size):
+        cols = tuple(c for i, c in enumerate(pg.cols) if mask >> i & 1)
+        m = BinaryMatroid(tuple(map(str, cols)), cols, 4)
+        assert is_theta3_closed(m)[0] == is_theta3_closed(m, use_shortcut=False)[0], mask
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rank_rule_agrees_with_the_scan_with_loops_and_parallel_copies(seed):
+    # rank 1 to 4 in dimensions up to 8, some past FULL_ENUM_LIMIT,
+    # where check still tries the certificate first
+    rng = random.Random(seed)
+    for _ in range(150):
+        dim = rng.randint(2, 8)
+        basis = [rng.randrange(1, 1 << dim) for _ in range(4)]
+        # the span of the basis, 0 (a loop) included
+        span = [0]
+        for v in basis:
+            span += [u ^ v for u in span]
+        pts = rng.choices(span, k=rng.randint(1, 24))
+        m = BinaryMatroid(tuple(f"q{i}" for i in range(len(pts))), tuple(pts), dim)
+        assert m.rank <= 4
+        closed, wit = is_theta3_closed(m)
+        assert closed == is_theta3_closed(m, use_shortcut=False)[0], pts
+        if not closed:
+            oracles.oracle_validate_theta(m, wit.arcs)
+            assert not oracles.oracle_is_complete(m, wit.arcs)[0], pts
+
+
+def test_rank_rule_stops_at_rank_4():
+    # THETA(2,2,3) has rank 5 and one theta, incomplete, with an arc of
+    # three elements: past rank 4 an empty pair route proves nothing
+    m = catalog_matroid("THETA(2,2,3)")
+    assert m.rank == 5 and not list(theta._pair_route_hits(m, None))
+    assert not is_theta3_closed(m)[0]
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+
+    return refuse
+
+
+@pytest.mark.parametrize("key", ["MK(5)", "MSTAR_K33", "F7", "THETA(2,2,2)"])
+def test_rank_rule_runs_neither_scan_nor_certificate(monkeypatch, key):
+    # inputs of rank 4 or less and at most FULL_ENUM_LIMIT elements:
+    # M(K5) is closed, F7 projective, and M*(K_3,3) and M(K_2,3) are
+    # refuted by the pair route
+    m = catalog_matroid(key)
+    assert m.rank <= 4 and m.size <= theta.FULL_ENUM_LIMIT
+    want = oracles.oracle_closed(m)[0]
+    monkeypatch.setattr(theta, "_theta_scan", _refuse("the circuit-pair scan"))
+    monkeypatch.setattr(theta, "certificate", _refuse("the certificate"))
+    closed, wit = is_theta3_closed(m)
+    assert closed == want and (wit is None) == want
+
+
+def test_no_shortcut_still_scans_at_rank_4(capsys):
+    with mock.patch.object(theta, "_theta_scan", wraps=theta._theta_scan) as scan:
+        code = cli.main(["check", "MK(5)", "--no-shortcut"])
+    assert code == 0 and json.loads(capsys.readouterr().out)["verdict"] is True
+    assert scan.call_count == 1
+
+
+def test_rank_4_closure_ends_without_the_certificate(monkeypatch):
+    # M(K_2,3) closes in one round, found by the pair route; the round
+    # after it finds nothing, and at rank 4 that is the fixed point
+    monkeypatch.setattr(theta, "_theta_scan", _refuse("the circuit-pair scan"))
+    monkeypatch.setattr(theta, "certificate", _refuse("the certificate"))
+    m = dict(SMALL_CORPUS)["K23"]
+    final, trace = theta3_closure(m)
+    assert final.colset == oracles.oracle_closure(m)[0].colset
+    assert len(trace.rounds) == 1
 
 
 def _decisions_and_nodes(m):
@@ -346,13 +426,12 @@ def test_small_closure_rounds_take_the_pair_route_first():
 
 
 def test_small_closure_fixed_point_comes_from_the_certificate(monkeypatch):
-    # M(K_2,3) plus its one missing vector is in the class, so no round
-    # of its closure needs the circuit-pair scan.
-    def no_scan(*args, **kwargs):
-        raise AssertionError("the circuit-pair scan ran")
-
-    monkeypatch.setattr(theta, "_theta_scan", no_scan)
-    m = dict(SMALL_CORPUS)["K23"]
+    # M(K_2,4) plus its one missing vector is in the class, so no round
+    # of its closure needs the circuit-pair scan.  At rank 5 the pair
+    # route is not exact, so the certificate proves the fixed point.
+    monkeypatch.setattr(theta, "_theta_scan", _refuse("the circuit-pair scan"))
+    m = dict(SMALL_CORPUS)["M_K24"]
+    assert m.rank == 5
     final, trace = theta3_closure(m)
     ofinal, _ = oracles.oracle_closure(m)
     assert final.colset == ofinal.colset
