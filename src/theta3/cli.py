@@ -50,8 +50,6 @@ from theta3.gf2 import MAX_DIM, DimensionError, bits_to_str
 from theta3.matroid import (
     BinaryMatroid,
     UnknownLabelError,
-    connected_components,
-    is_connected,
     restrict,
     same_matroid,
 )
@@ -300,15 +298,13 @@ def _cmd_closure(args, budget, report) -> int:
 def _cmd_decompose(args, budget, report) -> int:
     M = _load_matroid(args.input, args.graph)
     report["input"] = {"argument": args.input, "size": M.size, "rank": M.rank}
-    if not is_connected(M):
-        comps = [sorted(c) for c in connected_components(M)]
-        raise ValueError(f"decompose needs a connected matroid; components: {comps}")
+    tree = canonical_tree_decomposition(M, budget=budget)
     if M.size < 4:
         report.setdefault("notes", []).append(
             "fewer than 4 elements: by convention there is no 2-separation "
             "and the tree is a single vertex"
         )
-    report["tree"] = _tree_json(canonical_tree_decomposition(M, budget=budget))
+    report["tree"] = _tree_json(tree)
     verdict = classify_theta3(M, budget=budget)
     report["verdict"] = "InClass" if verdict.in_class else "NotInClass"
     report["recipe"] = _recipe_json(verdict.recipe) if verdict.recipe else None
@@ -436,8 +432,9 @@ _GRAMMAR = {
                 "--no-shortcut",
                 "flag",
                 False,
-                "disables the projective shortcut, the recipe certificate and, "
-                "with --graph, the flow test (the circuit-pair scan decides)",
+                "disables the projective shortcut, the rank rule, the recipe "
+                "certificate and, with --graph, the flow test (the circuit-pair "
+                "scan decides)",
             ),
         ),
     ),

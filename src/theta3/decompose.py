@@ -31,6 +31,7 @@ from theta3.budget import Budget, BudgetExceededError
 from theta3.matroid import (
     BinaryMatroid,
     _coordinate_classes,
+    connected_components,
     is_connected,
     simplify,
 )
@@ -130,7 +131,8 @@ def canonical_tree_decomposition(
     if M.size < 1:
         raise ValueError("decomposition needs at least one element")
     if not is_connected(M):
-        raise ValueError("decomposition needs a connected matroid")
+        comps = [sorted(c) for c in connected_components(M)]
+        raise ValueError(f"decompose needs a connected matroid; components: {comps}")
 
     taken = M.label_set
     fresh = (lab for lab in map("m{}".format, count(1)) if lab not in taken)

@@ -35,17 +35,26 @@ theta minus one arc.
 Closedness also has a proof that lists no theta.  By the paper's
 theorem a binary matroid is theta-closed exactly when it is built from
 circuits, M(K_n) and PG blocks by direct sums and parallel connections,
-so a recipe that rebuilds M (construct.certificate) proves M closed.
-is_theta3_closed tries it above FULL_ENUM_LIMIT; when it finds none, it
-names a piece of M outside the class, where is_theta3_closed scans for
-the witness.  Every closure round does the same at any size, after the
-pair route (exact for thetas whose three arcs have two elements each)
-comes up empty: the recipe proves the fixed point, and otherwise the
-scan of the piece finds the round's vectors.  At rank 4 or less every
-incomplete theta has three 2-element arcs, by the window bound above,
-so there the pair route is exact on its own: when it comes up empty,
-check (on at most FULL_ENUM_LIMIT elements) and the closure round stop
-without the certificate or the scan.
+so a recipe that rebuilds M (construct.certificate) proves M closed;
+when there is none, certificate names a piece of M outside the class,
+whose incomplete thetas are M's own.
+
+check (is_theta3_closed) and every closure round (_incomplete_vectors)
+decide by the same stages, in one order, at every size
+(_incomplete_thetas):
+1. a full projective geometry is closed;
+2. the pair route, exact for thetas whose three arcs have two elements
+   each: a theta it finds settles M;
+3. the rank rule: at rank 4 or less every incomplete theta has three
+   2-element arcs, by the window bound above, so an empty pair route
+   proves M closed;
+4. the certificate: its recipe proves M closed;
+5. otherwise the scan of its piece finds the incomplete thetas.
+check stops at the first witness and reports the recipe, and skips
+stage 2 when its table of column pairs would be too large
+(_PREPASS_MAX_COLUMNS); a round collects every vector.  Without the
+shortcuts (check --no-shortcut) stages 2 and 5 are left, and the scan
+covers all of M.
 
 A cycle matroid needs no scan.  There a theta is three internally
 disjoint x-y paths, and its completing vector x+y is a column exactly
@@ -69,7 +78,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import islice
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Generator, Iterable, Iterator, NamedTuple
 
 from theta3.budget import Budget
 from theta3.construct import BuildRecipe, _Graph, certificate, is_projective
@@ -86,15 +95,7 @@ __all__ = [
     "theta3_closure",
     "graph_is_theta3_closed",
     "graph_theta3_closure",
-    "FULL_ENUM_LIMIT",
 ]
-
-# Above this many elements, check (with its shortcuts on) tries the
-# recipe certificate before the circuit-pair scan.  At or below it the
-# scan is cheaper than the certificate, and at rank 4 or less neither
-# runs (_pair_route_is_exact).  Closure rounds above rank 4 try the
-# certificate at every size.
-FULL_ENUM_LIMIT = 18
 
 # Distinct-column cap for the pair-route prepass in is_theta3_closed when
 # the route fills its table of column pairs: the table stays under 8.4M,
@@ -434,6 +435,40 @@ def _pair_route_hits(
         yield v, ThetaGraph(tuple(map(frozenset, arcs)), v, M.dim)
 
 
+def _incomplete_thetas(
+    M: BinaryMatroid, budget: Budget | None, use_shortcut: bool = True, prepass: bool = True
+) -> Generator[tuple[int, ThetaGraph], None, BuildRecipe | None]:
+    """(completing vector, witness) for M's incomplete thetas, each vector
+    once, as the stages of the module docstring find them.  It yields
+    nothing exactly when M is closed, and then returns the recipe if the
+    certificate proved it, else None.
+
+    Once the pair route has found a theta nothing else runs, so the
+    thetas may be only some of M's.  prepass=False skips the pair route.
+    use_shortcut=False leaves out the projective shortcut, the rank rule
+    and the certificate, so the scan covers all of M.
+    """
+    if use_shortcut and is_projective(M):
+        return None
+    if prepass:
+        hit = None
+        for hit in _pair_route_hits(M, budget):
+            yield hit
+        if hit or (use_shortcut and _pair_route_is_exact(M)):
+            return None
+    if use_shortcut:
+        found = certificate(M, budget)
+        if isinstance(found, BuildRecipe):
+            return found
+        # a piece outside the class: its incomplete thetas are M's
+        M = found
+    seen = set()
+    for *arcs, w in _theta_scan(M, budget, incomplete=True):
+        if w not in seen:
+            seen.add(w)
+            yield w, _theta(M, arcs, w)
+
+
 def is_theta3_closed(
     M: BinaryMatroid,
     *,
@@ -444,78 +479,37 @@ def is_theta3_closed(
 
     The evidence is an incomplete theta when M is not closed, the
     recipe when a recipe certificate proved M closed, and None when the
-    projective shortcut or the scan did.
-
-    With use_shortcut enabled, a simple matroid whose columns exhaust
-    every nonzero vector of their span is accepted immediately (a full
-    projective restriction has no room for an incomplete theta).  A
-    pair-route sweep over the missing pair sums then catches most
-    negatives quickly: it finds every incomplete theta whose three arcs
-    have two elements each, and none other.  When few vectors are
-    missing it goes target by target, four names per target, at any
-    size; otherwise it fills a table of column pairs, and
+    projective shortcut, the rank rule or the scan did.  The stages are
+    a closure round's (_incomplete_thetas), at every size, stopped at
+    the first witness.  The pair route goes target by target, four
+    names per target, at any size when few vectors are missing;
+    otherwise it fills a table of column pairs, which
     _PREPASS_MAX_COLUMNS distinct columns (every input of rank 12 or
-    less) bound that table, so larger inputs skip the sweep.
-    With use_shortcut enabled and more than FULL_ENUM_LIMIT elements, a
-    recipe certificate then proves a member of the class closed (the
-    paper's theorem), in polynomial time; for a non-member it names the
-    piece that holds an incomplete theta, and only that piece is
-    scanned.  Otherwise, at rank 4 or less, an empty sweep proves M
-    closed (_pair_route_is_exact).  The full circuit-pair scan settles
-    the rest exactly.
+    less) bound, so larger inputs skip it.  use_shortcut=False leaves
+    the pair route and the circuit-pair scan of all of M.
     """
-    if use_shortcut and is_projective(M):
-        return True, None
-    if _goes_by_target(M) or len(M.colset) <= _PREPASS_MAX_COLUMNS:
-        prepass = _pair_route_hits(M, budget)
-        for _, hit in prepass:
-            return False, hit
-    if use_shortcut and M.size > FULL_ENUM_LIMIT:
-        found = certificate(M, budget)
-        if isinstance(found, BuildRecipe):
-            return True, found
-        # a piece outside the class: its incomplete thetas are M's
-        M = found
-    elif use_shortcut and _pair_route_is_exact(M):
-        return True, None
-    for *arcs, w in _theta_scan(M, budget, incomplete=True):
-        return False, _theta(M, arcs, w)
-    return True, None
+    prepass = _goes_by_target(M) or len(M.colset) <= _PREPASS_MAX_COLUMNS
+    stages = _incomplete_thetas(M, budget, use_shortcut, prepass)
+    try:
+        return False, next(stages)[1]
+    except StopIteration as closed:
+        return True, closed.value
 
 
 def _incomplete_vectors(
     M: BinaryMatroid, budget: Budget | None
 ) -> list[tuple[int, ThetaGraph]]:
-    """Missing span vectors that complete some theta of M, ascending.
+    """Missing span vectors that complete some theta of M, ascending, each
+    with its witness: all that _incomplete_thetas yields, where check
+    stops at the first.
 
     Exact when it reports nothing, which is what certifies a fixed
-    point.  At every size the pair route goes first.  It is exact for
-    thetas whose three arcs have two elements each and blind to the
-    rest, so its answer may be partial; later rounds pick up whatever
-    it missed (additions never invalidate earlier ones).  At rank 4 or
-    less it misses nothing, so an empty answer there is the fixed point
-    (_pair_route_is_exact).  At a higher rank, once it comes up empty, a
-    recipe certificate proves the fixed point if M is in the class.
-    Otherwise the certificate names a piece of M outside the class,
-    whose incomplete thetas are M's own, and the circuit-pair scan of
-    that piece has the final word.  It reports only the piece's
-    vectors, and never nothing: by the paper's theorem the piece holds
-    an incomplete theta.
+    point.  Otherwise it may be partial: the pair route is blind to
+    thetas with a longer arc, and the scan reports only the piece's
+    vectors.  Later rounds pick up whatever it missed (additions never
+    invalidate earlier ones).
     """
-    if is_projective(M):
-        return []
-    out = list(_pair_route_hits(M, budget))
-    if out or _pair_route_is_exact(M):
-        return out
-    piece = certificate(M, budget)
-    if isinstance(piece, BuildRecipe):
-        return []
-    # a piece outside the class: its incomplete thetas are M's
-    found: dict[int, ThetaGraph] = {}
-    for *arcs, w in _theta_scan(piece, budget, incomplete=True):
-        if w not in found:
-            found[w] = _theta(piece, arcs, w)
-    return sorted(found.items())
+    return sorted(_incomplete_thetas(M, budget), key=lambda hit: hit[0])
 
 
 def theta3_closure(

@@ -55,8 +55,9 @@ def reference_parser() -> argparse.ArgumentParser:
     c.add_argument(
         "--no-shortcut",
         action="store_true",
-        help="disables the projective shortcut, the recipe certificate and, "
-        "with --graph, the flow test (the circuit-pair scan decides)",
+        help="disables the projective shortcut, the rank rule, the recipe "
+        "certificate and, with --graph, the flow test (the circuit-pair "
+        "scan decides)",
     )
 
     c = sub.add_parser("closure", parents=[common], help="compute the closure")

@@ -678,6 +678,24 @@ def test_decompose_lists_components_in_order_of_their_first_element(capsys, tmp_
     assert rep["error"].endswith("components: [['a', 'd'], ['b', 'c']]")
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("dim 2\n", "decomposition needs at least one element"),
+        ("dim 2\na 10\nb 01\n", "decompose needs a connected matroid; components: [['a'], ['b']]"),
+    ],
+    ids=["empty", "two_coloops"],
+)
+def test_decompose_error_carries_no_tree_note(capsys, tmp_path, text, error):
+    # The note on inputs of fewer than 4 elements describes the tree, so
+    # it is added only once the tree is built.
+    path = tmp_path / "small.matroid"
+    path.write_text(text)
+    code, rep = run_cli(capsys, "decompose", str(path))
+    assert code == 2 and rep["error"] == error
+    assert "notes" not in rep and "tree" not in rep
+
+
 # -- budgets, internal errors, argv plumbing --------------------------------
 
 
@@ -745,7 +763,7 @@ def test_check_certifies_large_complete_graphs_within_a_node_budget(capsys, key)
 
 
 def test_check_reports_the_certificate_recipe(capsys, tmp_path):
-    # Above 18 elements check proves a closed verdict by the recipe
+    # Above rank 4 check proves a closed verdict by the recipe
     # certificate, and the report carries that recipe: its printed term,
     # with the loops and parallel copies put back, rebuilds the input.
     m = catalog_matroid("MK(9)")

@@ -104,6 +104,17 @@ def test_blocks_are_recognized_without_the_backtrack(monkeypatch):
     assert same_matroid(m, recompose(t))
 
 
+def test_disconnected_matroids_are_refused_with_their_components():
+    # the one connectivity check of decompose: its message lists the
+    # components in order of their first element
+    m = BinaryMatroid(tuple("abcd"), (1, 2, 2, 1), 2)
+    with pytest.raises(ValueError) as exc:
+        canonical_tree_decomposition(m)
+    assert str(exc.value) == (
+        "decompose needs a connected matroid; components: [['a', 'd'], ['b', 'c']]"
+    )
+
+
 def test_small_matroids_are_single_vertices():
     for name in ("C1", "C2", "COLOOP1", "U13"):
         t = canonical_tree_decomposition(BY_NAME[name])

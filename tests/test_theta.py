@@ -6,6 +6,7 @@ import importlib
 import json
 import pkgutil
 import random
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -26,7 +27,7 @@ from theta3.construct import (
     theta_edges,
 )
 from theta3.gf2 import rank_bits
-from theta3.matroid import BinaryMatroid, _circuit_masks, delete, simplify
+from theta3.matroid import BinaryMatroid, _circuit_masks, delete, same_matroid, simplify
 from theta3 import cli, theta
 from theta3.theta import (
     graph_is_theta3_closed,
@@ -122,8 +123,10 @@ def test_is_theta3_closed_agrees_with_oracle_on_corpus():
         if not got:
             oracles.oracle_validate_theta(m, wit.arcs)
             assert not oracles.oracle_is_complete(m, wit.arcs)[0], name
-        else:
-            assert wit is None
+        elif wit is not None:
+            # the certificate proved it: its recipe rebuilds m
+            assert isinstance(wit, BuildRecipe), name
+            assert same_matroid(wit.evaluate(), m), name
 
 
 def test_shortcut_and_direct_agree_on_projective_geometries():
@@ -145,8 +148,8 @@ def test_rank_rule_agrees_with_the_scan_on_every_subset_of_pg4():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_rank_rule_agrees_with_the_scan_with_loops_and_parallel_copies(seed):
-    # rank 1 to 4 in dimensions up to 8, some past FULL_ENUM_LIMIT,
-    # where check still tries the certificate first
+    # rank 1 to 4 in dimensions up to 8, some with more than 18
+    # elements: the rank rule decides at every size
     rng = random.Random(seed)
     for _ in range(150):
         dim = rng.randint(2, 8)
@@ -180,14 +183,29 @@ def _refuse(name):
     return refuse
 
 
-@pytest.mark.parametrize("key", ["MK(5)", "MSTAR_K33", "F7", "THETA(2,2,2)"])
+def _with_parallel_copies(m):
+    """m with a parallel copy of each element, its label primed."""
+    for lab, c in zip(m.labels, m.cols):
+        m = m.extend(lab + "'", c)
+    return m
+
+
+@pytest.mark.parametrize(
+    "key", ["MK(5)", "MSTAR_K33", "F7", "THETA(2,2,2)", "MK(5) doubled"]
+)
 def test_rank_rule_runs_neither_scan_nor_certificate(monkeypatch, key):
-    # inputs of rank 4 or less and at most FULL_ENUM_LIMIT elements:
-    # M(K5) is closed, F7 projective, and M*(K_3,3) and M(K_2,3) are
-    # refuted by the pair route
-    m = catalog_matroid(key)
-    assert m.rank <= 4 and m.size <= theta.FULL_ENUM_LIMIT
-    want = oracles.oracle_closed(m)[0]
+    # inputs of rank 4 or less, at any size: M(K5) is closed, also with
+    # a parallel copy of each element (20 elements), F7 projective, and
+    # M*(K_3,3) and M(K_2,3) are refuted by the pair route
+    name, _, doubled = key.partition(" ")
+    m = catalog_matroid(name)
+    if doubled:
+        m = _with_parallel_copies(m)
+        assert m.size == 20
+    assert m.rank <= 4
+    # a parallel copy lies on no incomplete theta, so the oracle may
+    # decide the simplification
+    want = oracles.oracle_closed(simplify(m))[0]
     monkeypatch.setattr(theta, "_theta_scan", _refuse("the circuit-pair scan"))
     monkeypatch.setattr(theta, "certificate", _refuse("the certificate"))
     closed, wit = is_theta3_closed(m)
@@ -414,10 +432,9 @@ def test_closure_certifies_its_fixed_point_within_a_node_budget(cols):
 
 
 def test_small_closure_rounds_take_the_pair_route_first():
-    # 18 points of PG(4, 2), rank 5: at FULL_ENUM_LIMIT, where the
-    # circuit-pair scan took 13107 nodes.  The pair route finds every
-    # missing point in one round, and the fixed point PG(4, 2) is
-    # projective.
+    # 18 points of PG(4, 2), rank 5, where the circuit-pair scan took
+    # 13107 nodes.  The pair route finds every missing point in one
+    # round, and the fixed point PG(4, 2) is projective.
     cols = [10, 1, 14, 13, 12, 24, 18, 28, 21, 22, 6, 8, 5, 11, 19, 31, 27, 23]
     m = BinaryMatroid(tuple(f"q{i}" for i in range(len(cols))), tuple(cols), 5)
     final, trace = theta3_closure(m, budget=Budget(max_nodes=1_000))
@@ -501,6 +518,77 @@ def test_pair_route_branches_agree(monkeypatch, seed):
             budget = Budget()
             runs.append((list(theta._pair_route_hits(m, budget)), budget.nodes))
         assert runs[0] == runs[1], pts
+
+
+def test_check_reports_the_recipe_of_mk6(capsys):
+    # M(K6) has 15 elements and rank 5: the pair route finds nothing,
+    # and the certificate proves it by its recipe, where the scan took
+    # 1224 nodes and reported no recipe.
+    budget = Budget()
+    closed, recipe = is_theta3_closed(catalog_matroid("MK(6)"), budget=budget)
+    assert closed and budget.nodes == 15
+    assert same_matroid(recipe.evaluate(), catalog_matroid("MK(6)"))
+    assert cli.main(["check", "MK(6)"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] is True and report["recipe"]["term"] == "MK(6)"
+
+
+def _glued_blocks(rng):
+    """Two or three blocks among C(3..6), M(K4) and PG(3), each glued at
+    a random point of what came before: rank 5 or more, at most 18
+    elements."""
+    blocks = [partial(circuit_matroid, n) for n in range(3, 7)]
+    blocks += [partial(complete_graph_matroid, 4), partial(projective_geometry, 3)]
+    while True:
+        out = None
+        for i in range(rng.randint(2, 3)):
+            block = rng.choice(blocks)()
+            block = block.relabel({lab: f"b{i}{lab}" for lab in block.labels})
+            if out is None:
+                out = block
+            else:
+                p, q = rng.choice(out.labels), rng.choice(block.labels)
+                out = parallel_connection(out, block, p, q)
+        if out.rank >= 5 and out.size <= 18:
+            return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_check_proves_small_members_above_rank_4_by_their_recipe(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        m = _glued_blocks(rng)
+        closed, recipe = is_theta3_closed(m)
+        assert closed and isinstance(recipe, BuildRecipe), m.labels
+        assert same_matroid(recipe.evaluate(), m), m.labels
+
+
+def _agrees_with_one_round(m):
+    """check (is_theta3_closed) and one closure round run the same
+    stages: check refutes m exactly when the round finds vectors, and
+    its witness is the round's witness for its vector."""
+    closed, wit = is_theta3_closed(m)
+    found = theta._incomplete_vectors(m, None)
+    assert closed == (not found)
+    if not closed:
+        assert (wit.completing, wit) in found
+        oracles.oracle_validate_theta(m, wit.arcs)
+        assert not oracles.oracle_is_complete(m, wit.arcs)[0]
+
+
+def test_check_agrees_with_one_closure_round_on_the_corpus():
+    for name, m in SMALL_CORPUS:
+        _agrees_with_one_round(m)
+
+
+@pytest.mark.parametrize("rank", [5, 6])
+def test_check_agrees_with_one_closure_round_on_point_sets(rank):
+    # 6 to 18 random points of PG(5) and of PG(6), ranks 5 and 6
+    rng = random.Random(rank)
+    for _ in range(100):
+        pts = rng.sample(range(1, 1 << rank), rng.randint(6, 18))
+        labels = tuple(f"q{i}" for i in range(len(pts)))
+        _agrees_with_one_round(BinaryMatroid(labels, tuple(pts), rank))
 
 
 def test_recipe_proves_pg15_with_a_point_glued_circuit_without_the_prepass(
