@@ -1,0 +1,155 @@
+#!/usr/bin/env python3
+"""Print the growth ladder: budget nodes, process time and peak RSS per rung.
+
+Each row is one family, one rung and one entry point, printed as one
+line of JSON:
+
+    {"row": "pgc3/13/closure", "family": "P(PG(r), C(3))", "rung": 13,
+     "entry": "closure", "status": "ok", "answer": {...}, "nodes": 1,
+     "build_s": 0.03, "seconds": 0.09, "peak_rss_mb": 19.6}
+
+Every row runs in a child process of its own, under a time budget
+(--max-seconds, a theta3 Budget) and a cap on its address space
+(--max-mb), so a search that blows up shows as a row with status
+"budget" or "memory" instead of a hang, and one row's memory never
+counts against the next.  "seconds" is the entry point's process time,
+"build_s" the time to build its input, and "peak_rss_mb" the child's
+peak resident set, build included.  Every input comes from a recipe
+term or a fixed random.Random seed, so node counts are deterministic.
+
+Families:
+    pgc3      P(PG(r), C(3); base=p1,e1), r = 11, 12, 13, 15
+    pgc3-p2   the same at r = 13 with p2 deleted
+    pg16pts   4000 and 8000 random points of PG(16), random.Random(7)
+Entry points: check (is_theta3_closed), no-shortcut (the same with
+use_shortcut=False), closure (theta3_closure) and round (one closure
+round, the vectors it adds).
+
+Usage:
+    python3 scripts/growth.py [--max-seconds S] [--max-mb MB] [--only ROW ...]
+
+ROW names a row as family/rung/entry, e.g. pgc3/11/check.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+FAMILIES = {
+    "pgc3": "P(PG(r), C(3))",
+    "pgc3-p2": "P(PG(r), C(3)) minus p2",
+    "pg16pts": "random points of PG(16)",
+}
+ROWS = [
+    *(f"pgc3/{r}/{entry}" for r in (11, 12, 13, 15) for entry in ("check", "closure")),
+    "pgc3-p2/13/check",
+    *(f"pg16pts/{n}/{entry}" for n in (4000, 8000) for entry in ("check", "no-shortcut", "round")),
+]
+
+
+def _build(family: str, rung: int):
+    from theta3.construct import evaluate_term, parse_recipe
+    from theta3.matroid import BinaryMatroid, delete
+
+    if family == "pg16pts":
+        import random
+
+        pts = random.Random(7).sample(range(1, 1 << 16), rung)
+        return BinaryMatroid(tuple(f"q{i}" for i in range(rung)), tuple(pts), 16)
+    m = evaluate_term(parse_recipe(f"P(PG({rung}), C(3); base=p1,e1)"))
+    return delete(m, ["p2"]) if family == "pgc3-p2" else m
+
+
+def _run(entry: str, m, budget):
+    """The entry point's answer on m, as JSON."""
+    from theta3 import theta
+
+    if entry in ("check", "no-shortcut"):
+        closed, _ = theta.is_theta3_closed(
+            m, use_shortcut=entry == "check", budget=budget
+        )
+        return {"closed": closed}
+    if entry == "closure":
+        final, trace = theta.theta3_closure(m, budget=budget)
+        return {"size": final.size, "rounds": len(trace.rounds)}
+    return {"added": len(theta._incomplete_vectors(m, budget))}
+
+
+def child(row: str, max_seconds: float, max_mb: int) -> dict:
+    """Run one row in this process and return its JSON record."""
+    import resource
+
+    from theta3.budget import Budget, BudgetExceededError
+
+    limit = max_mb << 20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    family, rung, entry = row.split("/")
+    out = {"row": row, "family": FAMILIES[family], "rung": int(rung), "entry": entry}
+    budget = Budget(max_seconds=max_seconds)
+    status, answer = "ok", None
+    t0 = time.process_time()
+    m = _build(family, int(rung))
+    t1 = time.process_time()
+    try:
+        answer = _run(entry, m, budget)
+    except BudgetExceededError:
+        status = "budget"
+    except MemoryError:
+        status = "memory"
+    t2 = time.process_time()
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    out.update(
+        status=status,
+        answer=answer,
+        nodes=budget.nodes,
+        build_s=round(t1 - t0, 3),
+        seconds=round(t2 - t1, 3),
+        peak_rss_mb=round(peak, 1),
+    )
+    return out
+
+
+def run_row(row: str, max_seconds: float, max_mb: int) -> dict:
+    """Run one row in a child process; a child that dies or overruns
+    its budget by far still gives a row."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = [sys.executable, __file__, "--child", row]
+    argv += ["--max-seconds", str(max_seconds), "--max-mb", str(max_mb)]
+    try:
+        done = subprocess.run(
+            argv, env=env, capture_output=True, text=True, timeout=2 * max_seconds + 30
+        )
+    except subprocess.TimeoutExpired:
+        return {"row": row, "status": "timeout"}
+    if done.returncode != 0:
+        tail = done.stderr.strip().splitlines()[-1:]
+        return {"row": row, "status": "died", "returncode": done.returncode, "error": tail}
+    return json.loads(done.stdout)
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--max-seconds", type=float, default=60.0)
+    parser.add_argument("--max-mb", type=int, default=2048)
+    parser.add_argument("--only", nargs="+", choices=ROWS, metavar="ROW")
+    parser.add_argument("--child", choices=ROWS, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        print(json.dumps(child(args.child, args.max_seconds, args.max_mb)))
+        return 0
+    for row in args.only or ROWS:
+        print(json.dumps(run_row(row, args.max_seconds, args.max_mb)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -508,8 +508,10 @@ class BuildRecipe(NamedTuple):
     """Term tree plus loop and parallel annotations.
 
     evaluate() reproduces the classified matroid exactly, circuits and
-    labels included.  serialize() prints only the term shape; the label
-    maps live on the Leaf objects.
+    labels included.  serialize() prints the recipe's shape written over
+    the input's labels; the label maps live on the Leaf objects and are
+    not printed.  So parse_recipe and build rebuild only terms over
+    constructor labels, and evaluate() is what rebuilds the input.
     """
 
     term: Term | None

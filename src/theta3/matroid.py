@@ -83,6 +83,10 @@ class cached_property:
 class UnknownLabelError(KeyError):
     """A label that does not belong to the matroid's ground set."""
 
+    def __str__(self) -> str:
+        # KeyError's str is the bare repr of the key
+        return f"unknown label {self.args[0]!r}"
+
 
 def _check_cols(labels: Iterable[str], cols: Iterable[int], dim: int) -> None:
     for lab, c in zip(labels, cols):

@@ -50,11 +50,11 @@ decide by the same stages, in one order, at every size
    proves M closed;
 4. the certificate: its recipe proves M closed;
 5. otherwise the scan of its piece finds the incomplete thetas.
-check stops at the first witness and reports the recipe, and skips
-stage 2 when its table of column pairs would be too large
-(_PREPASS_MAX_COLUMNS); a round collects every vector.  Without the
-shortcuts (check --no-shortcut) stages 2 and 5 are left, and the scan
-covers all of M.
+When the pair route would fill a table of column pairs too large to
+fit (_pair_route_way), stage 4 comes first, and its piece goes through
+stages 2 and 5.  check stops at the first witness and reports the
+recipe; a round collects every vector.  Without the shortcuts (check
+--no-shortcut) stages 2 and 5 are left, and the scan covers all of M.
 
 A cycle matroid needs no scan.  There a theta is three internally
 disjoint x-y paths, and its completing vector x+y is a column exactly
@@ -97,12 +97,13 @@ __all__ = [
     "graph_theta3_closure",
 ]
 
-# Distinct-column cap for the pair-route prepass in is_theta3_closed when
-# the route fills its table of column pairs: the table stays under 8.4M,
-# and every rank of 12 or less fits.  It bounds only that table.  When
-# few vectors are missing the route goes target by target, keeping four
-# names per target, and the prepass runs at any size.  The exact
-# searches behind it are capped only by the Budget.
+# Distinct-column cap on the pair route's table of column pairs, for
+# check and every closure round alike (_pair_route_way): the table stays
+# under 8.4M, and every rank of 12 or less fits.  It bounds only that
+# table.  When few vectors are missing the route goes target by target,
+# keeping four names per target, at any size; above the cap otherwise
+# the certificate goes first.  The exact searches are capped only by the
+# Budget.
 _PREPASS_MAX_COLUMNS = 1 << 12
 
 
@@ -232,13 +233,7 @@ def _theta_scan(
                 inter = mi & mj
                 w = sums.get(inter)
                 if w is None:
-                    w = 0
-                    rest = inter
-                    while rest:
-                        low = rest & -rest
-                        w ^= cols[low.bit_length() - 1]
-                        rest ^= low
-                    sums[inter] = w
+                    w = sums[inter] = _path_sum(cols, inter)
                 if w in skip:
                     continue
                 if residue is None:
@@ -339,11 +334,20 @@ def _missing_vectors(M: BinaryMatroid) -> list[int]:
     return sorted(v for v in span if v and v not in colset)
 
 
-def _goes_by_target(M: BinaryMatroid) -> bool:
-    """Whether the pair route goes through the missing vectors one by one:
-    fewer are missing than a third of the nonzero distinct columns."""
+def _pair_route_way(M: BinaryMatroid) -> str:
+    """How the pair route meets M, chosen here for every caller.
+
+    "target" when fewer vectors are missing than a third of the nonzero
+    distinct columns: it goes through the missing vectors one by one, at
+    any size.  Else "fill" when its table of column pairs fits, on at
+    most _PREPASS_MAX_COLUMNS distinct columns.  Else "certificate":
+    with the shortcuts on the certificate goes first and the route meets
+    only its piece, and without them the route goes target by target.
+    """
     present = len(M.colset) - (0 in M.colset)
-    return 3 * ((1 << M.rank) - 1 - present) < present
+    if 3 * ((1 << M.rank) - 1 - present) < present:
+        return "target"
+    return "fill" if len(M.colset) <= _PREPASS_MAX_COLUMNS else "certificate"
 
 
 def _pair_route_is_exact(M: BinaryMatroid) -> bool:
@@ -373,11 +377,12 @@ def _pair_route_hits(
     from one pass over the pairs of present columns: a table from each
     pair sum to the smaller columns of its pairs, filled column by
     column in ascending order, so every list is ascending; the sums that
-    are columns are dropped once, when the targets are sorted.  When
-    fewer vectors are missing than a third of the columns
-    (_goes_by_target), a pass over each missing vector's possible pairs
-    is cheaper, so that is taken instead; it stops at a target's first
-    four names, all that the rule below reads.  The clock is read once
+    are columns are dropped once, when the targets are sorted.  That
+    table is filled only where it fits (_pair_route_way).  Otherwise,
+    and whenever fewer vectors are missing than a third of the columns,
+    the route passes over each missing vector's possible pairs instead;
+    it stops at a target's first four names, all that the rule below
+    reads, so both passes give the same hits.  The clock is read once
     per column of the first pass, and once per target of the second,
     without counting a node.
 
@@ -401,7 +406,7 @@ def _pair_route_hits(
         first.setdefault(c, j)
     present = sorted(c for c in first if c)
     pairs: dict[int, list[int]]
-    if _goes_by_target(M):
+    if _pair_route_way(M) != "fill":
         targets = _missing_vectors(M)
         pairs = {}
         for v in targets:
@@ -436,7 +441,7 @@ def _pair_route_hits(
 
 
 def _incomplete_thetas(
-    M: BinaryMatroid, budget: Budget | None, use_shortcut: bool = True, prepass: bool = True
+    M: BinaryMatroid, budget: Budget | None, use_shortcut: bool = True
 ) -> Generator[tuple[int, ThetaGraph], None, BuildRecipe | None]:
     """(completing vector, witness) for M's incomplete thetas, each vector
     once, as the stages of the module docstring find them.  It yields
@@ -444,13 +449,17 @@ def _incomplete_thetas(
     certificate proved it, else None.
 
     Once the pair route has found a theta nothing else runs, so the
-    thetas may be only some of M's.  prepass=False skips the pair route.
-    use_shortcut=False leaves out the projective shortcut, the rank rule
-    and the certificate, so the scan covers all of M.
+    thetas may be only some of M's.  Where _pair_route_way, the one gate
+    on the route's size for every caller, says "certificate", the
+    certificate runs first, and its piece goes through this generator
+    without the shortcuts.  use_shortcut=False leaves out the
+    projective shortcut, the rank rule and the certificate, so the pair
+    route and the scan cover all of M.
     """
     if use_shortcut and is_projective(M):
         return None
-    if prepass:
+    late = use_shortcut and _pair_route_way(M) == "certificate"
+    if not late:
         hit = None
         for hit in _pair_route_hits(M, budget):
             yield hit
@@ -461,6 +470,8 @@ def _incomplete_thetas(
         if isinstance(found, BuildRecipe):
             return found
         # a piece outside the class: its incomplete thetas are M's
+        if late:
+            return (yield from _incomplete_thetas(found, budget, use_shortcut=False))
         M = found
     seen = set()
     for *arcs, w in _theta_scan(M, budget, incomplete=True):
@@ -480,18 +491,14 @@ def is_theta3_closed(
     The evidence is an incomplete theta when M is not closed, the
     recipe when a recipe certificate proved M closed, and None when the
     projective shortcut, the rank rule or the scan did.  The stages are
-    a closure round's (_incomplete_thetas), at every size, stopped at
-    the first witness.  The pair route goes target by target, four
-    names per target, at any size when few vectors are missing;
-    otherwise it fills a table of column pairs, which
-    _PREPASS_MAX_COLUMNS distinct columns (every input of rank 12 or
-    less) bound, so larger inputs skip it.  use_shortcut=False leaves
-    the pair route and the circuit-pair scan of all of M.
+    a closure round's (_incomplete_thetas), at every size, in the same
+    order, stopped at the first witness; so is where the pair route's
+    table of column pairs gives way to the certificate
+    (_pair_route_way).  use_shortcut=False leaves the pair route and the
+    circuit-pair scan of all of M.
     """
-    prepass = _goes_by_target(M) or len(M.colset) <= _PREPASS_MAX_COLUMNS
-    stages = _incomplete_thetas(M, budget, use_shortcut, prepass)
     try:
-        return False, next(stages)[1]
+        return False, next(_incomplete_thetas(M, budget, use_shortcut))[1]
     except StopIteration as closed:
         return True, closed.value
 
@@ -572,8 +579,9 @@ def _closure_rounds(
 def _path_sum(cols: tuple[int, ...], mask: int) -> int:
     """The sum of the columns at the set bits of mask."""
     w = 0
-    for j in bits(mask):
-        w ^= cols[j]
+    while mask:
+        w ^= cols[(mask & -mask).bit_length() - 1]
+        mask &= mask - 1
     return w
 
 

@@ -162,6 +162,15 @@ def test_build_label_clash_exits_two(capsys):
     assert "collision" in rep["error"]
 
 
+@pytest.mark.parametrize("base, label", [("ae1", "ae1"), ("e1,zz", "zz")])
+def test_build_names_an_unknown_base_label(capsys, base, label):
+    # a base that names no element of its side's constructor labels, on
+    # the left and on the right; KeyError's own str was the bare repr
+    code, rep = run_cli(capsys, "build", f"P(C(5), C(3); base={base})")
+    assert code == 2
+    assert rep["error"] == f"unknown label {label!r}"
+
+
 def test_catalog_listing(capsys):
     code, rep = run_cli(capsys, "catalog")
     assert code == 0

@@ -7,6 +7,7 @@ printed output are asserted.
 
 from __future__ import annotations
 
+import json
 import runpy
 from pathlib import Path
 
@@ -31,3 +32,14 @@ def test_classify_gallery_prints_recipes_and_refutations(capsys):
     assert "dual of the seven-point plane: NOT IN CLASS" in out
     assert "(missing 1100)" in out
     assert "IN CLASS" in out.replace("NOT IN CLASS", "")
+
+
+def test_growth_runs_the_smallest_rung_in_a_child(capsys):
+    # P(PG(11), C(3)) is closed: the pair route finds no target with
+    # three pairs, and the certificate proves it in one node.
+    argv = ["--only", "pgc3/11/check", "--max-seconds", "10"]
+    assert _load("growth.py")["main"](argv) == 0
+    (row,) = map(json.loads, capsys.readouterr().out.splitlines())
+    assert row["status"] == "ok" and row["answer"] == {"closed": True}
+    assert row["nodes"] == 1 and row["family"] == "P(PG(r), C(3))"
+    assert row["seconds"] < 1 and row["peak_rss_mb"] > 0

@@ -26,6 +26,7 @@ from theta3.construct import (
     projective_geometry,
     theta_edges,
 )
+from theta3.decompose import classify_theta3
 from theta3.gf2 import rank_bits
 from theta3.matroid import BinaryMatroid, _circuit_masks, delete, same_matroid, simplify
 from theta3 import cli, theta
@@ -501,6 +502,27 @@ def test_prepass_goes_by_target_above_the_column_cap():
     assert final.size == (1 << 13) - 1 and len(trace.rounds) == 1
 
 
+def test_certificate_goes_first_above_the_column_cap():
+    # 8000 random points of PG(16) are past the column cap, and 57535
+    # vectors are missing, so the route would fill its table of pairs.
+    # The certificate goes first instead: 8000 candidates find no cut
+    # point, and its piece, all of M, is refuted by the route target by
+    # target in one tick.  Without the shortcuts the route goes target
+    # by target at once.  Skipping the route, check, --no-shortcut and
+    # classify_theta3's witness search ran into the exponential scan.
+    pts = random.Random(7).sample(range(1, 1 << 16), 8000)
+    m = BinaryMatroid(tuple(f"q{i}" for i in range(8000)), tuple(pts), 16)
+    assert theta._pair_route_way(m) == "certificate"
+    for use_shortcut, nodes in ((True, 8001), (False, 1)):
+        closed, wit = is_theta3_closed(
+            m, use_shortcut=use_shortcut, budget=Budget(max_nodes=nodes)
+        )
+        assert not closed and wit.completing not in m.colset
+        oracles.oracle_validate_theta(m, wit.arcs)
+    verdict = classify_theta3(m, budget=Budget(max_nodes=8001))
+    assert not verdict.in_class and verdict.witness == wit
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_pair_route_branches_agree(monkeypatch, seed):
     # The target-by-target pass keeps four names per target, all that
@@ -513,8 +535,8 @@ def test_pair_route_branches_agree(monkeypatch, seed):
         pts = rng.sample(range(1, 1 << rank), size)
         m = BinaryMatroid(tuple(f"q{i}" for i in range(size)), tuple(pts), rank)
         runs = []
-        for by_target in (False, True):
-            monkeypatch.setattr(theta, "_goes_by_target", lambda M: by_target)
+        for way in ("fill", "target"):
+            monkeypatch.setattr(theta, "_pair_route_way", lambda M: way)
             budget = Budget()
             runs.append((list(theta._pair_route_hits(m, budget)), budget.nodes))
         assert runs[0] == runs[1], pts
@@ -594,8 +616,9 @@ def test_check_agrees_with_one_closure_round_on_point_sets(rank):
 def test_recipe_proves_pg15_with_a_point_glued_circuit_without_the_prepass(
     monkeypatch,
 ):
-    # 32769 distinct columns are past the prepass's cap, whose table of
-    # pairs would hold 537M; the certificate proves the input in 1 node.
+    # 32769 distinct columns are past the pair route's cap, whose table
+    # of pairs would hold 537M; the certificate proves the input in 1
+    # node, for check and for the closure, which ends after 0 rounds.
     def no_prepass(*args, **kwargs):
         raise AssertionError("the pair-route prepass ran")
 
@@ -606,6 +629,8 @@ def test_recipe_proves_pg15_with_a_point_glued_circuit_without_the_prepass(
     closed, recipe = is_theta3_closed(m, budget=budget)
     assert closed and isinstance(recipe, BuildRecipe)
     assert budget.nodes == 1
+    final, trace = theta3_closure(m, budget=Budget(max_nodes=1))
+    assert final is m and trace.rounds == ()
 
 
 def test_closure_round_scans_only_the_piece_outside_the_class():
