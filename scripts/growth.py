@@ -19,7 +19,8 @@ term or a fixed random.Random seed, so node counts are deterministic.
 
 Families:
     pgc3      P(PG(r), C(3); base=p1,e1), r = 11, 12, 13, 15
-    pgc3-p2   the same at r = 13 with p2 deleted
+    pgc3-p2   the same at r = 13 with p2 deleted, under check and
+              no-shortcut (rows pgc3-p2/13/check, pgc3-p2/13/no-shortcut)
     pg16pts   4000 and 8000 random points of PG(16), random.Random(7)
 Entry points: check (is_theta3_closed), no-shortcut (the same with
 use_shortcut=False), closure (theta3_closure) and round (one closure
@@ -50,7 +51,7 @@ FAMILIES = {
 }
 ROWS = [
     *(f"pgc3/{r}/{entry}" for r in (11, 12, 13, 15) for entry in ("check", "closure")),
-    "pgc3-p2/13/check",
+    *(f"pgc3-p2/13/{entry}" for entry in ("check", "no-shortcut")),
     *(f"pg16pts/{n}/{entry}" for n in (4000, 8000) for entry in ("check", "no-shortcut", "round")),
 ]
 

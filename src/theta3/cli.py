@@ -86,7 +86,11 @@ __all__ = ["parse_matroid", "parse_graph", "run", "main"]
 
 
 def parse_matroid(text: str) -> BinaryMatroid:
-    """Read the `dim d` / `LABEL bits` format; row 1 is the leading bit."""
+    """Read the `dim d` / `LABEL bits` format; row 1 is the leading bit.
+
+    Under `dim 0` every column is empty, so a lone LABEL is a loop, as
+    reports print a dim-0 element: `["e1", ""]`.
+    """
     dim: int | None = None
     pairs: list[tuple[str, int]] = []
     seen: dict[str, int] = {}  # the line of each label
@@ -102,6 +106,8 @@ def parse_matroid(text: str) -> BinaryMatroid:
             if dim > MAX_DIM:
                 raise ValueError(f"line {lineno}: dim {dim} exceeds MAX_DIM = {MAX_DIM}")
             continue
+        if dim == 0 and len(parts) == 1:
+            parts.append("")
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'LABEL bits', got {line!r}")
         lab, bits = parts
@@ -110,8 +116,9 @@ def parse_matroid(text: str) -> BinaryMatroid:
                 f"line {lineno}: column must be {dim} characters of 0/1, got {bits!r}"
             )
         _check_label(lab, lineno, seen)
-        # bits_from_str's encoding, with the bits already checked here
-        pairs.append((lab, int(bits[::-1], 2)))
+        # bits_from_str's encoding, with the bits already checked here;
+        # a dim-0 column is empty, the zero vector
+        pairs.append((lab, int(bits[::-1] or "0", 2)))
     if dim is None:
         raise ValueError("missing 'dim d' header line")
     return BinaryMatroid.from_pairs(pairs, dim)
@@ -456,7 +463,7 @@ _GRAMMAR = {
     "build": _Command(
         "evaluate a recipe term",
         ("term", "e.g. 'P(MK(4), C(3); base=1-2,e1)'", True),
-        _BUDGET,
+        (),
     ),
     "crossval": _Command(
         "classifier vs direct decision sweep",
@@ -469,7 +476,7 @@ _GRAMMAR = {
             _Option("--seed", int, 0, "seed of the random samples", "SEED"),
         ),
     ),
-    "catalog": _Command("list named matroids", None, _BUDGET),
+    "catalog": _Command("list named matroids", None, ()),
 }
 
 # Per command: each option by its name, and the attribute defaults of its args.
@@ -492,8 +499,10 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
     A plain command line is a command name, then options spelled in full
     (`--opt value` with a value that does not start with '-', or
     `--opt=value`) around one run of positional tokens, none of which
-    starts with '-', and every value valid.  Help, `--`, negative numbers
-    as separate tokens and every usage error are left to _argparse.
+    starts with '-', and every value valid.  Only build takes a run of
+    more than one token, and it has no options, so no option ever breaks
+    a run.  Help, `--`, negative numbers as separate tokens and every
+    usage error are left to _argparse.
     """
     if not argv or argv[0] not in _GRAMMAR:
         return None
@@ -501,17 +510,13 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
     options = _OPTIONS[name]
     values = dict(_DEFAULTS[name])
     run: list[str] = []
-    run_ended = False
     i = 1
     while i < len(argv):
         token = argv[i]
         i += 1
         if token[:1] != "-":
-            if run_ended:
-                return None
             run.append(token)
             continue
-        run_ended = bool(run)
         key, eq, value = token.partition("=")
         option = options.get(key)
         if option is None:
@@ -663,14 +668,17 @@ def _report(args: SimpleNamespace) -> tuple[int, dict]:
     started = time.perf_counter()
     code = 2
     try:
-        if args.max_subsets is not None and args.max_subsets < 1:
+        # build and catalog run no search, so they take no budget
+        max_nodes = getattr(args, "max_subsets", None)
+        max_seconds = getattr(args, "max_seconds", None)
+        if max_nodes is not None and max_nodes < 1:
             raise ValueError("--max-subsets must be >= 1")
         # `not > 0` also rejects NaN, which no elapsed time ever exceeds
-        if args.max_seconds is not None and not args.max_seconds > 0:
+        if max_seconds is not None and not max_seconds > 0:
             raise ValueError("--max-seconds must be positive")
         budget = None
-        if args.max_subsets is not None or args.max_seconds is not None:
-            budget = Budget(max_nodes=args.max_subsets, max_seconds=args.max_seconds)
+        if max_nodes is not None or max_seconds is not None:
+            budget = Budget(max_nodes=max_nodes, max_seconds=max_seconds)
         code = _COMMANDS[args.command](args, budget, report)
     except BudgetExceededError as exc:
         report["error"] = f"budget exceeded: {exc}"

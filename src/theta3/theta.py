@@ -45,8 +45,9 @@ decide by the same stages, in one order, at every size
 1. a full projective geometry is closed;
 2. the pair route, exact for thetas whose three arcs have two elements
    each: a theta it finds settles M;
-3. the rank rule: at rank 4 or less every incomplete theta has three
-   2-element arcs, by the window bound above, so an empty pair route
+3. the rank rule: at rank 4 or less an incomplete theta has no
+   singleton arc and at most six elements, by the window bound above,
+   so its three arcs have two elements each and an empty pair route
    proves M closed;
 4. the certificate: its recipe proves M closed;
 5. otherwise the scan of its piece finds the incomplete thetas.
@@ -101,9 +102,9 @@ __all__ = [
 # check and every closure round alike (_pair_route_way): the table stays
 # under 8.4M, and every rank of 12 or less fits.  It bounds only that
 # table.  When few vectors are missing the route goes target by target,
-# keeping four names per target, at any size; above the cap otherwise
-# the certificate goes first.  The exact searches are capped only by the
-# Budget.
+# reading four names per target as it tests it, at any size; above the
+# cap otherwise the certificate goes first.  The exact searches are
+# capped only by the Budget.
 _PREPASS_MAX_COLUMNS = 1 << 12
 
 
@@ -350,25 +351,13 @@ def _pair_route_way(M: BinaryMatroid) -> str:
     return "fill" if len(M.colset) <= _PREPASS_MAX_COLUMNS else "certificate"
 
 
-def _pair_route_is_exact(M: BinaryMatroid) -> bool:
-    """Whether the pair route finds every incomplete theta of M, as it
-    does at rank 4 or less; there an empty pair route means M is closed.
-
-    An incomplete theta T has no singleton arc (its column would be the
-    completing vector) and |T| = r(T) + 2 <= r(M) + 2.  At r(M) <= 4
-    its three arcs of at least two elements each fill at most six, so
-    each has exactly two, and the pair route decides those thetas
-    exactly (_pair_route_hits).
-    """
-    return M.rank <= 4
-
-
 def _pair_route_hits(
     M: BinaryMatroid, budget: Budget | None
 ) -> Iterator[tuple[int, ThetaGraph]]:
     """Per missing span vector v, ascending: a theta with three 2-element
     arcs completed by v.  It is exact for those thetas, and at rank 4 or
-    less they are all the incomplete thetas (_pair_route_is_exact).
+    less they are all the incomplete thetas (stage 3 of the module
+    docstring).
 
     Pairs {a, a^v} of present columns are disjoint across distinct
     pairs and any two of them union to a 4-circuit, so three pairs form
@@ -380,11 +369,12 @@ def _pair_route_hits(
     are columns are dropped once, when the targets are sorted.  That
     table is filled only where it fits (_pair_route_way).  Otherwise,
     and whenever fewer vectors are missing than a third of the columns,
-    the route passes over each missing vector's possible pairs instead;
-    it stops at a target's first four names, all that the rule below
-    reads, so both passes give the same hits.  The clock is read once
-    per column of the first pass, and once per target of the second,
-    without counting a node.
+    the pass by target reads a missing vector's names when it tests
+    that vector: its first four, ascending, all that the rule below
+    reads, so both passes give the same hits and ticks in the same
+    order, and a caller that stops at a hit reads no later target.  The
+    clock is read once per column of the fill, and once per target of
+    the pass by target, without counting a node.
 
     The rank test needs no elimination.  Each pair is named by its
     smaller column, the one without v's highest bit, so a^b is a name
@@ -405,24 +395,24 @@ def _pair_route_hits(
     for j, c in enumerate(M.cols):
         first.setdefault(c, j)
     present = sorted(c for c in first if c)
-    pairs: dict[int, list[int]]
-    if _pair_route_way(M) != "fill":
-        targets = _missing_vectors(M)
-        pairs = {}
-        for v in targets:
-            budget.check_time()
-            names = (a for a in present if a < a ^ v and a ^ v in first)
-            pairs[v] = list(islice(names, 4))
-    else:
-        pairs = defaultdict(list)
+    table: dict[int, list[int]] | None = None
+    if _pair_route_way(M) == "fill":
+        table = defaultdict(list)
         for i, a in enumerate(present):
             budget.check_time()
             for v in map(a.__xor__, present[i + 1 :]):
-                pairs[v].append(a)
-        targets = sorted(pairs.keys() - first.keys())
+                table[v].append(a)
+        targets = sorted(table.keys() - first.keys())
+    else:
+        targets = _missing_vectors(M)
     labels = M.labels
     for v in targets:
-        reps = pairs[v]
+        if table is None:
+            budget.check_time()
+            names = (a for a in present if a < a ^ v and a ^ v in first)
+            reps = list(islice(names, 4))
+        else:
+            reps = table[v]
         if len(reps) < 3:
             continue
         a, b, c = reps[:3]
@@ -463,7 +453,8 @@ def _incomplete_thetas(
         hit = None
         for hit in _pair_route_hits(M, budget):
             yield hit
-        if hit or (use_shortcut and _pair_route_is_exact(M)):
+        # the rank rule (stage 3 of the module docstring)
+        if hit or (use_shortcut and M.rank <= 4):
             return None
     if use_shortcut:
         found = certificate(M, budget)

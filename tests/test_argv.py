@@ -76,7 +76,7 @@ def reference_parser() -> argparse.ArgumentParser:
     c.add_argument("input", help="catalog key or file path")
     c.add_argument("--graph", action="store_true", help="input file is an edge list")
 
-    c = sub.add_parser("build", parents=[common], help="evaluate a recipe term")
+    c = sub.add_parser("build", help="evaluate a recipe term")
     c.add_argument("term", nargs="+", help="e.g. 'P(MK(4), C(3); base=1-2,e1)'")
 
     c = sub.add_parser(
@@ -87,7 +87,7 @@ def reference_parser() -> argparse.ArgumentParser:
     c.add_argument("--sample-rank", type=int, default=4, metavar="R")
     c.add_argument("--seed", type=int, default=0)
 
-    sub.add_parser("catalog", parents=[common], help="list named matroids")
+    sub.add_parser("catalog", help="list named matroids")
     return p
 
 
@@ -262,8 +262,8 @@ def test_args_carry_the_names_the_commands_read():
         "max_subsets": None,
         "max_seconds": -0.5,
     }
-    args = cli._parse_argv(["build", "--max-subsets", "9", "P(C(3),", "MK(3);", "base=e3)"])
-    assert args.term == ["P(C(3),", "MK(3);", "base=e3)"] and args.max_subsets == 9
+    args = cli._parse_argv(["build", "P(C(3),", "MK(3);", "base=e3)"])
+    assert vars(args) == {"command": "build", "term": ["P(C(3),", "MK(3);", "base=e3)"]}
 
 
 def test_usage_error_goes_to_stderr_with_no_report(capsys):
@@ -289,14 +289,17 @@ def test_help_lists_every_option_and_exits_zero(capsys, command):
 
 
 def test_the_fast_path_agrees_with_argparse():
-    read = 0
+    read = accepted = 0
     for argv in CORPUS:
+        accepted += outcome(argv)[0] == "accepted"
         args = cli._read(argv)
         if args is not None:
             read += 1
             assert attributes(args) == attributes(cli._argparse(argv)), argv
-    # the fast path takes a good share of the accepted lines
-    assert read > 500
+    # the fast path takes a good share of the accepted lines: more than
+    # 52% of them, the share of the floor of 500 reads when build and
+    # catalog took budget options and the corpus accepted 962 lines
+    assert 100 * read > 52 * accepted
 
 
 def readme_examples() -> list[list[str]]:

@@ -277,6 +277,19 @@ def test_file_input_round_trips_through_check(capsys, tmp_path):
     assert rep["input"]["size"] == 6 and rep["input"]["rank"] == 3
 
 
+def test_dim_zero_file_reads_a_lone_label_as_a_loop(capsys, tmp_path):
+    # reports print a dim-0 element as ["e1", ""], and its file line is
+    # the label alone
+    m = catalog_matroid("CIRCUIT(1)")
+    path = tmp_path / "c1.matroid"
+    path.write_text(render_matroid_file(m))
+    assert path.read_text() == "dim 0\ne1 \n"
+    code, rep = run_cli(capsys, "check", str(path))
+    assert code == 0 and rep["verdict"] is True
+    assert rep["input"] == {"argument": str(path), "size": 1, "rank": 0}
+    assert cli.parse_matroid("dim 0\ne1\ne2  # a loop\n").cols == (0, 0)
+
+
 def test_graph_file_input(capsys, tmp_path):
     path = tmp_path / "triangle.graph"
     path.write_text("u v a\nv w b\nw u c  # closing edge\n")

@@ -43,3 +43,14 @@ def test_growth_runs_the_smallest_rung_in_a_child(capsys):
     assert row["status"] == "ok" and row["answer"] == {"closed": True}
     assert row["nodes"] == 1 and row["family"] == "P(PG(r), C(3))"
     assert row["seconds"] < 1 and row["peak_rss_mb"] > 0
+
+
+def test_growth_pass_by_target_stops_at_its_first_hit(capsys):
+    # P(PG(13), C(3)) minus p2 under --no-shortcut goes target by
+    # target, and its first target refutes in two nodes; reading every
+    # target's names first took seconds.
+    argv = ["--only", "pgc3-p2/13/no-shortcut", "--max-seconds", "10"]
+    assert _load("growth.py")["main"](argv) == 0
+    (row,) = map(json.loads, capsys.readouterr().out.splitlines())
+    assert row["status"] == "ok" and row["answer"] == {"closed": False}
+    assert row["nodes"] == 2 and row["seconds"] < 1

@@ -502,6 +502,35 @@ def test_prepass_goes_by_target_above_the_column_cap():
     assert final.size == (1 << 13) - 1 and len(trace.rounds) == 1
 
 
+class _ClockReads(Budget):
+    """A Budget that counts its clock reads, tick()'s included."""
+
+    __slots__ = ("reads",)
+
+    def __init__(self):
+        super().__init__()
+        self.reads = 0
+
+    def check_time(self):
+        self.reads += 1
+        super().check_time()
+
+
+def test_pass_by_target_reads_no_target_after_its_first_hit():
+    # PG(7) minus p1..p9 misses 9 vectors, fewer than a third of its 118
+    # columns, so the route goes target by target.  The first target
+    # refutes M in one node, and the pass reads the clock twice: once
+    # for that target's names and once for its tick.  Reading every
+    # target's names before testing the first took 10 reads.
+    m = delete(projective_geometry(7), [f"p{i}" for i in range(1, 10)])
+    assert theta._pair_route_way(m) == "target"
+    budget = _ClockReads()
+    closed, wit = is_theta3_closed(m, budget=budget)
+    assert not closed and wit.completing not in m.colset
+    oracles.oracle_validate_theta(m, wit.arcs)
+    assert budget.nodes == 1 and budget.reads == 2
+
+
 def test_certificate_goes_first_above_the_column_cap():
     # 8000 random points of PG(16) are past the column cap, and 57535
     # vectors are missing, so the route would fill its table of pairs.
