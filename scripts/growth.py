@@ -22,6 +22,8 @@ Families:
     pgc3-p2   the same at r = 13 with p2 deleted, under check and
               no-shortcut (rows pgc3-p2/13/check, pgc3-p2/13/no-shortcut)
     pg16pts   4000 and 8000 random points of PG(16), random.Random(7)
+    mk        M(K_n), n = 7, 8, 9, under no-shortcut: the circuit-pair scan
+    pg        PG(r), r = 4, 5, under no-shortcut: the circuit-pair scan
 Entry points: check (is_theta3_closed), no-shortcut (the same with
 use_shortcut=False), closure (theta3_closure) and round (one closure
 round, the vectors it adds).
@@ -48,11 +50,15 @@ FAMILIES = {
     "pgc3": "P(PG(r), C(3))",
     "pgc3-p2": "P(PG(r), C(3)) minus p2",
     "pg16pts": "random points of PG(16)",
+    "mk": "M(K_n)",
+    "pg": "PG(r)",
 }
 ROWS = [
     *(f"pgc3/{r}/{entry}" for r in (11, 12, 13, 15) for entry in ("check", "closure")),
     *(f"pgc3-p2/13/{entry}" for entry in ("check", "no-shortcut")),
     *(f"pg16pts/{n}/{entry}" for n in (4000, 8000) for entry in ("check", "no-shortcut", "round")),
+    *(f"mk/{n}/no-shortcut" for n in (7, 8, 9)),
+    *(f"pg/{r}/no-shortcut" for r in (4, 5)),
 ]
 
 
@@ -65,6 +71,8 @@ def _build(family: str, rung: int):
 
         pts = random.Random(7).sample(range(1, 1 << 16), rung)
         return BinaryMatroid(tuple(f"q{i}" for i in range(rung)), tuple(pts), 16)
+    if family in ("mk", "pg"):
+        return evaluate_term(parse_recipe(f"{family.upper()}({rung})"))
     m = evaluate_term(parse_recipe(f"P(PG({rung}), C(3); base=p1,e1)"))
     return delete(m, ["p2"]) if family == "pgc3-p2" else m
 

@@ -294,7 +294,8 @@ def _circuit_masks(
     circuit.  The cycle of T is a circuit exactly when T's coordinates,
     with the cycle's own basis coordinates masked out, have nullity 1:
     the basis elements in the cycle are unit columns.  Masked, the
-    coordinates sum to zero, so gf2.nullity_one decides that.
+    coordinates sum to zero, so gf2.nullity_one decides that; each
+    stack entry carries T's coordinates for it.
     The budget ticks once per XOR tried, counted as each set is
     expanded and charged in batches of Budget.batch_limit(), so a node
     cap stops the walk within one expanded set; its clock is also read
@@ -305,7 +306,9 @@ def _circuit_masks(
     expansion only while a set one larger could still close a cycle of
     at most min(max_size, r + 1) elements.  Every independent T has at
     most r elements, so without max_size that keeps every one, and a
-    smaller max_size prunes the walk.
+    smaller max_size prunes the walk.  A set that will not be expanded
+    and whose cycle is longer than that is skipped before its
+    independence test, which only decides what else to do with it.
     """
     if budget is None:
         budget = Budget()
@@ -341,30 +344,37 @@ def _circuit_masks(
     limit = budget.batch_limit()
     # Entries (first t to add, the three XORs so far, echelon of T's
     # coordinates as (pivot bit, row) pairs in insertion order, each row
-    # reduced by the ones before it).
-    stack: list[tuple[int, int, int, int, tuple[tuple[int, int], ...]]] = [(0, 0, 0, 0, ())]
+    # reduced by the ones before it, T's coordinates in insertion order).
+    stack: list[tuple[int, int, int, int, tuple[tuple[int, int], ...], tuple[int, ...]]]
+    stack = [(0, 0, 0, 0, (), ())]
     push, pop = stack.append, stack.pop
     while stack:
-        start, x, xe, xl, rows = pop()
+        start, x, xe, xl, rows, held = pop()
         pending += m - start
         if pending >= limit:
             budget.tick(pending)
             pending = 0
             limit = budget.batch_limit()
+        grow = len(rows) + 1 < cap
         for t in range(start, m):
             y = x ^ vecs[t]
-            v = tcoords[t]
+            size = y.bit_count()
+            if size > cap and not (grow and t + 1 < m):
+                # T + t closes no circuit here and is not grown
+                continue
+            v = c = tcoords[t]
             for low, row in rows:
                 if v & low:
                     v ^= row
             if v:
-                if t + 1 < m and len(rows) + 1 < cap:
-                    push((t + 1, y, xe ^ emasks[t], xl ^ lmasks[t], rows + ((v & -v, v),)))
+                if grow and t + 1 < m:
+                    push(
+                        (t + 1, y, xe ^ emasks[t], xl ^ lmasks[t], rows + ((v & -v, v),), held + (c,))
+                    )
             elif y & basis_part:
                 # T + t holds a circuit, and its cycle is larger still.
                 continue
-            size = y.bit_count()
-            if size <= cap and nullity_one([tcoords[u] & ~y for u in bits(y >> r)]):
+            if size <= cap and nullity_one([u & ~y for u in held] + [c & ~y]):
                 found.append(((size << n) - (xl ^ lmasks[t]), xe ^ emasks[t]))
                 budget.check_time()
     budget.tick(pending)

@@ -30,7 +30,12 @@ C1, decide by gf2.nullity_one, the rule the circuit walk decides its
 cycles by (see _theta_pair).  The scan also lists and pairs only
 circuits of 4 to r(M) elements: an incomplete theta has no singleton
 arc and at most r(M) + 2 elements, and each of its circuits is the
-theta minus one arc.
+theta minus one arc.  And it pairs a circuit C1 only with the partners
+C2 that pass three tests, which every incomplete theta passes because
+each of its arcs has at least two elements (_theta_scan): C2 meets C1
+in an element other than the smallest, C2 avoids cl(C1) - C1, and C1
+avoids cl(C2) - C2.  On a closed matroid they leave almost no pair to
+decide.
 
 Closedness also has a proof that lists no theta.  By the paper's
 theorem a binary matroid is theta-closed exactly when it is built from
@@ -174,25 +179,42 @@ def _theta_scan(
     C1 u C2, minus 1, is the nullity of C2 - C1 in M/C1, so the pair is
     a theta exactly when C2 - C1 is a circuit of M/C1 (_theta_pair).
     M/C1 is read off the fundamental cocycles of M, the r masks of the
-    elements whose coordinate k is 1, built once per scan: on the first
-    pair of its row that gets this far, _contraction reduces them to a
-    basis of the cocycles disjoint from C1, which gives every element
-    its residue modulo span(C1).  No pair pays for an elimination.
+    elements whose coordinate k is 1, built once per scan: _contraction
+    reduces them to a basis of the cocycles disjoint from C1, whose
+    union is the set of elements outside cl(C1).  No pair pays for an
+    elimination.
 
     An incomplete theta has no singleton arc (a singleton arc carries
     the completing vector), and |T| = r(T) + 2 <= r(M) + 2, so each of
     its three circuits, T minus one arc, has 4 to r(M) elements.  With
     incomplete, the scan therefore lists and pairs only the circuits in
-    that window, in their usual order: it yields the same thetas in the
-    same order as the full scan with the complete ones left out, and
-    at rank 3 or less nothing.
+    that window, in their usual order.  It also meets only the partners
+    C2 of C1, in a bucket with smallest element b, that pass three
+    tests (_partners), and each holds for an incomplete theta because
+    its arcs A1 = C1 - C2, A2 = C2 - C1 and A3 = C1 n C2 have at least
+    two elements each:
+    - C2 meets C1 - b, since |A3| >= 2 and b lies in A3;
+    - C2 avoids cl(C1) - C1: A2 is a circuit of M/C1 (Oxley, Matroid
+      Theory, 3.1) with two or more elements, so it holds no loop of
+      M/C1, and the loops of M/C1 are the elements of cl(C1) - C1;
+    - C1 avoids cl(C2) - C2, by the same argument for A1 in M/C2.
+    Each circuit's closure comes from its _contraction, made for every
+    circuit of a bucket before the bucket's pairs.  The partners are
+    met in bucket order, so the scan yields the same thetas in the same
+    order as the full scan with the complete ones left out, and at rank
+    3 or less nothing.  The full scan meets every later circuit of the
+    bucket, and contracts C1 only at the first pair of its row that
+    gets as far as the corank test.
 
-    The budget is charged one node per pair that passes the size cap.
-    The pairs are counted locally and charged in batches that stay
-    exact: a batch is passed on when it reaches Budget.batch_limit(),
-    so a node cap raises on the same pair, with the same count, as a
-    tick per pair would, and the clock is read as often; the count is
-    also passed on before every yield and at the end.
+    The budget is charged one node per pair met that passes the size
+    cap: with incomplete, one per candidate pair.  The pairs are
+    counted locally and charged in batches that stay exact: a batch is
+    passed on when it reaches Budget.batch_limit(), so a node cap
+    raises on the same pair, with the same count, as a tick per pair
+    would; the count is also passed on before every yield and at the
+    end.  The clock is read with every batch and once per bucket of two
+    or more circuits, so a time limit also stops the work a bucket does
+    before its pairs.
     """
     if budget is None:
         budget = Budget()
@@ -219,9 +241,18 @@ def _theta_scan(
     limit = budget.batch_limit()
 
     for bucket in buckets:
+        if len(bucket) < 2:
+            continue
+        budget.check_time()
+        if incomplete:
+            contracted = [_contraction(cocycles, m) for m in bucket]
+            later = _partners(bucket, contracted)
         for ii, mi in enumerate(bucket):
-            residue = None
-            for mj in bucket[ii + 1 :]:
+            if incomplete:
+                contraction, partners = contracted[ii], later[ii]
+            else:
+                contraction, partners = None, bucket[ii + 1 :]
+            for mj in partners:
                 if (mi | mj).bit_count() > rank_cap:
                     continue
                 tested += 1
@@ -237,9 +268,9 @@ def _theta_scan(
                     w = sums[inter] = _path_sum(cols, inter)
                 if w in skip:
                     continue
-                if residue is None:
-                    free, residue = _contraction(cocycles, mi, M.size)
-                if not _theta_pair(mi, mj, free, residue):
+                if contraction is None:
+                    contraction = _contraction(cocycles, mi)
+                if not _theta_pair(mi, mj, *contraction):
                     continue
                 budget.tick(tested)
                 tested = 0
@@ -248,22 +279,79 @@ def _theta_scan(
     budget.tick(tested)
 
 
-def _contraction(cocycles: list[int], c1: int, n: int) -> tuple[int, list[int]]:
+def _partners(bucket: list[int], contracted: list[tuple[int, list[int]]]) -> list[list[int]]:
+    """Per circuit C1 of a bucket, in order, the later circuits C2 of the
+    bucket that pass _theta_scan's three tests with it: C2 meets C1 - b,
+    C2 avoids cl(C1) - C1, and C1 avoids cl(C2) - C2.  contracted holds
+    each circuit's _contraction, whose free mask is the complement of
+    its closure.
+
+    Circuits are named by their position in the bucket, and each element
+    of the bucket's circuits gets two masks of positions: the circuits
+    through it, and the circuits that span it without holding it, whose
+    closure holds it outside the circuit.  ORs of both over C1 - b give
+    the circuits that pass the first and the third test (b, the
+    bucket's element, lies in every circuit, so no circuit of the bucket
+    spans it without holding it), and one AND per circuit left decides
+    the second.
+    """
+    union = 0
+    for c in bucket:
+        union |= c
+    through = [0] * union.bit_length()
+    spanned = [0] * union.bit_length()
+    bit = 1
+    # the bit loops below inline gf2.bits, which costs dense_blocks ~8%
+    for c, (free, _) in zip(bucket, contracted):
+        m = c
+        while m:
+            low = m & -m
+            through[low.bit_length() - 1] |= bit
+            m ^= low
+        m = union & ~free & ~c
+        while m:
+            low = m & -m
+            spanned[low.bit_length() - 1] |= bit
+            m ^= low
+        bit <<= 1
+    rows = []
+    for i, (c, (free, _)) in enumerate(zip(bucket, contracted)):
+        meets = avoid = 0
+        m = c & (c - 1)  # C1 - b
+        while m:
+            low = m & -m
+            e = low.bit_length() - 1
+            meets |= through[e]
+            avoid |= spanned[e]
+            m ^= low
+        row = meets & ~avoid & -(2 << i)  # positions after i
+        closure = ~free & ~c  # cl(C1) - C1
+        partners = []
+        while row:
+            low = row & -row
+            c2 = bucket[low.bit_length() - 1]
+            if not c2 & closure:
+                partners.append(c2)
+            row ^= low
+        rows.append(partners)
+    return rows
+
+
+def _contraction(cocycles: list[int], c1: int) -> tuple[int, list[int]]:
     """M/C1 for the element mask c1, read off M's fundamental cocycles:
-    (the elements outside cl(C1), the residue of each of M's n elements).
+    (the elements outside cl(C1), a basis of the cocycles of M/C1).
 
     The cocycles are reduced on their elements in C1, in the lazy
     echelon form of gf2.pivots_of; those that reduce to miss C1 form a
     basis of the cocycles of M disjoint from C1, which are the cocycles
     of M/C1.  An element lies in one of them exactly when it lies
-    outside cl(C1), and bit i of its residue says whether it lies in the
-    i-th: the residues are coordinates of M/C1, so an element's residue
-    is zero exactly when it lies in cl(C1).
+    outside cl(C1).  Bit i of an element's residue modulo span(C1) says
+    whether it lies in the i-th, so residues are coordinates of M/C1,
+    and _theta_pair reads them only for the elements it decides by.
     """
     pivots: dict[int, int] = {}
     free = 0
-    residue = [0] * n
-    bit = 1
+    reduced = []
     for v in cocycles:
         on = v & c1
         while on:
@@ -275,30 +363,35 @@ def _contraction(cocycles: list[int], c1: int, n: int) -> tuple[int, list[int]]:
             on = v & c1
         else:
             free |= v
-            for j in bits(v):
-                residue[j] |= bit
-            bit <<= 1
-    return free, residue
+            reduced.append(v)
+    return free, reduced
 
 
-def _theta_pair(c1: int, c2: int, free: int, residue: list[int]) -> bool:
+def _theta_pair(c1: int, c2: int, free: int, reduced: list[int]) -> bool:
     """Whether C1 u C2 is a theta, for circuits C1 != C2 that meet, given
-    (free, residue) = _contraction(..., C1, ...).
+    (free, reduced) = _contraction(..., C1).
 
     It is exactly when C1 u C2 has corank 2, and its corank is 1 plus
     the nullity of A2 = C2 - C1 in M/C1 (contraction; Oxley, Matroid
     Theory, 3.1).  The residues of A2 sum to zero, since C2's columns
     do and C1 n C2 lies in C1, so gf2.nullity_one decides it.  Two
-    mask tests answer as it would, before any residue is read: a
+    mask tests answer as it would, before any residue is built: a
     single element is a circuit of M/C1, and a longer A2 that meets
-    cl(C1), where residues are zero, is not.
+    cl(C1), where residues are zero, is not.  Only A2's residues are
+    built, one bit per reduced cocycle.
     """
     a2 = c2 & ~c1
     if not a2 & (a2 - 1):
         return True
     if a2 & ~free:
         return False
-    return nullity_one([residue[j] for j in bits(a2)])
+    residues = dict.fromkeys(bits(a2), 0)
+    bit = 1
+    for v in reduced:
+        for j in bits(v & a2):
+            residues[j] |= bit
+        bit <<= 1
+    return nullity_one(list(residues.values()))
 
 
 def theta_graphs(M: BinaryMatroid, budget: Budget | None = None) -> list[ThetaGraph]:

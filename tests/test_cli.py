@@ -19,6 +19,7 @@ import pytest
 
 import theta3
 from theta3 import cli, construct, decompose, theta
+from theta3.budget import CHECK_EVERY, Budget
 from theta3.construct import catalog_matroid
 from theta3.gf2 import bits_from_str
 from theta3.matroid import same_matroid
@@ -742,15 +743,24 @@ def test_budget_seconds_exit_three(capsys):
     assert "budget exceeded" in rep["error"]
 
 
-def test_batched_scan_honours_max_seconds(capsys):
-    # M(K8) lists the circuits its scan pairs in under a tenth of a
-    # second and spends most of a second in the pair scan, which charges
-    # its pairs in batches and must still read the clock every few
-    # thousand of them
-    code, rep = run_cli(capsys, "check", "MK(8)", "--no-shortcut", "--max-seconds", "0.25")
+def test_batched_scan_honours_max_seconds(capsys, monkeypatch):
+    # The pair scan charges its pairs in batches and must still read the
+    # clock at least once per CHECK_EVERY of them.  On a clock that
+    # moves one microsecond per node charged, a 0.12 s limit falls in
+    # M(K8)'s scan: its pair route and circuit walk take 94387 nodes and
+    # the whole check 153747.  The limit must stop the scan within one
+    # batch of its 120000th node, whatever the speed of the host.
+    reads = []
+
+    def elapsed(budget):
+        reads.append(budget.nodes)
+        return budget.nodes / 1e6
+
+    monkeypatch.setattr(Budget, "elapsed", elapsed)
+    code, rep = run_cli(capsys, "check", "MK(8)", "--no-shortcut", "--max-seconds", "0.12")
     assert code == 3
     assert "time budget exhausted" in rep["error"]
-    assert rep["timings"]["total_s"] < 1.5
+    assert 120000 < reads[-1] <= 120000 + CHECK_EVERY
 
 
 def test_circuit_enumeration_honours_max_seconds(capsys):

@@ -30,6 +30,7 @@ from theta3.construct import (
     DNode,
     Leaf,
     PNode,
+    catalog_matroid,
     certificate,
     circuit_matroid,
     complete_bipartite_edges,
@@ -70,6 +71,7 @@ from theta3.theta import (
 )
 
 import oracles
+from test_matroid import _wheel
 
 
 @st.composite
@@ -260,6 +262,20 @@ def test_incomplete_scan_yields_each_incomplete_theta_once(m):
     assert set(got) == want
 
 
+@settings(max_examples=100, deadline=None)
+@given(matroids(max_dim=7, max_cols=14))
+@example(_wheel(6))  # incomplete thetas with arcs of 2 to 4 elements
+@example(catalog_matroid("MSTAR_K33"))
+def test_incomplete_scan_is_the_full_scan_less_its_complete_thetas(m):
+    # The incomplete scan pairs a circuit only with the partners that
+    # pass three tests, each of which every incomplete theta passes:
+    # C2 meets C1 - b, C2 avoids cl(C1) - C1, and C1 avoids cl(C2) - C2.
+    # So it yields the full scan's records whose completing vector is
+    # not a column, in the full scan's order; a stricter test drops one.
+    want = [rec for rec in _theta_scan(m) if rec[3] not in m.colset]
+    assert list(_theta_scan(m, incomplete=True)) == want
+
+
 @settings(max_examples=100)
 @given(matroids(max_dim=4, max_cols=9), st.data())
 def test_theta_scan_rank_tests_do_not_depend_on_element_order(m, data):
@@ -367,7 +383,7 @@ def _p_k6_k5():
 @settings(max_examples=150, deadline=None)
 @given(matroids_with_copies())
 @example(BinaryMatroid(tuple("abcdefgh"), (0, 1, 1, 2, 3, 4, 5, 6), 3))  # loop, copies
-@example(_p_k6_k5())  # rank 8: |C2 - C1| = 2..6 in the incomplete scan
+@example(_p_k6_k5())  # rank 8: |C2 - C1| = 2..7 in the full scan
 def test_theta_pair_decides_corank_two_as_the_oracle(m):
     # Every pair the scan decides, in either mode, is a theta exactly
     # when its union has corank 2.
@@ -375,8 +391,8 @@ def test_theta_pair_decides_corank_two_as_the_oracle(m):
     for incomplete in (False, True):
         calls = decided[incomplete] = []
 
-        def decide(c1, c2, free, residue):
-            verdict = _theta_pair(c1, c2, free, residue)
+        def decide(c1, c2, free, reduced):
+            verdict = _theta_pair(c1, c2, free, reduced)
             calls.append((c1, c2, verdict))
             return verdict
 
@@ -387,8 +403,13 @@ def test_theta_pair_decides_corank_two_as_the_oracle(m):
             union = [m.labels[j] for j in bits(c1 | c2)]
             assert verdict == (oracles.oracle_rank(m, union) == len(union) - 2)
     if m == _p_k6_k5():
-        sizes = [(c2 & ~c1).bit_count() for c1, c2, _ in decided[True]]
-        assert [sizes.count(k) for k in range(2, 7)] == [1324, 1878, 1776, 1152, 360]
+        # the full scan decides pairs with 2 to 6 elements outside C1;
+        # the incomplete scan pairs a circuit only with partners that
+        # could close an incomplete theta, and on this closed matroid
+        # none of those is left to decide
+        sizes = [(c2 & ~c1).bit_count() for c1, c2, _ in decided[False]]
+        assert [sizes.count(k) for k in range(2, 7)] == [7156, 5726, 4028, 2520, 864]
+        assert decided[True] == []
 
 
 def _rule_branch(vecs):

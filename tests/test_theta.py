@@ -243,26 +243,28 @@ def test_closed_scan_rank_tests_only_thetas_that_could_be_incomplete():
     # Every theta of PG(4, 2) is complete, so the scan looks up each
     # completing vector among the columns and never decides a pair in
     # the contraction by C1.  M(K7) needed 19355 rank tests when every
-    # circuit pair was rank-tested first; the column lookup leaves 5075
-    # pairs to decide, each once.  The node counts, one per pair tested,
-    # count only pairs of circuits of 4 to r elements: with every
-    # circuit paired, they were 3327 and 30009.
-    assert _decisions_and_nodes(projective_geometry(4)) == (0, 1057)
-    assert _decisions_and_nodes(catalog_matroid("MK(7)")) == (5075, 22703)
+    # circuit pair was rank-tested first, and 5075 with the column
+    # lookup first; pairing each circuit only with the partners that
+    # could close an incomplete theta with it leaves none.  The node
+    # counts, one per candidate pair past the size test, were 1057 and
+    # 22703 while every pair within a bucket was a node, and 3327 and
+    # 30009 with every circuit paired.
+    assert _decisions_and_nodes(projective_geometry(4)) == (0, 952)
+    assert _decisions_and_nodes(catalog_matroid("MK(7)")) == (0, 10332)
 
 
-@pytest.mark.parametrize("cap", [8191, 8192, 8193, 20000, 22702])
+@pytest.mark.parametrize("cap", [8191, 8192, 8193, 10000, 10331])
 def test_batched_scan_budget_is_exact(cap):
     # The scan counts its pairs locally and charges them in batches; a
     # node cap must still raise on the first pair past it, as a tick per
     # pair would.  The caps lie past M(K7)'s prepass and circuit walk
     # (6342 nodes), around CHECK_EVERY multiples, and up to the last
-    # node of the 22703 that the whole check takes.
+    # node of the 10332 that the whole check takes.
     m = catalog_matroid("MK(7)")
     with pytest.raises(BudgetExceededError) as exc:
         is_theta3_closed(m, use_shortcut=False, budget=Budget(max_nodes=cap))
     assert exc.value.nodes == cap + 1
-    assert is_theta3_closed(m, use_shortcut=False, budget=Budget(max_nodes=22703))[0]
+    assert is_theta3_closed(m, use_shortcut=False, budget=Budget(max_nodes=10332))[0]
 
 
 def test_budget_stops_the_circuit_walk_within_one_set():
@@ -399,8 +401,9 @@ def test_closure_to_pg7_stays_within_the_closure_growth_cap():
     # rounds.  The fourth round's matroid has 22 elements and is
     # 3-connected, so that round scans all of it, and adds 98 vectors.
     # Pairing only the circuits an
-    # incomplete theta can use (4 to r elements) brings the closure from
-    # 52825 nodes to 42680, under the 50k cap of the closure benchmark.
+    # incomplete theta can use (4 to r elements) brought the closure from
+    # 52825 nodes to 42680, under the 50k cap of the closure benchmark,
+    # and meeting only candidate pairs brings it to 17577.
     cols = [123, 44, 97, 51, 72, 86, 12, 33, 25, 26, 49, 94, 15, 43]
     m = BinaryMatroid(tuple(f"q{i}" for i in range(len(cols))), tuple(cols), 7)
     final, trace = theta3_closure(m, budget=Budget(max_nodes=50_000))
