@@ -24,9 +24,16 @@ Families:
     pg16pts   4000 and 8000 random points of PG(16), random.Random(7)
     mk        M(K_n), n = 7, 8, 9, under no-shortcut: the circuit-pair scan
     pg        PG(r), r = 4, 5, under no-shortcut: the circuit-pair scan
+    spike     the rank-r spike, r = 9, 13, 15, under decompose: tip e0,
+              legs {e_i, e_i + e0} for i = 1..r-1, and the sum of
+              e_1..e_{r-1}; 3-connected and sparse, so the split search
+              tries all 2^r - 1 vectors of its span
+    pgminus   PG(r) minus point p1, r = 8, 10, 13, under decompose:
+              3-connected and dense, so the split search tries nothing
 Entry points: check (is_theta3_closed), no-shortcut (the same with
-use_shortcut=False), closure (theta3_closure) and round (one closure
-round, the vectors it adds).
+use_shortcut=False), closure (theta3_closure), round (one closure
+round, the vectors it adds) and decompose (canonical_tree_decomposition,
+its vertex count).
 
 Usage:
     python3 scripts/growth.py [--max-seconds S] [--max-mb MB] [--only ROW ...]
@@ -52,6 +59,8 @@ FAMILIES = {
     "pg16pts": "random points of PG(16)",
     "mk": "M(K_n)",
     "pg": "PG(r)",
+    "spike": "rank-r spike",
+    "pgminus": "PG(r) minus a point",
 }
 ROWS = [
     *(f"pgc3/{r}/{entry}" for r in (11, 12, 13, 15) for entry in ("check", "closure")),
@@ -59,6 +68,8 @@ ROWS = [
     *(f"pg16pts/{n}/{entry}" for n in (4000, 8000) for entry in ("check", "no-shortcut", "round")),
     *(f"mk/{n}/no-shortcut" for n in (7, 8, 9)),
     *(f"pg/{r}/no-shortcut" for r in (4, 5)),
+    *(f"spike/{r}/decompose" for r in (9, 13, 15)),
+    *(f"pgminus/{r}/decompose" for r in (8, 10, 13)),
 ]
 
 
@@ -71,8 +82,15 @@ def _build(family: str, rung: int):
 
         pts = random.Random(7).sample(range(1, 1 << 16), rung)
         return BinaryMatroid(tuple(f"q{i}" for i in range(rung)), tuple(pts), 16)
+    if family == "spike":
+        cols = [1] + [c for i in range(1, rung) for c in (1 << i, 1 << i | 1)]
+        cols.append((1 << rung) - 2)
+        labels = ["e0"] + [f"{x}{i}" for i in range(1, rung) for x in "ab"] + ["z"]
+        return BinaryMatroid(tuple(labels), tuple(cols), rung)
     if family in ("mk", "pg"):
         return evaluate_term(parse_recipe(f"{family.upper()}({rung})"))
+    if family == "pgminus":
+        return delete(evaluate_term(parse_recipe(f"PG({rung})")), ["p1"])
     m = evaluate_term(parse_recipe(f"P(PG({rung}), C(3); base=p1,e1)"))
     return delete(m, ["p2"]) if family == "pgc3-p2" else m
 
@@ -80,6 +98,7 @@ def _build(family: str, rung: int):
 def _run(entry: str, m, budget):
     """The entry point's answer on m, as JSON."""
     from theta3 import theta
+    from theta3.decompose import canonical_tree_decomposition
 
     if entry in ("check", "no-shortcut"):
         closed, _ = theta.is_theta3_closed(
@@ -89,6 +108,9 @@ def _run(entry: str, m, budget):
     if entry == "closure":
         final, trace = theta.theta3_closure(m, budget=budget)
         return {"size": final.size, "rounds": len(trace.rounds)}
+    if entry == "decompose":
+        tree = canonical_tree_decomposition(m, budget=budget)
+        return {"vertices": len(tree.vertices)}
     return {"added": len(theta._incomplete_vectors(m, budget))}
 
 

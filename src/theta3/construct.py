@@ -31,8 +31,9 @@ their columns miss: decompose reads the canonical tree off that walk.
 from __future__ import annotations
 
 import re
+from itertools import chain
 from math import isqrt
-from typing import Collection, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from theta3.budget import Budget
 from theta3.gf2 import MAX_DIM, DimensionError, bits, greedy_coordinates
@@ -687,58 +688,63 @@ def cut_walk(
     is simple, so X and Y are unions of classes and t >= 2.  So every
     exact 2-separation arises from its split vector.
 
-    Candidates come in one loop, each one budget node and one pass
-    over S's coordinates, contracted by the candidate and cut into
-    classes: first the columns in element order, then, with fresh, the
-    missing vectors of S's span in ascending order of their coordinates
-    over S's greedy basis.  The first that splits S gives its parts:
-    S|(K_i + p) for a cut point p, or S|K_i plus a marker named
-    next(fresh) that carries v.  Parts are simple and re-enter the walk,
-    where a marker can be a cut point.  A piece that is not a block and
-    that no candidate splits is returned uncut; with fresh, by the
-    lemma, it is 3-connected.  Without fresh, the walk is certificate's:
-    it stops at the first piece that is neither a block nor cut at a
-    point, and returns that piece.
+    A dense piece splits nowhere, by counting.  Let S, of rank r, split
+    at v into K_1..K_t.  Each part K_i + v is simple, of rank r_i >= 2
+    since |K_i| >= 2, so |K_i| <= 2^{r_i} - 2; the spans of the parts
+    meet only in <v>, so the r_i - 1 add up to r - 1.  By convexity
+    the sum of the |K_i| is largest at t = 2, r_1 = r - 1 and r_2 = 2,
+    which gives |S| <= 2^{r-1} + 1 when v is a column and 2^{r-1}
+    otherwise.  So a piece with more than 2^{r-1} + 1 elements has no
+    cut point and no exact 2-separation: it is 3-connected, and is
+    returned uncut without a candidate tried.  The bound is tight:
+    P(PG(r-1), C(3)) has 2^{r-1} + 1 elements and a cut point.
+
+    Other pieces try their candidates in one loop, each one budget node
+    and one pass over S's coordinates, contracted by the candidate and
+    cut into classes: first the columns in element order, then, with
+    fresh, the missing vectors of S's span in ascending order of their
+    coordinates over S's greedy basis.  The first that splits S gives
+    its parts: S|(K_i + p) for a cut point p, or S|K_i plus a marker
+    named next(fresh) that carries v.  Parts are simple and re-enter
+    the walk, where a marker can be a cut point.  A piece that is not a
+    block and that no candidate splits is returned uncut; with fresh,
+    by the lemma, it is 3-connected.  Without fresh, the walk is
+    certificate's: it stops at the first piece that is neither a block
+    nor cut at a point, and returns that piece.
     """
     leaf = block_leaf(S)
     if leaf is not None:
         return Piece(S, leaf)
+    if S.size > (1 << (S.rank - 1)) + 1:
+        return Piece(S)
     coords, basis = S.coordinates
     whole = (1 << len(basis)) - 1
-    for p, cp in enumerate(coords):
-        if budget is not None:
-            budget.tick()
-        split = _quotient_classes(coords, cp, whole)
-        if split is None:
-            continue
-        base = S.labels[p]
-        parts = []
-        for labels in _class_labels(S, *split):
-            part = cut_walk(restrict(S, labels + [base]), budget, fresh)
-            if fresh is None and part.leaf is None and not part.parts:
-                return part
-            parts.append(part)
-        return Piece(S, None, base, tuple(parts))
-    if fresh is None:
-        return Piece(S)
-    present = set(coords)
-    for cv in range(1, whole + 1):
-        if cv in present:
-            continue
+    candidates: Iterable[tuple[int | None, int]] = enumerate(coords)
+    if fresh is not None:
+        present = set(coords)
+        missing = ((None, cv) for cv in range(1, whole + 1) if cv not in present)
+        candidates = chain(candidates, missing)
+    for p, cv in candidates:
         if budget is not None:
             budget.tick()
         split = _quotient_classes(coords, cv, whole)
         if split is None:
             continue
-        marker = next(fresh)
+        at = S.labels[p] if p is not None else next(fresh)
         v = 0
         for k in bits(cv):
             v ^= S.cols[basis[k]]
-        parts = tuple(
-            cut_walk(restrict(S, labels).extend(marker, v), budget, fresh)
-            for labels in _class_labels(S, *split)
-        )
-        return Piece(S, None, marker, parts)
+        parts = []
+        for labels in _class_labels(S, *split):
+            if p is None:
+                part = restrict(S, labels).extend(at, v)
+            else:
+                part = restrict(S, labels + [at])
+            part = cut_walk(part, budget, fresh)
+            if fresh is None and part.leaf is None and not part.parts:
+                return part
+            parts.append(part)
+        return Piece(S, None, at, tuple(parts))
     return Piece(S)
 
 
@@ -755,8 +761,8 @@ def _quotient_classes(
     order, growing the class of the first nonzero vector by each vector
     that meets it, holds every coordinate left; the coordinates of S/v
     are listed and cut into classes only when it does not.  The pass
-    alone decides most candidates on dense pieces, every one of the
-    1023 on PG(10) minus a point.
+    alone decides most candidates, every one of the 32767 on the
+    rank-15 spike.
     """
     low = cv & -cv
     target = whole ^ low

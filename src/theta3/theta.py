@@ -198,13 +198,12 @@ def _theta_scan(
       Theory, 3.1) with two or more elements, so it holds no loop of
       M/C1, and the loops of M/C1 are the elements of cl(C1) - C1;
     - C1 avoids cl(C2) - C2, by the same argument for A1 in M/C2.
-    Each circuit's closure comes from its _contraction, made for every
-    circuit of a bucket before the bucket's pairs.  The partners are
-    met in bucket order, so the scan yields the same thetas in the same
-    order as the full scan with the complete ones left out, and at rank
-    3 or less nothing.  The full scan meets every later circuit of the
-    bucket, and contracts C1 only at the first pair of its row that
-    gets as far as the corank test.
+    Each circuit's closure comes from its _contraction.  The partners
+    are met in bucket order, so the scan yields the same thetas in the
+    same order as the full scan with the complete ones left out, and at
+    rank 3 or less nothing.  The full scan meets every later circuit of
+    the bucket.  In both modes every circuit of a bucket of two or more
+    is contracted once, before the bucket's pairs.
 
     The budget is charged one node per pair met that passes the size
     cap: with incomplete, one per candidate pair.  The pairs are
@@ -244,14 +243,12 @@ def _theta_scan(
         if len(bucket) < 2:
             continue
         budget.check_time()
+        contracted = [_contraction(cocycles, m) for m in bucket]
         if incomplete:
-            contracted = [_contraction(cocycles, m) for m in bucket]
-            later = _partners(bucket, contracted)
-        for ii, mi in enumerate(bucket):
-            if incomplete:
-                contraction, partners = contracted[ii], later[ii]
-            else:
-                contraction, partners = None, bucket[ii + 1 :]
+            later: Iterable[list[int]] = _partners(bucket, contracted)
+        else:
+            later = (bucket[i + 1 :] for i in range(len(bucket)))
+        for mi, contraction, partners in zip(bucket, contracted, later):
             for mj in partners:
                 if (mi | mj).bit_count() > rank_cap:
                     continue
@@ -268,8 +265,6 @@ def _theta_scan(
                     w = sums[inter] = _path_sum(cols, inter)
                 if w in skip:
                     continue
-                if contraction is None:
-                    contraction = _contraction(cocycles, mi)
                 if not _theta_pair(mi, mj, *contraction):
                     continue
                 budget.tick(tested)

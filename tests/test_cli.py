@@ -866,10 +866,11 @@ def test_budget_validation_rejects_nan_seconds(capsys):
 
 def test_decompose_long_separation_search_hits_the_budget(capsys, tmp_path):
     # a piece with no cut point is split at a vector of its span that no
-    # column carries, so a 3-connected piece that is not a block has all
-    # 2^r - 1 vectors of its span tried, one node each.  The rank-15
-    # spike (tip e0, legs {e_i, e_i + e0} for i = 1..14, and the sum of
-    # e_1..e_14) is such a piece: its search takes 32767 nodes, so it
+    # column carries, so a 3-connected piece that is not a block, and
+    # has no more than 2^(r-1) + 1 elements, has all 2^r - 1 vectors of
+    # its span tried, one node each.  The rank-15 spike (tip e0, legs
+    # {e_i, e_i + e0} for i = 1..14, and the sum of e_1..e_14; 30
+    # elements) is such a piece: its search takes 32767 nodes, so it
     # must run out of a cap of 30000, not out of time or stack.
     cols = [1] + [c for i in range(1, 15) for c in (1 << i, 1 << i | 1)]
     cols.append(sum(1 << i for i in range(1, 15)))

@@ -237,6 +237,43 @@ def test_search_orders_agree_up_to_marker_names():
     assert split_differently > 0
 
 
+@pytest.mark.parametrize("r", [4, 5, 6])
+def test_a_piece_on_the_counting_bound_is_still_cut(r):
+    # P(PG(r-1), C(3); base=p1,e1) has exactly 2^(r-1) + 1 elements and
+    # a cut point, p1: the bound in cut_walk is tight, so a piece of
+    # that size must still be searched and cut there.
+    term = parse_recipe(f"P(PG({r - 1}), C(3); base=p1,e1)")
+    m = evaluate_term(term)
+    assert m.rank == r and m.size == (1 << (r - 1)) + 1
+    recipe = certificate(m)
+    assert isinstance(recipe, BuildRecipe)
+    assert recipe.serialize() == f"P(PG({r - 1}), C(3); base=p1)"
+    piece = construct.cut_walk(m, None, map("marker{}".format, count()))
+    assert piece.at == "p1" and len(piece.parts) == 2
+
+
+@pytest.mark.parametrize("r", [4, 5])
+def test_dense_pieces_are_three_connected_by_counting(r):
+    # Simple connected point sets of PG(r) with more than 2^(r-1) + 1
+    # points that are not blocks: the backtrack finds no exact
+    # 2-separation, and the walk returns each uncut without a node.
+    rng = random.Random(r)
+    points = range(1, 1 << r)
+    checked = 0
+    for _ in range(40):
+        k = rng.randint((1 << (r - 1)) + 2, (1 << r) - 2)
+        cols = tuple(rng.sample(points, k))
+        S = BinaryMatroid(tuple(f"q{c}" for c in cols), cols, r)
+        if not is_connected(S) or block_leaf(S) is not None:
+            continue
+        assert next(exact_two_separations(S), None) is None
+        budget = Budget()
+        piece = construct.cut_walk(S, budget, map("marker{}".format, count()))
+        assert piece == construct.Piece(S) and budget.nodes == 0
+        checked += 1
+    assert checked > 30
+
+
 def _matches_the_reference(m: BinaryMatroid) -> MatroidLabelledTree:
     t = canonical_tree_decomposition(m)
     _check_tree(t)

@@ -65,3 +65,18 @@ def test_growth_scan_rung_pins_its_node_count(capsys):
     (row,) = map(json.loads, capsys.readouterr().out.splitlines())
     assert row["status"] == "ok" and row["answer"] == {"closed": True}
     assert row["nodes"] == 10332 and row["family"] == "M(K_n)"
+
+
+def test_growth_split_search_rungs_pin_their_node_counts(capsys):
+    # The rank-9 spike is 3-connected, not a block and sparse (18
+    # elements), so decompose tries every vector of its span as a
+    # split, 2^9 - 1 = 511 nodes.  PG(8) minus a point (254 elements) is
+    # past cut_walk's counting bound, 2^7 + 1, so it takes none.
+    argv = ["--only", "spike/9/decompose", "pgminus/8/decompose", "--max-seconds", "10"]
+    assert _load("growth.py")["main"](argv) == 0
+    spike, pgminus = map(json.loads, capsys.readouterr().out.splitlines())
+    for row in (spike, pgminus):
+        assert row["status"] == "ok" and row["answer"] == {"vertices": 1}
+        assert row["seconds"] < 1
+    assert spike["nodes"] == 511 and spike["family"] == "rank-r spike"
+    assert pgminus["nodes"] == 0 and pgminus["family"] == "PG(r) minus a point"
