@@ -151,8 +151,12 @@ def parse_graph(text: str) -> list[tuple[str, str, str]]:
 
 
 def _read_text(path: str) -> str:
-    """A file's text, read as bytes and decoded from UTF-8 once."""
-    with open(path, "rb") as fh:
+    """A file's text, read as bytes and decoded from UTF-8 once.
+
+    Unbuffered, the file is one raw FileIO: one read of the whole file
+    needs no buffer object in front of it.
+    """
+    with open(path, "rb", buffering=0) as fh:
         return fh.read().decode("utf-8")
 
 

@@ -832,19 +832,21 @@ def catalog_matroid(key: str) -> BinaryMatroid:
     key = key.strip()
     if key in _FIXED_CATALOG:
         return _FIXED_CATALOG[key]()
-    m = re.fullmatch(r"MK\((\d+)\)", key)
-    if m:
-        return complete_graph_matroid(int(m.group(1)))
-    m = re.fullmatch(r"PG\((\d+)\)", key)
-    if m:
-        return projective_geometry(int(m.group(1)))
-    m = re.fullmatch(r"CIRCUIT\((\d+)\)", key)
-    if m:
-        return circuit_matroid(int(m.group(1)))
-    m = re.fullmatch(r"THETA\((\d+),(\d+),(\d+)\)", key)
-    if m:
-        a, b, c = (int(g) for g in m.groups())
-        return cycle_matroid(theta_edges(a, b, c))
+    # a file path, the common other case, matches no template's head
+    if key.startswith(("MK(", "PG(", "CIRCUIT(", "THETA(")):
+        m = re.fullmatch(r"MK\((\d+)\)", key)
+        if m:
+            return complete_graph_matroid(int(m.group(1)))
+        m = re.fullmatch(r"PG\((\d+)\)", key)
+        if m:
+            return projective_geometry(int(m.group(1)))
+        m = re.fullmatch(r"CIRCUIT\((\d+)\)", key)
+        if m:
+            return circuit_matroid(int(m.group(1)))
+        m = re.fullmatch(r"THETA\((\d+),(\d+),(\d+)\)", key)
+        if m:
+            a, b, c = (int(g) for g in m.groups())
+            return cycle_matroid(theta_edges(a, b, c))
     raise KeyError(f"unknown catalog key: {key}")
 
 

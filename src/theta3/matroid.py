@@ -295,20 +295,38 @@ def _circuit_masks(
     with the cycle's own basis coordinates masked out, have nullity 1:
     the basis elements in the cycle are unit columns.  Masked, the
     coordinates sum to zero, so gf2.nullity_one decides that; each
-    stack entry carries T's coordinates for it.
-    The budget ticks once per XOR tried, counted as each set is
-    expanded and charged in batches of Budget.batch_limit(), so a node
-    cap stops the walk within one expanded set; its clock is also read
-    per emitted circuit.
+    stack entry carries T's coordinates for it.  Independence is read
+    off an echelon of T's coordinates, each row reduced by the ones
+    before it.  A stack entry carries its candidates' residues as T's
+    parent reduced them, and T's newest row: one reduction by that row
+    gives each candidate's residue against all of T, which decides
+    whether T + t is independent and is what T + t's own entry carries.
+    The budget ticks once per XOR tried by an expanded set, counted as
+    the set is expanded and charged in batches of
+    Budget.batch_limit(), so a node cap stops the walk within one
+    expanded set; its clock is also read per emitted circuit.
 
-    A circuit has at most r + 1 elements, and the cycle of T holds all
-    of T, so it has at least |T| elements.  A set is therefore kept for
-    expansion only while a set one larger could still close a cycle of
-    at most min(max_size, r + 1) elements.  Every independent T has at
-    most r elements, so without max_size that keeps every one, and a
-    smaller max_size prunes the walk.  A set that will not be expanded
-    and whose cycle is longer than that is skipped before its
-    independence test, which only decides what else to do with it.
+    A circuit has at most r + 1 elements, so the walk emits cycles of
+    at most cap = min(max_size, r + 1) elements.  Let x be the basis
+    part of the cycle of T + t.  A descendant adds a nonempty set S of
+    later candidates, and its cycle has |T + t| + |S| + |x + sum(S)|
+    elements, the sum taken over S's coordinates.  So T + t is pushed
+    only while its room, cap - |T + t|, can hold |S| + |x + sum(S)|:
+    never when the room is at most 0; when it is 1, only if a later
+    candidate's coordinates are x; when it is 2, only if some later c
+    has |x + c| <= 1, or x + c is the coordinates of a candidate after
+    c.  Both tests read a dict from each coordinate vector to its last
+    candidate position, built once per walk, and read no more
+    candidates than the pushed set's own loop would.  With room 3 or
+    more T + t is pushed as it is.  The tests ignore
+    independence, so a set whose descendants would emit is never
+    dropped; a dropped set's descendants hold no cycle within the cap,
+    so no nullity decision is lost either, and only the count of
+    expanded sets, and so of nodes, falls (Oxley, Matroid Theory: the
+    cycles of a binary matroid are the sums of its fundamental
+    circuits).  A set that will not be expanded and whose cycle is
+    longer than the cap is skipped before its independence test, which
+    only decides what else to do with it.
     """
     if budget is None:
         budget = Budget()
@@ -340,41 +358,60 @@ def _circuit_masks(
     # (sort key, element mask) per circuit; a label-rank mask is below
     # 2^n, so the key orders by size, then by label-rank mask, largest first
     found = [((1 << n) - weight[e], 1 << e) for e, c in enumerate(M.cols) if not c]
+    # the last candidate position of each coordinate vector
+    last = {c: t for t, c in enumerate(tcoords)}
     pending = 0
     limit = budget.batch_limit()
-    # Entries (first t to add, the three XORs so far, echelon of T's
-    # coordinates as (pivot bit, row) pairs in insertion order, each row
-    # reduced by the ones before it, T's coordinates in insertion order).
-    stack: list[tuple[int, int, int, int, tuple[tuple[int, int], ...], tuple[int, ...]]]
-    stack = [(0, 0, 0, 0, (), ())]
+    # Entries (first t to add, the three XORs so far, the residues of the
+    # candidates from position `off` on as T's parent reduced them, T's
+    # newest echelon row, T's coordinates in insertion order).
+    stack: list[tuple[int, int, int, int, list[int], int, int, tuple[int, ...]]]
+    stack = [(0, 0, 0, 0, tcoords, 0, 0, ())]
     push, pop = stack.append, stack.pop
     while stack:
-        start, x, xe, xl, rows, held = pop()
+        start, x, xe, xl, res, off, row, held = pop()
+        low = row & -row
         pending += m - start
         if pending >= limit:
             budget.tick(pending)
             pending = 0
             limit = budget.batch_limit()
-        grow = len(rows) + 1 < cap
-        for t in range(start, m):
+        # what the cap leaves a descendant of T + t for S and its basis part
+        room = cap - len(held) - 1
+        reduced: list[int] = []
+        for t, v in enumerate(res[start - off :], start):
             y = x ^ vecs[t]
             size = y.bit_count()
-            if size > cap and not (grow and t + 1 < m):
+            if size > cap and room <= 0:
                 # T + t closes no circuit here and is not grown
                 continue
-            v = c = tcoords[t]
-            for low, row in rows:
-                if v & low:
-                    v ^= row
+            if v & low:
+                v ^= row
+            reduced.append(v)
             if v:
-                if grow and t + 1 < m:
-                    push(
-                        (t + 1, y, xe ^ emasks[t], xl ^ lmasks[t], rows + ((v & -v, v),), held + (c,))
-                    )
+                if room > 0 and t + 1 < m:
+                    b = y & basis_part
+                    if room == 1:
+                        reach = last.get(b, 0) > t
+                    elif room == 2:
+                        for s in range(t + 1, m):
+                            d = b ^ tcoords[s]
+                            if not d & (d - 1) or last.get(d, 0) > s:
+                                reach = True
+                                break
+                        else:
+                            reach = False
+                    else:
+                        reach = True
+                    if reach:
+                        push(
+                            (t + 1, y, xe ^ emasks[t], xl ^ lmasks[t],
+                             reduced, start, v, held + (tcoords[t],))
+                        )
             elif y & basis_part:
                 # T + t holds a circuit, and its cycle is larger still.
                 continue
-            if size <= cap and nullity_one([u & ~y for u in held] + [c & ~y]):
+            if size <= cap and nullity_one([u & ~y for u in held] + [tcoords[t] & ~y]):
                 found.append(((size << n) - (xl ^ lmasks[t]), xe ^ emasks[t]))
                 budget.check_time()
     budget.tick(pending)

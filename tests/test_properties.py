@@ -471,6 +471,26 @@ def test_circuit_walk_decides_cycles_as_the_oracle(m):
         assert decided == _WALK_RULE_COUNTS[m]
 
 
+@settings(deadline=None)
+@given(matroids())
+@example(_p_k6_k5())
+@example(_DENSE_RANK8)
+def test_windowed_walk_lists_the_short_circuits_in_order(m):
+    # With max_size = k the walk prunes every set whose descendants can
+    # no longer close a cycle of at most k elements; it must still list
+    # every circuit of at most k elements, in order.  The two rank-8
+    # examples are too large for the oracle, so there the reference is
+    # the full walk cut at k.
+    full = _circuit_masks(m)
+    for k in range(1, m.rank + 2):
+        walk = _circuit_masks(m, max_size=k)
+        if m in (_p_k6_k5(), _DENSE_RANK8):
+            assert walk == [c for c in full if c.bit_count() <= k]
+        else:
+            named = [frozenset(m.labels[j] for j in bits(c)) for c in walk]
+            assert named == oracles.oracle_circuits(m, k)
+
+
 @st.composite
 def multigraphs(draw, max_vertices=7):
     """Edge lists on v0.. in random order: a simple graph plus up to four

@@ -58,13 +58,14 @@ def test_growth_pass_by_target_stops_at_its_first_hit(capsys):
 
 def test_growth_scan_rung_pins_its_node_count(capsys):
     # M(K7) under --no-shortcut: the pair route (35 nodes), the walk for
-    # the circuits of 4 to 6 elements (6307) and one node per candidate
-    # pair past the size test, 10332 in all.
+    # the circuits of 4 to 6 elements (2538, 6307 before the walk's
+    # look-ahead) and one node per candidate pair past the size test,
+    # 6563 in all.
     argv = ["--only", "mk/7/no-shortcut", "--max-seconds", "10"]
     assert _load("growth.py")["main"](argv) == 0
     (row,) = map(json.loads, capsys.readouterr().out.splitlines())
     assert row["status"] == "ok" and row["answer"] == {"closed": True}
-    assert row["nodes"] == 10332 and row["family"] == "M(K_n)"
+    assert row["nodes"] == 6563 and row["family"] == "M(K_n)"
 
 
 def test_growth_split_search_rungs_pin_their_node_counts(capsys):

@@ -248,23 +248,25 @@ def test_closed_scan_rank_tests_only_thetas_that_could_be_incomplete():
     # could close an incomplete theta with it leaves none.  The node
     # counts, one per candidate pair past the size test, were 1057 and
     # 22703 while every pair within a bucket was a node, and 3327 and
-    # 30009 with every circuit paired.
-    assert _decisions_and_nodes(projective_geometry(4)) == (0, 952)
-    assert _decisions_and_nodes(catalog_matroid("MK(7)")) == (0, 10332)
+    # 30009 with every circuit paired.  The circuit walk's look-ahead,
+    # which expands only sets that can still close a circuit within
+    # the size cap, took them from 952 and 10332 to 732 and 6563.
+    assert _decisions_and_nodes(projective_geometry(4)) == (0, 732)
+    assert _decisions_and_nodes(catalog_matroid("MK(7)")) == (0, 6563)
 
 
-@pytest.mark.parametrize("cap", [8191, 8192, 8193, 10000, 10331])
+@pytest.mark.parametrize("cap", [4095, 4096, 4097, 5000, 6562])
 def test_batched_scan_budget_is_exact(cap):
     # The scan counts its pairs locally and charges them in batches; a
     # node cap must still raise on the first pair past it, as a tick per
     # pair would.  The caps lie past M(K7)'s prepass and circuit walk
-    # (6342 nodes), around CHECK_EVERY multiples, and up to the last
-    # node of the 10332 that the whole check takes.
+    # (2573 nodes), around CHECK_EVERY multiples, and up to the last
+    # node of the 6563 that the whole check takes.
     m = catalog_matroid("MK(7)")
     with pytest.raises(BudgetExceededError) as exc:
         is_theta3_closed(m, use_shortcut=False, budget=Budget(max_nodes=cap))
     assert exc.value.nodes == cap + 1
-    assert is_theta3_closed(m, use_shortcut=False, budget=Budget(max_nodes=10332))[0]
+    assert is_theta3_closed(m, use_shortcut=False, budget=Budget(max_nodes=6563))[0]
 
 
 def test_budget_stops_the_circuit_walk_within_one_set():
@@ -403,7 +405,8 @@ def test_closure_to_pg7_stays_within_the_closure_growth_cap():
     # Pairing only the circuits an
     # incomplete theta can use (4 to r elements) brought the closure from
     # 52825 nodes to 42680, under the 50k cap of the closure benchmark,
-    # and meeting only candidate pairs brings it to 17577.
+    # meeting only candidate pairs brought it to 17577, and the circuit
+    # walk's look-ahead brings it to 12349.
     cols = [123, 44, 97, 51, 72, 86, 12, 33, 25, 26, 49, 94, 15, 43]
     m = BinaryMatroid(tuple(f"q{i}" for i in range(len(cols))), tuple(cols), 7)
     final, trace = theta3_closure(m, budget=Budget(max_nodes=50_000))
