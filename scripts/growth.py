@@ -30,6 +30,10 @@ Families:
               tries all 2^r - 1 vectors of its span
     pgminus   PG(r) minus point p1, r = 8, 10, 13, under decompose:
               3-connected and dense, so the split search tries nothing
+    w         the cycle matroid of the n-spoke wheel W_n, n = 10, 13, 16,
+              under check, closure and decompose: spokes h-r_i, then the
+              rim r_i-r_(i+1); it closes to M(K_(n+1))
+    mstar-k3n the dual of M(K_(3,n)), n = 6, 8, under check and decompose
 Entry points: check (is_theta3_closed), no-shortcut (the same with
 use_shortcut=False), closure (theta3_closure), round (one closure
 round, the vectors it adds) and decompose (canonical_tree_decomposition,
@@ -61,6 +65,8 @@ FAMILIES = {
     "pg": "PG(r)",
     "spike": "rank-r spike",
     "pgminus": "PG(r) minus a point",
+    "w": "wheel W_n",
+    "mstar-k3n": "M*(K_(3,n))",
 }
 ROWS = [
     *(f"pgc3/{r}/{entry}" for r in (11, 12, 13, 15) for entry in ("check", "closure")),
@@ -70,12 +76,19 @@ ROWS = [
     *(f"pg/{r}/no-shortcut" for r in (4, 5)),
     *(f"spike/{r}/decompose" for r in (9, 13, 15)),
     *(f"pgminus/{r}/decompose" for r in (8, 10, 13)),
+    *(f"w/{n}/{entry}" for n in (10, 13, 16) for entry in ("check", "closure", "decompose")),
+    *(f"mstar-k3n/{n}/{entry}" for n in (6, 8) for entry in ("check", "decompose")),
 ]
 
 
 def _build(family: str, rung: int):
-    from theta3.construct import evaluate_term, parse_recipe
-    from theta3.matroid import BinaryMatroid, delete
+    from theta3.construct import (
+        complete_bipartite_edges,
+        cycle_matroid,
+        evaluate_term,
+        parse_recipe,
+    )
+    from theta3.matroid import BinaryMatroid, delete, dual
 
     if family == "pg16pts":
         import random
@@ -87,6 +100,12 @@ def _build(family: str, rung: int):
         cols.append((1 << rung) - 2)
         labels = ["e0"] + [f"{x}{i}" for i in range(1, rung) for x in "ab"] + ["z"]
         return BinaryMatroid(tuple(labels), tuple(cols), rung)
+    if family == "w":
+        edges = [("h", f"r{i}", f"s{i}") for i in range(rung)]
+        edges += [(f"r{i}", f"r{(i + 1) % rung}", f"t{i}") for i in range(rung)]
+        return cycle_matroid(edges)
+    if family == "mstar-k3n":
+        return dual(cycle_matroid(complete_bipartite_edges(3, rung)))
     if family in ("mk", "pg"):
         return evaluate_term(parse_recipe(f"{family.upper()}({rung})"))
     if family == "pgminus":

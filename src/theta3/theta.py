@@ -34,8 +34,29 @@ theta minus one arc.  And it pairs a circuit C1 only with the partners
 C2 that pass three tests, which every incomplete theta passes because
 each of its arcs has at least two elements (_theta_scan): C2 meets C1
 in an element other than the smallest, C2 avoids cl(C1) - C1, and C1
-avoids cl(C2) - C2.  On a closed matroid they leave almost no pair to
-decide.
+avoids cl(C2) - C2.  Before any of that it drops each circuit C of
+r(M) - 1 or r(M) elements unless the flat cl(C) passes a test by
+column lookups that the lemma below justifies:
+
+Lemma.  Let T be an incomplete theta and C = T - A one of its three
+circuits, A the arc outside C.  Then A is a circuit of M/C inside
+E - cl(C), with |A| <= r(M) + 2 - |C|, and the sum of A's columns is
+neither zero nor a column of M.
+
+Proof.  The cycles of T are the empty set and its three circuits, the
+unions of two arcs, and the nullity of a set X in M/C is that of
+X u C in M less that of C.  For A' a proper subset of A, the only
+nonempty cycle inside C u A' is C, so A' is independent in M/C; and
+C u A = T has nullity 2, so A is a circuit of M/C (Oxley, Matroid
+Theory, 3.1).  A has two or more elements, as an incomplete theta has
+no singleton arc, so it holds no loop of M/C, and the loops of M/C are
+the elements of cl(C).  |A| = |T| - |C| and |T| <= r(M) + 2.  Last, A
+is independent in M, and its sum is T's completing vector.
+
+At |C| = r(M), M/C has rank 1 and A two elements; at |C| = r(M) - 1,
+M/C has rank 2 and A two or three.  So the test reads M/C's parallel
+classes, which the contraction already gives (_flat_has_arc).  On a
+closed matroid these tests leave almost no pair to decide.
 
 Closedness also has a proof that lists no theta.  By the paper's
 theorem a binary matroid is theta-closed exactly when it is built from
@@ -198,7 +219,19 @@ def _theta_scan(
       Theory, 3.1) with two or more elements, so it holds no loop of
       M/C1, and the loops of M/C1 are the elements of cl(C1) - C1;
     - C1 avoids cl(C2) - C2, by the same argument for A1 in M/C2.
-    Each circuit's closure comes from its _contraction.  The partners
+    Each circuit's closure comes from its _contraction.  Before the
+    partners are chosen, a circuit C of r(M) - 1 or r(M) elements, where
+    M/C has rank 2 or 1, is dropped from its bucket unless the flat
+    cl(C) passes _flat_has_arc, by the lemma of the module docstring:
+    if C = T - A for an incomplete theta T and its arc A, then A is a
+    circuit of M/C (T has nullity 2, C nullity 1, and C is the only
+    nonempty cycle of C u A' for A' inside A), A avoids cl(C), the loops
+    of M/C, since |A| >= 2, |A| = |T| - |C| <= r(M) + 2 - |C|, and A
+    sums to T's completing vector, which is not a column and, A being
+    independent, not zero.  So a dropped circuit lies in no incomplete
+    theta, and no pair through it yields.  The test depends on the
+    flat alone and is memoised per scan by the free mask; the clock is
+    read once per flat tested, and no node is charged.  The partners
     are met in bucket order, so the scan yields the same thetas in the
     same order as the full scan with the complete ones left out, and at
     rank 3 or less nothing.  The full scan meets every later circuit of
@@ -236,6 +269,14 @@ def _theta_scan(
         for k in bits(c):
             cocycles[k] |= 1 << e
     sums: dict[int, int] = {}  # completing vector per C1 n C2
+    flats: dict[int, bool] = {}  # _flat_has_arc per free mask
+
+    def closes(free: int, reduced: list[int]) -> bool:
+        if free not in flats:
+            budget.check_time()
+            flats[free] = _flat_has_arc(cols, skip, free, reduced)
+        return flats[free]
+
     tested = 0
     limit = budget.batch_limit()
 
@@ -245,6 +286,10 @@ def _theta_scan(
         budget.check_time()
         contracted = [_contraction(cocycles, m) for m in bucket]
         if incomplete:
+            # len(reduced) = r(M/C) = r(M) + 1 - |C|: test |C| >= r(M) - 1
+            kept = [i for i, c in enumerate(contracted) if len(c[1]) > 2 or closes(*c)]
+            bucket = [bucket[i] for i in kept]
+            contracted = [contracted[i] for i in kept]
             later: Iterable[list[int]] = _partners(bucket, contracted)
         else:
             later = (bucket[i + 1 :] for i in range(len(bucket)))
@@ -330,6 +375,51 @@ def _partners(bucket: list[int], contracted: list[tuple[int, list[int]]]) -> lis
             row ^= low
         rows.append(partners)
     return rows
+
+
+def _flat_has_arc(
+    cols: tuple[int, ...], colset: frozenset[int], free: int, reduced: list[int]
+) -> bool:
+    """Whether M/C, for a circuit C with (free, reduced) = _contraction(...,
+    C) and M/C of rank 1 or 2, has a circuit A inside free = E - cl(C)
+    that could be an arc of an incomplete theta through C: A has two
+    elements, or three when M/C has rank 2, and the sum of A's columns
+    in M is neither zero nor a column.  It depends on the flat cl(C)
+    alone (see _theta_scan).
+
+    The elements of free fall into residue classes modulo span(C), the
+    parallel classes of M/C: one class at rank 1, and at rank 2 the
+    classes of residue 01, 10 and 11, read off the two reduced
+    cocycles.  Two elements of one class are a 2-element A, and one
+    element of each of the three classes a 3-element A.  Every sum
+    taken lies in span(C), whose columns are those of cl(C), so a sum
+    is a column exactly when it is one of theirs.  Both tests are over
+    distinct columns, so a sum of two is never zero; the triples are
+    not looped over: the vectors u with u + z zero or a column of
+    cl(C) for every column z of the smallest class are one
+    intersection of translates, and a pair from the other two classes
+    closes an arc exactly when its sum lies outside it.
+    """
+    if len(reduced) == 1:
+        classes = [free]
+    else:
+        v0, v1 = reduced
+        classes = [v0 & ~v1, v1 & ~v0, v0 & v1]
+    columns = [list({cols[e] for e in bits(k)}) for k in classes]
+    for vs in columns:
+        for i, x in enumerate(vs):
+            for y in vs[i + 1 :]:
+                if x ^ y not in colset:
+                    return True
+    if len(columns) == 1 or not all(columns):
+        return False
+    one, two, three = sorted(columns, key=len)
+    flat = {c for e, c in enumerate(cols) if not free >> e & 1}
+    flat.add(0)
+    closed = {d ^ one[0] for d in flat}
+    for z in one[1:]:
+        closed = {u for u in closed if u ^ z in flat}
+    return any(x ^ y not in closed for x in two for y in three)
 
 
 def _contraction(cocycles: list[int], c1: int) -> tuple[int, list[int]]:

@@ -746,10 +746,10 @@ def test_budget_seconds_exit_three(capsys):
 def test_batched_scan_honours_max_seconds(capsys, monkeypatch):
     # The pair scan charges its pairs in batches and must still read the
     # clock at least once per CHECK_EVERY of them.  On a clock that
-    # moves one microsecond per node charged, a 0.06 s limit falls in
+    # moves one microsecond per node charged, a 0.034 s limit falls in
     # M(K8)'s scan: its pair route and circuit walk take 30875 nodes and
-    # the whole check 90235.  The limit must stop the scan within one
-    # batch of its 60000th node, whatever the speed of the host.
+    # the whole check 38875.  The limit must stop the scan within one
+    # batch of its 34000th node, whatever the speed of the host.
     reads = []
 
     def elapsed(budget):
@@ -757,10 +757,10 @@ def test_batched_scan_honours_max_seconds(capsys, monkeypatch):
         return budget.nodes / 1e6
 
     monkeypatch.setattr(Budget, "elapsed", elapsed)
-    code, rep = run_cli(capsys, "check", "MK(8)", "--no-shortcut", "--max-seconds", "0.06")
+    code, rep = run_cli(capsys, "check", "MK(8)", "--no-shortcut", "--max-seconds", "0.034")
     assert code == 3
     assert "time budget exhausted" in rep["error"]
-    assert 60000 < reads[-1] <= 60000 + CHECK_EVERY
+    assert 34000 < reads[-1] <= 34000 + CHECK_EVERY
 
 
 def test_circuit_enumeration_honours_max_seconds(capsys):
@@ -781,7 +781,9 @@ def test_circuit_enumeration_counts_against_max_subsets(capsys):
     assert code == 3
     assert "node budget exhausted" in rep["error"]
 
-    code, rep = run_cli(capsys, "check", "MK(9)", "--no-shortcut", "--max-subsets", "1000000")
+    # M(K9)'s pair route takes 126 nodes and its walk 456421 more, so
+    # this cap falls in the walk
+    code, rep = run_cli(capsys, "check", "MK(9)", "--no-shortcut", "--max-subsets", "300000")
     assert code == 3
     assert "node budget exhausted" in rep["error"]
 

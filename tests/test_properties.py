@@ -59,6 +59,8 @@ from theta3.matroid import (
 from theta3.theta import (
     ThetaGraph,
     _arc_key,
+    _contraction,
+    _flat_has_arc,
     _Graph,
     _graph_theta,
     _pair_route_hits,
@@ -274,6 +276,42 @@ def test_incomplete_scan_is_the_full_scan_less_its_complete_thetas(m):
     # not a column, in the full scan's order; a stricter test drops one.
     want = [rec for rec in _theta_scan(m) if rec[3] not in m.colset]
     assert list(_theta_scan(m, incomplete=True)) == want
+
+
+def test_circuits_of_incomplete_thetas_pass_the_flat_test():
+    # The incomplete scan drops a circuit C of r(M) - 1 or r(M) elements
+    # unless its flat passes _flat_has_arc; by the lemma of the theta
+    # module docstring every circuit of an incomplete theta passes.  Each
+    # circuit of each incomplete theta of the full scan is checked, and
+    # its free mask against the oracle's closure.
+    ranks = Counter()
+
+    @settings(max_examples=200, deadline=None)
+    @given(matroids(max_dim=7, max_cols=12))
+    @example(cycle_matroid(theta_edges(2, 2, 3)))
+    @example(cycle_matroid(theta_edges(2, 3, 4)))
+    @example(_wheel(5))
+    def passes(m):
+        cocycles = [0] * m.rank
+        for e, c in enumerate(m.coordinates[0]):
+            for k in bits(c):
+                cocycles[k] |= 1 << e
+        for *arcs, w in _theta_scan(m):
+            if w in m.colset:
+                continue
+            for arc in arcs:
+                c = reduce(xor, arcs) ^ arc
+                if c.bit_count() < m.rank - 1:
+                    continue
+                free, reduced = _contraction(cocycles, c)
+                flat = oracles.closure_flat(m, [m.labels[j] for j in bits(c)])
+                assert free == sum(1 << j for j, lab in enumerate(m.labels) if lab not in flat)
+                assert _flat_has_arc(m.cols, m.colset, free, reduced)
+                ranks[len(reduced)] += 1
+
+    passes()
+    # both ranks of M/C, and with them the 2- and 3-element arcs, occur
+    assert ranks[1] > 20 and ranks[2] > 20, ranks
 
 
 @settings(max_examples=100)

@@ -60,12 +60,13 @@ def test_growth_scan_rung_pins_its_node_count(capsys):
     # M(K7) under --no-shortcut: the pair route (35 nodes), the walk for
     # the circuits of 4 to 6 elements (2538, 6307 before the walk's
     # look-ahead) and one node per candidate pair past the size test,
-    # 6563 in all.
+    # 2783 in all (6563 before the scan dropped the circuits of 5 or 6
+    # elements whose flat closes no incomplete theta).
     argv = ["--only", "mk/7/no-shortcut", "--max-seconds", "10"]
     assert _load("growth.py")["main"](argv) == 0
     (row,) = map(json.loads, capsys.readouterr().out.splitlines())
     assert row["status"] == "ok" and row["answer"] == {"closed": True}
-    assert row["nodes"] == 6563 and row["family"] == "M(K_n)"
+    assert row["nodes"] == 2783 and row["family"] == "M(K_n)"
 
 
 def test_growth_split_search_rungs_pin_their_node_counts(capsys):
@@ -81,3 +82,27 @@ def test_growth_split_search_rungs_pin_their_node_counts(capsys):
         assert row["seconds"] < 1
     assert spike["nodes"] == 511 and spike["family"] == "rank-r spike"
     assert pgminus["nodes"] == 0 and pgminus["family"] == "PG(r) minus a point"
+
+
+def test_growth_wheel_and_cographic_rungs_pin_their_node_counts(capsys):
+    # W10 (20 elements, rank 10) is not in the class: check finds no
+    # pair-route theta, the certificate names all of it in 20 nodes, and
+    # the scan refutes it in 1016 more; one closure round adds every
+    # missing edge of K11, and decompose tries all 2^10 - 1 vectors of
+    # its span.  M*(K_(3,6)) (18 elements, rank 10) goes the same way:
+    # 18 certificate nodes, 255 in the scan, and 1023 in decompose.
+    rows = ["w/10/check", "w/10/closure", "w/10/decompose"]
+    rows += ["mstar-k3n/6/check", "mstar-k3n/6/decompose"]
+    assert _load("growth.py")["main"](["--only", *rows, "--max-seconds", "10"]) == 0
+    got = {row["row"]: row for row in map(json.loads, capsys.readouterr().out.splitlines())}
+    want = {
+        "w/10/check": ({"closed": False}, 1036),
+        "w/10/closure": ({"size": 55, "rounds": 1}, 1400),
+        "w/10/decompose": ({"vertices": 1}, 1023),
+        "mstar-k3n/6/check": ({"closed": False}, 273),
+        "mstar-k3n/6/decompose": ({"vertices": 1}, 1023),
+    }
+    for name, (answer, nodes) in want.items():
+        row = got[name]
+        assert row["status"] == "ok" and row["seconds"] < 1, row
+        assert (row["answer"], row["nodes"]) == (answer, nodes), row

@@ -250,23 +250,30 @@ def test_closed_scan_rank_tests_only_thetas_that_could_be_incomplete():
     # 22703 while every pair within a bucket was a node, and 3327 and
     # 30009 with every circuit paired.  The circuit walk's look-ahead,
     # which expands only sets that can still close a circuit within
-    # the size cap, took them from 952 and 10332 to 732 and 6563.
-    assert _decisions_and_nodes(projective_geometry(4)) == (0, 732)
-    assert _decisions_and_nodes(catalog_matroid("MK(7)")) == (0, 6563)
+    # the size cap, took them from 952 and 10332 to 732 and 6563, and
+    # dropping the circuits of r(M) - 1 or r(M) elements whose flat
+    # closes no incomplete theta to 312 and 2783.
+    assert _decisions_and_nodes(projective_geometry(4)) == (0, 312)
+    assert _decisions_and_nodes(catalog_matroid("MK(7)")) == (0, 2783)
 
 
-@pytest.mark.parametrize("cap", [4095, 4096, 4097, 5000, 6562])
-def test_batched_scan_budget_is_exact(cap):
+@pytest.mark.parametrize("past_walk", [4095, 4096, 4097, 5000, 6562])
+def test_batched_scan_budget_is_exact(past_walk):
     # The scan counts its pairs locally and charges them in batches; a
     # node cap must still raise on the first pair past it, as a tick per
-    # pair would.  The caps lie past M(K7)'s prepass and circuit walk
-    # (2573 nodes), around CHECK_EVERY multiples, and up to the last
-    # node of the 6563 that the whole check takes.
-    m = catalog_matroid("MK(7)")
+    # pair would.  The caps lie past M(K8)'s prepass and circuit walk
+    # (30875 nodes): around the first CHECK_EVERY batch of the scan's
+    # pairs, inside the second, and then the last node of the 38875
+    # that the whole check takes.
+    m = catalog_matroid("MK(8)")
+    cap = 30875 + past_walk
     with pytest.raises(BudgetExceededError) as exc:
         is_theta3_closed(m, use_shortcut=False, budget=Budget(max_nodes=cap))
     assert exc.value.nodes == cap + 1
-    assert is_theta3_closed(m, use_shortcut=False, budget=Budget(max_nodes=6563))[0]
+    assert is_theta3_closed(m, use_shortcut=False, budget=Budget(max_nodes=38875))[0]
+    with pytest.raises(BudgetExceededError) as exc:
+        is_theta3_closed(m, use_shortcut=False, budget=Budget(max_nodes=38874))
+    assert exc.value.nodes == 38875
 
 
 def test_budget_stops_the_circuit_walk_within_one_set():
@@ -352,6 +359,29 @@ def test_incomplete_scan_window_drops_only_pairs_that_cannot_yield():
             low_rank += 1
         yielded += len(got)
     assert yielded > 1000 and low_rank > 50
+
+
+@pytest.mark.parametrize(
+    "lengths, arcs, completing",
+    [
+        ((2, 2, 3), ({"A1", "A2"}, {"B1", "B2"}, {"C1", "C2", "C3"}), 48),
+        ((2, 3, 4), ({"A1", "A2"}, {"B1", "B2", "B3"}, {"C1", "C2", "C3", "C4"}), 192),
+    ],
+)
+def test_scan_keeps_a_circuit_whose_theta_closes_through_a_3_element_arc(
+    lengths, arcs, completing
+):
+    # In both graphs a circuit of r(M) - 1 elements, the theta less its
+    # 3-element arc, lies in the one incomplete theta: the scan drops a
+    # circuit of r(M) - 1 or r(M) elements only when no 2- or 3-element
+    # circuit of M/C outside cl(C) sums to a missing vector.  The pair
+    # route is blind to these thetas, so the scan must find them.
+    m = cycle_matroid(theta_edges(*lengths))
+    closed, witness = is_theta3_closed(m, use_shortcut=False)
+    assert not closed
+    assert witness == theta.ThetaGraph(tuple(map(frozenset, arcs)), completing, m.dim)
+    oracles.oracle_validate_theta(m, witness.arcs)
+    assert completing not in m.colset
 
 
 # -- closure ------------------------------------------------------------------
