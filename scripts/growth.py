@@ -24,10 +24,11 @@ Families:
     pg16pts   4000 and 8000 random points of PG(16), random.Random(7)
     mk        M(K_n), n = 7, 8, 9, under no-shortcut: the circuit-pair scan
     pg        PG(r), r = 4, 5, under no-shortcut: the circuit-pair scan
-    spike     the rank-r spike, r = 9, 13, 15, under decompose: tip e0,
-              legs {e_i, e_i + e0} for i = 1..r-1, and the sum of
-              e_1..e_{r-1}; 3-connected and sparse, so the split search
-              tries all 2^r - 1 vectors of its span
+    spike     the rank-r spike, r = 9, 13, 15, under check, closure and
+              decompose: tip e0, legs {e_i, e_i + e0} for i = 1..r-1,
+              and the sum of e_1..e_{r-1}; it closes to PG(r), and it
+              is 3-connected and sparse, so the split search tries all
+              2^r - 1 vectors of its span
     pgminus   PG(r) minus point p1, r = 8, 10, 13, under decompose:
               3-connected and dense, so the split search tries nothing
     w         the cycle matroid of the n-spoke wheel W_n, n = 10, 13, 16,
@@ -74,7 +75,7 @@ ROWS = [
     *(f"pg16pts/{n}/{entry}" for n in (4000, 8000) for entry in ("check", "no-shortcut", "round")),
     *(f"mk/{n}/no-shortcut" for n in (7, 8, 9)),
     *(f"pg/{r}/no-shortcut" for r in (4, 5)),
-    *(f"spike/{r}/decompose" for r in (9, 13, 15)),
+    *(f"spike/{r}/{entry}" for r in (9, 13, 15) for entry in ("check", "closure", "decompose")),
     *(f"pgminus/{r}/decompose" for r in (8, 10, 13)),
     *(f"w/{n}/{entry}" for n in (10, 13, 16) for entry in ("check", "closure", "decompose")),
     *(f"mstar-k3n/{n}/{entry}" for n in (6, 8) for entry in ("check", "decompose")),

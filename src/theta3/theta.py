@@ -30,11 +30,11 @@ C1, decide by gf2.nullity_one, the rule the circuit walk decides its
 cycles by (see _theta_pair).  The scan also lists and pairs only
 circuits of 4 to r(M) elements: an incomplete theta has no singleton
 arc and at most r(M) + 2 elements, and each of its circuits is the
-theta minus one arc.  And it pairs a circuit C1 only with the partners
-C2 that pass three tests, which every incomplete theta passes because
-each of its arcs has at least two elements (_theta_scan): C2 meets C1
-in an element other than the smallest, C2 avoids cl(C1) - C1, and C1
-avoids cl(C2) - C2.  Before any of that it drops each circuit C of
+theta minus one arc.  And it decides a pair C1, C2 only if it passes
+three mask tests, which every incomplete theta passes because each of
+its arcs has at least two elements (_theta_scan): C2 meets C1 in an
+element other than the smallest, C2 avoids cl(C1) - C1, and C1 avoids
+cl(C2) - C2.  Before any of that it drops each circuit C of
 r(M) - 1 or r(M) elements unless the flat cl(C) passes a test by
 column lookups that the lemma below justifies:
 
@@ -209,44 +209,46 @@ def _theta_scan(
     the completing vector), and |T| = r(T) + 2 <= r(M) + 2, so each of
     its three circuits, T minus one arc, has 4 to r(M) elements.  With
     incomplete, the scan therefore lists and pairs only the circuits in
-    that window, in their usual order.  It also meets only the partners
-    C2 of C1, in a bucket with smallest element b, that pass three
-    tests (_partners), and each holds for an incomplete theta because
-    its arcs A1 = C1 - C2, A2 = C2 - C1 and A3 = C1 n C2 have at least
-    two elements each:
+    that window, in their usual order.  It also decides a pair C1, C2 of
+    a bucket with smallest element b only if it passes three mask tests,
+    made on each pair met after the size test, and each holds for an
+    incomplete theta because its arcs A1 = C1 - C2, A2 = C2 - C1 and
+    A3 = C1 n C2 have at least two elements each:
     - C2 meets C1 - b, since |A3| >= 2 and b lies in A3;
     - C2 avoids cl(C1) - C1: A2 is a circuit of M/C1 (Oxley, Matroid
       Theory, 3.1) with two or more elements, so it holds no loop of
       M/C1, and the loops of M/C1 are the elements of cl(C1) - C1;
     - C1 avoids cl(C2) - C2, by the same argument for A1 in M/C2.
-    Each circuit's closure comes from its _contraction.  Before the
-    partners are chosen, a circuit C of r(M) - 1 or r(M) elements, where
-    M/C has rank 2 or 1, is dropped from its bucket unless the flat
-    cl(C) passes _flat_has_arc, by the lemma of the module docstring:
-    if C = T - A for an incomplete theta T and its arc A, then A is a
-    circuit of M/C (T has nullity 2, C nullity 1, and C is the only
-    nonempty cycle of C u A' for A' inside A), A avoids cl(C), the loops
-    of M/C, since |A| >= 2, |A| = |T| - |C| <= r(M) + 2 - |C|, and A
-    sums to T's completing vector, which is not a column and, A being
-    independent, not zero.  So a dropped circuit lies in no incomplete
-    theta, and no pair through it yields.  The test depends on the
-    flat alone and is memoised per scan by the free mask; the clock is
-    read once per flat tested, and no node is charged.  The partners
-    are met in bucket order, so the scan yields the same thetas in the
-    same order as the full scan with the complete ones left out, and at
-    rank 3 or less nothing.  The full scan meets every later circuit of
-    the bucket.  In both modes every circuit of a bucket of two or more
-    is contracted once, before the bucket's pairs.
+    cl(C) - C is the complement of C and of the free mask of C's
+    _contraction.  The full scan tests with C1 - b as every element and
+    cl(C) - C as none, so every pair passes.  Before the pairs are met,
+    a circuit C of r(M) - 1 or r(M) elements, where M/C has rank 2 or
+    1, is dropped from its bucket unless the flat cl(C) passes
+    _flat_has_arc, by the lemma of the module docstring: if C = T - A
+    for an incomplete theta T and its arc A, then A is a circuit of M/C
+    (T has nullity 2, C nullity 1, and C is the only nonempty cycle of
+    C u A' for A' inside A), A avoids cl(C), the loops of M/C, since
+    |A| >= 2, |A| = |T| - |C| <= r(M) + 2 - |C|, and A sums to T's
+    completing vector, which is not a column and, A being independent,
+    not zero.  So a dropped circuit lies in no incomplete theta, and no
+    pair through it yields.  The test depends on the flat alone and is
+    memoised per scan by the free mask; the clock is read once per flat
+    tested, and no node is charged.  Pairs are met in bucket order, so
+    the scan yields the same thetas in the same order as the full scan
+    with the complete ones left out, and at rank 3 or less nothing.  In
+    both modes every circuit of a bucket of two or more is contracted
+    once, before the bucket's pairs.
 
     The budget is charged one node per pair met that passes the size
-    cap: with incomplete, one per candidate pair.  The pairs are
-    counted locally and charged in batches that stay exact: a batch is
-    passed on when it reaches Budget.batch_limit(), so a node cap
-    raises on the same pair, with the same count, as a tick per pair
-    would; the count is also passed on before every yield and at the
-    end.  The clock is read with every batch and once per bucket of two
-    or more circuits, so a time limit also stops the work a bucket does
-    before its pairs.
+    cap and, with incomplete, the three tests: one per candidate pair.
+    The pairs are counted locally and charged in batches that stay
+    exact: a batch is passed on when it reaches Budget.batch_limit(), so
+    a node cap raises on the same pair, with the same count, as a tick
+    per pair would; the count is also passed on before every yield and
+    at the end.  The clock is read with every batch, once per bucket of
+    two or more circuits, so a time limit also stops the work a bucket
+    does before its pairs, and once per C1, so the work left uncharged
+    between two reads is at most one C1's pairs.
     """
     if budget is None:
         budget = Budget()
@@ -290,12 +292,18 @@ def _theta_scan(
             kept = [i for i, c in enumerate(contracted) if len(c[1]) > 2 or closes(*c)]
             bucket = [bucket[i] for i in kept]
             contracted = [contracted[i] for i in kept]
-            later: Iterable[list[int]] = _partners(bucket, contracted)
+            # cl(C) - C per circuit, the elements outside free and C
+            spans = [~free & ~m for m, (free, _) in zip(bucket, contracted)]
         else:
-            later = (bucket[i + 1 :] for i in range(len(bucket)))
-        for mi, contraction, partners in zip(bucket, contracted, later):
-            for mj in partners:
+            spans = [0] * len(bucket)
+        for i, (mi, contraction) in enumerate(zip(bucket, contracted)):
+            budget.check_time()
+            rest = mi & (mi - 1) if incomplete else -1  # C1 - b
+            span = spans[i]
+            for mj, span_j in zip(bucket[i + 1 :], spans[i + 1 :]):
                 if (mi | mj).bit_count() > rank_cap:
+                    continue
+                if not mj & rest or mj & span or mi & span_j:
                     continue
                 tested += 1
                 if tested >= limit:
@@ -317,64 +325,6 @@ def _theta_scan(
                 yield mi & ~mj, mj & ~mi, inter, w
                 limit = budget.batch_limit()
     budget.tick(tested)
-
-
-def _partners(bucket: list[int], contracted: list[tuple[int, list[int]]]) -> list[list[int]]:
-    """Per circuit C1 of a bucket, in order, the later circuits C2 of the
-    bucket that pass _theta_scan's three tests with it: C2 meets C1 - b,
-    C2 avoids cl(C1) - C1, and C1 avoids cl(C2) - C2.  contracted holds
-    each circuit's _contraction, whose free mask is the complement of
-    its closure.
-
-    Circuits are named by their position in the bucket, and each element
-    of the bucket's circuits gets two masks of positions: the circuits
-    through it, and the circuits that span it without holding it, whose
-    closure holds it outside the circuit.  ORs of both over C1 - b give
-    the circuits that pass the first and the third test (b, the
-    bucket's element, lies in every circuit, so no circuit of the bucket
-    spans it without holding it), and one AND per circuit left decides
-    the second.
-    """
-    union = 0
-    for c in bucket:
-        union |= c
-    through = [0] * union.bit_length()
-    spanned = [0] * union.bit_length()
-    bit = 1
-    # the bit loops below inline gf2.bits, which costs dense_blocks ~8%
-    for c, (free, _) in zip(bucket, contracted):
-        m = c
-        while m:
-            low = m & -m
-            through[low.bit_length() - 1] |= bit
-            m ^= low
-        m = union & ~free & ~c
-        while m:
-            low = m & -m
-            spanned[low.bit_length() - 1] |= bit
-            m ^= low
-        bit <<= 1
-    rows = []
-    for i, (c, (free, _)) in enumerate(zip(bucket, contracted)):
-        meets = avoid = 0
-        m = c & (c - 1)  # C1 - b
-        while m:
-            low = m & -m
-            e = low.bit_length() - 1
-            meets |= through[e]
-            avoid |= spanned[e]
-            m ^= low
-        row = meets & ~avoid & -(2 << i)  # positions after i
-        closure = ~free & ~c  # cl(C1) - C1
-        partners = []
-        while row:
-            low = row & -row
-            c2 = bucket[low.bit_length() - 1]
-            if not c2 & closure:
-                partners.append(c2)
-            row ^= low
-        rows.append(partners)
-    return rows
 
 
 def _flat_has_arc(

@@ -22,7 +22,7 @@ from theta3 import cli, construct, decompose, theta
 from theta3.budget import CHECK_EVERY, Budget
 from theta3.construct import catalog_matroid
 from theta3.gf2 import bits_from_str
-from theta3.matroid import same_matroid
+from theta3.matroid import BinaryMatroid, same_matroid
 
 from corpus import complete_graph_edges
 from oracles import oracle_is_circuit, oracle_is_complete, oracle_rank, oracle_theta_graphs
@@ -773,6 +773,24 @@ def test_circuit_enumeration_honours_max_seconds(capsys):
     code, rep = run_cli(capsys, "check", "PG(12)", "--no-shortcut", "--max-seconds", "1")
     assert code == 3
     assert "time budget exhausted" in rep["error"]
+
+
+def test_incomplete_theta_scan_honours_max_seconds(capsys, tmp_path):
+    # The rank-15 spike (tip e0, legs {e_i, e_i + e0} for i = 1..14, and
+    # the sum z of e_1..e_14) spends its closure's time in the scan,
+    # whose largest bucket holds 4109 circuits.  The scan reads the clock once
+    # per circuit it pairs, so the limit stops it within one row of
+    # pairs; the whole closure takes seconds.
+    r = 15
+    cols = [1] + [c for i in range(1, r) for c in (1 << i, 1 << i | 1)] + [(1 << r) - 2]
+    labels = ["e0"] + [f"{x}{i}" for i in range(1, r) for x in "ab"] + ["z"]
+    spike = BinaryMatroid(tuple(labels), tuple(cols), r)
+    path = tmp_path / "spike15.matroid"
+    path.write_text(render_matroid_file(spike))
+    code, rep = run_cli(capsys, "closure", str(path), "--max-seconds", "0.5")
+    assert code == 3
+    assert "time budget exhausted" in rep["error"]
+    assert rep["timings"]["total_s"] < 1.5
 
 
 def test_circuit_enumeration_counts_against_max_subsets(capsys):

@@ -291,6 +291,8 @@ def test_circuits_of_incomplete_thetas_pass_the_flat_test():
     @example(cycle_matroid(theta_edges(2, 2, 3)))
     @example(cycle_matroid(theta_edges(2, 3, 4)))
     @example(_wheel(5))
+    @example(catalog_matroid("MSTAR_K5"))  # 30 circuits with M/C of rank 1
+    @example(cycle_matroid(complete_bipartite_edges(3, 3)))  # 18 with rank 2
     def passes(m):
         cocycles = [0] * m.rank
         for e, c in enumerate(m.coordinates[0]):
@@ -310,7 +312,9 @@ def test_circuits_of_incomplete_thetas_pass_the_flat_test():
                 ranks[len(reduced)] += 1
 
     passes()
-    # both ranks of M/C, and with them the 2- and 3-element arcs, occur
+    # both ranks of M/C, and with them the 2- and 3-element arcs, occur;
+    # the examples alone count {1: 43, 2: 25}, so the floor holds on any
+    # draw
     assert ranks[1] > 20 and ranks[2] > 20, ranks
 
 

@@ -84,6 +84,21 @@ def test_growth_split_search_rungs_pin_their_node_counts(capsys):
     assert pgminus["nodes"] == 0 and pgminus["family"] == "PG(r) minus a point"
 
 
+def test_growth_spike_scan_rungs_pin_their_node_counts(capsys):
+    # The rank-9 spike is not in the class: check lists its circuits of
+    # 4 to 9 elements (504 nodes of 529) and refutes it in the scan,
+    # whose largest bucket holds 71 circuits.  The closure reaches PG(9)
+    # in three rounds and 2808 nodes.
+    rows = ["spike/9/check", "spike/9/closure"]
+    assert _load("growth.py")["main"](["--only", *rows, "--max-seconds", "10"]) == 0
+    check, closure = map(json.loads, capsys.readouterr().out.splitlines())
+    for row in (check, closure):
+        assert row["status"] == "ok" and row["family"] == "rank-r spike"
+        assert row["seconds"] < 1
+    assert check["answer"] == {"closed": False} and check["nodes"] == 529
+    assert closure["answer"] == {"size": 511, "rounds": 3} and closure["nodes"] == 2808
+
+
 def test_growth_wheel_and_cographic_rungs_pin_their_node_counts(capsys):
     # W10 (20 elements, rank 10) is not in the class: check finds no
     # pair-route theta, the certificate names all of it in 20 nodes, and
