@@ -22,8 +22,10 @@ Families:
     pgc3-p2   the same at r = 13 with p2 deleted, under check and
               no-shortcut (rows pgc3-p2/13/check, pgc3-p2/13/no-shortcut)
     pg16pts   4000 and 8000 random points of PG(16), random.Random(7)
-    mk        M(K_n), n = 7, 8, 9, under no-shortcut: the circuit-pair scan
-    pg        PG(r), r = 4, 5, under no-shortcut: the circuit-pair scan
+    mk        M(K_n), n = 7, 8, 9, under no-shortcut (the circuit-pair
+              scan) and decompose
+    pg        PG(r), r = 4, 5, under no-shortcut (the circuit-pair scan)
+              and decompose
     spike     the rank-r spike, r = 9, 13, 15, under check, closure and
               decompose: tip e0, legs {e_i, e_i + e0} for i = 1..r-1,
               and the sum of e_1..e_{r-1}; it closes to PG(r), and it
@@ -34,6 +36,10 @@ Families:
     w         the cycle matroid of the n-spoke wheel W_n, n = 10, 13, 16,
               under check, closure and decompose: spokes h-r_i, then the
               rim r_i-r_(i+1); it closes to M(K_(n+1))
+    w2        two wheels W_n, n = 6, 7, 8, glued on the rim edge t0 with
+              that edge deleted (the 2-sum at at0 and bt0), under check
+              and decompose: not in the class, and its tree has two
+              vertices
     mstar-k3n the dual of M(K_(3,n)), n = 6, 8, under check and decompose
 Entry points: check (is_theta3_closed), no-shortcut (the same with
 use_shortcut=False), closure (theta3_closure), round (one closure
@@ -67,17 +73,19 @@ FAMILIES = {
     "spike": "rank-r spike",
     "pgminus": "PG(r) minus a point",
     "w": "wheel W_n",
+    "w2": "two W_n glued on a rim edge, edge deleted",
     "mstar-k3n": "M*(K_(3,n))",
 }
 ROWS = [
     *(f"pgc3/{r}/{entry}" for r in (11, 12, 13, 15) for entry in ("check", "closure")),
     *(f"pgc3-p2/13/{entry}" for entry in ("check", "no-shortcut")),
     *(f"pg16pts/{n}/{entry}" for n in (4000, 8000) for entry in ("check", "no-shortcut", "round")),
-    *(f"mk/{n}/no-shortcut" for n in (7, 8, 9)),
-    *(f"pg/{r}/no-shortcut" for r in (4, 5)),
+    *(f"mk/{n}/{entry}" for n in (7, 8, 9) for entry in ("no-shortcut", "decompose")),
+    *(f"pg/{r}/{entry}" for r in (4, 5) for entry in ("no-shortcut", "decompose")),
     *(f"spike/{r}/{entry}" for r in (9, 13, 15) for entry in ("check", "closure", "decompose")),
     *(f"pgminus/{r}/decompose" for r in (8, 10, 13)),
     *(f"w/{n}/{entry}" for n in (10, 13, 16) for entry in ("check", "closure", "decompose")),
+    *(f"w2/{n}/{entry}" for n in (6, 7, 8) for entry in ("check", "decompose")),
     *(f"mstar-k3n/{n}/{entry}" for n in (6, 8) for entry in ("check", "decompose")),
 ]
 
@@ -88,6 +96,7 @@ def _build(family: str, rung: int):
         cycle_matroid,
         evaluate_term,
         parse_recipe,
+        two_sum,
     )
     from theta3.matroid import BinaryMatroid, delete, dual
 
@@ -101,10 +110,16 @@ def _build(family: str, rung: int):
         cols.append((1 << rung) - 2)
         labels = ["e0"] + [f"{x}{i}" for i in range(1, rung) for x in "ab"] + ["z"]
         return BinaryMatroid(tuple(labels), tuple(cols), rung)
-    if family == "w":
-        edges = [("h", f"r{i}", f"s{i}") for i in range(rung)]
-        edges += [(f"r{i}", f"r{(i + 1) % rung}", f"t{i}") for i in range(rung)]
+
+    def wheel(prefix: str = ""):
+        edges = [("h", f"r{i}", f"{prefix}s{i}") for i in range(rung)]
+        edges += [(f"r{i}", f"r{(i + 1) % rung}", f"{prefix}t{i}") for i in range(rung)]
         return cycle_matroid(edges)
+
+    if family == "w":
+        return wheel()
+    if family == "w2":
+        return two_sum(wheel("a"), wheel("b"), "at0", "bt0")
     if family == "mstar-k3n":
         return dual(cycle_matroid(complete_bipartite_edges(3, rung)))
     if family in ("mk", "pg"):

@@ -21,13 +21,14 @@ some arc is the singleton {e}, or col(e) equals the completing vector
 A singleton arc's column is itself the completing vector, so T is
 complete exactly when its completing vector is a column.  The scan
 for incomplete thetas does this lookup before the corank test of a
-circuit pair, so a pair whose vector is a column costs no corank test,
-and on a closed matroid only pairs that form no theta reach one.  The
-test needs no elimination per pair: C1 u C2 has corank 2 exactly when
-C2 - C1 is a circuit of the contraction M/C1, which the residues of its
-elements modulo span(C1), read off M's fundamental cocycles once per
-C1, decide by gf2.nullity_one, the rule the circuit walk decides its
-cycles by (see _theta_pair).  The scan also lists and pairs only
+circuit pair, in a skip set of M's columns and the vectors that
+already have a witness, so such a pair costs no corank test, and on a
+closed matroid only pairs that form no theta reach one.  The test
+needs no elimination per pair: C1 u C2 has corank 2 exactly when
+C2 - C1 is a circuit of the contraction M/C1, which the residues of
+its elements modulo span(C1), read off M's fundamental cocycles once
+per C1, decide by gf2.nullity_one, the rule the circuit walk decides
+its cycles by (see _theta_pair).  The scan also lists and pairs only
 circuits of 4 to r(M) elements: an incomplete theta has no singleton
 arc and at most r(M) + 2 elements, and each of its circuits is the
 theta minus one arc.  And it decides a pair C1, C2 only if it passes
@@ -105,7 +106,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import islice
-from typing import Callable, Generator, Iterable, Iterator, NamedTuple
+from typing import Callable, Container, Generator, Iterable, Iterator, NamedTuple
 
 from theta3.budget import Budget
 from theta3.construct import BuildRecipe, _Graph, certificate, is_projective
@@ -178,11 +179,15 @@ def _theta(M: BinaryMatroid, arc_masks: Iterable[int], w: int) -> ThetaGraph:
 
 
 def _theta_scan(
-    M: BinaryMatroid, budget: Budget | None = None, incomplete: bool = False
+    M: BinaryMatroid, budget: Budget | None = None, skip: Container[int] | None = None
 ) -> Iterator[tuple[int, int, int, int]]:
-    """Yield (arc, arc, arc, completing vector) for every theta of M, or
-    with incomplete for every theta whose completing vector is not a
-    column, once each.
+    """Yield (arc, arc, arc, completing vector) for every theta of M, or,
+    given skip, M's columns and what the caller adds between yields, for
+    every incomplete theta whose vector is not in skip when the scan
+    meets it, once each.  A caller that adds each vector it is given
+    gets one theta per missing vector.  The flat test reads M.colset,
+    so the circuits paired and the nodes charged never depend on what
+    skip holds.
 
     Arcs are element masks.  Circuits are bucketed by their smallest
     element and only pairs within a bucket are tested, which finds each
@@ -193,9 +198,9 @@ def _theta_scan(
     pairs left are one per set of three circuits, each the symmetric
     difference of the other two, so the number of corank tests does
     not depend on the element order.  The completing vector, the sum of
-    C1 n C2, is summed once per distinct intersection and, with
-    incomplete, looked up among M's columns before the corank test, so
-    only pairs that could be an incomplete theta pay for one.
+    C1 n C2, is summed once per distinct intersection and, given skip,
+    looked up in it before the corank test, so only pairs that could be
+    an incomplete theta with a vector not yet found pay for one.
     The corank test is made in the contraction by C1: the corank of
     C1 u C2, minus 1, is the nullity of C2 - C1 in M/C1, so the pair is
     a theta exactly when C2 - C1 is a circuit of M/C1 (_theta_pair).
@@ -207,8 +212,8 @@ def _theta_scan(
 
     An incomplete theta has no singleton arc (a singleton arc carries
     the completing vector), and |T| = r(T) + 2 <= r(M) + 2, so each of
-    its three circuits, T minus one arc, has 4 to r(M) elements.  With
-    incomplete, the scan therefore lists and pairs only the circuits in
+    its three circuits, T minus one arc, has 4 to r(M) elements.  Given
+    skip, the scan therefore lists and pairs only the circuits in
     that window, in their usual order.  It also decides a pair C1, C2 of
     a bucket with smallest element b only if it passes three mask tests,
     made on each pair met after the size test, and each holds for an
@@ -234,13 +239,14 @@ def _theta_scan(
     pair through it yields.  The test depends on the flat alone and is
     memoised per scan by the free mask; the clock is read once per flat
     tested, and no node is charged.  Pairs are met in bucket order, so
-    the scan yields the same thetas in the same order as the full scan
-    with the complete ones left out, and at rank 3 or less nothing.  In
-    both modes every circuit of a bucket of two or more is contracted
-    once, before the bucket's pairs.
+    the scan given M.colset yields the same thetas in the same order as
+    the full scan with the complete ones left out, and at rank 3 or less
+    nothing.  In both modes every circuit of a bucket of two or more is
+    contracted once, before the bucket's pairs.
 
     The budget is charged one node per pair met that passes the size
-    cap and, with incomplete, the three tests: one per candidate pair.
+    cap and, given skip, the three tests: one per candidate pair,
+    charged before skip is read.
     The pairs are counted locally and charged in batches that stay
     exact: a batch is passed on when it reaches Budget.batch_limit(), so
     a node cap raises on the same pair, with the same count, as a tick
@@ -254,12 +260,10 @@ def _theta_scan(
         budget = Budget()
     cols = M.cols
     rank_cap = M.rank + 2  # |C1 u C2| can't exceed this at corank 2
-    if incomplete:
-        skip = M.colset
-        masks = [m for m in _circuit_masks(M, budget, M.rank) if m.bit_count() >= 4]
-    else:
-        skip = frozenset()
+    if skip is None:
         masks = _circuit_masks(M, budget)
+    else:
+        masks = [m for m in _circuit_masks(M, budget, M.rank) if m.bit_count() >= 4]
     circuits = set(masks)
     buckets: list[list[int]] = [[] for _ in range(M.size)]
     for m in masks:
@@ -276,7 +280,7 @@ def _theta_scan(
     def closes(free: int, reduced: list[int]) -> bool:
         if free not in flats:
             budget.check_time()
-            flats[free] = _flat_has_arc(cols, skip, free, reduced)
+            flats[free] = _flat_has_arc(cols, M.colset, free, reduced)
         return flats[free]
 
     tested = 0
@@ -287,18 +291,18 @@ def _theta_scan(
             continue
         budget.check_time()
         contracted = [_contraction(cocycles, m) for m in bucket]
-        if incomplete:
+        if skip is None:
+            spans = [0] * len(bucket)
+        else:
             # len(reduced) = r(M/C) = r(M) + 1 - |C|: test |C| >= r(M) - 1
             kept = [i for i, c in enumerate(contracted) if len(c[1]) > 2 or closes(*c)]
             bucket = [bucket[i] for i in kept]
             contracted = [contracted[i] for i in kept]
             # cl(C) - C per circuit, the elements outside free and C
             spans = [~free & ~m for m, (free, _) in zip(bucket, contracted)]
-        else:
-            spans = [0] * len(bucket)
         for i, (mi, contraction) in enumerate(zip(bucket, contracted)):
             budget.check_time()
-            rest = mi & (mi - 1) if incomplete else -1  # C1 - b
+            rest = -1 if skip is None else mi & (mi - 1)  # C1 - b
             span = spans[i]
             for mj, span_j in zip(bucket[i + 1 :], spans[i + 1 :]):
                 if (mi | mj).bit_count() > rank_cap:
@@ -316,7 +320,7 @@ def _theta_scan(
                 w = sums.get(inter)
                 if w is None:
                     w = sums[inter] = _path_sum(cols, inter)
-                if w in skip:
+                if skip is not None and w in skip:
                     continue
                 if not _theta_pair(mi, mj, *contraction):
                     continue
@@ -409,17 +413,12 @@ def _theta_pair(c1: int, c2: int, free: int, reduced: list[int]) -> bool:
     It is exactly when C1 u C2 has corank 2, and its corank is 1 plus
     the nullity of A2 = C2 - C1 in M/C1 (contraction; Oxley, Matroid
     Theory, 3.1).  The residues of A2 sum to zero, since C2's columns
-    do and C1 n C2 lies in C1, so gf2.nullity_one decides it.  Two
-    mask tests answer as it would, before any residue is built: a
-    single element is a circuit of M/C1, and a longer A2 that meets
-    cl(C1), where residues are zero, is not.  Only A2's residues are
-    built, one bit per reduced cocycle.
+    do and C1 n C2 lies in C1, so gf2.nullity_one decides it: a single
+    element, whose residue is zero, is a circuit of M/C1, and a longer
+    A2 that meets cl(C1), where residues are zero, is not.  Only A2's
+    residues are built, one bit per reduced cocycle.
     """
     a2 = c2 & ~c1
-    if not a2 & (a2 - 1):
-        return True
-    if a2 & ~free:
-        return False
     residues = dict.fromkeys(bits(a2), 0)
     bit = 1
     for v in reduced:
@@ -572,7 +571,8 @@ def _incomplete_thetas(
     certificate runs first, and its piece goes through this generator
     without the shortcuts.  use_shortcut=False leaves out the
     projective shortcut, the rank rule and the certificate, so the pair
-    route and the scan cover all of M.
+    route and the scan cover all of M.  The scan skips every vector
+    yielded, so it decides no pair for a vector that has its witness.
     """
     if use_shortcut and is_projective(M):
         return None
@@ -592,11 +592,10 @@ def _incomplete_thetas(
         if late:
             return (yield from _incomplete_thetas(found, budget, use_shortcut=False))
         M = found
-    seen = set()
-    for *arcs, w in _theta_scan(M, budget, incomplete=True):
-        if w not in seen:
-            seen.add(w)
-            yield w, _theta(M, arcs, w)
+    held = set(M.colset)
+    for *arcs, w in _theta_scan(M, budget, held):
+        held.add(w)
+        yield w, _theta(M, arcs, w)
 
 
 def is_theta3_closed(

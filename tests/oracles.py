@@ -80,6 +80,40 @@ def oracle_circuits(
     return sorted(found, key=lambda c: (len(c), sorted(c)))
 
 
+def oracle_short_circuits(M: BinaryMatroid, max_size: int) -> set[int]:
+    """The circuits of at most max_size elements, as element-index masks,
+    through the cycle space rather than all subsets.
+
+    A cycle, a nonempty set whose columns sum to zero, is fixed by its
+    elements outside a basis B: the rest is the one subset of B with the
+    same sum.  So each set of at most max_size elements outside B names
+    one candidate.  A cycle is a disjoint union of circuits, each of
+    nullity 1, so it is a circuit exactly when its rank is one less than
+    its size.
+    """
+    sums = {0: 0}  # span vector -> the mask of the elements of B summing to it
+    rest = []
+    for e, c in enumerate(M.cols):
+        if c in sums:
+            rest.append(e)
+        else:
+            sums.update([(v ^ c, m | 1 << e) for v, m in sums.items()])
+    found = set()
+    for k in range(1, max_size + 1):
+        for combo in combinations(rest, k):
+            s = mask = 0
+            for e in combo:
+                s ^= M.cols[e]
+                mask |= 1 << e
+            cycle = mask | sums[s]
+            size = cycle.bit_count()
+            if size > max_size:
+                continue
+            if len(span_of(M.cols[j] for j in bits(cycle))) == 1 << size - 1:
+                found.add(cycle)
+    return found
+
+
 def oracle_cocircuits(M: BinaryMatroid) -> list[frozenset[str]]:
     """Minimal sets whose removal drops the rank."""
     labs = M.labels

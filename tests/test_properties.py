@@ -5,7 +5,6 @@ repeated columns, and dims above the actual rank all show up.
 """
 
 import re
-import sys
 from collections import Counter
 from functools import reduce
 from itertools import count
@@ -258,7 +257,7 @@ def test_theta_scan_yields_each_theta_once(m):
 def test_incomplete_scan_yields_each_incomplete_theta_once(m):
     # The scan skips a pair whose completing vector is a column before
     # its rank test; what is left must be exactly the incomplete thetas.
-    got = _scan_form(m, _theta_scan(m, incomplete=True))
+    got = _scan_form(m, _theta_scan(m, skip=m.colset))
     assert len(got) == len(set(got))
     want = {(arcs, w) for arcs, w in oracles.oracle_theta_graphs(m) if w not in m.colset}
     assert set(got) == want
@@ -275,7 +274,7 @@ def test_incomplete_scan_is_the_full_scan_less_its_complete_thetas(m):
     # So it yields the full scan's records whose completing vector is
     # not a column, in the full scan's order; a stricter test drops one.
     want = [rec for rec in _theta_scan(m) if rec[3] not in m.colset]
-    assert list(_theta_scan(m, incomplete=True)) == want
+    assert list(_theta_scan(m, skip=m.colset)) == want
 
 
 def test_circuits_of_incomplete_thetas_pass_the_flat_test():
@@ -332,7 +331,7 @@ def test_theta_scan_rank_tests_do_not_depend_on_element_order(m, data):
     )
     counts = []
     for mm in (m, shuffled):
-        for scan in (_theta_scan(mm), _theta_scan(mm, incomplete=True)):
+        for scan in (_theta_scan(mm), _theta_scan(mm, skip=mm.colset)):
             with mock.patch("theta3.theta._theta_pair", wraps=_theta_pair) as decide:
                 found = sum(1 for _ in scan)
             counts.append((decide.call_count, found))
@@ -430,8 +429,8 @@ def test_theta_pair_decides_corank_two_as_the_oracle(m):
     # Every pair the scan decides, in either mode, is a theta exactly
     # when its union has corank 2.
     decided = {}
-    for incomplete in (False, True):
-        calls = decided[incomplete] = []
+    for skip in (None, m.colset):
+        calls = decided[skip is not None] = []
 
         def decide(c1, c2, free, reduced):
             verdict = _theta_pair(c1, c2, free, reduced)
@@ -439,7 +438,7 @@ def test_theta_pair_decides_corank_two_as_the_oracle(m):
             return verdict
 
         with mock.patch("theta3.theta._theta_pair", decide):
-            for _ in _theta_scan(m, incomplete=incomplete):
+            for _ in _theta_scan(m, skip=skip):
                 pass
         for c1, c2, verdict in calls:
             union = [m.labels[j] for j in bits(c1 | c2)]
@@ -493,24 +492,45 @@ _WALK_RULE_COUNTS = {
 @example(_DENSE_RANK8)
 def test_circuit_walk_decides_cycles_as_the_oracle(m):
     # Every cycle the walk decides, full or windowed, is a circuit exactly
-    # when gf2.nullity_one says so.  The cycle a call decides is the
-    # walk's element mask of T plus the element just added, read off the
-    # walk's frame.
+    # when gf2.nullity_one says so.  The walk decides each cycle of at
+    # most its cap elements at most once, on the coordinates of the
+    # cycle's elements outside the basis, and lists it exactly when the
+    # rule says yes.  So the rule must hold on each of its inputs, every
+    # yes must list one circuit, and the list must be every circuit
+    # within the cap: a no on a circuit would leave it out.
     decided = Counter()
+    verdicts = []
 
     def rule(vecs):
         verdict = nullity_one(vecs)
-        walk = sys._getframe(1).f_locals
-        cycle = walk["xe"] ^ walk["emasks"][walk["t"]]
-        assert verdict == oracles.oracle_is_circuit(m, [m.labels[j] for j in bits(cycle)])
+        # vectors that sum to zero have nullity 1 exactly when their rank
+        # is one less than their number
+        assert verdict == (len(oracles.span_of(vecs)) == 1 << len(vecs) - 1), vecs
         decided[_rule_branch(vecs), verdict] += 1
+        verdicts.append(verdict)
         return verdict
 
-    with mock.patch("theta3.matroid.nullity_one", rule):
-        for window in (None, m.rank):
-            _circuit_masks(m, max_size=window)
+    for window in (None, m.rank):
+        verdicts.clear()
+        with mock.patch("theta3.matroid.nullity_one", rule):
+            walk = _circuit_masks(m, max_size=window)
+        cap = m.rank + 1 if window is None else window
+        assert len(set(walk)) == len(walk)
+        assert set(walk) == oracles.oracle_short_circuits(m, cap)
+        # one yes per circuit listed, loops apart
+        assert verdicts.count(True) == len(walk) - m.cols.count(0)
     if m in _WALK_RULE_COUNTS:
         assert decided == _WALK_RULE_COUNTS[m]
+
+
+@given(matroids(max_dim=4, max_cols=9), st.integers(1, 6))
+@example(BinaryMatroid(tuple("abcdefgh"), (0, 1, 1, 2, 3, 4, 5, 6), 3), 3)  # loop, copies
+def test_short_circuit_oracle_agrees_with_the_subset_oracle(m, k):
+    # the cycle-space oracle against the minimal dependent sets
+    short = oracles.oracle_short_circuits(m, k)
+    assert {frozenset(m.labels[j] for j in bits(c)) for c in short} == set(
+        oracles.oracle_circuits(m, k)
+    )
 
 
 @settings(deadline=None)

@@ -121,3 +121,24 @@ def test_growth_wheel_and_cographic_rungs_pin_their_node_counts(capsys):
         row = got[name]
         assert row["status"] == "ok" and row["seconds"] < 1, row
         assert (row["answer"], row["nodes"]) == (answer, nodes), row
+
+
+def test_growth_glued_wheel_and_block_decompose_rungs_pin_their_node_counts(capsys):
+    # Two W6 glued on the rim edge t0 with that edge deleted (22
+    # elements, rank 11) are not in the class: check finds no pair-route
+    # theta, the certificate names all of it in 22 nodes, and the scan
+    # refutes it in 2038 more.  Its tree is the two wheels, joined by
+    # the marker of the deleted edge: decompose splits it at that edge's
+    # vector, the 23rd it tries, then tries all 63 vectors of each
+    # wheel's span.  M(K7) and PG(4) are blocks, which decompose
+    # recognizes without a search.
+    rows = ["w2/6/check", "w2/6/decompose", "mk/7/decompose", "pg/4/decompose"]
+    assert _load("growth.py")["main"](["--only", *rows, "--max-seconds", "10"]) == 0
+    check, glued, mk, pg = map(json.loads, capsys.readouterr().out.splitlines())
+    for row in (check, glued, mk, pg):
+        assert row["status"] == "ok" and row["seconds"] < 1
+    assert check["family"] == glued["family"] == "two W_n glued on a rim edge, edge deleted"
+    assert check["answer"] == {"closed": False} and check["nodes"] == 2060
+    assert glued["answer"] == {"vertices": 2} and glued["nodes"] == 149
+    for row in (mk, pg):
+        assert row["answer"] == {"vertices": 1} and row["nodes"] == 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import json
 import pkgutil
@@ -352,7 +353,7 @@ def test_incomplete_scan_window_drops_only_pairs_that_cannot_yield():
     for _ in range(300):
         m = _random_point_set(rng)
         want = [rec for rec in theta._theta_scan(m) if rec[3] not in m.colset]
-        got = list(theta._theta_scan(m, incomplete=True))
+        got = list(theta._theta_scan(m, skip=m.colset))
         assert got == want, (m.labels, m.cols, m.dim)
         if m.rank <= 3:
             assert got == []
@@ -712,6 +713,37 @@ def test_closure_round_scans_only_the_piece_outside_the_class():
     ofinal, orounds = oracles.oracle_closure(m)
     assert final.colset == ofinal.colset
     assert [sorted(r.added_vectors) for r in trace.rounds] == orounds
+
+
+def test_closure_scan_decides_no_pair_for_a_vector_it_holds():
+    # The rank-9 spike (tip e0, legs {e_i, e_i + e0} for i = 1..8, and
+    # the sum of e_1..e_8) closes to PG(9) in three rounds, and only its
+    # first reaches the scan.  The round keeps one witness per missing
+    # vector, so the scan skips every vector it has yielded: 56 pair
+    # decisions for the 56 vectors it adds, where deciding every
+    # incomplete theta took 1792.  The nodes, charged before the lookup,
+    # and the trace, the first theta per vector, stay as they were.
+    r = 9
+    cols = [1] + [c for i in range(1, r) for c in (1 << i, 1 << i | 1)]
+    labels = ["e0"] + [f"{x}{i}" for i in range(1, r) for x in "ab"]
+    m = BinaryMatroid(tuple(labels + ["z"]), tuple(cols + [(1 << r) - 2]), r)
+    budget = Budget()
+    with mock.patch.object(theta, "_theta_pair", wraps=theta._theta_pair) as decide:
+        final, trace = theta3_closure(m, budget=budget)
+    assert decide.call_count == 56
+    assert budget.nodes == 2808
+    assert final.size == 511
+    assert [len(rnd.added_vectors) for rnd in trace.rounds] == [56, 252, 185]
+    first = trace.rounds[0].witnesses[0]
+    assert sorted(map(sorted, first.arcs)) == [
+        ["a1", "a2"], ["a3", "a4", "a5", "a6", "a7", "a8", "z"], ["b1", "b2"]
+    ]
+    form = [
+        [list(rnd.added_vectors), [sorted(map(sorted, w.arcs)) for w in rnd.witnesses]]
+        for rnd in trace.rounds
+    ]
+    digest = hashlib.sha256(json.dumps(form).encode()).hexdigest()[:16]
+    assert digest == "fcfd858d24c207ca"
 
 
 def test_closure_of_a_glued_wheel_stays_within_a_node_budget():
